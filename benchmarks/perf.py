@@ -5,8 +5,10 @@ end-to-end reconfiguration, the Table II sweep — tracer-off and
 tracer-on, the ISS unroll sweep and the fault campaign), records wall
 time plus simulated-payload throughput to ``BENCH_perf.json``, and — in
 ``--check`` mode — fails when a bench regresses more than 25 % against
-the committed baseline.  ``--obs-check`` additionally gates the
-observability layer's detached overhead below 2 % on Table II.
+the committed baseline or a same-run A/B gate fails (block ISS engine,
+power accounting, 2-worker fleet scaling).  ``--obs-check``
+additionally gates the observability layer's detached overhead below
+2 % on Table II.
 
 Wall-clock numbers are machine-dependent, so every run also times a
 fixed pure-Python calibration workload (the scalar CRC reference over a
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -79,6 +82,15 @@ SEED_GATES = {
 #: speed cancels — energy accounting must not tax the serving path.
 POWER_REPLAY_MAX_OVERHEAD = 1.25
 
+#: fleet gate: the fault sweep sharded over 2 workers must run >= this
+#: much faster than the same sweep run serially, measured as a same-run
+#: A/B.  Fork-pool start-up and a second busy process need cores to
+#: spare, so the ratio gates only on hosts with at least
+#: FLEET_GATE_MIN_CPUS cores and is reported elsewhere (2-vCPU hosts
+#: measure 0.75x-1.31x).
+FLEET_MIN_SPEEDUP = 1.7
+FLEET_GATE_MIN_CPUS = 4
+
 #: allowed tracer-off overhead of the observability layer: the guarded
 #: emit sites (`obs is not None` checks) must cost <2 % on the Table II
 #: workload vs the committed baseline (--obs-check)
@@ -127,6 +139,25 @@ def run_bench(name: str, repeat: int) -> Tuple[float, int]:
         work = fn()
         best = min(best, time.perf_counter() - t0)
     return best, work
+
+
+def fleet_speedup() -> float:
+    """Same-run A/B: a serial fault sweep's wall over the 2-worker one.
+
+    Both runs sweep identical units back to back in this process, so
+    machine speed cancels.
+    """
+    from repro.fleet import run_fleet
+
+    params = {"points": 2, "kinds": ("bitflip", "truncate")}
+    walls = []
+    for workers in (1, 2):
+        gc.collect()
+        t0 = time.perf_counter()
+        run_fleet("faults", workers=workers, seed=3, params=params)
+        walls.append(time.perf_counter() - t0)
+    serial_wall, sharded_wall = walls
+    return serial_wall / sharded_wall if sharded_wall > 0 else float("inf")
 
 
 def run_all(names: List[str], repeat: int) -> dict:
@@ -205,8 +236,6 @@ def check_regressions(current: dict, baseline_path: Path) -> int:
             # same-run A/B: time the bench under the interpreter
             # reference engine and compare against the block-engine wall
             # just measured — machine speed cancels exactly
-            import os
-
             saved = os.environ.get("REPRO_ISS_ENGINE")
             os.environ["REPRO_ISS_ENGINE"] = "interp"
             try:
@@ -245,6 +274,19 @@ def check_regressions(current: dict, baseline_path: Path) -> int:
             if ratio > POWER_REPLAY_MAX_OVERHEAD:
                 failures.append(("power_replay(accounting-overhead)",
                                  ratio))
+    speedup = fleet_speedup()
+    cpus = os.cpu_count() or 1
+    if cpus >= FLEET_GATE_MIN_CPUS:
+        tag = "ok" if speedup >= FLEET_MIN_SPEEDUP else "FAIL"
+        if speedup < FLEET_MIN_SPEEDUP:
+            failures.append(("fleet(2-worker-speedup)", speedup))
+    else:
+        tag = f"report only: {cpus} cpus"
+    print(
+        f"perf-check: fleet 2-worker speedup {speedup:5.2f}x vs serial "
+        f"(same-run A/B, need >= {FLEET_MIN_SPEEDUP:.1f}x on >= "
+        f"{FLEET_GATE_MIN_CPUS} cpus) [{tag}]"
+    )
     if failures:
         worst = max(failures, key=lambda f: f[1])
         print(

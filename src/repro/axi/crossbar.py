@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
-from repro.axi.interface import AxiSlave, ReadPort, WritePort
+import numpy as np
+
+from repro.axi.interface import AxiSlave, BulkRead, ReadPort, WritePort
 from repro.axi.memory_map import MemoryMap, Region
 from repro.axi.types import AxiResp, AxiResult
 
@@ -224,6 +226,54 @@ class AxiCrossbar(AxiSlave):
             return data, complete + response
 
         return port
+
+    def resolve_bulk_read(self, lo: int, hi: int) -> Optional[BulkRead]:
+        """Bulk sibling of :meth:`resolve_burst_read` (see ``BulkRead``).
+
+        Only the run's first burst can wait for the region: each later
+        one arrives ``response + gap + request`` cycles after the
+        previous one left the slave, when the region is free again, so
+        the slave sees that as its own gap.
+        """
+        region = self.memory_map.decode(lo)
+        if region is None or hi > region.end or lo >= hi:
+            return None
+        resolve = getattr(region.slave, "resolve_bulk_read", None)
+        if resolve is None:
+            return None
+        inner: Optional[BulkRead] = resolve(lo - region.base, hi - region.base)
+        if inner is None:
+            return None
+        busy = self._busy_until
+        key = id(region)
+        base = region.base
+        request = self.request_latency
+        response = self.response_latency
+
+        def plan(addr: int, nbytes: int, count: int, now: int, gap: int
+                 ) -> Optional[Tuple[np.ndarray, Callable[[int], bytes]]]:
+            arrive = now + request
+            start = busy.get(key, 0)
+            if start < arrive:
+                start = arrive
+            planned = inner(addr - base, nbytes, count, start,
+                            response + gap + request)
+            if planned is None:
+                return None
+            done, inner_commit = planned
+
+            def commit(n: int) -> bytes:
+                self.transactions += n
+                if self.obs is not None:
+                    self._c_txn.value += n  # type: ignore[union-attr]
+                    if start > arrive:
+                        self._wait_counter(region).value += start - arrive
+                busy[key] = int(done[n - 1])
+                return inner_commit(n)
+
+            return done + response, commit
+
+        return plan
 
     def resolve_burst_write(self, lo: int, hi: int) -> Optional[
         "Callable[[int, bytes, int], int]"

@@ -10,6 +10,8 @@ from __future__ import annotations
 import abc
 from typing import Callable, Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.axi.types import AxiResp, AxiResult, encode_word
 from repro.errors import AlignmentError
 
@@ -18,6 +20,17 @@ ReadPort = Callable[[int], Tuple[int, int]]
 #: resolved write port: ``f(value, now) -> complete_at`` (``value`` is
 #: already masked to the access width)
 WritePort = Callable[[int, int], int]
+#: resolved bulk burst reader: ``plan(addr, nbytes, count, now, gap)``
+#: schedules ``count`` back-to-back ``nbytes`` bursts from ``addr``, the
+#: first issued at ``now`` and each later one ``gap`` cycles after the
+#: previous one completes.  It returns ``(complete_at, commit)`` without
+#: touching any state; ``commit(n)`` then applies exactly the side
+#: effects of the first ``n`` per-burst reads and returns their data.
+#: ``None`` when the layer cannot schedule the run in closed form.
+BulkRead = Callable[
+    [int, int, int, int, int],
+    Optional[Tuple[np.ndarray, Callable[[int], bytes]]],
+]
 
 
 class AxiSlave(abc.ABC):

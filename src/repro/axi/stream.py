@@ -12,8 +12,29 @@ from __future__ import annotations
 
 import abc
 from collections import deque
+from typing import Callable, Tuple
+
+import numpy as np
 
 from repro.errors import BusError
+
+#: planned bulk accept: ``plan(arrivals, nbytes)`` schedules one
+#: ``nbytes`` burst per arrival time and returns ``(accept_done,
+#: commit)`` without touching any state; ``commit(data, n)`` then applies
+#: exactly the side effects of the first ``n`` per-burst ``accept`` calls
+#: (``data`` is their payload, concatenated) and returns the capacity
+BulkAcceptPlan = Callable[
+    [np.ndarray, int],
+    Tuple[np.ndarray, Callable[[bytes, int], int]],
+]
+#: resolved bulk sink ``(accept, plan)``: ``accept(data, now)`` is
+#: :meth:`StreamSink.accept` returning ``(accept_done, capacity)``, the
+#: *capacity* being how many back-to-back bursts of ``data``'s size
+#: ``plan`` may schedule from the sink's new state (valid until foreign
+#: code runs).  ``resolve_bulk_accept(lead)`` resolves one for arrivals
+#: delayed by ``lead`` cycles of pure pipeline stages in the layers
+#: above.
+BulkAccept = Tuple[Callable[[bytes, int], Tuple[int, int]], BulkAcceptPlan]
 
 
 class StreamSink(abc.ABC):

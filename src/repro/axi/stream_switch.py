@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
-from repro.axi.stream import StreamSink, StreamSource
+import numpy as np
+
+from repro.axi.stream import BulkAccept, StreamSink, StreamSource
 from repro.errors import BusError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -150,6 +152,40 @@ class AxiStreamSwitch(StreamSink):
                 counter.value += len(data)
                 return inner(data, now + stage)
         return accept
+
+    def resolve_bulk_accept(self, lead: int = 0) -> Optional[BulkAccept]:
+        """Bulk sibling of :meth:`resolve_accept` (see ``BulkAccept``).
+
+        The stage latency folds into the selected sink's ``lead``; the
+        per-port byte counter advances by each burst or committed run.
+        ``None`` unless the selected sink resolves a bulk path itself.
+        """
+        if self._selected is None:
+            return None
+        sink = self._sinks.get(self._selected)
+        resolve = getattr(sink, "resolve_bulk_accept", None)
+        inner: Optional[BulkAccept] = (resolve(lead + self.stage_latency)
+                                       if resolve is not None else None)
+        if inner is None or self.obs is None:
+            return inner
+        inner_accept, inner_plan = inner
+        counter = self._port_counter(self._selected)
+
+        def accept(data: bytes, now: int) -> Tuple[int, int]:
+            counter.value += len(data)
+            return inner_accept(data, now)
+
+        def plan(arrivals: np.ndarray, nbytes: int
+                 ) -> Tuple[np.ndarray, Callable[[bytes, int], int]]:
+            done, inner_commit = inner_plan(arrivals, nbytes)
+
+            def commit(data: bytes, n: int) -> int:
+                counter.value += n * nbytes
+                return inner_commit(data, n)
+
+            return done, commit
+
+        return accept, plan
 
     def resolve_produce(self) -> Optional[Callable[[int, int], Tuple[bytes, int]]]:
         """A fused produce closure for the selected source, or ``None``."""

@@ -14,11 +14,11 @@ it reaches the port.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.axi.stream import StreamSink
+from repro.axi.stream import BulkAccept, StreamSink
 from repro.fpga.compression import rle_decompress
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -73,6 +73,47 @@ class Axis2Icap(StreamSink):
             return icap_accept(data, now + stage)
 
         return accept
+
+    def resolve_bulk_accept(self, lead: int = 0) -> Optional[BulkAccept]:
+        """Bulk sibling of :meth:`resolve_accept` (see ``BulkAccept``).
+
+        Pass-through mode only, and only when the ICAP resolves a bulk
+        path: the stage latency folds into the ICAP's ``lead`` and the
+        byte counters advance by each burst or committed run.
+        """
+        if self.decompress:
+            return None
+        resolve = getattr(self.icap, "resolve_bulk_accept", None)
+        inner: Optional[BulkAccept] = (resolve(lead + self.stage_latency)
+                                       if resolve is not None else None)
+        if inner is None:
+            return None
+        inner_accept, inner_plan = inner
+        c_in = self._c_in
+        c_out = self._c_out
+
+        def count(moved: int) -> None:
+            self.bytes_in += moved
+            self.bytes_out += moved
+            if c_in is not None:
+                c_in.value += moved
+                c_out.value += moved
+
+        def accept(data: bytes, now: int) -> Tuple[int, int]:
+            count(len(data))
+            return inner_accept(data, now)
+
+        def plan(arrivals: np.ndarray, nbytes: int
+                 ) -> Tuple[np.ndarray, Callable[[bytes, int], int]]:
+            done, inner_commit = inner_plan(arrivals, nbytes)
+
+            def commit(data: bytes, n: int) -> int:
+                count(n * nbytes)
+                return inner_commit(data, n)
+
+            return done, commit
+
+        return accept, plan
 
     def accept(self, data: bytes, now: int) -> int:
         self.bytes_in += len(data)

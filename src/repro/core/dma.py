@@ -34,15 +34,31 @@ Two engines execute that burst schedule:
   with fault injectors, concurrent channels and CPU observation, and
   keeps ``CR_RESET`` aborts working unchanged (the generator is always
   suspended at a yield when foreign code runs).
+
+On the reconfiguration route (crossbar -> ``DdrPort`` -> stream switch
+-> pass-through ``Axis2Icap`` -> vectorized ``Icap``) the descriptor
+engine moves FDRI payload in *bulk steps*: a run of at least
+``_MIN_BULK_BURSTS`` whole bursts lying wholly inside one FDRI payload
+is scheduled at once, each layer computing its part in closed form
+behind a bulk sibling of its resolved port (``resolve_bulk_read``,
+``resolve_bulk_accept``).  The step cuts the run after the first burst
+whose pacing target reaches the batch window, commits that prefix with
+exactly the per-burst calls' side effects and leaves the clock where
+the per-burst loop would.  Every other burst — the session header, the
+CRC/DESYNC trailer and NOOP pad — and every other route (fault proxies,
+RLE decompression, the scalar ICAP, a capped DDR device bandwidth,
+bursts longer than a DDR row) keeps the per-burst loop.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Callable, Generator, List, Optional
+from typing import TYPE_CHECKING, Callable, Generator, List, Optional, Tuple
 
-from repro.axi.interface import AxiSlave, RegisterBank
-from repro.axi.stream import StreamSink, StreamSource
+import numpy as np
+
+from repro.axi.interface import AxiSlave, BulkRead, RegisterBank
+from repro.axi.stream import BulkAccept, StreamSink, StreamSource
 from repro.errors import ControllerError
 from repro.sim.kernel import Delay, Simulator
 
@@ -78,6 +94,10 @@ DMA_ENGINES = ("burst", "descriptor")
 #: process-wide default engine; ``REPRO_DMA_ENGINE`` overrides it, an
 #: explicit ``DmaChannel(engine=...)`` argument overrides both
 _DEFAULT_DMA_ENGINE = "descriptor"
+
+#: shortest run of whole bursts the descriptor engine schedules as one
+#: bulk step; shorter runs cost less burst by burst than planning them
+_MIN_BULK_BURSTS = 8
 
 
 def set_default_dma_engine(name: str) -> None:
@@ -394,6 +414,73 @@ class DmaChannel:
             self._c_stall.inc(stall)
         return 0
 
+    def _resolve_bulk(self, addr: int, length: int
+                      ) -> Optional[Tuple[BulkRead, BulkAccept]]:
+        """The route's bulk read and bulk accept, or ``None`` unless
+        every layer from the memory port to the sink resolves one."""
+        resolve_read = getattr(self.mem_port, "resolve_bulk_read", None)
+        resolve_accept = getattr(self.sink, "resolve_bulk_accept", None)
+        if resolve_read is None or resolve_accept is None:
+            return None
+        accept = resolve_accept()
+        read = resolve_read(addr, addr + length) if accept is not None else None
+        return None if read is None else (read, accept)
+
+    def _bulk_step(self, bulk: Tuple[BulkRead, BulkAccept], addr: int,
+                   count: int, read_time: int
+                   ) -> Optional[Tuple[int, int, int, int, int]]:
+        """Run the next ``count`` whole bursts as one scheduled step.
+
+        The step schedules the whole run, cuts it after the first burst
+        whose pacing target reaches the batch window (where the
+        per-burst loop would yield) and commits that prefix with the
+        per-burst calls' side effects.  The clock ends at the pacing
+        position before the prefix's last burst, which the caller paces
+        like any other.  Returns ``(bytes, read_time, accept_done,
+        capacity, advanced)`` for the prefix, ``advanced`` being the
+        cycles the clock moved, or ``None`` when the window is shut or
+        the memory side refuses the run.
+        """
+        read, (_accept, plan_accept) = bulk
+        burst = self.burst_bytes
+        sim = self.sim
+        now = sim._now
+        window = sim.batch_window()
+        if window <= now:
+            return None
+        planned = read(addr, burst, count, read_time, 0)
+        if planned is None:
+            return None
+        read_done, commit_read = planned
+        accept_done, commit_accept = plan_accept(read_done, burst)
+        # the pacing target max(accept_done - burst, read_done) never
+        # decreases, so the first burst whose target reaches the window
+        # is the earlier of the two series' first crossings
+        cut = min(int(accept_done.searchsorted(window + burst)),
+                  int(read_done.searchsorted(window)))
+        n = cut + 1 if cut < count else count
+        capacity = commit_accept(commit_read(n), n)
+        self.bytes_done += n * burst
+        self.bursts_completed += n
+        histogram = self._h_burst
+        if histogram is not None:
+            histogram.record(int(read_done[0]) - read_time)
+            # every later burst issues when the previous one completes;
+            # their latencies take one or two small values
+            steady = read_done[1:n] - read_done[:n - 1]
+            for value, repeat in enumerate(np.bincount(steady).tolist()):
+                if repeat:
+                    histogram.record_count(value, repeat)
+        advanced = 0
+        if n > 1:
+            before = max(int(accept_done[n - 2]) - burst,
+                         int(read_done[n - 2]))
+            if before > now:
+                sim.batch_advance(before)
+                advanced = before - now
+        return (n * burst, int(read_done[n - 1]), int(accept_done[n - 1]),
+                capacity, advanced)
+
     def _run_mm2s_desc(self) -> Generator[Delay, None, bool]:
         if self.sink is None:
             raise ControllerError(f"DMA {self.name}: no stream sink attached")
@@ -418,25 +505,46 @@ class DmaChannel:
         resolve_accept = getattr(self.sink, "resolve_accept", None)
         fast_accept = resolve_accept() if resolve_accept is not None else None
         sink_accept = fast_accept if fast_accept is not None else self.sink.accept
+        # bulk step: runs of whole bursts inside one FDRI payload, on a
+        # route that schedules them in closed form (module docstring).
+        # There every burst's accept also reports the sink's capacity,
+        # which holds until foreign code runs at the next yield.
+        bulk = self._resolve_bulk(addr, remaining)
+        probe_accept = bulk[1][0] if bulk is not None else None
+        capacity = 0
         while remaining:
-            nbytes = burst if burst < remaining else remaining
-            if fast_read is not None:
-                data, complete_at = fast_read(addr, nbytes, read_time)
+            count = remaining // burst
+            if capacity < count:
+                count = capacity
+            step: Optional[Tuple[int, int, int, int, int]] = None
+            if count >= _MIN_BULK_BURSTS and bulk is not None:
+                step = self._bulk_step(bulk, addr, count, read_time)
+            if step is not None:
+                nbytes, read_time, accept_done, capacity, advanced = step
+                if observed:
+                    stall += advanced
             else:
-                result = self.mem_port.read_burst(addr, nbytes, read_time)
-                if not result.ok:
-                    self._flush_obs(latencies, stall)
-                    return False
-                data, complete_at = result.data, result.complete_at
-            issue_time = read_time
-            read_time = complete_at
-            accept_done = sink_accept(data, read_time)
+                nbytes = burst if burst < remaining else remaining
+                if fast_read is not None:
+                    data, complete_at = fast_read(addr, nbytes, read_time)
+                else:
+                    result = self.mem_port.read_burst(addr, nbytes, read_time)
+                    if not result.ok:
+                        self._flush_obs(latencies, stall)
+                        return False
+                    data, complete_at = result.data, result.complete_at
+                issue_time = read_time
+                read_time = complete_at
+                if probe_accept is None:
+                    accept_done = sink_accept(data, read_time)
+                else:
+                    accept_done, capacity = probe_accept(data, read_time)
+                self.bytes_done += nbytes
+                self.bursts_completed += 1
+                if observed:
+                    latencies.append(read_time - issue_time)
             addr += nbytes
             remaining -= nbytes
-            self.bytes_done += nbytes
-            self.bursts_completed += 1
-            if observed:
-                latencies.append(read_time - issue_time)
             # pace the engine: at most one burst ahead of the consumer
             target = accept_done - burst
             if read_time > target:
@@ -449,6 +557,7 @@ class DmaChannel:
                     batch_advance(target)
                 else:
                     stall = self._flush_obs(latencies, stall)
+                    capacity = 0
                     yield Delay(target - now)
         final = read_time if read_time > accept_done else accept_done
         self._flush_obs(latencies, stall)

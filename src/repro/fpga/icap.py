@@ -23,6 +23,12 @@ bitstream instead of O(words).  The **scalar** engine
 (``vectorized=False``) is the original per-word state machine, kept as
 the reference implementation; the two are cross-checked
 word-for-word by ``tests/property/test_icap_vector_props.py``.
+
+The vectorized engine also takes FDRI payload from the DMA in bulk
+(:meth:`Icap.resolve_bulk_accept`): a run of whole bursts strictly
+inside the payload is timed by one max-plus scan over the port's busy
+chain and staged as one chunk, with the counters the per-burst fast
+path would have advanced (see :mod:`repro.core.dma`).
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.axi.stream import StreamSink
+from repro.axi.stream import BulkAccept, StreamSink
 from repro.errors import ConfigurationError
 from repro.fpga.config_memory import ConfigMemory
 from repro.fpga.frames import FrameAddress
@@ -248,6 +254,69 @@ class Icap(StreamSink):
             words = np.frombuffer(raw, dtype=">u4").astype(np.uint32)
             self._consume_words_vec(words)
         return self._busy_until
+
+    def resolve_bulk_accept(self, lead: int = 0) -> Optional[BulkAccept]:
+        """Bulk form of the streaming fast path (see ``BulkAccept``).
+
+        Capacity is the number of whole bursts that fit strictly inside
+        the open FDRI payload — exactly the bursts :meth:`accept` would
+        stage on its fast path — and zero whenever that path would not
+        run for the next burst: another packet state, a partial word in
+        the byte buffer, or an attached tracer with no session span open
+        yet.  The busy chain ``done[i] = max(done[i-1], t[i]) + words``
+        is one max-plus scan; a committed run stages its payload as one
+        ``_fdri_raw`` chunk.  ``None`` for the scalar engine.
+        """
+        if not self.vectorized:
+            return None
+        accept_burst = self.accept
+
+        def capacity(nbytes: int) -> int:
+            if (self._state is not _ParseState.PAYLOAD
+                    or self._payload_reg != ConfigRegister.FDRI
+                    or self._byte_buffer or nbytes % 4
+                    or (self.obs is not None and self._session_span is None)):
+                return 0
+            return (self._payload_remaining - 1) // (nbytes >> 2)
+
+        def accept(data: bytes, now: int) -> Tuple[int, int]:
+            return accept_burst(data, now + lead), capacity(len(data))
+
+        def plan(arrivals: np.ndarray, nbytes: int
+                 ) -> Tuple[np.ndarray, Callable[[bytes, int], int]]:
+            words = nbytes >> 2  # one word per cycle
+            count = len(arrivals)
+            # burst i arrives at t[i] = arrivals[i] + lead, so
+            # done[i] - (i + 1) * words is the running max of the port's
+            # busy_until and every t[j] - j * words, j <= i
+            ramp = np.arange(-lead, count * words - lead, words,
+                             dtype=np.int64)
+            done = arrivals - ramp
+            if done[0] < self._busy_until:
+                done[0] = self._busy_until
+            np.maximum.accumulate(done, out=done)
+            done += ramp
+            done += lead + words
+
+            def commit(data: bytes, n: int) -> int:
+                # each burst stalls max(done[i-1] - t[i], 0), which is
+                # done[i] - t[i] - words
+                taken = n * words
+                stall = (int((done[:n] - arrivals[:n]).sum())
+                         - taken - n * lead)
+                self._busy_until = int(done[n - 1])
+                self.stall_cycles += stall
+                if self.obs is not None:
+                    self._c_stall.value += stall  # type: ignore[union-attr]
+                    self._c_words.value += taken  # type: ignore[union-attr]
+                self._fdri_raw.append(data)
+                self.words_consumed += taken
+                self._payload_remaining -= taken
+                return capacity(nbytes)
+
+            return done, commit
+
+        return accept, plan
 
     def _flush_fdri_raw(self) -> None:
         """Materialize fast-path staged FDRI bytes into the word lists.

@@ -29,7 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.axi.interface import AxiSlave
+import numpy as np
+
+from repro.axi.interface import AxiSlave, BulkRead
 from repro.axi.types import AxiResp, AxiResult
 from repro.mem.sparse_memory import SparseMemory
 
@@ -226,6 +228,58 @@ class DdrPort(AxiSlave):
             return load(addr, nbytes), complete
 
         return read
+
+    def resolve_bulk_read(self, lo: int, hi: int) -> Optional[BulkRead]:
+        """Bulk sibling of :meth:`resolve_burst_read` (see ``BulkRead``).
+
+        Schedules a run that continues this port's sequential stream:
+        every burst after the first is issued ``gap`` cycles after the
+        previous one completes, when the port is idle again, so burst
+        ``i`` completes at ``start + (i + 1) * beats + i * gap``, plus
+        ``row_miss_penalty`` per row the stream has entered since the
+        open row: the row of burst ``i``'s last byte minus the open row.
+        The plan refuses a non-sequential first burst and bursts longer
+        than a row, so each burst enters at most one row; the resolve
+        refuses a capped device bandwidth (``device_beats_per_cycle``),
+        whose shared watermark has no such closed form.
+        """
+        ctrl = self.controller
+        if lo >= hi or hi > ctrl.size or ctrl._device_beats_per_cycle:
+            return None
+        state = ctrl._ports[self.port_name]
+        row_bytes = ctrl._row_bytes
+        penalty = ctrl._row_miss_penalty
+        per_beat = ctrl._bytes_per_beat
+        load = ctrl.memory.load
+
+        def plan(addr: int, nbytes: int, count: int, now: int, gap: int
+                 ) -> Optional[Tuple[np.ndarray, Callable[[int], bytes]]]:
+            open_row = state.open_row
+            if (addr != state.next_seq_addr or open_row is None
+                    or nbytes > row_bytes):
+                return None
+            beats = -(-nbytes // per_beat)
+            start = state.busy_until if state.busy_until > now else now
+            step = beats + gap
+            first = start + beats
+            done = np.arange(first, first + count * step, step,
+                             dtype=np.int64)
+            last_byte = np.arange(addr + nbytes - 1, addr + count * nbytes,
+                                  nbytes, dtype=np.int64)
+            done += (last_byte // row_bytes - open_row) * penalty
+
+            def commit(n: int) -> bytes:
+                last_row = (addr + n * nbytes - 1) // row_bytes
+                ctrl.row_activates += last_row - open_row
+                ctrl.bytes_read += n * nbytes
+                state.busy_until = int(done[n - 1])
+                state.next_seq_addr = addr + n * nbytes
+                state.open_row = last_row
+                return load(addr, n * nbytes)
+
+            return done, commit
+
+        return plan
 
     def resolve_burst_write(self, lo: int, hi: int) -> Optional[Callable[[int, bytes, int], int]]:
         """Mirror of :meth:`resolve_burst_read` for writes."""

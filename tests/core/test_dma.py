@@ -1,10 +1,28 @@
+from unittest import mock
+
+import numpy as np
 import pytest
 
+from repro.axi.crossbar import AxiCrossbar
 from repro.axi.stream import BufferSource, CaptureSink
 from repro.core import dma as dr
-from repro.core.dma import AxiDma
+from repro.core.dma import AxiDma, DmaChannel
+from repro.core.rp_control import PORT_ICAP
+from repro.core.rvcap import RvCapController
 from repro.errors import ControllerError
-from repro.mem.ddr import DdrController
+from repro.faults.injectors import install_mem_fault
+from repro.fpga.bitgen import Bitgen
+from repro.fpga.compression import rle_compress
+from repro.fpga.config_memory import ConfigMemory
+from repro.fpga.device import KINTEX7_325T
+from repro.fpga.icap import Icap
+from repro.fpga.partition import (
+    ReconfigurableModule,
+    ReconfigurablePartition,
+    ResourceBudget,
+    RpGeometry,
+)
+from repro.mem.ddr import DdrController, DdrTiming
 from repro.sim import Simulator
 
 DDR_SIZE = 1 << 20
@@ -262,3 +280,88 @@ class TestThroughput:
         sim.run()
         cycles = dma.mm2s.last_complete_cycle - dma.mm2s.last_start_cycle
         assert 3.9 < nbytes / cycles <= 4.0
+
+
+def _partial_bitstream():
+    rp = ReconfigurablePartition(
+        "dma_rp", RpGeometry(clb_cols=2, bram_cols=0, dsp_cols=0, rows=1),
+        ResourceBudget(10**6, 10**6, 10**3, 10**3))
+    module = ReconfigurableModule("dma_rm", ResourceBudget(1, 1, 0, 0))
+    return Bitgen(rp.device).generate(rp, module).to_bytes()
+
+
+def _stream_into_icap(image, *, icap=None, timing=None, decompress=False,
+                      fault_proxy=False):
+    """Stream ``image`` over crossbar -> DdrPort -> switch -> AXIS2ICAP
+    -> ICAP.  Returns the bytes each bulk step committed, the number of
+    per-burst ICAP accepts, and the ICAP."""
+    sim = Simulator()
+    ddr = DdrController(DDR_SIZE, timing)
+    xbar = AxiCrossbar("rvcap_xbar")
+    xbar.attach("ddr", 0, ddr.size, ddr.port("dma_mm2s"))
+    icap = icap or Icap(ConfigMemory(KINTEX7_325T))
+    rvcap = RvCapController(sim, xbar, icap, decompress=decompress)
+    rvcap.switch.select(PORT_ICAP)
+    if fault_proxy:
+        install_mem_fault(rvcap.dma.mm2s)  # armed at no offset
+    accepts = []
+    accept = icap.accept
+
+    def counted_accept(data, now):
+        accepts.append(len(data))
+        return accept(data, now)
+
+    icap.accept = counted_accept
+    steps = []
+    bulk_step = DmaChannel._bulk_step
+
+    def spy(channel, *args):
+        step = bulk_step(channel, *args)
+        if step is not None:
+            steps.append(step[0])
+        return step
+
+    ddr.load_image(0, image)
+    with mock.patch.object(DmaChannel, "_bulk_step", spy):
+        _w(rvcap.dma, dr.MM2S_DMACR, dr.CR_RS)
+        _w(rvcap.dma, dr.MM2S_LENGTH, len(image))
+        sim.run()
+    return steps, len(accepts), icap
+
+
+class TestBulkStep:
+    """Which routes stream FDRI payload as bulk steps."""
+
+    def test_fdri_payload_streams_as_bulk_steps(self):
+        pbit = _partial_bitstream()
+        steps, accepts, icap = _stream_into_icap(pbit)
+        assert icap.reconfigurations_completed == 1 and not icap.error
+        assert sum(steps) > len(pbit) * 3 // 4
+        # the session header and the CRC/DESYNC/NOOP trailer lie outside
+        # the FDRI payload, so their bursts still go one by one
+        assert accepts >= 2
+        assert accepts == -(-len(pbit) // 128) - sum(steps) // 128
+
+    @pytest.mark.parametrize("route", [
+        "fault_proxy", "rle", "scalar_icap", "device_bandwidth",
+        "burst_longer_than_row"])
+    def test_fallback_routes_stream_burst_by_burst(self, route):
+        pbit = _partial_bitstream()
+        image = pbit
+        kwargs = {}
+        if route == "fault_proxy":
+            kwargs["fault_proxy"] = True
+        elif route == "rle":
+            words = np.frombuffer(pbit, dtype=">u4").astype(np.uint32)
+            image = rle_compress(words).astype(">u4").tobytes()
+            kwargs["decompress"] = True
+        elif route == "scalar_icap":
+            kwargs["icap"] = Icap(ConfigMemory(KINTEX7_325T),
+                                  vectorized=False)
+        elif route == "device_bandwidth":
+            kwargs["timing"] = DdrTiming(device_beats_per_cycle=2)
+        else:
+            kwargs["timing"] = DdrTiming(row_bytes=64)
+        steps, _accepts, icap = _stream_into_icap(image, **kwargs)
+        assert steps == []
+        assert icap.reconfigurations_completed == 1 and not icap.error

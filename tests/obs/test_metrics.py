@@ -88,6 +88,38 @@ class TestInstruments:
         uppers = [u for u, _ in pairs]
         assert uppers == sorted(uppers)
 
+    @staticmethod
+    def _state(h):
+        return (dict(h.buckets), h.count, h.total, h.min, h.max,
+                h.cumulative_buckets())
+
+    @pytest.mark.parametrize("value", [0, 3, 7, 8, 19, 23, 1_000, 65_537,
+                                       123_456_789])
+    @pytest.mark.parametrize("count", [1, 2, 17])
+    def test_record_count_matches_repeated_record(self, value, count):
+        # values from the exact unit buckets into the HDR octaves
+        counted, repeated = Histogram("a"), Histogram("b")
+        for h in (counted, repeated):
+            h.record(5)  # a prior sample, so min/max merge too
+        counted.record_count(value, count)
+        for _ in range(count):
+            repeated.record(value)
+        assert self._state(counted) == self._state(repeated)
+
+    def test_record_count_zero_is_a_no_op(self):
+        h = Histogram("n")
+        h.record_count(42, 0)
+        assert self._state(h) == self._state(Histogram("n"))
+        assert h.min is None and h.max is None
+
+    def test_record_count_clamps_negative_values(self):
+        counted, repeated = Histogram("a"), Histogram("b")
+        counted.record_count(-9, 3)
+        for _ in range(3):
+            repeated.record(-9)
+        assert self._state(counted) == self._state(repeated)
+        assert counted.min == 0 and counted.total == 0
+
     def test_label_suffix(self):
         c = Counter("n", labels={"b": "2", "a": "1"})
         assert c.label_suffix == '{a="1",b="2"}'  # sorted, stable

@@ -1,37 +1,85 @@
 """Burst-vs-descriptor DMA engine equivalence over randomized scenarios.
 
 The descriptor engine collapses a transfer's per-burst simulation
-events into one computed timeline; these properties pin it to the
-per-burst reference engine under everything that can interrupt a
+events into one computed timeline, and schedules runs of FDRI payload
+bursts into the ICAP as single bulk steps; these properties pin it to
+the per-burst reference engine under everything that can interrupt a
 transfer mid-flight: random lengths and burst geometries, injected bus
-faults, soft resets, and the full multi-tenant serving path (where the
-whole ReplayReport — statuses, latencies, Tr breakdowns, ICAP busy
-cycles — must come out bit-identical).
+faults, soft resets, real partial bitstreams (pristine and corrupted)
+with foreign events cutting the batch window, and the full
+multi-tenant serving path (where the whole ReplayReport — statuses,
+latencies, Tr breakdowns, ICAP busy cycles — and every metric must
+come out bit-identical).
+
+The reference engine yields one event per pacing step, so it cannot
+match the descriptor engine's event count.  ``events_processed`` is
+pinned instead against the descriptor engine with its bulk step
+refused (``descriptor-per-burst``), whose per-burst loop yields at
+exactly the points the bulk step must reproduce.
 """
 
 import asyncio
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.axi.crossbar import AxiCrossbar
 from repro.axi.stream import BufferSource, CaptureSink
 from repro.core import dma as dr
-from repro.core.dma import AxiDma, set_default_dma_engine
-from repro.faults.injectors import DmaResetInjector, install_mem_fault
+from repro.core.dma import AxiDma, DmaChannel, set_default_dma_engine
+from repro.core.rp_control import PORT_ICAP
+from repro.core.rvcap import RvCapController
+from repro.faults.injectors import (
+    DmaResetInjector,
+    flip_word_bit,
+    install_mem_fault,
+    truncate_at_word,
+)
+from repro.fpga.bitgen import Bitgen
+from repro.fpga.config_memory import ConfigMemory
+from repro.fpga.device import KINTEX7_325T
+from repro.fpga.icap import Icap
+from repro.fpga.partition import (
+    ReconfigurableModule,
+    ReconfigurablePartition,
+    ResourceBudget,
+    RpGeometry,
+)
 from repro.mem.ddr import DdrController
+from repro.obs import Observability
 from repro.sim import Simulator
+from repro.sim.kernel import Delay
 
 ENGINES = ("burst", "descriptor")
 
 
 def _with_engine(engine, fn):
-    """Run ``fn`` with ``engine`` as the process-default DMA engine."""
+    """Run ``fn`` under ``engine``: a DMA engine name, or
+    ``descriptor-per-burst`` for the descriptor engine with every bulk
+    step refused."""
+    if engine == "descriptor-per-burst":
+        with mock.patch.object(DmaChannel, "_bulk_step", return_value=None):
+            return _with_engine("descriptor", fn)
     set_default_dma_engine(engine)
     try:
         return fn()
     finally:
         set_default_dma_engine("descriptor")
+
+
+def _metrics(registry):
+    """Every instrument's full state (snapshot() keeps only summaries)."""
+    out = {}
+    for instrument in registry.instruments():
+        key = instrument.name + instrument.label_suffix
+        if hasattr(instrument, "buckets"):
+            out[key] = (instrument.count, instrument.total, instrument.min,
+                        instrument.max, instrument.cumulative_buckets())
+        else:
+            out[key] = instrument.value
+    return out
 
 
 def _mm2s_observe(engine, length, burst_beats, seed, *,
@@ -141,8 +189,120 @@ class TestTransferEquivalence:
         assert burst == desc
 
 
+_MODULE = ReconfigurableModule("prop_rm", ResourceBudget(1, 1, 0, 0))
+
+geometries = st.builds(
+    RpGeometry,
+    clb_cols=st.integers(min_value=1, max_value=3),
+    bram_cols=st.integers(min_value=0, max_value=1),
+    dsp_cols=st.integers(min_value=0, max_value=1),
+    rows=st.just(1),
+)
+
+
+def _partial_bitstream(geometry, form, where, bit):
+    """A Bitgen partial bitstream, pristine or corrupted at ``where``."""
+    rp = ReconfigurablePartition(
+        "prop_rp", geometry, ResourceBudget(10**6, 10**6, 10**3, 10**3))
+    data = Bitgen(rp.device).generate(rp, _MODULE).to_bytes()
+    index = int(where * (len(data) // 4 - 1))
+    if form == "flip":
+        return flip_word_bit(data, index, bit)
+    if form == "truncate":
+        return truncate_at_word(data, index + 1)
+    return data
+
+
+def _icap_route_observe(engine, pbit, burst_beats, offset, period, phase):
+    """Every observable of one MM2S transfer of ``pbit`` into the ICAP.
+
+    The route is the reconfiguration path: crossbar -> DdrPort -> AXIS
+    switch -> AXIS2ICAP -> ICAP, fully instrumented.  A competing
+    process wakes every ``period`` cycles, so its events cut the DMA's
+    batch window (and any bulk run) at varying bursts.
+    """
+    def run():
+        sim = Simulator()
+        ddr = DdrController(1 << 20)
+        xbar = AxiCrossbar("rvcap_xbar")
+        xbar.attach("ddr", 0, ddr.size, ddr.port("dma_mm2s"))
+        icap = Icap(ConfigMemory(KINTEX7_325T))
+        rvcap = RvCapController(sim, xbar, icap, burst_beats=burst_beats)
+        rvcap.switch.select(PORT_ICAP)
+        obs = Observability()
+        for part in (rvcap.dma, icap, rvcap.axis2icap, xbar):
+            part.attach_obs(obs)
+        rvcap.switch.attach_obs(obs, lambda: sim.now)
+        ddr.load_image(offset, pbit)
+
+        def competitor():
+            yield Delay(phase)
+            for _ in range(len(pbit) // 4 // period + 2):
+                yield Delay(period)
+
+        sim.add_process(competitor(), name="competitor")
+        dma = rvcap.dma
+        dma.write(dr.MM2S_DMACR, dr.CR_RS.to_bytes(4, "little"), 0)
+        dma.write(dr.MM2S_SA, offset.to_bytes(4, "little"), 0)
+        dma.write(dr.MM2S_LENGTH, len(pbit).to_bytes(4, "little"), 0)
+        sim.run()
+        channel = dma.mm2s
+        port = ddr._ports["dma_mm2s"]
+        return {
+            "frames": {index: frame.tobytes() for index, frame
+                       in icap.config_memory._frames.items()},
+            "icap": (icap._state, icap._payload_reg,
+                     icap._payload_remaining, icap.words_consumed,
+                     icap.far, icap.error, icap.crc_error,
+                     icap.protocol_error, icap.desynced_count,
+                     icap.reconfigurations_completed, icap.pending_frames,
+                     icap._running_crc(), icap.busy_until,
+                     icap.stall_cycles),
+            "ddr": (port.busy_until, port.next_seq_addr, port.open_row,
+                    ddr.row_activates, ddr.bytes_read),
+            "xbar": (xbar.transactions, sorted(xbar._busy_until.values())),
+            "channel": (channel.status, channel.bytes_done,
+                        channel.bursts_completed,
+                        channel.transfers_completed,
+                        channel.last_start_cycle,
+                        channel.last_complete_cycle),
+            "now": sim.now,
+            "events": sim.events_processed,
+            "metrics": _metrics(obs.metrics),
+            "trace": obs.chrome_trace(),
+        }
+    return _with_engine(engine, run)
+
+
+class TestIcapRouteEquivalence:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        geometries,
+        st.sampled_from([2, 8, 16, 32]),
+        st.sampled_from(["pristine", "flip", "truncate"]),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=31),
+        st.integers(min_value=0, max_value=3 * 1024),
+        st.integers(min_value=40, max_value=4000),
+        st.integers(min_value=0, max_value=2000),
+    )
+    def test_bitstream_into_icap_is_cycle_identical(
+            self, geometry, burst_beats, form, where, bit, offset_words,
+            period, phase):
+        pbit = _partial_bitstream(geometry, form, where, bit)
+        burst, per_burst, desc = (
+            _icap_route_observe(engine, pbit, burst_beats, 8 * offset_words,
+                                period, phase)
+            for engine in ("burst", "descriptor-per-burst", "descriptor"))
+        assert per_burst == desc
+        burst.pop("events")
+        desc.pop("events")
+        assert burst == desc
+
+
 def _replay_observe(engine, seed, rate):
-    """Full serving-path replay: report dict + raw ICAP busy cycles."""
+    """Full serving-path replay: report dict, raw ICAP busy cycles, every
+    metric of the SoC and the kernel's event count."""
     def run():
         from repro.sched import (
             DprScheduler, WorkloadSpec, build_sched_soc, make_cache,
@@ -153,7 +313,7 @@ def _replay_observe(engine, seed, rate):
         spec = WorkloadSpec(requests=40, arrival_rate_rps=rate, modules=4,
                             frame=16, deadline_slack_us=20_000.0, seed=seed)
         manager = build_sched_soc(spec.modules, frame=spec.frame)
-        manager.soc.attach_observability()
+        obs = manager.soc.attach_observability()
         cache = make_cache(manager, arena_bytes=1 << 18)
         scheduler = DprScheduler(manager, cache=cache)
         outcomes = asyncio.run(_serve(scheduler, synthesize(spec)))
@@ -161,7 +321,12 @@ def _replay_observe(engine, seed, rate):
                            wall_seconds=0.0)
         document = report.to_dict(include_outcomes=True)
         document.pop("wall_seconds")
-        return document, scheduler.icap_busy_cycles
+        return {
+            "report": document,
+            "icap_busy": scheduler.icap_busy_cycles,
+            "metrics": _metrics(obs.metrics),
+            "events": manager.soc.sim.events_processed,
+        }
     return _with_engine(engine, run)
 
 
@@ -172,12 +337,13 @@ class TestServingPathEquivalence:
         st.sampled_from([500.0, 2000.0, 8000.0]),
     )
     def test_replay_reports_are_identical(self, seed, rate):
-        burst, desc = (
-            _replay_observe(engine, seed, rate) for engine in ENGINES
-        )
-        burst_doc, burst_busy = burst
-        desc_doc, desc_busy = desc
+        burst, per_burst, desc = (
+            _replay_observe(engine, seed, rate)
+            for engine in ("burst", "descriptor-per-burst", "descriptor"))
         # per-request outcomes carry the Td/Tr/Tc breakdown, so dict
-        # equality pins every latency the report can surface
-        assert burst_doc == desc_doc
-        assert burst_busy == desc_busy
+        # equality pins every latency the report can surface; the
+        # metrics pin every counter and histogram bucket besides
+        assert per_burst == desc
+        burst.pop("events")
+        desc.pop("events")
+        assert burst == desc
