@@ -6,8 +6,15 @@ buffers rows in line buffers, and emits each output row a fixed
 pipeline delay after the corresponding input row was consumed.  The
 initiation interval (II, in cycles per input beat) and pipeline startup
 latency are per-filter parameters calibrated to the paper's measured
-compute times (Table IV); the *functional* output is computed row-wise
-with the golden numpy filters and is bit-exact against them.
+compute times (Table IV).
+
+The *functional* output is computed on demand and is bit-exact against
+the golden numpy filters: ``accept`` only counts the output rows whose
+input has arrived, and ``produce`` reads through a byte cursor over the
+filtered rows, running the golden filter once over every ready row not
+yet filtered when the cursor first reaches one of them.  A row's pixels
+depend only on its 3-row neighbourhood and its ready cycle only on its
+index, so where the filter runs moves no cycle.
 
 Timing bookkeeping uses a fixed-point II (``ii_num / ii_den``) so the
 cycle accounting stays integral and reproducible.
@@ -16,7 +23,7 @@ cycle accounting stays integral and reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -72,10 +79,12 @@ class StreamAccelerator(StreamSink, StreamSource):
         self._beats_consumed = 0
         self._in_busy = 0
         self._started_at: int | None = None
-        #: (available_cycle, row_bytes) queue of computed output rows
-        self._out_rows: List[Tuple[int, bytes]] = []
-        self._rows_computed = 0
-        self._out_cursor = 0
+        #: output rows whose input has arrived
+        self._rows_ready = 0
+        #: filtered output rows, always a whole-row prefix of the frame
+        self._out = bytearray()
+        #: bytes of ``_out`` already produced
+        self._out_pos = 0
         self.images_processed = 0
         # golden filters are pure functions of the pixel data, so for
         # small frames (the serving workload replays identical frames)
@@ -94,7 +103,7 @@ class StreamAccelerator(StreamSink, StreamSource):
 
     @property
     def busy(self) -> bool:
-        return bool(self._in_bytes) and self._rows_computed < self.height
+        return bool(self._in_bytes) and self._rows_ready < self.height
 
     @property
     def busy_cycles(self) -> int:
@@ -115,9 +124,9 @@ class StreamAccelerator(StreamSink, StreamSource):
         self._beats_consumed = 0
         self._in_busy = 0
         self._started_at = None
-        self._out_rows.clear()
-        self._rows_computed = 0
-        self._out_cursor = 0
+        self._rows_ready = 0
+        self._out.clear()
+        self._out_pos = 0
 
     # ------------------------------------------------------------------
     # input stream (from DMA MM2S through the switch)
@@ -135,93 +144,70 @@ class StreamAccelerator(StreamSink, StreamSource):
         consumed_cycles = self.timing.cycles_for_beats(self._beats_consumed)
         paced = self._started_at + consumed_cycles
         self._in_busy = paced if paced > now else now
-        self._compute_ready_rows()
+        # a 3x3 window needs one row of lookahead; the final row becomes
+        # ready only when the full frame has arrived
+        received = len(self._in_bytes) // self.width
+        ready = self.height if received >= self.height else received - 1
+        if ready > self._rows_ready:
+            self._rows_ready = ready
+            if ready == self.height:
+                self.images_processed += 1
         return self._in_busy
 
-    def _rows_received(self) -> int:
-        return len(self._in_bytes) // self.width
+    def _filter_ready_rows(self) -> None:
+        """Filter every ready row not yet filtered in one golden call.
 
-    def _computable_rows(self) -> int:
-        """Output rows computable from the input received so far.
-
-        A 3x3 window needs one row of lookahead; the final row becomes
-        computable only when the full frame has arrived.
+        The slab carries one context row on each side; the golden
+        filter edge-replicates the slab borders, but every extracted
+        row has its true neighbours inside the slab, so the synthetic
+        replication never leaks into the output.
         """
-        received = self._rows_received()
-        if received >= self.height:
-            return self.height
-        return max(0, received - 1)
-
-    def _compute_ready_rows(self) -> None:
-        target = self._computable_rows()
-        if target <= self._rows_computed:
-            return
-        rows = self._rows_received()
-        # compute on a replicated-edge slab so rows match the full-frame
-        # golden output exactly
-        r0 = self._rows_computed
-        r1 = target
+        width = self.width
+        r0 = len(self._out) // width
+        r1 = self._rows_ready
         lo = max(0, r0 - 1)
-        hi = min(rows, r1 + 1)
-        slab = bytes(self._in_bytes[lo * self.width : hi * self.width])
-        row_payloads: List[bytes] | None = None
+        hi = min(len(self._in_bytes) // width, r1 + 1)
+        slab = bytes(self._in_bytes[lo * width : hi * width])
+        rows: bytes | None = None
         if self._memo_enabled:
-            memo_key = (self.golden, self.width, r0 - lo, r1 - lo, slab)
-            row_payloads = _GOLDEN_MEMO.get(memo_key)
-        if row_payloads is None:
+            memo_key = (self.golden, width, r0 - lo, r1 - lo, slab)
+            rows = _GOLDEN_MEMO.get(memo_key)
+        if rows is None:
             image_slab = np.frombuffer(slab, dtype=np.uint8).reshape(
-                hi - lo, self.width)
-            # The golden filter edge-replicates the slab borders;
-            # extracted rows always have their true context rows inside
-            # the slab, so the synthetic replication never leaks into
-            # the output.
-            filtered = self.golden(image_slab)
-            out_rows = filtered[r0 - lo : r1 - lo]
-            assert out_rows.shape[0] == r1 - r0
-            row_payloads = [row.tobytes() for row in out_rows]
+                hi - lo, width)
+            rows = self.golden(image_slab)[r0 - lo : r1 - lo].tobytes()
             if self._memo_enabled:
                 if len(_GOLDEN_MEMO) >= _GOLDEN_MEMO_MAX_ENTRIES:
                     _GOLDEN_MEMO.clear()
-                _GOLDEN_MEMO[memo_key] = row_payloads
-        out_beats_per_row = self.width // BYTES_PER_BEAT
-        for k, row in enumerate(row_payloads):
-            row_index = r0 + k
-            # the row leaves the pipeline startup_cycles after the
-            # II-paced consumption of its last needed input beat
-            needed_beats = min((row_index + 2), self.height) * out_beats_per_row
-            base = self._started_at if self._started_at is not None else 0
-            avail = (base + self.timing.startup_cycles
-                     + self.timing.cycles_for_beats(needed_beats))
-            self._out_rows.append((avail, row))
-        self._rows_computed = r1
-        if self._rows_computed == self.height:
-            self.images_processed += 1
+                _GOLDEN_MEMO[memo_key] = rows
+        self._out += rows
 
     # ------------------------------------------------------------------
     # output stream (to DMA S2MM through the switch)
     # ------------------------------------------------------------------
     def produce(self, nbytes: int, now: int) -> tuple[bytes, int]:
-        if self._out_cursor >= len(self._out_rows):
-            if self._rows_computed >= self.height:
+        pos = self._out_pos
+        ready_bytes = self._rows_ready * self.width
+        if pos >= ready_bytes:
+            if self._rows_ready >= self.height:
                 return b"", now  # end of frame
             # not ready: ask the DMA to retry once more input landed
             retry = now + 1
             if self._in_busy > retry:
                 retry = self._in_busy
             return b"", retry
-        chunks: list[bytes] = []
-        t = now
-        taken = 0
-        while taken < nbytes and self._out_cursor < len(self._out_rows):
-            avail, row = self._out_rows[self._out_cursor]
-            take = min(nbytes - taken, len(row))
-            if take < len(row):
-                # split the row; keep the remainder at the cursor
-                self._out_rows[self._out_cursor] = (avail, row[take:])
-            else:
-                self._out_cursor += 1
-            chunks.append(row[:take])
-            taken += take
-            if avail > t:
-                t = avail
-        return b"".join(chunks), t
+        end = min(pos + nbytes, ready_bytes)
+        if end > len(self._out):
+            self._filter_ready_rows()
+        self._out_pos = end
+        started = self._started_at
+        assert started is not None  # a row is ready, so input arrived
+        # row r leaves the pipeline startup_cycles after the II-paced
+        # consumption of its last needed input beat; that never
+        # decreases with r, so the burst is ready with its last row
+        last_row = (end - 1) // self.width
+        needed_beats = (min(last_row + 2, self.height)
+                        * (self.width // BYTES_PER_BEAT))
+        avail = (started + self.timing.startup_cycles
+                 + self.timing.cycles_for_beats(needed_beats))
+        return bytes(self._out[pos:end]), (avail if avail > now else now)

@@ -143,6 +143,19 @@ class ReconfigurationManager:
         """
         if image.dtype != np.uint8 or image.ndim != 2:
             raise ControllerError("expected a 2-D uint8 image")
+        try:
+            module = self.soc.module(accelerator)
+        except KeyError:
+            module = None  # unregistered: load_module reports it
+        # the RM is built for one frame size: a smaller frame leaves S2MM
+        # waiting for bytes the filter never emits, a larger one
+        # overruns the RM mid-transfer
+        if module is not None and image.shape != (module.frame_height,
+                                                  module.frame_width):
+            raise ControllerError(
+                f"image is {image.shape[0]}x{image.shape[1]} (HxW) but RM "
+                f"{accelerator!r} takes {module.frame_height}x"
+                f"{module.frame_width} frames")
         layout = self.soc.config.layout
         # compare against None, not truthiness: an explicit address of 0
         # (or the DDR base itself when ddr_base == 0) is a valid target

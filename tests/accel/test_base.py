@@ -90,8 +90,12 @@ class TestTimingModel:
         timing = ACCELERATOR_TIMINGS["sobel"]
         rm = make_accelerator("sobel", width=64, height=64)
         rm.accept(bytes(64 * 64), now=0)
-        first_avail = rm._out_rows[0][0]
+        # a one-row burst is ready when the first output row is
+        _row, first_avail = rm.produce(64, now=1)
         assert first_avail >= timing.startup_cycles
+        # row 0 needs input rows 0 and 1: two rows of beats past startup
+        assert first_avail == (timing.startup_cycles
+                               + timing.cycles_for_beats(2 * 64 // 8))
 
     def test_produce_before_data_signals_retry(self):
         rm = make_accelerator("sobel", width=64, height=64)

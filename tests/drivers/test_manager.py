@@ -78,6 +78,26 @@ class TestImagePipeline:
         with pytest.raises(ControllerError):
             manager.process_image("sobel", np.zeros((4, 4), dtype=np.float32))
 
+    def test_rejects_frame_size_mismatch(self, provisioned_manager_factory):
+        # a 64x64 image on the 512x512 RM would leave S2MM short of its
+        # bytes: a completion timeout, then a channel still busy for
+        # the next, correct call
+        soc, manager = provisioned_manager_factory()
+        dma = soc.rvcap.dma
+
+        def traffic():
+            return (soc.icap.reconfigurations_completed,
+                    dma.mm2s.transfers_completed,
+                    dma.s2mm.transfers_completed)
+
+        before = traffic()
+        with pytest.raises(ControllerError, match=r"64x64.*512x512"):
+            manager.process_image("sobel", scene_image(64))
+        assert traffic() == before  # no reconfiguration, no DMA
+        image = scene_image(512)
+        out, _times = manager.process_image("sobel", image)
+        assert np.array_equal(out, GOLDEN_FILTERS["sobel"](image))
+
     def test_hwicap_controller_variant(self, provisioned_manager_factory):
         _soc, manager = provisioned_manager_factory(controller="hwicap")
         # reduce runtime: small image still exercises the full path
