@@ -145,15 +145,11 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
 
 def _cmd_reconfig(args: argparse.Namespace) -> int:
     from repro.drivers.manager import ReconfigurationManager
+    from repro.obs import format_stats, format_timeline
     from repro.soc.builder import build_soc
-    from repro.sim.tracing import format_stats
 
     soc = build_soc()
-    recorder = soc.attach_trace()
-    wants_obs = any((args.trace_chrome, args.trace_vcd, args.metrics,
-                     args.metrics_json, args.breakdown,
-                     args.power_chrome, args.power_vcd))
-    obs = soc.attach_observability() if wants_obs else None
+    obs = soc.attach_observability()
     manager = ReconfigurationManager(soc, controller=args.controller)
     manager.provision_sdcard()
     manager.init_rmodules()
@@ -162,13 +158,12 @@ def _cmd_reconfig(args: argparse.Namespace) -> int:
           f"Tr={result.tr_us:.1f} us, "
           f"{result.throughput_mb_s:.1f} MB/s\n")
     print("timeline:")
-    print(recorder.format_timeline(soc.sim.freq_hz))
+    print(format_timeline(obs.tracer, soc.sim.freq_hz))
     print("\nstats:")
     print(format_stats(soc.stats()))
-    if obs is not None:
-        _export_observability(soc, obs, args)
-        if args.breakdown:
-            _print_breakdown(soc, obs, result)
+    _export_observability(soc, obs, args)
+    if args.breakdown:
+        _print_breakdown(soc, obs, result)
     return 0
 
 
@@ -653,12 +648,6 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _profile_names() -> list:
-    """Scenario names ``repro profile`` accepts (benches + aliases)."""
-    from repro.eval.benches import ALIASES, BENCHES
-    return sorted(BENCHES) + sorted(ALIASES)
-
-
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.fleet import run_fleet
     params: dict = {}
@@ -699,12 +688,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import cProfile
     import pstats
 
-    from repro.eval.benches import resolve_bench
+    from repro.eval.benches import BENCHES
 
     if args.engine:
         from repro.riscv.hart import set_default_engine
         set_default_engine(args.engine)
-    bench = resolve_bench(args.scenario)
+    bench = BENCHES[args.scenario]
     profiler = cProfile.Profile()
     profiler.enable()
     bench()
@@ -1032,10 +1021,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the stable JSON report to a file")
     p.set_defaults(func=_cmd_fleet)
 
+    from repro.eval.benches import BENCHES
     p = sub.add_parser("profile", help="cProfile a named perf bench")
-    p.add_argument("scenario", choices=_profile_names(),
-                   help="any bench from benchmarks/perf.py (or a "
-                        "historical alias)")
+    p.add_argument("scenario", choices=sorted(BENCHES),
+                   help="any bench from benchmarks/perf.py")
     p.add_argument("--engine", choices=["interp", "block"], default=None,
                    help="ISS execution engine for the workload "
                         "(default: process default)")

@@ -16,43 +16,40 @@ Transfers proceed burst-by-burst (128 B per burst at the default
 ICAP all see correctly interleaved traffic, and a CPU polling DMASR
 mid-transfer observes the true in-flight state.
 
-Two engines execute that burst schedule:
-
-* ``burst`` — the reference engine: one simulation event per pacing
-  step, exactly the generator process the model started with.
-* ``descriptor`` (default) — the fast engine: the whole descriptor runs
-  as a handful of bulk events.  The burst loop executes eagerly inside
-  one callback, tracking the virtual pacing position through
-  ``Simulator.batch_advance`` instead of yielding a ``Delay`` per
-  burst.  Every data-plane call takes explicit timestamps (memory
-  ports, stream sinks/sources maintain their own ``busy_until``
-  watermarks), so eager execution inside the kernel's batch window —
-  bounded by the next foreign event and the caller's observation
-  horizon — produces bit-identical timing.  When the next pacing target
-  would reach the window the engine falls back to yielding a real
-  ``Delay`` (split-on-interrupt), which preserves exact interleaving
-  with fault injectors, concurrent channels and CPU observation, and
-  keeps ``CR_RESET`` aborts working unchanged (the generator is always
-  suspended at a yield when foreign code runs).
+The engine runs each descriptor as a handful of bulk events.  The
+burst loop executes eagerly inside one callback, tracking the virtual
+pacing position through ``Simulator.batch_advance`` instead of yielding
+a ``Delay`` per burst.  Every data-plane call takes explicit timestamps
+(memory ports, stream sinks/sources maintain their own ``busy_until``
+watermarks), so eager execution inside the kernel's batch window —
+bounded by the next foreign event and the caller's observation horizon
+— produces the same timing as one event per pacing step.  When the next
+pacing target would reach the window the engine falls back to yielding
+a real ``Delay`` (split-on-interrupt), which preserves exact
+interleaving with fault injectors, concurrent channels and CPU
+observation, and keeps ``CR_RESET`` aborts working unchanged (the
+generator is always suspended at a yield when foreign code runs).  The
+one-event-per-step generator the model started with is kept as the
+oracle in ``tests/property/test_dma_engine_equiv.py``, which pins this
+engine to it.
 
 On the reconfiguration route (crossbar -> ``DdrPort`` -> stream switch
--> pass-through ``Axis2Icap`` -> vectorized ``Icap``) the descriptor
-engine moves FDRI payload in *bulk steps*: a run of at least
-``_MIN_BULK_BURSTS`` whole bursts lying wholly inside one FDRI payload
-is scheduled at once, each layer computing its part in closed form
-behind a bulk sibling of its resolved port (``resolve_bulk_read``,
-``resolve_bulk_accept``).  The step cuts the run after the first burst
-whose pacing target reaches the batch window, commits that prefix with
-exactly the per-burst calls' side effects and leaves the clock where
-the per-burst loop would.  Every other burst — the session header, the
-CRC/DESYNC trailer and NOOP pad — and every other route (fault proxies,
-RLE decompression, the scalar ICAP, a capped DDR device bandwidth,
-bursts longer than a DDR row) keeps the per-burst loop.
+-> pass-through ``Axis2Icap`` -> ``Icap``) the engine moves FDRI
+payload in *bulk steps*: a run of at least ``_MIN_BULK_BURSTS`` whole
+bursts lying wholly inside one FDRI payload is scheduled at once, each
+layer computing its part in closed form behind a bulk sibling of its
+resolved port (``resolve_bulk_read``, ``resolve_bulk_accept``).  The
+step cuts the run after the first burst whose pacing target reaches the
+batch window, commits that prefix with exactly the per-burst calls'
+side effects and leaves the clock where the per-burst loop would.
+Every other burst — the session header, the CRC/DESYNC trailer and NOOP
+pad — and every other route (fault proxies, RLE decompression, a capped
+DDR device bandwidth, bursts longer than a DDR row) keeps the per-burst
+loop.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Callable, Generator, List, Optional, Tuple
 
 import numpy as np
@@ -88,35 +85,9 @@ SR_IDLE = 1 << 1
 SR_IOC_IRQ = 1 << 12
 SR_ERR_IRQ = 1 << 14
 
-#: the available DMA transfer engines
-DMA_ENGINES = ("burst", "descriptor")
-
-#: process-wide default engine; ``REPRO_DMA_ENGINE`` overrides it, an
-#: explicit ``DmaChannel(engine=...)`` argument overrides both
-_DEFAULT_DMA_ENGINE = "descriptor"
-
-#: shortest run of whole bursts the descriptor engine schedules as one
-#: bulk step; shorter runs cost less burst by burst than planning them
+#: shortest run of whole bursts the engine schedules as one bulk step;
+#: shorter runs cost less burst by burst than planning them
 _MIN_BULK_BURSTS = 8
-
-
-def set_default_dma_engine(name: str) -> None:
-    """Set the process-wide default DMA engine."""
-    global _DEFAULT_DMA_ENGINE
-    if name not in DMA_ENGINES:
-        raise ValueError(
-            f"unknown DMA engine {name!r}; expected one of {DMA_ENGINES}")
-    _DEFAULT_DMA_ENGINE = name
-
-
-def resolve_dma_engine(name: Optional[str] = None) -> str:
-    """Resolve an engine choice: explicit arg > env var > default."""
-    if name is None:
-        name = os.environ.get("REPRO_DMA_ENGINE") or _DEFAULT_DMA_ENGINE
-    if name not in DMA_ENGINES:
-        raise ValueError(
-            f"unknown DMA engine {name!r}; expected one of {DMA_ENGINES}")
-    return name
 
 
 class DmaChannel:
@@ -132,7 +103,6 @@ class DmaChannel:
         burst_beats: int = 16,
         beat_bytes: int = 8,
         start_latency: int = 24,
-        engine: Optional[str] = None,
     ) -> None:
         self.name = name
         self.sim = sim
@@ -140,7 +110,6 @@ class DmaChannel:
         self.is_mm2s = is_mm2s
         self.burst_bytes = burst_beats * beat_bytes
         self.start_latency = start_latency
-        self.engine = resolve_dma_engine(engine)
         self.sink: Optional[StreamSink] = None
         self.source: Optional[StreamSource] = None
         self.irq_callback: Optional[Callable[[], None]] = None
@@ -160,7 +129,6 @@ class DmaChannel:
         self.transfers_aborted = 0
         self.last_start_cycle = 0
         self.last_complete_cycle = 0
-        self.trace = None  # optional TraceRecorder
         self._active_gen = None  # in-flight _run generator (for reset abort)
         # observability (attach_obs): tracer spans + metric instruments;
         # every emit below is guarded so the detached cost is one check
@@ -200,10 +168,6 @@ class DmaChannel:
                 self._active_gen.close()
                 self._active_gen = None
                 self.transfers_aborted += 1
-                if self.trace is not None:
-                    self.trace.record(self.sim.now, f"dma.{self.name}",
-                                      f"reset: aborted after "
-                                      f"{self.bytes_done} bytes")
                 if self.obs is not None:
                     tracer = self.obs.tracer
                     if self._span is not None:
@@ -247,10 +211,6 @@ class DmaChannel:
         self.status &= ~SR_IDLE
         self.bytes_done = 0
         self.last_start_cycle = self.sim.now
-        if self.trace is not None:
-            self.trace.record(self.sim.now, f"dma.{self.name}",
-                              f"start: {self.length} bytes from/to "
-                              f"{self.address:#x}")
         if self.obs is not None:
             self._span = self.obs.tracer.begin(
                 f"dma.{self.name}", "transfer", self.sim.now,
@@ -264,13 +224,8 @@ class DmaChannel:
     # ------------------------------------------------------------------
     def _run(self) -> Generator[Delay, None, None]:
         yield Delay(self.start_latency)
-        descriptor = self.engine == "descriptor"
-        if self.is_mm2s:
-            ok = yield from (self._run_mm2s_desc() if descriptor
-                             else self._run_mm2s())
-        else:
-            ok = yield from (self._run_s2mm_desc() if descriptor
-                             else self._run_s2mm())
+        ok = yield from (self._run_mm2s() if self.is_mm2s
+                         else self._run_s2mm())
         self.busy = False
         self._active_gen = None
         self.last_complete_cycle = self.sim.now
@@ -281,10 +236,6 @@ class DmaChannel:
             self.status |= SR_ERR_IRQ | SR_HALTED
             self.control &= ~CR_RS
             self.transfers_errored += 1
-            if self.trace is not None:
-                self.trace.record(self.sim.now, f"dma.{self.name}",
-                                  f"error: burst failed after "
-                                  f"{self.bytes_done} bytes")
             if self.obs is not None:
                 tracer = self.obs.tracer
                 if self._span is not None:
@@ -300,10 +251,6 @@ class DmaChannel:
         self.status |= SR_IDLE | SR_IOC_IRQ
         self.transfers_completed += 1
         self.descriptors_completed += 1
-        if self.trace is not None:
-            self.trace.record(self.sim.now, f"dma.{self.name}",
-                              f"complete: {self.bytes_done} bytes in "
-                              f"{self.sim.now - self.last_start_cycle} cycles")
         if self.obs is not None:
             cycles = self.sim.now - self.last_start_cycle
             if self._span is not None:
@@ -316,84 +263,9 @@ class DmaChannel:
         if self.control & CR_IOC_IRQ_EN and self.irq_callback is not None:
             self.irq_callback()
 
-    def _run_mm2s(self) -> Generator[Delay, None, bool]:
-        # reference engine: one event per pacing step (engine="burst")
-        if self.sink is None:
-            raise ControllerError(f"DMA {self.name}: no stream sink attached")
-        addr = self.address
-        remaining = self.length
-        read_time = self.sim.now
-        while remaining:
-            nbytes = min(self.burst_bytes, remaining)
-            issue_time = read_time
-            result = self.mem_port.read_burst(addr, nbytes, read_time)
-            if not result.ok:
-                return False
-            read_time = result.complete_at
-            accept_done = self.sink.accept(result.data, result.complete_at)
-            addr += nbytes
-            remaining -= nbytes
-            self.bytes_done += nbytes
-            self.bursts_completed += 1
-            if self.obs is not None:
-                self._h_burst.record(read_time - issue_time)  # type: ignore[union-attr]
-            # pace the engine: at most one burst ahead of the consumer
-            # (models the IP's small store-and-forward FIFO)
-            wait = max(read_time, accept_done - self.burst_bytes) - self.sim.now
-            if wait > 0:
-                if self.obs is not None:
-                    self._c_stall.inc(wait)  # type: ignore[union-attr]
-                yield Delay(wait)
-        final = max(read_time, accept_done)
-        if final > self.sim.now:
-            yield Delay(final - self.sim.now)
-        return True
-
-    def _run_s2mm(self) -> Generator[Delay, None, bool]:
-        # reference engine: one event per pacing step (engine="burst")
-        if self.source is None:
-            raise ControllerError(f"DMA {self.name}: no stream source attached")
-        addr = self.address
-        remaining = self.length
-        pull_time = self.sim.now
-        write_time = self.sim.now
-        while remaining:
-            nbytes = min(self.burst_bytes, remaining)
-            data, ready = self.source.produce(nbytes, max(pull_time, self.sim.now))
-            if not data:
-                if ready > self.sim.now:
-                    # source not ready yet (e.g. the filter pipeline is
-                    # still filling): retry when it says data will exist
-                    yield Delay(ready - self.sim.now)
-                    continue
-                # TLAST before LENGTH bytes: a short packet ends the
-                # transfer (the real IP latches the received length)
-                break
-            pull_time = ready
-            issue_time = max(pull_time, write_time)
-            result = self.mem_port.write_burst(addr, data, issue_time)
-            if not result.ok:
-                return False
-            write_time = result.complete_at
-            addr += len(data)
-            remaining -= len(data)
-            self.bytes_done += len(data)
-            self.bursts_completed += 1
-            if self.obs is not None:
-                self._h_burst.record(write_time - issue_time)  # type: ignore[union-attr]
-            wait = max(pull_time, write_time - self.burst_bytes) - self.sim.now
-            if wait > 0:
-                if self.obs is not None:
-                    self._c_stall.inc(wait)  # type: ignore[union-attr]
-                yield Delay(wait)
-        final = max(pull_time, write_time)
-        if final > self.sim.now:
-            yield Delay(final - self.sim.now)
-        return True
-
     # ------------------------------------------------------------------
-    # descriptor engine: the same burst schedule, executed eagerly
-    # inside the kernel's batch window (see module docstring).  The
+    # the burst schedule, executed eagerly inside the kernel's batch
+    # window (see module docstring).  The
     # invariant maintained throughout is ``sim.now == pacing position``:
     # every step either batch-advances the clock or yields a real Delay,
     # so error returns, CR_RESET aborts and side-effect callbacks (ICAP
@@ -481,7 +353,7 @@ class DmaChannel:
         return (n * burst, int(read_done[n - 1]), int(accept_done[n - 1]),
                 capacity, advanced)
 
-    def _run_mm2s_desc(self) -> Generator[Delay, None, bool]:
+    def _run_mm2s(self) -> Generator[Delay, None, bool]:
         if self.sink is None:
             raise ControllerError(f"DMA {self.name}: no stream sink attached")
         sim = self.sim
@@ -498,7 +370,7 @@ class DmaChannel:
         # fused per-descriptor ports: one closure instead of the
         # crossbar walk / switch+converter frames per burst.  Fault
         # proxies and unusual shapes resolve to None and take the
-        # plain calls, burst by burst, exactly as the reference engine.
+        # plain calls, burst by burst.
         resolve_read = getattr(self.mem_port, "resolve_burst_read", None)
         fast_read = (resolve_read(addr, addr + remaining)
                      if resolve_read is not None else None)
@@ -565,7 +437,7 @@ class DmaChannel:
             yield Delay(final - sim.now)
         return True
 
-    def _run_s2mm_desc(self) -> Generator[Delay, None, bool]:
+    def _run_s2mm(self) -> Generator[Delay, None, bool]:
         if self.source is None:
             raise ControllerError(f"DMA {self.name}: no stream source attached")
         sim = self.sim

@@ -135,17 +135,3 @@ BENCHES: Dict[str, Callable[[], int]] = {
     "sched_replay": bench_sched_replay,
     "power_replay": bench_power_replay,
 }
-
-#: short historical names the CLI accepted before the registries merged
-ALIASES: Dict[str, str] = {
-    "bitgen": "bitgen_ref",
-    "icap": "icap_stream",
-    "reconfig": "e2e_reconfig",
-    "unroll": "iss_unroll",
-    "faults": "fault_sweep",
-}
-
-
-def resolve_bench(name: str) -> Callable[[], int]:
-    """The bench body for a canonical name or a historical alias."""
-    return BENCHES[ALIASES.get(name, name)]

@@ -13,22 +13,29 @@ errors and protocol violations latch error flags exactly like the real
 CFGERR behaviour (a corrupted partial bitstream must never half-apply
 silently; the safe-DPR ablation exercises this path).
 
-Performance: the parser has two interchangeable engines.  The
-**vectorized** engine (default) scans sync/NOOP runs with numpy,
-stages FDRI payload bursts as whole arrays and defers the running CRC
-into a backlog that is folded with the block-parallel
+Performance: the parser scans sync/NOOP runs with numpy, stages FDRI
+payload bursts as whole arrays and defers the running CRC into a
+backlog that is folded with the block-parallel
 :func:`~repro.utils.crc.crc32_config_words` the moment a non-FDRI word
 needs hashing or a CRC word is checked — O(chunks) Python work per
-bitstream instead of O(words).  The **scalar** engine
-(``vectorized=False``) is the original per-word state machine, kept as
-the reference implementation; the two are cross-checked
-word-for-word by ``tests/property/test_icap_vector_props.py``.
+bitstream instead of O(words).  Accepts of at most
+``_SMALL_ACCEPT_BYTES`` (HWICAP keyhole words) walk the same state
+machine word by word.  The original word-at-a-time parser, which folds
+every FDRI word into the CRC as it arrives, is kept as the oracle in
+``tests/property/test_icap_vector_props.py``, which cross-checks the
+two word-for-word.
 
-The vectorized engine also takes FDRI payload from the DMA in bulk
+The port also takes FDRI payload from the DMA in bulk
 (:meth:`Icap.resolve_bulk_accept`): a run of whole bursts strictly
 inside the payload is timed by one max-plus scan over the port's busy
 chain and staged as one chunk, with the counters the per-burst fast
 path would have advanced (see :mod:`repro.core.dma`).
+
+Observability: a configuration session runs from the sync word to
+DESYNC or a port reset.  With a tracer attached each one is an
+``icap/session`` span, opened at the ``now`` of the accept whose words
+take the parser out of UNSYNCED and closed where the port drains:
+status ``ok``/``error`` at DESYNC, ``aborted`` at :meth:`Icap.reset`.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ from repro.utils.crc import crc32_config_word, crc32_config_words
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import Observability
     from repro.obs.metrics import Counter
+    from repro.obs.tracer import Span
 
 #: byte payloads up to this size are parsed without numpy round-trips
 #: (the HWICAP keyhole path feeds single words; ndarray setup would
@@ -74,10 +82,9 @@ class Icap(StreamSink):
     BYTES_PER_CYCLE = 4
 
     def __init__(self, config_memory: ConfigMemory, *,
-                 crc_check: bool = True, vectorized: bool = True) -> None:
+                 crc_check: bool = True) -> None:
         self.config_memory = config_memory
         self.crc_check = crc_check
-        self.vectorized = vectorized
         self._busy_until = 0
         self._byte_buffer = bytearray()
         self._state = _ParseState.UNSYNCED
@@ -91,8 +98,8 @@ class Icap(StreamSink):
         #: one per burst
         self._fdri_raw: List[bytes] = []
         #: FDRI payload chunks whose CRC contribution has not been folded
-        #: into ``_crc`` yet (vectorized engine only); flushed in one
-        #: block-parallel pass before any other word is hashed
+        #: into ``_crc`` yet; flushed in one block-parallel pass before
+        #: any other word is hashed
         self._crc_backlog: List[np.ndarray] = []
         #: frame writes staged while their bitstream is still unproven;
         #: applied on CRC match / clean DESYNC, dropped on error (the
@@ -119,12 +126,10 @@ class Icap(StreamSink):
         #: invoked after every error-free DESYNC (reconfiguration done);
         #: the SoC uses this to activate the newly loaded module
         self.on_complete: Optional[Callable[[], None]] = None
-        #: optional TraceRecorder for completion/error events
-        self.trace = None
         # observability (attach_obs): session spans + port metrics;
         # detached cost is a single ``is not None`` check per accept
-        self.obs = None
-        self._session_span = None
+        self.obs: Optional["Observability"] = None
+        self._session_span: Optional["Span"] = None
         self._c_words: Optional["Counter"] = None
         self._c_stall: Optional["Counter"] = None
         self._c_sessions: Optional["Counter"] = None
@@ -168,8 +173,9 @@ class Icap(StreamSink):
         Clears *all* session state — including the readback queue, the
         frame-address register and any staged frame writes — so an
         aborted session can never leak data or addressing into the
-        next one.
+        next one.  An open session span closes as ``aborted``.
         """
+        self._end_session("aborted")
         self._byte_buffer.clear()
         self._state = _ParseState.UNSYNCED
         self._payload_reg = None
@@ -197,10 +203,6 @@ class Icap(StreamSink):
             if busy > now:
                 self._c_stall.value += busy - now  # type: ignore[union-attr]
             self._c_words.value += len(data) // 4  # type: ignore[union-attr]
-            if self._session_span is None:
-                self._session_span = self.obs.tracer.begin(
-                    "icap", "session", now)
-                self.obs.tracer.signal("icap_session", now, 1)
         self._busy_until = (busy if busy > now else now) + cycles
         buffer = self._byte_buffer
         if buffer:
@@ -222,37 +224,33 @@ class Icap(StreamSink):
             else:
                 raw = data[:whole]
                 buffer.extend(data[whole:])
-        if self.vectorized:
-            n = whole >> 2
-            if (self._state is _ParseState.PAYLOAD
-                    and self._payload_reg == ConfigRegister.FDRI
-                    and self._payload_remaining > n):
-                # streaming fast path: the burst sits wholly inside an
-                # FDRI payload, so the word scan reduces to staging the
-                # raw bytes — exactly the PAYLOAD arm of either consume
-                # engine with take == n and no packet boundary reached
-                # (words_consumed and the remaining count advance the
-                # same way; the staged bytes join _fdri_words and the
-                # CRC backlog at the next flush, where list order keeps
-                # concatenation and folding identical).  Applies to any
-                # burst size, so DMA bursts and keyhole words skip the
-                # per-word state machine alike; the ndarray
-                # materialization is deferred to the flush.
-                self._fdri_raw.append(raw)
-                self.words_consumed += n
-                self._payload_remaining -= n
-                return self._busy_until
-        if not self.vectorized or whole <= _SMALL_ACCEPT_BYTES:
-            if self._fdri_raw:
-                self._flush_fdri_raw()
-            words = [int.from_bytes(raw[k:k + 4], "big")
-                     for k in range(0, whole, 4)]
-            self._consume_words_scalar(words)
+        n = whole >> 2
+        if (self._state is _ParseState.PAYLOAD
+                and self._payload_reg == ConfigRegister.FDRI
+                and self._payload_remaining > n):
+            # streaming fast path: the burst sits wholly inside an FDRI
+            # payload, so the word scan reduces to staging the raw
+            # bytes — exactly the PAYLOAD arm of either word scan with
+            # take == n and no packet boundary reached (words_consumed
+            # and the remaining count advance the same way; the staged
+            # bytes join _fdri_words and the CRC backlog at the next
+            # flush, where list order keeps concatenation and folding
+            # identical).  Applies to any burst size, so DMA bursts and
+            # keyhole words skip the per-word state machine alike; the
+            # ndarray materialization is deferred to the flush.
+            self._fdri_raw.append(raw)
+            self.words_consumed += n
+            self._payload_remaining -= n
+            return self._busy_until
+        if self._fdri_raw:
+            self._flush_fdri_raw()
+        if whole <= _SMALL_ACCEPT_BYTES:
+            self._consume_words_scalar(
+                [int.from_bytes(raw[k:k + 4], "big")
+                 for k in range(0, whole, 4)], now)
         else:
-            if self._fdri_raw:
-                self._flush_fdri_raw()
-            words = np.frombuffer(raw, dtype=">u4").astype(np.uint32)
-            self._consume_words_vec(words)
+            self._consume_words_vec(
+                np.frombuffer(raw, dtype=">u4").astype(np.uint32), now)
         return self._busy_until
 
     def resolve_bulk_accept(self, lead: int = 0) -> Optional[BulkAccept]:
@@ -261,21 +259,17 @@ class Icap(StreamSink):
         Capacity is the number of whole bursts that fit strictly inside
         the open FDRI payload — exactly the bursts :meth:`accept` would
         stage on its fast path — and zero whenever that path would not
-        run for the next burst: another packet state, a partial word in
-        the byte buffer, or an attached tracer with no session span open
-        yet.  The busy chain ``done[i] = max(done[i-1], t[i]) + words``
-        is one max-plus scan; a committed run stages its payload as one
-        ``_fdri_raw`` chunk.  ``None`` for the scalar engine.
+        run for the next burst: another packet state or a partial word
+        in the byte buffer.  The busy chain
+        ``done[i] = max(done[i-1], t[i]) + words`` is one max-plus scan;
+        a committed run stages its payload as one ``_fdri_raw`` chunk.
         """
-        if not self.vectorized:
-            return None
         accept_burst = self.accept
 
         def capacity(nbytes: int) -> int:
             if (self._state is not _ParseState.PAYLOAD
                     or self._payload_reg != ConfigRegister.FDRI
-                    or self._byte_buffer or nbytes % 4
-                    or (self.obs is not None and self._session_span is None)):
+                    or self._byte_buffer or nbytes % 4):
                 return 0
             return (self._payload_remaining - 1) // (nbytes >> 2)
 
@@ -334,9 +328,9 @@ class Icap(StreamSink):
             self._crc_backlog.append(staged)
 
     # ------------------------------------------------------------------
-    # configuration state machine — vectorized engine
+    # configuration state machine — numpy word scan
     # ------------------------------------------------------------------
-    def _consume_words_vec(self, words: np.ndarray) -> None:
+    def _consume_words_vec(self, words: np.ndarray, now: int) -> None:
         n = int(words.size)
         self.words_consumed += n
         i = 0
@@ -355,6 +349,7 @@ class Icap(StreamSink):
                     return
                 i += int(hits[0]) + 1
                 self._state = _ParseState.IDLE
+                self._begin_session(now)
                 continue
             # IDLE: expect NOP or a packet header
             word = int(words[i])
@@ -381,9 +376,9 @@ class Icap(StreamSink):
         self._finish_payload_chunk(reg, len(chunk))
 
     # ------------------------------------------------------------------
-    # configuration state machine — scalar reference engine
+    # configuration state machine — small accepts, word by word
     # ------------------------------------------------------------------
-    def _consume_words_scalar(self, words: List[int]) -> None:
+    def _consume_words_scalar(self, words: List[int], now: int) -> None:
         n = len(words)
         self.words_consumed += n
         i = 0
@@ -398,6 +393,7 @@ class Icap(StreamSink):
             if self._state is _ParseState.UNSYNCED:
                 if word == SYNC_WORD:
                     self._state = _ParseState.IDLE
+                    self._begin_session(now)
                 continue
             if word == NOOP_WORD:
                 continue
@@ -410,14 +406,8 @@ class Icap(StreamSink):
             arr = np.array(chunk, dtype=np.uint32)
             self._fdri_words.append(arr)
             if self.crc_check:
-                if self.vectorized:
-                    # keyhole-sized accepts still batch their CRC work
-                    self._crc_backlog.append(arr)
-                else:
-                    crc = self._crc
-                    for value in chunk:
-                        crc = crc32_config_word(crc, value, reg)
-                    self._crc = crc
+                # keyhole-sized accepts still batch their CRC work
+                self._crc_backlog.append(arr)
         else:
             for value in chunk:
                 self._write_register(reg, value)
@@ -592,23 +582,37 @@ class Icap(StreamSink):
         del self.readback_queue[:max_words]
         return out
 
+    # ------------------------------------------------------------------
+    # session boundaries
+    # ------------------------------------------------------------------
+    def _begin_session(self, now: int) -> None:
+        """The parser left UNSYNCED: open the session span at ``now``.
+
+        A re-sync inside an open session (after a protocol error
+        dropped the parser) keeps the span it already has.
+        """
+        if self.obs is not None and self._session_span is None:
+            tracer = self.obs.tracer
+            self._session_span = tracer.begin("icap", "session", now)
+            tracer.signal("icap_session", now, 1)
+
+    def _end_session(self, status: str) -> None:
+        """Close the open session span where the port drains."""
+        span = self._session_span
+        if span is None or self.obs is None:
+            return
+        self._session_span = None
+        tracer = self.obs.tracer
+        tracer.end(span, self._busy_until, status=status,
+                   words=self.words_consumed)
+        tracer.signal("icap_session", self._busy_until, 0)
+
     def _finish_desync(self) -> None:
         self.desynced_count += 1
         self._state = _ParseState.UNSYNCED
-        if self.trace is not None:
-            status = "error" if self.error else "ok"
-            self.trace.record(self._busy_until, "icap",
-                              f"desync ({status}), {self.words_consumed} "
-                              "words consumed so far")
         if self.obs is not None:
             self._c_sessions.inc()  # type: ignore[union-attr]
-            if self._session_span is not None:
-                self.obs.tracer.end(
-                    self._session_span, self._busy_until,
-                    status="error" if self.error else "ok",
-                    words=self.words_consumed)
-                self._session_span = None
-            self.obs.tracer.signal("icap_session", self._busy_until, 0)
+            self._end_session("error" if self.error else "ok")
             if self.error:
                 self.obs.tracer.instant(
                     "icap", "config_error", self._busy_until,

@@ -1,7 +1,6 @@
 """Observability: span tracing, metrics and exporters for the simulator.
 
-The package replaces the ad-hoc message log (``repro.sim.tracing``) as
-the primary instrumentation surface:
+The package is the simulator's one instrumentation surface:
 
 * :class:`SpanTracer` — hierarchical begin/end spans with cycle
   timestamps over the DMA engines, AXIS switch, AXIS2ICAP converter,
@@ -9,7 +8,8 @@ the primary instrumentation surface:
 * :class:`MetricsRegistry` — named counters, gauges and HDR-bucketed
   cycle histograms components register into;
 * exporters — Chrome-trace/Perfetto JSON, VCD signal dumps, Prometheus
-  text, JSON snapshots, and the Tr latency-breakdown report.
+  text, JSON snapshots, the Tr latency-breakdown report, and the
+  plain-text span timeline ``repro reconfig`` prints.
 
 Attach with ``soc.attach_observability()`` (or set a process-wide
 default via :func:`set_default_observability` so every
@@ -34,6 +34,8 @@ from repro.obs.report import (
     Phase,
     TrBreakdown,
     build_tr_breakdown,
+    format_stats,
+    format_timeline,
     render_tr_breakdown,
 )
 from repro.obs.tracer import InstantEvent, Span, SpanTracer
@@ -100,6 +102,8 @@ __all__ = [
     "TrBreakdown",
     "build_tr_breakdown",
     "render_tr_breakdown",
+    "format_timeline",
+    "format_stats",
     "set_default_observability",
     "get_default_observability",
 ]

@@ -2,10 +2,12 @@
 
 Components register instruments once (at observability attach time) and
 update them on hot paths with plain attribute operations — no dict
-lookups, no string formatting.  The registry unifies the counters that
-used to be hand-collected by ``collect_soc_stats`` and adds
+lookups, no string formatting.  Besides counters the registry holds
 distribution-valued measurements (per-burst DMA latency, interrupt
-service latency, crossbar contention) the scalar snapshot cannot hold.
+service latency, crossbar contention) a scalar snapshot cannot hold.
+``Soc.capture_stats_metrics`` mirrors the ``Soc.stats()`` snapshot
+into it as ``soc_*`` gauges, for the SD, SPI and hart counters no
+instrument keeps.
 
 Histograms use HDR-style bucketing: values below 8 get exact unit
 buckets, larger values land in power-of-two octaves split into 8

@@ -13,12 +13,16 @@ identity and cross-checks the window against the CLINT-measured Tr
 Phases outside the Tr window (SD-card load, the decision time Td,
 decouple and recouple) are reported alongside so one run shows the
 whole Listing-1 flow.
+
+Two plain-text renderers sit beside it for ``repro reconfig``: the
+span timeline (one line per span, by start cycle) and the
+``Soc.stats()`` counter snapshot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs.tracer import SpanTracer
 
@@ -163,4 +167,33 @@ def render_tr_breakdown(breakdown: TrBreakdown) -> str:
             us = breakdown.cycles_to_us(phase.cycles)
             lines.append(f"    {phase.name:<{width}}  "
                          f"{phase.cycles:>9,} cyc  {us:>10.2f} us")
+    return "\n".join(lines)
+
+
+def format_timeline(tracer: SpanTracer, freq_hz: float = 100e6) -> str:
+    """One line per span, by start cycle: start, track, name, duration
+    (``open`` while unfinished) and attributes."""
+    us_per_cycle = 1e6 / freq_hz
+    lines = []
+    for span in sorted(tracer.spans, key=lambda s: (s.start_cycle, s.span_id)):
+        length = ("open" if span.end_cycle is None
+                  else f"{span.duration * us_per_cycle:.2f} us")
+        attrs = " ".join(f"{key}={value}" for key, value in span.args.items())
+        lines.append(f"[{span.start_cycle * us_per_cycle:12.2f} us] "
+                     f"{span.track:12} {span.name:14} {length:>12}  "
+                     f"{attrs}".rstrip())
+    return "\n".join(lines)
+
+
+def format_stats(stats: Dict[str, int | float]) -> str:
+    """Aligned ``name  value`` lines for a counter snapshot."""
+    if not stats:
+        return ""
+    width = max(len(k) for k in stats)
+    lines = []
+    for key, value in stats.items():
+        if isinstance(value, float):
+            lines.append(f"{key:<{width}}  {value:,.2f}")
+        else:
+            lines.append(f"{key:<{width}}  {value:,}")
     return "\n".join(lines)

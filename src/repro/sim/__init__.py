@@ -9,7 +9,6 @@ processes (:meth:`Simulator.add_process`) that ``yield`` wait conditions.
 from repro.sim.event import Event
 from repro.sim.kernel import Delay, Simulator, WaitEvent
 from repro.sim.clock import Clock, DerivedClock
-from repro.sim.tracing import TraceEvent, TraceRecorder, collect_soc_stats
 
 __all__ = [
     "Event",
@@ -18,7 +17,4 @@ __all__ = [
     "WaitEvent",
     "Clock",
     "DerivedClock",
-    "TraceEvent",
-    "TraceRecorder",
-    "collect_soc_stats",
 ]

@@ -36,7 +36,6 @@ from repro.soc.uart import Uart
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import Observability
-    from repro.sim.tracing import TraceRecorder
 
 
 class Soc:
@@ -234,20 +233,6 @@ class Soc:
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
-    def attach_trace(self,
-                     recorder: Optional["TraceRecorder"] = None
-                     ) -> "TraceRecorder":
-        """Attach a TraceRecorder to the instrumented components.
-
-        Returns the recorder (a fresh one is created when None given).
-        """
-        from repro.sim.tracing import TraceRecorder
-        recorder = recorder or TraceRecorder()
-        self.rvcap.dma.mm2s.trace = recorder
-        self.rvcap.dma.s2mm.trace = recorder
-        self.icap.trace = recorder
-        return recorder
-
     def attach_observability(self,
                              obs: Optional["Observability"] = None
                              ) -> "Observability":
@@ -276,20 +261,47 @@ class Soc:
         return obs
 
     def capture_stats_metrics(self) -> None:
-        """Mirror the legacy counter snapshot into ``obs.metrics`` as
-        ``soc_*`` gauges so one metrics export carries both worlds."""
+        """Mirror :meth:`stats` into ``obs.metrics`` as ``soc_*`` gauges,
+        so one metrics export also carries the SD, SPI and hart counters
+        no instrument keeps."""
         if self.obs is None:
             return
         for key, value in self.stats().items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                self.obs.metrics.gauge(
-                    f"soc_{key}", "legacy collect_soc_stats counter"
-                ).set(value)
+            self.obs.metrics.gauge(f"soc_{key}", "Soc.stats() counter").set(value)
 
-    def stats(self) -> Dict[str, object]:
-        """Counter snapshot across all subsystems."""
-        from repro.sim.tracing import collect_soc_stats
-        return collect_soc_stats(self)
+    def stats(self) -> Dict[str, int | float]:
+        """Counter snapshot across all subsystems (side-effect free)."""
+        stats: Dict[str, int | float] = {
+            "sim_cycles": self.sim.now,
+            "sim_time_us": self.sim.now_us,
+            "sim_events": self.sim.events_processed,
+            "xbar_transactions": self.xbar.transactions,
+            "xbar_decode_errors": self.xbar.decode_errors,
+            "ddr_bytes_read": self.ddr.bytes_read,
+            "ddr_bytes_written": self.ddr.bytes_written,
+            "icap_words": self.icap.words_consumed,
+            "icap_reconfigurations": self.icap.reconfigurations_completed,
+            "icap_errors": int(self.icap.error),
+            "config_frames_written": self.config_memory.frames_written,
+            "dma_mm2s_transfers": self.rvcap.dma.mm2s.transfers_completed,
+            "dma_s2mm_transfers": self.rvcap.dma.s2mm.transfers_completed,
+            "hwicap_words": self.hwicap.words_transferred,
+            "plic_claims": self.plic.claims,
+            "spi_transfers": self.spi.transfers,
+            "sd_reads": self.sdcard.reads,
+            "sd_writes": self.sdcard.writes,
+        }
+        hart = self.hart
+        if hart is not None:
+            stats.update({
+                "cpu_instructions": hart.instret,
+                "cpu_cycles": hart.cycles,
+                "cpu_mmio_accesses": hart.mmio_accesses,
+                "cpu_traps": hart.trap_count,
+                "dcache_hits": hart.dcache.hits,
+                "dcache_misses": hart.dcache.misses,
+            })
+        return stats
 
     # ------------------------------------------------------------------
     # convenience

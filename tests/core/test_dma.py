@@ -290,7 +290,7 @@ def _partial_bitstream():
     return Bitgen(rp.device).generate(rp, module).to_bytes()
 
 
-def _stream_into_icap(image, *, icap=None, timing=None, decompress=False,
+def _stream_into_icap(image, *, timing=None, decompress=False,
                       fault_proxy=False):
     """Stream ``image`` over crossbar -> DdrPort -> switch -> AXIS2ICAP
     -> ICAP.  Returns the bytes each bulk step committed, the number of
@@ -299,7 +299,7 @@ def _stream_into_icap(image, *, icap=None, timing=None, decompress=False,
     ddr = DdrController(DDR_SIZE, timing)
     xbar = AxiCrossbar("rvcap_xbar")
     xbar.attach("ddr", 0, ddr.size, ddr.port("dma_mm2s"))
-    icap = icap or Icap(ConfigMemory(KINTEX7_325T))
+    icap = Icap(ConfigMemory(KINTEX7_325T))
     rvcap = RvCapController(sim, xbar, icap, decompress=decompress)
     rvcap.switch.select(PORT_ICAP)
     if fault_proxy:
@@ -343,8 +343,7 @@ class TestBulkStep:
         assert accepts == -(-len(pbit) // 128) - sum(steps) // 128
 
     @pytest.mark.parametrize("route", [
-        "fault_proxy", "rle", "scalar_icap", "device_bandwidth",
-        "burst_longer_than_row"])
+        "fault_proxy", "rle", "device_bandwidth", "burst_longer_than_row"])
     def test_fallback_routes_stream_burst_by_burst(self, route):
         pbit = _partial_bitstream()
         image = pbit
@@ -355,9 +354,6 @@ class TestBulkStep:
             words = np.frombuffer(pbit, dtype=">u4").astype(np.uint32)
             image = rle_compress(words).astype(">u4").tobytes()
             kwargs["decompress"] = True
-        elif route == "scalar_icap":
-            kwargs["icap"] = Icap(ConfigMemory(KINTEX7_325T),
-                                  vectorized=False)
         elif route == "device_bandwidth":
             kwargs["timing"] = DdrTiming(device_beats_per_cycle=2)
         else:

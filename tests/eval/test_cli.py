@@ -83,13 +83,10 @@ class TestProfileCommand:
         assert "function calls" in out
         assert "restriction <5>" in out
 
-    def test_historical_alias_still_resolves(self, capsys):
-        assert main(["profile", "bitgen", "--top", "3"]) == 0
-        assert "function calls" in capsys.readouterr().out
-
     def test_registry_matches_perf_harness(self):
-        from repro.eval.benches import ALIASES, BENCHES
-        assert set(ALIASES.values()) <= set(BENCHES)
+        from repro.eval.benches import BENCHES
         parser = build_parser()
         text = parser.format_help()
         assert "profile" in text
+        for name in BENCHES:
+            assert parser.parse_args(["profile", name]).scenario == name

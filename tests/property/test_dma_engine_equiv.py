@@ -1,21 +1,23 @@
-"""Burst-vs-descriptor DMA engine equivalence over randomized scenarios.
+"""The DMA engine against its per-burst oracle, over randomized scenarios.
 
-The descriptor engine collapses a transfer's per-burst simulation
-events into one computed timeline, and schedules runs of FDRI payload
-bursts into the ICAP as single bulk steps; these properties pin it to
-the per-burst reference engine under everything that can interrupt a
-transfer mid-flight: random lengths and burst geometries, injected bus
-faults, soft resets, real partial bitstreams (pristine and corrupted)
-with foreign events cutting the batch window, and the full
-multi-tenant serving path (where the whole ReplayReport — statuses,
-latencies, Tr breakdowns, ICAP busy cycles — and every metric must
-come out bit-identical).
+The engine collapses a transfer's per-burst simulation events into one
+computed timeline, and schedules runs of FDRI payload bursts into the
+ICAP as single bulk steps.  The oracle is the generator pair the model
+started with, one simulation event per pacing step; it lives here and
+is patched over ``DmaChannel._run_mm2s``/``_run_s2mm`` for the
+``burst`` runs.  These properties pin the engine to it under
+everything that can interrupt a transfer mid-flight: random lengths and
+burst geometries, injected bus faults, soft resets, real partial
+bitstreams (pristine and corrupted) with foreign events cutting the
+batch window, and the full multi-tenant serving path (where the whole
+ReplayReport — statuses, latencies, Tr breakdowns, ICAP busy cycles —
+and every metric must come out bit-identical).
 
-The reference engine yields one event per pacing step, so it cannot
-match the descriptor engine's event count.  ``events_processed`` is
-pinned instead against the descriptor engine with its bulk step
-refused (``descriptor-per-burst``), whose per-burst loop yields at
-exactly the points the bulk step must reproduce.
+The oracle yields one event per pacing step, so it cannot match the
+engine's event count.  ``events_processed`` is pinned instead against
+the engine with its bulk step refused (``descriptor-per-burst``), whose
+per-burst loop yields at exactly the points the bulk step must
+reproduce.
 """
 
 import asyncio
@@ -28,9 +30,10 @@ from hypothesis import strategies as st
 from repro.axi.crossbar import AxiCrossbar
 from repro.axi.stream import BufferSource, CaptureSink
 from repro.core import dma as dr
-from repro.core.dma import AxiDma, DmaChannel, set_default_dma_engine
+from repro.core.dma import AxiDma, DmaChannel
 from repro.core.rp_control import PORT_ICAP
 from repro.core.rvcap import RvCapController
+from repro.errors import ControllerError
 from repro.faults.injectors import (
     DmaResetInjector,
     flip_word_bit,
@@ -55,18 +58,95 @@ from repro.sim.kernel import Delay
 ENGINES = ("burst", "descriptor")
 
 
+def _burst_mm2s(self):
+    """Oracle MM2S generator: one event per pacing step."""
+    if self.sink is None:
+        raise ControllerError(f"DMA {self.name}: no stream sink attached")
+    addr = self.address
+    remaining = self.length
+    read_time = self.sim.now
+    while remaining:
+        nbytes = min(self.burst_bytes, remaining)
+        issue_time = read_time
+        result = self.mem_port.read_burst(addr, nbytes, read_time)
+        if not result.ok:
+            return False
+        read_time = result.complete_at
+        accept_done = self.sink.accept(result.data, result.complete_at)
+        addr += nbytes
+        remaining -= nbytes
+        self.bytes_done += nbytes
+        self.bursts_completed += 1
+        if self.obs is not None:
+            self._h_burst.record(read_time - issue_time)
+        # pace the engine: at most one burst ahead of the consumer
+        # (models the IP's small store-and-forward FIFO)
+        wait = max(read_time, accept_done - self.burst_bytes) - self.sim.now
+        if wait > 0:
+            if self.obs is not None:
+                self._c_stall.inc(wait)
+            yield Delay(wait)
+    final = max(read_time, accept_done)
+    if final > self.sim.now:
+        yield Delay(final - self.sim.now)
+    return True
+
+
+def _burst_s2mm(self):
+    """Oracle S2MM generator: one event per pacing step or retry."""
+    if self.source is None:
+        raise ControllerError(f"DMA {self.name}: no stream source attached")
+    addr = self.address
+    remaining = self.length
+    pull_time = self.sim.now
+    write_time = self.sim.now
+    while remaining:
+        nbytes = min(self.burst_bytes, remaining)
+        data, ready = self.source.produce(nbytes, max(pull_time, self.sim.now))
+        if not data:
+            if ready > self.sim.now:
+                # source not ready yet (e.g. the filter pipeline is
+                # still filling): retry when it says data will exist
+                yield Delay(ready - self.sim.now)
+                continue
+            # TLAST before LENGTH bytes: a short packet ends the
+            # transfer (the real IP latches the received length)
+            break
+        pull_time = ready
+        issue_time = max(pull_time, write_time)
+        result = self.mem_port.write_burst(addr, data, issue_time)
+        if not result.ok:
+            return False
+        write_time = result.complete_at
+        addr += len(data)
+        remaining -= len(data)
+        self.bytes_done += len(data)
+        self.bursts_completed += 1
+        if self.obs is not None:
+            self._h_burst.record(write_time - issue_time)
+        wait = max(pull_time, write_time - self.burst_bytes) - self.sim.now
+        if wait > 0:
+            if self.obs is not None:
+                self._c_stall.inc(wait)
+            yield Delay(wait)
+    final = max(pull_time, write_time)
+    if final > self.sim.now:
+        yield Delay(final - self.sim.now)
+    return True
+
+
 def _with_engine(engine, fn):
-    """Run ``fn`` under ``engine``: a DMA engine name, or
-    ``descriptor-per-burst`` for the descriptor engine with every bulk
-    step refused."""
+    """Run ``fn`` under ``engine``: ``descriptor`` (the production
+    engine), ``descriptor-per-burst`` (it with every bulk step refused)
+    or ``burst`` (the oracle generators patched in)."""
+    if engine == "burst":
+        with mock.patch.object(DmaChannel, "_run_mm2s", _burst_mm2s), \
+                mock.patch.object(DmaChannel, "_run_s2mm", _burst_s2mm):
+            return fn()
     if engine == "descriptor-per-burst":
         with mock.patch.object(DmaChannel, "_bulk_step", return_value=None):
-            return _with_engine("descriptor", fn)
-    set_default_dma_engine(engine)
-    try:
-        return fn()
-    finally:
-        set_default_dma_engine("descriptor")
+            return fn()
+    return fn()
 
 
 def _metrics(registry):
@@ -145,7 +225,7 @@ class TestTransferEquivalence:
     def test_mid_transfer_bus_fault_is_cycle_identical(
             self, length, burst_beats, seed, fault_frac):
         # the faulting burst must split out of the descriptor's fused
-        # timeline at exactly the reference engine's cycle
+        # timeline at exactly the oracle's cycle
         fault_at = int(fault_frac * length)
         burst, desc = (
             _mm2s_observe(engine, length, burst_beats, seed,
@@ -298,6 +378,17 @@ class TestIcapRouteEquivalence:
         burst.pop("events")
         desc.pop("events")
         assert burst == desc
+
+    def test_burst_oracle_takes_its_own_path(self):
+        # liveness: were the patch to miss, the properties would compare
+        # the engine with itself.  The oracle yields once per pacing
+        # step where the engine batches the whole transfer.
+        geometry = RpGeometry(clb_cols=2, bram_cols=0, dsp_cols=0)
+        pbit = _partial_bitstream(geometry, "pristine", 0.0, 0)
+        burst, desc = (
+            _icap_route_observe(engine, pbit, 16, 0, period=10**6, phase=0)
+            for engine in ENGINES)
+        assert burst["events"] > desc["events"]
 
 
 def _replay_observe(engine, seed, rate):

@@ -1,17 +1,19 @@
-"""Vectorized and scalar ICAP parser engines are observationally equal.
+"""The ICAP parser is observationally equal to its word-at-a-time oracle.
 
 Feed the same bitstream — pristine, bit-flipped, or truncated
-mid-payload — to an ``Icap(vectorized=True)`` and an
-``Icap(vectorized=False)`` in identical random burst chunkings and
-require every externally visible outcome to match: parser state, CRC
-machinery, error flags and the full configuration-memory contents.
-The corruptions reuse the fault-injection primitives from
-:mod:`repro.faults.injectors` so the properties cover exactly the
-damage the fault campaign inflicts.
+mid-payload — to an :class:`Icap` and to :class:`WordIcap`, the
+original per-word state machine kept here as the oracle, in identical
+random burst chunkings and require every externally visible outcome to
+match: parser state, CRC machinery, error flags and the full
+configuration-memory contents.  The corruptions reuse the
+fault-injection primitives from :mod:`repro.faults.injectors` so the
+properties cover exactly the damage the fault campaign inflicts.
 """
 
 import random
+from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,12 +22,44 @@ from repro.fpga.bitgen import Bitgen
 from repro.fpga.config_memory import ConfigMemory
 from repro.fpga.device import KINTEX7_325T
 from repro.fpga.icap import Icap
+from repro.fpga.packets import ConfigRegister
 from repro.fpga.partition import (
     ReconfigurableModule,
     ReconfigurablePartition,
     ResourceBudget,
     RpGeometry,
 )
+from repro.utils.crc import crc32_config_word
+
+
+class WordIcap(Icap):
+    """Oracle: every word walks the per-word state machine, and FDRI
+    words fold into the CRC one by one as they arrive (no staging, no
+    numpy scan, no deferred CRC backlog)."""
+
+    def accept(self, data: bytes, now: int) -> int:
+        self._busy_until = (max(self._busy_until, now)
+                            + -(-len(data) // self.BYTES_PER_CYCLE))
+        buffer = self._byte_buffer
+        buffer.extend(data)
+        whole = len(buffer) // 4 * 4
+        words = [int.from_bytes(buffer[k:k + 4], "big")
+                 for k in range(0, whole, 4)]
+        del buffer[:whole]
+        self._consume_words_scalar(words, now)
+        return self._busy_until
+
+    def _payload_scalar(self, chunk: list) -> None:
+        if self._payload_reg != ConfigRegister.FDRI or not self.crc_check:
+            super()._payload_scalar(chunk)
+            return
+        crc = self._crc
+        for value in chunk:
+            crc = crc32_config_word(crc, value, ConfigRegister.FDRI)
+        self._crc = crc
+        self._fdri_words.append(np.array(chunk, dtype=np.uint32))
+        self._finish_payload_chunk(ConfigRegister.FDRI, len(chunk))
+
 
 geometries = st.builds(
     RpGeometry,
@@ -83,8 +117,8 @@ def _observable(icap: Icap) -> dict:
 
 
 def _assert_engines_agree(data: bytes, chunks: list) -> None:
-    vec = Icap(ConfigMemory(KINTEX7_325T), vectorized=True)
-    ref = Icap(ConfigMemory(KINTEX7_325T), vectorized=False)
+    vec = Icap(ConfigMemory(KINTEX7_325T))
+    ref = WordIcap(ConfigMemory(KINTEX7_325T))
     _stream(vec, data, chunks)
     _stream(ref, data, chunks)
     assert _observable(vec) == _observable(ref)
@@ -125,10 +159,27 @@ def test_midpayload_truncation_agrees(geometry, seed, where):
 @settings(max_examples=6, deadline=None)
 @given(geometries, chunk_seeds)
 def test_oneshot_equals_bursted_vectorized(geometry, seed):
-    """The vectorized engine itself is chunking-invariant."""
+    """The parser itself is chunking-invariant."""
     data = _bitstream(geometry)
-    one = Icap(ConfigMemory(KINTEX7_325T), vectorized=True)
+    one = Icap(ConfigMemory(KINTEX7_325T))
     one.accept(data, 0)
-    burst = Icap(ConfigMemory(KINTEX7_325T), vectorized=True)
+    burst = Icap(ConfigMemory(KINTEX7_325T))
     _stream(burst, data, _chunking(seed, len(data)))
     assert _observable(one) == _observable(burst)
+
+
+def test_word_oracle_never_stages_fdri_raw():
+    """Liveness: were the overrides bypassed, the properties would
+    compare the parser with itself.  The parser stages FDRI bursts in
+    ``_fdri_raw``; the oracle never does."""
+    data = _bitstream(RpGeometry(clb_cols=2, bram_cols=0, dsp_cols=0))
+    flushed = []
+    flush = Icap._flush_fdri_raw
+
+    def spy(icap):
+        flushed.append(type(icap))
+        flush(icap)
+
+    with mock.patch.object(Icap, "_flush_fdri_raw", spy):
+        _assert_engines_agree(data, _chunking(0, len(data)))
+    assert Icap in flushed and WordIcap not in flushed

@@ -1,61 +1,7 @@
-from repro.sim.tracing import TraceEvent, TraceRecorder, format_stats
+"""The reconfiguration timeline and counter snapshot ``repro reconfig``
+prints: span lines from the tracer, ``Soc.stats()`` formatted."""
 
-
-class TestTraceRecorder:
-    def test_records_in_order(self):
-        recorder = TraceRecorder()
-        recorder.record(10, "dma.mm2s", "start")
-        recorder.record(20, "icap", "desync (ok)")
-        assert [e.category for e in recorder.events] == ["dma.mm2s", "icap"]
-
-    def test_category_filter(self):
-        recorder = TraceRecorder(enabled_categories={"icap"})
-        recorder.record(1, "dma.mm2s", "ignored")
-        recorder.record(2, "icap", "kept")
-        assert len(recorder.events) == 1
-
-    def test_capacity_bound(self):
-        recorder = TraceRecorder(capacity=3)
-        for i in range(10):
-            recorder.record(i, "x", "m")
-        assert len(recorder.events) == 3
-        assert recorder.dropped == 7
-
-    def test_ring_keeps_most_recent_on_wraparound(self):
-        recorder = TraceRecorder(capacity=3)
-        for i in range(10):
-            recorder.record(i, "x", f"event {i}")
-        # a ring buffer retains the tail of the run, oldest first
-        assert [e.cycle for e in recorder.events] == [7, 8, 9]
-        assert [e.message for e in recorder.events] == \
-            ["event 7", "event 8", "event 9"]
-        assert recorder.dropped == 7
-        # and keeps rolling: one more record evicts cycle 7
-        recorder.record(10, "x", "event 10")
-        assert [e.cycle for e in recorder.events] == [8, 9, 10]
-        assert recorder.dropped == 8
-
-    def test_clear_resets_ring(self):
-        recorder = TraceRecorder(capacity=2)
-        for i in range(5):
-            recorder.record(i, "x", "m")
-        recorder.clear()
-        assert recorder.events == [] and recorder.dropped == 0
-        recorder.record(9, "x", "fresh")
-        assert [e.cycle for e in recorder.events] == [9]
-
-    def test_by_category_and_clear(self):
-        recorder = TraceRecorder()
-        recorder.record(1, "a", "x")
-        recorder.record(2, "b", "y")
-        assert len(recorder.by_category("a")) == 1
-        recorder.clear()
-        assert not recorder.events and recorder.dropped == 0
-
-    def test_event_formatting(self):
-        event = TraceEvent(cycle=165_100, category="icap", message="done")
-        text = event.format(100e6)
-        assert "1651.00 us" in text and "icap" in text
+from repro.obs import format_stats, format_timeline
 
 
 class TestFormatStats:
@@ -70,16 +16,19 @@ class TestFormatStats:
 class TestSocIntegration:
     def test_trace_captures_reconfiguration(self, provisioned_manager_factory):
         soc, manager = provisioned_manager_factory()
-        recorder = soc.attach_trace()
+        obs = soc.attach_observability()
         manager.load_module("sobel")
-        categories = {e.category for e in recorder.events}
-        assert "dma.mm2s" in categories
-        assert "icap" in categories
-        # start then complete, time-ordered
-        dma = recorder.by_category("dma.mm2s")
-        assert "start" in dma[0].message and "complete" in dma[1].message
-        assert dma[0].cycle < dma[1].cycle
-        assert "650892 bytes" in dma[0].message
+        tracer = obs.tracer
+        assert {"dma.mm2s", "icap"} <= set(tracer.tracks)
+        [transfer] = tracer.find("dma.mm2s", "transfer")
+        assert transfer.args["length"] == 650_892
+        assert transfer.args["status"] == "ok"
+        assert transfer.start_cycle < transfer.end_cycle
+        # the ICAP session streams inside its DMA transfer
+        [session] = tracer.find("icap", "session")
+        assert session.args["status"] == "ok"
+        assert (transfer.start_cycle <= session.start_cycle
+                < session.end_cycle <= transfer.end_cycle)
 
     def test_stats_snapshot(self, provisioned_manager_factory):
         soc, manager = provisioned_manager_factory()
@@ -95,7 +44,12 @@ class TestSocIntegration:
 
     def test_timeline_rendering(self, provisioned_manager_factory):
         soc, manager = provisioned_manager_factory()
-        recorder = soc.attach_trace()
+        obs = soc.attach_observability()
         manager.load_module("gaussian")
-        timeline = recorder.format_timeline(soc.sim.freq_hz)
+        timeline = format_timeline(obs.tracer, soc.sim.freq_hz)
+        lines = timeline.splitlines()
+        assert len(lines) == len(obs.tracer.spans)
         assert "us]" in timeline and "dma.mm2s" in timeline
+        starts = [float(line[1:line.index(" us]")]) for line in lines]
+        assert starts == sorted(starts)
+        assert any("icap" in line and "status=ok" in line for line in lines)
