@@ -11,12 +11,20 @@ Because every FIFO word must be carried by an individual CPU store
 through the whole converter chain — and Ariane may not issue those
 stores speculatively — this controller reaches only ~2 % of the ICAP
 ceiling (8.23 MB/s at 16x loop unrolling, Table I).
+
+``WF`` is declared a *pure push* register (:meth:`AxiHwIcap.push_register`):
+its write action appends to the FIFO and does nothing else — it
+schedules no event, raises no interrupt and reads no time.  That lets
+the ISS block engine commit a run of stores to it in one call (see
+:mod:`repro.axi.fastpath`) while each store still pays its full
+simulated cost.  One routine, :meth:`AxiHwIcap._push`, holds the FIFO's
+capacity and drop rule for the per-store hook and the batch alike.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.axi.interface import (
     ReadHook,
@@ -188,14 +196,34 @@ class AxiHwIcap(RegisterBank):
             return None
         return self._storage, self._write_hooks.get(addr), self.write_latency, True
 
+    def push_register(self, addr: int, nbytes: int) -> Optional[
+        Callable[[Sequence[int]], None]
+    ]:
+        """The push routine of a pure push register at ``addr``, else None.
+
+        A store to such a register is equivalent to its write hook, and
+        the hook is a one-word call of the returned routine, so ``n``
+        stores may be applied as one call with their ``n`` values.
+        """
+        if addr == WF_OFFSET and nbytes == 4:
+            return self._push
+        return None
+
     # ------------------------------------------------------------------
     # register behaviour
     # ------------------------------------------------------------------
+    def _push(self, words: Sequence[int]) -> None:
+        """Append 32-bit words to the write FIFO in order.
+
+        Words past the FIFO's capacity are silently dropped, as the
+        hardware does on overflow; drivers poll WFV first.
+        """
+        room = self.fifo_words - len(self._fifo)
+        if room > 0:
+            self._fifo.extend(words[:room])
+
     def _write_wf(self, value: int) -> None:
-        fifo = self._fifo
-        if len(fifo) >= self.fifo_words:
-            return  # hardware silently drops on overflow; drivers poll WFV
-        fifo.append(value & 0xFFFF_FFFF)
+        self._push((value & 0xFFFF_FFFF,))
 
     def _write_sz(self, value: int) -> None:
         self._size_words = value & 0x7FF_FFFF

@@ -19,11 +19,15 @@ class FirmwareResult:
     t0_ticks: int
     t1_ticks: int
     extra: int
+    #: the SoC's timer: core cycles per CLINT tick and the core clock
+    tick_cycles: int
+    freq_hz: float
 
-    def elapsed_us(self, clint_divider: int = 20,
-                   freq_hz: float = 100e6) -> float:
-        """T1 - T0 in microseconds (CLINT-tick quantized)."""
-        return (self.t1_ticks - self.t0_ticks) * clint_divider / freq_hz * 1e6
+    def elapsed_us(self) -> float:
+        """T1 - T0 in microseconds (CLINT-tick quantized), converted as
+        the SoC's own ``Clint.ticks_to_us`` does."""
+        return ((self.t1_ticks - self.t0_ticks) * self.tick_cycles
+                / self.freq_hz * 1e6)
 
 
 def run_firmware(soc: Soc, program: Program, *,
@@ -40,4 +44,6 @@ def run_firmware(soc: Soc, program: Program, *,
         t0_ticks=read(1),
         t1_ticks=read(2),
         extra=read(3),
+        tick_cycles=soc.clint.divider,
+        freq_hz=soc.sim.freq_hz,
     )

@@ -21,16 +21,60 @@ interpreter over the same instructions:
   pending event time (``limit``) and returns to the dispatcher when
   reached, so device events fire and interrupts are taken at exactly
   the same instruction boundary as under the interpreter;
-* after every memory access the block re-checks the interrupt-window
-  (``mstatus.MIE`` is hoisted per block — only CSR writes and traps can
-  change it, and neither occurs inside a block; ``mip`` is re-read
-  because device events raise it), the code-cache epoch (the access may
-  have invalidated the very block that is running), and the event
-  queue head (the access may have scheduled or drained events);
+* after every memory access other than a D-cache hit or a batched
+  push the block re-checks the interrupt-window (``mstatus.MIE`` is
+  hoisted per block — only CSR writes and traps can change it, and
+  neither occurs inside a block; ``mip`` is re-read because device
+  events raise it), the code-cache epoch (the access may have
+  invalidated the very block that is running), and the event queue
+  head (the access may have scheduled or drained events);
 * traps inside a block (load/store access faults) commit the partial
   block — pc of the faulting instruction, retired count, cycles — and
   re-raise for the dispatcher, which applies the interpreter's exact
   trap accounting.
+
+Hot and cold paths
+------------------
+A load or store that hits the D-cache in the fast-memory window runs
+inline.  Every other access — a miss, ROM, MMIO — goes out of line to
+:meth:`Hart.load` / :meth:`Hart.store`, the interpreter's own access
+path, and is followed by the re-checks above.  The one exception is a
+batched push (below).  Every exit — the quantum check, a re-check, the
+terminator, the fall-through — is one call of the exit helper
+``_exit``, which commits any open batch and then pc, cycles and the
+retired count.
+
+Batched pushes
+--------------
+A store that misses the D-cache may go to a *pure push* register: one
+whose write only appends to a FIFO, schedules no event, raises no
+interrupt and reads no time (the HWICAP write FIFO; see
+:func:`repro.axi.fastpath.fuse_push_batch`).  The block appends such a
+store's masked value to a block-local batch and charges it its exact
+constant cost, ``base + ex + request + p_entry + delay + p_exit +
+response``, where ``ex`` is the MMIO issue cost including the
+branch-shadow stall.  That cost is exact because the hart waits for
+each non-posted store's response before it issues the next: stores
+of one batch never contend for the crossbar region or the AXI4-Lite
+converter.  The first store of a batch is checked for contention (and
+takes :meth:`Hart.store` if it meets any); so is a store with an event
+due by its issue cycle.  The batch is committed (``Hart._flush_batch``)
+before any access that is neither a D-cache hit nor a push to the same
+register, and at every exit, so device state, the kernel clock and the
+counters are exactly those the per-store path leaves wherever anything
+else can observe them.
+
+Back-edges
+----------
+A block whose terminator is a conditional branch to its own entry runs
+that back-edge inside its closure: the run loop passes the remaining
+instruction budget, and the block leaves only where the dispatcher
+would do something other than re-enter it — ``cycles >= limit`` (an
+event or the deadline is due), a budget that would not cover another
+pass, or ``idle_stop`` with an empty event queue.  Interrupts need no
+check there: only the re-checked accesses can raise one.  A batch
+spans iterations, so in the HWICAP copy loop only the D-cache misses
+(one per 16 words) cut it.
 
 Block boundaries
 ----------------
@@ -58,6 +102,7 @@ import struct
 from types import CodeType
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from repro.axi.fastpath import PushBatch
 from repro.riscv.decoder import Decoded
 from repro.riscv.execute import EXEC
 from repro.riscv.trap import Trap
@@ -68,11 +113,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: longest block, in instructions (bounds compile time and the page
 #: span a single block can cover)
 MAX_BLOCK_INSTRUCTIONS = 64
-
-#: sentinel distinguishing "not yet resolved" from "no fast path" in
-#: the hart's MMIO/fill port caches (defined here, not in hart.py, so
-#: generated block code can bind it without a circular import)
-UNRESOLVED = object()
 
 #: invalidation-page granularity (bytes) for the block page index
 BLOCK_PAGE_SHIFT = 8
@@ -123,16 +163,18 @@ _CODE_CACHE_MAX = 4096
 class CompiledBlock:
     """One compiled basic block: entry pc, byte span, and the closure.
 
-    ``fn(hart, limit, deadline, idle_stop)`` executes the block and
-    returns the number of instructions retired.  ``limit`` is the cycle
-    bound (earliest pending event or the deadline) at entry;
+    ``fn(hart, limit, deadline, idle_stop, budget)`` executes the block
+    and returns the number of instructions retired.  ``limit`` is the
+    cycle bound (earliest pending event or the deadline) at entry;
     ``deadline`` the run bound; ``idle_stop`` mirrors the run loop's
-    ``until_halted=False`` early-exit when the event queue drains.
+    ``until_halted=False`` early-exit when the event queue drains;
+    ``budget`` is the run's remaining instruction budget, which bounds
+    the passes a self-looping block takes inside its closure.
     """
 
     __slots__ = ("fn", "start", "end", "n_instr")
 
-    def __init__(self, fn: Callable[["Hart", int, int, bool], int],
+    def __init__(self, fn: Callable[["Hart", int, int, bool, int], int],
                  start: int, end: int, n_instr: int) -> None:
         self.fn = fn
         self.start = start
@@ -157,16 +199,6 @@ def _sext_load(var: str, nbytes: int) -> str:
     sign = 1 << (8 * nbytes - 1)
     high = 0xFFFF_FFFF_FFFF_FFFF ^ ((1 << (8 * nbytes)) - 1)
     return f"{var} = {var} | {high:#x} if {var} & {sign:#x} else {var}"
-
-
-def _commit(pc: int, retired: int, indent: str) -> List[str]:
-    """Exit the block: architectural state, retired count, return."""
-    return [
-        f"{indent}h.pc = {pc:#x}",
-        f"{indent}h.cycles = cycles",
-        f"{indent}h.instret += {retired}",
-        f"{indent}return {retired}",
-    ]
 
 
 def _emit_alu(d: Decoded, pc: int) -> Optional[List[str]]:
@@ -248,14 +280,35 @@ _BRANCH_CONDS: Dict[str, Callable[[int, int], str]] = {
 }
 
 
-def _drop_aliases(addr_alias: Dict[Tuple[int, int], str],
-                  port_alias: Dict[Tuple[int, int, int, bool], str],
-                  rd: int) -> None:
-    """Invalidate address/port aliases whose base register was written."""
+def _drop_aliases(addr_alias: Dict[Tuple[int, int], str], rd: int) -> None:
+    """Invalidate address aliases whose base register was written."""
     for k in [k for k in addr_alias if k[0] == rd]:
         del addr_alias[k]
-    for k in [k for k in port_alias if k[0] == rd]:
-        del port_alias[k]
+
+
+def _load_result(d: Decoded, indent: str) -> List[str]:
+    """Sign-extend and write back a load's value ``t``."""
+    nbytes, signed = _LOADS[d.name]
+    out = []
+    if signed and nbytes < 8:
+        out.append(f"{indent}{_sext_load('t', nbytes)}")
+    if d.rd != 0:
+        out.append(f"{indent}r[{d.rd}] = t")
+    return out
+
+
+def _exit(h: "Hart", pc: int, cycles: int, retired: int,
+          bv: Optional[List[int]] = None, bp: Optional[PushBatch] = None,
+          bi: int = 0) -> int:
+    """Leave a compiled block: commit its open push batch (values ``bv``
+    to port ``bp``, the last issued at ``bi``), then the architectural
+    state and the retired count, which it returns."""
+    if bv:
+        h._flush_batch(bv, bp, bi)  # type: ignore[arg-type]
+    h.pc = pc
+    h.cycles = cycles
+    h.instret += retired
+    return retired
 
 
 def _discover(hart: "Hart", entry_pc: int) -> List[Tuple[int, Decoded]]:
@@ -299,12 +352,18 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
     penalty = timing.branch_taken_penalty
     has_mem = any(d.name in _LOADS or d.name in _STORES
                   for _, d in instrs)
-    has_store = any(d.name in _STORES for _, d in instrs)
+    last_pc, last_d = instrs[-1]
+    # a conditional branch back to the entry: the block runs its own
+    # back-edge inside the closure (see the module docstring)
+    loop = (last_d.name in _BRANCH_CONDS
+            and (last_pc + last_d.imm) & 0xFFFF_FFFF_FFFF_FFFF == entry_pc)
     # inline D-cache-hit fast path: valid only when the hart's windows
     # are exhaustive (so a fast-memory-window address is definitely
     # cacheable) and the inline tag-check geometry applies
     fast = (has_mem and hart._dc_inline and hart._cw_exact
             and hart._fm_load is not None)
+    # stores batch their pushes to pure push registers (fast path only)
+    batch = fast and any(d.name in _STORES for _, d in instrs)
     # in-page word access compiled directly against the sparse-memory
     # page dict (missing page / page-crossing falls back to the word
     # helper, which returns 0 / splits exactly)
@@ -317,27 +376,40 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
     ls = hart._dc_line_shift
     im = hart._dc_index_mask
     ts = hart._dc_tag_shift
-    cw0_lo, cw0_hi = hart._cw0_lo, hart._cw0_hi
-    cw1_lo, cw1_hi = hart._cw1_lo, hart._cw1_hi
-    mle = hart._mmio_load_extra
     mse = hart._mmio_store_extra
     msh = hart._mmio_shadow_extra
+
+    def retired(count: int) -> str:
+        """Instructions retired by this call after ``count`` of the
+        current pass (``n`` counts the passes already looped)."""
+        if not loop:
+            return str(count)
+        return f"n + {count}" if count else "n"
+
+    def leave(pc: int, cycles: str, count: int) -> str:
+        """The exit call: commits any open batch, returns the count."""
+        tail = ", bv, bp, bi" if batch else ""
+        return f"return X(h, {pc:#x}, {cycles}, {retired(count)}{tail})"
 
     ns: Dict[str, object] = {
         "TrapExc": Trap,
         "CR": hart.csr._regs,
         "Q": hart.sim._queue,
+        "X": _exit,
     }
     lines: List[str] = [
-        "def _bb(h, limit, deadline, idle_stop):",
+        "def _bb(h, limit, deadline, idle_stop, budget):",
         "    r = h.regs",
         "    cycles = h.cycles",
     ]
     ind = "    "
+    if has_mem or loop:
+        lines.append("    q = Q")
+    if loop:
+        lines.append("    n = 0")
     if has_mem:
         lines += [
             "    cr = CR",
-            "    q = Q",
             "    mie_en = cr[0x300] & 8",   # mstatus.MIE, hoisted
             "    mie_mask = cr[0x304]",     # mie, hoisted
             "    ep = h._code_epoch",
@@ -350,17 +422,10 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
             ns["DC"] = hart.dcache
             ns["LW"] = hart._fm_load
             ns["SW"] = hart._fm_store
-            ns["SIM"] = hart.sim
-            ns["RP"] = hart._mmio_read_ports
-            ns["WP"] = hart._mmio_write_ports
-            ns["UN"] = UNRESOLVED
             lines += [
                 "    dt = DT",
                 "    lw = LW",
                 "    dc = DC",
-                "    sim = SIM",
-                "    un = UN",
-                "    rp = RP",
             ]
             if inline_pages:
                 ns["PGS"] = hart._fm_pages
@@ -371,32 +436,67 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
                 for nb in store_widths:
                     ns[f"P{nb}"] = _CODECS[nb].pack_into
                     lines.append(f"    p{nb} = P{nb}")
-            if has_store:
+            if batch:
                 # code-range bounds for the self-modifying-code check;
                 # hoisting is safe: only step()/compile_block grow them
-                # and neither runs while a block is executing
+                # and neither runs while a block is executing.  The
+                # open push batch: values, port, key, last issue, cost.
                 lines += [
                     "    dd = DD",
                     "    sw = SW",
-                    "    wp = WP",
                     "    pclo = h._pc_cache_lo",
                     "    pchi = h._pc_cache_hi",
                     "    blo = h._block_lo",
                     "    bhi = h._block_hi",
+                    "    bv = []",
+                    "    bp = None",
+                    "    bk = bi = bc = -1",
                 ]
         lines.append("    try:")
         ind = "        "
+    if loop:
+        lines.append(f"{ind}while True:")
+        ind += "    "
+
+    def cold(d: Decoded, idx: int, pc: int, next_pc: int, av: str,
+             si: str, flush: bool) -> List[str]:
+        """An access that is neither a D-cache hit nor a batched push:
+        commit the open batch (``flush``), then the hart's own load or
+        store path, the loaded value, and the re-checks after it."""
+        out = []
+        if flush:
+            out += [f"{si}if bv:",
+                    f"{si}    h._flush_batch(bv, bp, bi)",
+                    f"{si}    bk = -1"]
+        out += [f"{si}i = {retired(idx)}",
+                f"{si}fpc = {pc:#x}",
+                f"{si}h.cycles = cycles"]
+        if d.name in _LOADS:
+            out.append(f"{si}t = h.load({av}, {_LOADS[d.name][0]})")
+        else:
+            out.append(f"{si}h.store({av}, {_u(d.rs2)}, {_STORES[d.name]})")
+        out += [f"{si}cycles += {base} + h._extra_cycles",
+                f"{si}h._extra_cycles = 0"]
+        if d.name in _LOADS:
+            out += _load_result(d, si)
+        # device events during the access may have raised mip, the
+        # access may have invalidated this very block, and it may have
+        # scheduled or drained events: exit where the dispatcher would
+        # act, else refresh the event bound
+        out += [
+            f"{si}if (mie_en and cr[0x344] & mie_mask "
+            f"or h._code_epoch != ep or idle_stop and not q):",
+            f"{si}    return X(h, {next_pc:#x}, cycles, "
+            f"{retired(idx + 1)})",
+            f"{si}limit = q[0][0] if q and q[0][0] < deadline "
+            f"else deadline",
+        ]
+        return out
 
     # dataflow aliasing: a later access with the same (rs1, imm) — and
     # no intervening write to rs1 — provably computes the same address,
-    # so the computed address variable and the resolved MMIO port
-    # variable are reused instead of recomputed/re-looked-up.  Port
-    # reuse is sound because classification (cacheable vs MMIO) is a
-    # pure function of the address: if a later aliased site reaches the
-    # MMIO branch, the earlier site did too (program order) and bound
-    # the port variable.
+    # so the computed address variable is reused instead of recomputed
     addr_alias: Dict[Tuple[int, int], str] = {}
-    port_alias: Dict[Tuple[int, int, int, bool], str] = {}
 
     terminated = False
     for idx, (pc, d) in enumerate(instrs):
@@ -405,8 +505,8 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
         if idx > 0:
             # co-sim quantum check: identical granularity to the
             # interpreter's per-step event/deadline comparison
-            lines.append(f"{ind}if cycles >= limit:")
-            lines += _commit(pc, idx, ind + "    ")
+            lines += [f"{ind}if cycles >= limit:",
+                      f"{ind}    {leave(pc, 'cycles', idx)}"]
 
         if name in _LOADS or name in _STORES:
             akey = (d.rs1, d.imm)
@@ -419,23 +519,26 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
                     addr = f"{d.imm & 0xFFFF_FFFF_FFFF_FFFF:#x}"
                 lines.append(f"{ind}{av} = {addr}")
                 addr_alias[akey] = av
-            si = ind
-            if fast:
+            is_load = name in _LOADS
+            nbytes = _LOADS[name][0] if is_load else _STORES[name]
+            if not fast:
+                lines += cold(d, idx, pc, next_pc, av, ind, False)
+            else:
                 # D-cache-hit fast path: a hit in the fast-memory
                 # window advances no time, runs no events, and raises
                 # no mip bit, so the interrupt-window / event-queue /
                 # idle-stop re-checks are all provably no-ops and are
-                # skipped; the miss/MMIO/out-of-window path falls to
-                # the full hart access below
+                # skipped; any other access leaves the hit path below.
+                # The window test short-circuits before the shift
+                # arithmetic, so MMIO accesses (out of window) skip it.
                 fi = ind + "    "
-                if name in _LOADS:
-                    nbytes, signed = _LOADS[name]
-                    lines += [
-                        f"{ind}if {fm_lo:#x} <= {av} < {fm_hi:#x} "
-                        f"and dt.get(({av} >> {ls}) & {im}) "
-                        f"== {av} >> {ls + ts}:",
-                        f"{fi}dc.hits += 1",
-                    ]
+                lines += [
+                    f"{ind}if {fm_lo:#x} <= {av} < {fm_hi:#x} "
+                    f"and dt.get(({av} >> {ls}) & {im}) "
+                    f"== {av} >> {ls + ts}:",
+                    f"{fi}dc.hits += 1",
+                ]
+                if is_load:
                     if inline_pages:
                         lines += [
                             f"{fi}o = {av} - {fm_lo:#x}",
@@ -449,34 +552,22 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
                     else:
                         lines.append(
                             f"{fi}t = lw({av} - {fm_lo:#x}, {nbytes})")
-                    if signed and nbytes < 8:
-                        lines.append(f"{fi}{_sext_load('t', nbytes)}")
-                    if d.rd != 0:
-                        lines.append(f"{fi}r[{d.rd}] = t")
-                    lines.append(f"{fi}cycles += {base}")
+                    lines += _load_result(d, fi)
+                    lines += [f"{fi}cycles += {base}", f"{ind}else:"]
+                    lines += cold(d, idx, pc, next_pc, av, fi, batch)
                 else:
-                    nbytes = _STORES[name]
-                    # the window test short-circuits before the shift
-                    # arithmetic so MMIO stores (out of window) skip it
-                    lines += [
-                        f"{ind}if {fm_lo:#x} <= {av} < {fm_hi:#x} "
-                        f"and dt.get(({av} >> {ls}) & {im}) "
-                        f"== {av} >> {ls + ts}:",
-                        f"{fi}dc.hits += 1",
-                        f"{fi}dd[({av} >> {ls}) & {im}] = True",
-                    ]
+                    val = _u(d.rs2)
+                    if nbytes < 8:
+                        val = f"{val} & {(1 << (8 * nbytes)) - 1:#x}"
+                    lines.append(f"{fi}dd[({av} >> {ls}) & {im}] = True")
                     if inline_pages:
-                        sval = _u(d.rs2)
-                        if nbytes < 8:
-                            sval = (f"{sval} & "
-                                    f"{(1 << (8 * nbytes)) - 1:#x}")
                         lines += [
                             f"{fi}o = {av} - {fm_lo:#x}",
                             f"{fi}of = o & 4095",
                             f"{fi}pg = pgs.get(o >> 12)",
                             f"{fi}if pg is not None "
                             f"and of <= {4096 - nbytes}:",
-                            f"{fi}    p{nbytes}(pg, of, {sval})",
+                            f"{fi}    p{nbytes}(pg, of, {val})",
                             f"{fi}else:",
                             f"{fi}    sw(o, {_u(d.rs2)}, {nbytes})",
                         ]
@@ -484,6 +575,22 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
                         lines.append(
                             f"{fi}sw({av} - {fm_lo:#x}, "
                             f"{_u(d.rs2)}, {nbytes})")
+                    # a store to the open batch's register joins the
+                    # batch at its exact constant cost (issue-side
+                    # charges incl. the branch shadow, then the
+                    # uncontended round trip); any other store commits
+                    # the batch and may open a new one.  ``issue`` is
+                    # Hart.store's: ``_extra_cycles`` is 0 at every
+                    # instruction boundary (each consumer folds and
+                    # zeroes it), so the issue cost is a literal.
+                    key = f"{av} * 16 + {nbytes}"
+                    bi_ = fi + "    "
+                    push = [
+                        "h._branch_shadow = False",
+                        f"bv.append({val})",
+                        "bi = issue",
+                        "cycles = issue + bc",
+                    ]
                     lines += [
                         f"{fi}cycles += {base}",
                         # self-modifying code: invalidate overlapped
@@ -494,147 +601,53 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
                         f"and {av} < bhi:",
                         f"{fi}    h._code_store({av}, {nbytes})",
                         f"{fi}    if h._code_epoch != ep:",
-                        *_commit(next_pc, idx + 1, fi + "        "),
+                        f"{fi}        {leave(next_pc, 'cycles', idx + 1)}",
+                        f"{ind}else:",
+                        f"{fi}issue = cycles + ({mse + msh} "
+                        f"if h._branch_shadow else {mse})",
+                        f"{fi}if bk == {key} and issue < limit:",
+                        *[bi_ + line for line in push],
+                        f"{fi}else:",
+                        f"{bi_}if bv:",
+                        f"{bi_}    h._flush_batch(bv, bp, bi)",
+                        f"{bi_}bp = h._batch_port({av}, {nbytes}, issue)",
+                        f"{bi_}if bp is not None:",
+                        f"{bi_}    bk = {key}",
+                        f"{bi_}    bc = bp.cost + {base}",
+                        *[bi_ + "    " + line for line in push],
+                        f"{bi_}else:",
+                        f"{bi_}    bk = -1",
                     ]
-                lines.append(f"{ind}else:")
-                si = fi
-            lines += [
-                f"{si}i = {idx}",
-                f"{si}fpc = {pc:#x}",
-                f"{si}h.cycles = cycles",
-            ]
-            if fast:
-                # classify inline: a cacheable miss (or ROM access)
-                # takes the full hart path; anything else is MMIO with
-                # the hart access prologue (issue-time charges, kernel
-                # sync, resolved-port lookup) compiled in.  ``ex`` is a
-                # literal: ``_extra_cycles`` is provably 0 at every
-                # instruction boundary (each consumer folds and zeroes
-                # it), matching the interpreter's ``_extra_cycles +
-                # const`` read exactly.
-                ci = si + "    "
-                is_load = name in _LOADS
-                lines.append(
-                    f"{si}if {cw0_lo:#x} <= {av} < {cw0_hi:#x} "
-                    f"or {cw1_lo:#x} <= {av} < {cw1_hi:#x}:")
-                if is_load:
-                    nbytes, signed = _LOADS[name]
-                    lines.append(f"{ci}t = h.load({av}, {nbytes})")
-                else:
-                    nbytes = _STORES[name]
-                    lines.append(
-                        f"{ci}h.store({av}, {_u(d.rs2)}, {nbytes})")
-                lines += [
-                    f"{ci}cycles += {base} + h._extra_cycles",
-                    f"{ci}h._extra_cycles = 0",
-                    f"{si}else:",
-                    f"{ci}h.mmio_accesses += 1",
-                    f"{ci}ex = {mle if is_load else mse}",
-                    f"{ci}if h._branch_shadow:",
-                    f"{ci}    ex += {msh}",
-                    f"{ci}    h._branch_shadow = False",
-                    f"{ci}issue = cycles + ex",
-                    f"{ci}if issue > sim._now:",
-                    f"{ci}    if q and q[0][0] <= issue:",
-                    f"{ci}        sim.advance_to(issue)",
-                    f"{ci}    else:",
-                    f"{ci}        sim._now = issue",
-                ]
-                pkey = (d.rs1, d.imm, nbytes, is_load)
-                pv = port_alias.get(pkey)
-                if pv is None:
-                    pv = f"p{idx}"
-                    port_alias[pkey] = pv
-                    table = "rp" if is_load else "wp"
-                    lines += [
-                        f"{ci}{pv} = {table}.get"
-                        f"({av} * 16 + {nbytes}, un)",
-                        f"{ci}if {pv} is un:",
-                        f"{ci}    {pv} = h._resolve_mmio_port"
-                        f"({av}, {nbytes}, {is_load})",
-                    ]
-                if is_load:
-                    lines += [
-                        f"{ci}if {pv} is not None:",
-                        f"{ci}    t, c = {pv}(issue)",
-                        f"{ci}    cycles += {base} + ex + c - issue",
-                        f"{ci}else:",
-                        f"{ci}    t = h._mmio_load_slow"
-                        f"({av}, {nbytes}, ex, issue)",
-                        f"{ci}    cycles += {base} + h._extra_cycles",
-                        f"{ci}    h._extra_cycles = 0",
-                    ]
-                    if signed and nbytes < 8:
-                        lines.append(f"{si}{_sext_load('t', nbytes)}")
-                    if d.rd != 0:
-                        lines.append(f"{si}r[{d.rd}] = t")
-                else:
-                    val = _u(d.rs2)
-                    masked = (val if nbytes == 8
-                              else f"{val} & {(1 << (8 * nbytes)) - 1:#x}")
-                    lines += [
-                        f"{ci}if {pv} is not None:",
-                        f"{ci}    cycles += {base} + ex "
-                        f"+ {pv}({masked}, issue) - issue",
-                        f"{ci}else:",
-                        f"{ci}    h._mmio_store_slow"
-                        f"({av}, {val}, {nbytes}, ex, issue)",
-                        f"{ci}    cycles += {base} + h._extra_cycles",
-                        f"{ci}    h._extra_cycles = 0",
-                    ]
-            else:
-                if name in _LOADS:
-                    nbytes, signed = _LOADS[name]
-                    lines.append(f"{si}t = h.load({av}, {nbytes})")
-                    if signed and nbytes < 8:
-                        lines.append(f"{si}{_sext_load('t', nbytes)}")
-                    if d.rd != 0:
-                        lines.append(f"{si}r[{d.rd}] = t")
-                else:
-                    nbytes = _STORES[name]
-                    lines.append(
-                        f"{si}h.store({av}, {_u(d.rs2)}, {nbytes})")
-                lines += [
-                    f"{si}cycles += {base} + h._extra_cycles",
-                    f"{si}h._extra_cycles = 0",
-                ]
-            lines += [
-                # interrupt window: device events during the access may
-                # have raised mip; exit so the dispatcher delivers at
-                # the same boundary the interpreter would
-                f"{si}if mie_en and cr[0x344] & mie_mask:",
-                *_commit(next_pc, idx + 1, si + "    "),
-                # the access may have invalidated this very block
-                f"{si}if h._code_epoch != ep:",
-                *_commit(next_pc, idx + 1, si + "    "),
-                # the access may have scheduled or drained events
-                f"{si}if q:",
-                f"{si}    limit = q[0][0]",
-                f"{si}    if limit > deadline:",
-                f"{si}        limit = deadline",
-                f"{si}elif idle_stop:",
-                *_commit(next_pc, idx + 1, si + "    "),
-                f"{si}else:",
-                f"{si}    limit = deadline",
-            ]
-            if name in _LOADS and d.rd != 0:
-                _drop_aliases(addr_alias, port_alias, d.rd)
+                    lines += cold(d, idx, pc, next_pc, av, bi_ + "    ",
+                                  False)
+            if is_load and d.rd != 0:
+                _drop_aliases(addr_alias, d.rd)
             continue
 
         if name in _BRANCH_CONDS:
             cond = _BRANCH_CONDS[name](d.rs1, d.rs2)
             target = (pc + d.imm) & 0xFFFF_FFFF_FFFF_FFFF
-            lines += [
-                f"{ind}h._branch_shadow = True",
-                f"{ind}if {cond}:",
-                f"{ind}    h.pc = {target:#x}",
-                f"{ind}    h.cycles = cycles + {base + penalty}",
-                f"{ind}else:",
-                f"{ind}    h.pc = {next_pc:#x}",
-                f"{ind}    h.cycles = cycles + {base}",
-                f"{ind}h.instret += {idx + 1}",
-                f"{ind}return {idx + 1}",
-            ]
+            lines.append(f"{ind}h._branch_shadow = True")
+            if loop:
+                # the back-edge: re-enter in place unless the
+                # dispatcher would do anything else at the entry (an
+                # event or the deadline is due, the budget would not
+                # cover another pass, or an idle queue stops the run)
+                lines += [
+                    f"{ind}if not ({cond}):",
+                    f"{ind}    {leave(next_pc, f'cycles + {base}', idx + 1)}",
+                    f"{ind}cycles += {base + penalty}",
+                    f"{ind}n += {idx + 1}",
+                    f"{ind}if (cycles >= limit or n + {idx + 1} >= budget"
+                    f" or idle_stop and not q):",
+                    f"{ind}    {leave(entry_pc, 'cycles', 0)}",
+                ]
+            else:
+                lines += [
+                    f"{ind}if {cond}:",
+                    f"{ind}    {leave(target, f'cycles + {base + penalty}', idx + 1)}",
+                    f"{ind}{leave(next_pc, f'cycles + {base}', idx + 1)}",
+                ]
             terminated = True
             break
 
@@ -642,12 +655,8 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
             target = (pc + d.imm) & 0xFFFF_FFFF_FFFF_FFFF
             if d.rd != 0:
                 lines.append(f"{ind}r[{d.rd}] = {next_pc:#x}")
-            lines += [
-                f"{ind}h.pc = {target:#x}",
-                f"{ind}h.cycles = cycles + {base + penalty}",
-                f"{ind}h.instret += {idx + 1}",
-                f"{ind}return {idx + 1}",
-            ]
+            lines.append(
+                f"{ind}{leave(target, f'cycles + {base + penalty}', idx + 1)}")
             terminated = True
             break
 
@@ -657,12 +666,9 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
             )
             if d.rd != 0:
                 lines.append(f"{ind}r[{d.rd}] = {next_pc:#x}")
-            lines += [
-                f"{ind}h.pc = t",
-                f"{ind}h.cycles = cycles + {base + penalty}",
-                f"{ind}h.instret += {idx + 1}",
-                f"{ind}return {idx + 1}",
-            ]
+            lines.append(f"{ind}return X(h, t, cycles + {base + penalty}, "
+                         f"{retired(idx + 1)}"
+                         f"{', bv, bp, bi' if batch else ''})")
             terminated = True
             break
 
@@ -682,19 +688,19 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
             cost = base
         lines.append(f"{ind}cycles += {cost}")
         if d.rd != 0:
-            _drop_aliases(addr_alias, port_alias, d.rd)
+            _drop_aliases(addr_alias, d.rd)
 
     if not terminated:
-        last_pc, last_d = instrs[-1]
-        lines += _commit((last_pc + last_d.size) & 0xFFFF_FFFF_FFFF_FFFF,
-                         len(instrs), ind)
+        lines.append(
+            f"{ind}{leave((last_pc + last_d.size) & 0xFFFF_FFFF_FFFF_FFFF, 'cycles', len(instrs))}")
 
     if has_mem:
         lines += [
             "    except TrapExc:",
             # h.cycles/_extra_cycles already hold the faulting access's
-            # partial charges; commit pc + retired count and re-raise
-            # for the dispatcher's interpreter-exact trap accounting
+            # partial charges (no batch is open: cold accesses commit
+            # it first); commit pc + retired count and re-raise for the
+            # dispatcher's interpreter-exact trap accounting
             "        h.pc = fpc",
             "        h.instret += i",
             "        h._block_retired = i",
@@ -711,7 +717,6 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
     exec(code, ns)  # noqa: S102
     fn = ns["_bb"]
 
-    last_pc, last_d = instrs[-1]
     block = CompiledBlock(fn, entry_pc, last_pc + last_d.size,  # type: ignore[arg-type]
                           len(instrs))
     _register(hart, block)

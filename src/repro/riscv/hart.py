@@ -15,17 +15,17 @@ i.e. exact whenever a device has anything scheduled.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
-from repro.axi.fastpath import fuse_read_port, fuse_write_port
+from repro.axi.fastpath import (
+    PushBatch,
+    fuse_push_batch,
+    fuse_read_port,
+    fuse_write_port,
+)
 from repro.errors import CpuError, IllegalInstructionError
 from repro.riscv import isa
-from repro.riscv.blocks import (
-    BLOCK_PAGE_SHIFT,
-    UNRESOLVED,
-    CompiledBlock,
-    compile_block,
-)
+from repro.riscv.blocks import BLOCK_PAGE_SHIFT, CompiledBlock, compile_block
 from repro.riscv.compressed import expand
 from repro.riscv.csr import CsrFile
 from repro.riscv.decoder import Decoded, decode
@@ -39,8 +39,8 @@ from repro.utils.bits import MASK64
 _IRQ_PRIORITY = (isa.IRQ_MEI, isa.IRQ_MSI, isa.IRQ_MTI)
 
 #: sentinel distinguishing "not yet resolved" from "no fast path" in the
-#: per-hart MMIO/fill port caches (shared with the block compiler)
-_UNRESOLVED = UNRESOLVED
+#: per-hart MMIO/fill port caches
+_UNRESOLVED = object()
 
 #: the available ISS execution engines
 ENGINES = ("interp", "block")
@@ -222,6 +222,9 @@ class Hart:
         #: Valid while the bus topology is static (always, here).
         self._mmio_read_ports: dict[int, object] = {}
         self._mmio_write_ports: dict[int, object] = {}
+        #: batch commits of pure push registers, same keys; None = the
+        #: store is not batchable (see repro.axi.fastpath.PushBatch)
+        self._mmio_batch_ports: dict[int, Optional[PushBatch]] = {}
         #: timing-only burst port for D-cache line fills in the fast
         #: memory window (resolved lazily; None = no fast path)
         self._fill_port: object = _UNRESOLVED
@@ -326,6 +329,40 @@ class Hart:
         cache[addr * 16 + nbytes] = port
         return port
 
+    def _batch_port(self, addr: int, nbytes: int,
+                    issue: int) -> Optional[PushBatch]:
+        """The push batch a compiled block may open with an MMIO store.
+
+        ``None`` unless the store (issued at ``issue``) goes to a pure
+        push register, no event is due by ``issue`` and the store meets
+        no contention on its path; the caller then takes :meth:`store`.
+        """
+        if (self._cw0_lo <= addr < self._cw0_hi
+                or self._cw1_lo <= addr < self._cw1_hi):
+            return None  # a cacheable miss, not MMIO
+        key = addr * 16 + nbytes
+        batch = self._mmio_batch_ports.get(key, _UNRESOLVED)
+        if batch is _UNRESOLVED:
+            batch = fuse_push_batch(self.bus, addr, nbytes)
+            self._mmio_batch_ports[key] = batch
+        if batch is None:
+            return None
+        queue = self.sim._queue
+        if queue and queue[0][0] <= issue:
+            return None
+        return batch if batch.clear(issue) else None  # type: ignore[union-attr]
+
+    def _flush_batch(self, values: List[int], batch: PushBatch,
+                     issue: int) -> None:
+        """Commit the stores a compiled block batched, the last issued at
+        ``issue``: what :meth:`store` would have left, store by store."""
+        self.mmio_accesses += len(values)
+        sim = self.sim
+        if issue > sim._now:
+            sim._now = issue
+        batch.commit(values, issue)
+        values.clear()
+
     def _sync_time(self, issue: int) -> None:
         """Advance the kernel clock to ``issue`` (MMIO issue side).
 
@@ -395,15 +432,6 @@ class Hart:
             value, complete = port(issue)  # type: ignore[operator]
             self._extra_cycles = extra + (complete - issue)
             return value
-        return self._mmio_load_slow(addr, nbytes, extra, issue)
-
-    def _mmio_load_slow(self, addr: int, nbytes: int,
-                        extra: int, issue: int) -> int:
-        """Timed-bus fallback for an MMIO load with no resolved port.
-
-        Also called from generated block code, which inlines the common
-        prologue (issue-time computation, kernel sync, port lookup).
-        """
         self._extra_cycles = extra
         result = self.bus.read(addr, nbytes, issue)
         if not result.ok:
@@ -446,15 +474,6 @@ class Hart:
             complete = port(value & ((1 << (8 * nbytes)) - 1), issue)  # type: ignore[operator]
             self._extra_cycles = extra + (complete - issue)
             return
-        self._mmio_store_slow(addr, value, nbytes, extra, issue)
-
-    def _mmio_store_slow(self, addr: int, value: int, nbytes: int,
-                         extra: int, issue: int) -> None:
-        """Timed-bus fallback for an MMIO store with no resolved port.
-
-        Also called from generated block code, which inlines the common
-        prologue (issue-time computation, kernel sync, port lookup).
-        """
         self._extra_cycles = extra
         data = (value & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little")
         result = self.bus.write(addr, data, issue)
@@ -739,7 +758,10 @@ class Hart:
         compiled basic block (falling back to a single :meth:`step` at
         pcs that do not begin a compilable block, when the remaining
         budget is smaller than the block, or when an idle-queue early
-        exit must stop at single-instruction granularity).
+        exit must stop at single-instruction granularity).  A block
+        that branches back to its own entry takes that back-edge inside
+        its closure for as long as this loop would re-enter it, so it
+        is given the remaining budget.
         """
         start_instret = self.instret
         budget = max_instructions
@@ -787,6 +809,8 @@ class Hart:
                     raise CpuError(
                         f"instruction budget exceeded ({max_instructions})"
                     )
+                if not until_halted and peek() is None:
+                    break  # the interpreter stops after this step too
                 continue
             block = cache.get(self.pc)
             if block is None and self.pc not in refused:
@@ -800,7 +824,8 @@ class Hart:
             else:
                 try:
                     limit = nxt if nxt is not None and nxt < dl else dl
-                    budget -= block.fn(self, limit, dl, not until_halted)
+                    budget -= block.fn(self, limit, dl, not until_halted,
+                                       budget)
                 except Trap as trap:
                     budget -= self._block_retired + 1
                     self.cycles += self.timing.base_cpi + self._extra_cycles

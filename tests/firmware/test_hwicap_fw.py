@@ -6,6 +6,7 @@ from repro.errors import ControllerError
 from repro.eval.scenarios import make_test_bitstream, small_rp
 from repro.firmware import build_hwicap_firmware, run_firmware
 from repro.soc.builder import build_soc
+from repro.soc.config import SocConfig, TimingParams
 
 
 @pytest.fixture(scope="module")
@@ -13,8 +14,8 @@ def pbit():
     return make_test_bitstream().to_bytes()
 
 
-def _run(pbit, unroll):
-    soc = build_soc(with_case_study_modules=False)
+def _run(pbit, unroll, config=None):
+    soc = build_soc(config, with_case_study_modules=False)
     src = soc.config.layout.ddr_base + (16 << 20)
     soc.ddr_write(src, pbit)
     firmware = build_hwicap_firmware(src, len(pbit), unroll=unroll)
@@ -66,3 +67,22 @@ class TestPaperNumbers:
         _s, r1 = _run(pbit, unroll=1)
         _s, r16 = _run(pbit, unroll=16)
         assert r16.instructions < r1.instructions
+
+
+class TestTimerConversion:
+    """``FirmwareResult.elapsed_us`` converts ticks with the SoC's timer."""
+
+    @pytest.mark.parametrize("divider", [10, 40])
+    def test_elapsed_us_follows_the_clint_divider(self, pbit, divider):
+        config = SocConfig(timing=TimingParams(clint_divider=divider))
+        soc, result = _run(pbit, unroll=16, config=config)
+        ticks = result.t1_ticks - result.t0_ticks
+        assert result.elapsed_us() == soc.clint.ticks_to_us(ticks)
+        # the transfer's speed does not depend on the timer's resolution
+        mb_s = len(pbit) / (result.elapsed_us() * 1e-6) / 1e6
+        assert mb_s == pytest.approx(8.23, rel=0.03)
+
+    def test_default_timer_value_is_unchanged(self, pbit):
+        _soc, result = _run(pbit, unroll=16)
+        ticks = result.t1_ticks - result.t0_ticks
+        assert result.elapsed_us() == ticks * 20 / 100e6 * 1e6

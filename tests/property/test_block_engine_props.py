@@ -13,13 +13,18 @@ identical twin systems.
 from __future__ import annotations
 
 import random
+from typing import List, Tuple
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.axi.crossbar import AxiCrossbar
+from repro.errors import CpuError
 from repro.mem.bootrom import BootRom
 from repro.mem.ddr import DdrController
+from repro.riscv import hart as hart_module
 from repro.riscv import isa
 from repro.riscv.assembler import assemble
 from repro.riscv.hart import Hart
@@ -37,6 +42,14 @@ _CSRS = (isa.CSR_MSTATUS, isa.CSR_MIE, isa.CSR_MTVEC, isa.CSR_MSCRATCH,
 def _run(body: str, engine: str, *, compress: bool = False,
          code_in_ddr: bool = False, max_instructions: int = 500_000) -> Hart:
     """Assemble and run ``body`` on a fresh mini system with ``engine``."""
+    hart = _build(body, engine, compress=compress, code_in_ddr=code_in_ddr)
+    hart.run(max_instructions=max_instructions)
+    return hart
+
+
+def _build(body: str, engine: str, *, compress: bool = False,
+           code_in_ddr: bool = False) -> Hart:
+    """Assemble ``body`` into a fresh mini system with an ``engine`` hart."""
     sim = Simulator()
     rom = BootRom(64 * 1024)
     ddr = DdrController(DDR_SIZE)
@@ -61,7 +74,6 @@ def _run(body: str, engine: str, *, compress: bool = False,
         reset_pc=program.entry,
         engine=engine,
     )
-    hart.run(max_instructions=max_instructions)
     return hart
 
 
@@ -160,6 +172,79 @@ def test_random_programs_in_looping_harness(seed):
         ebreak
     """
     _assert_equiv(body)
+
+
+def _self_loop(rng: random.Random, iters: int) -> str:
+    """A counted loop whose body is one basic block (random ALU ops,
+    loads and stores, no inner branch): the block's branch targets its
+    own entry, so the block engine takes that back-edge in place."""
+    lines = [f"li {reg}, {rng.randrange(-2048, 2048)}" for reg in _REGS]
+    lines += [f"li s0, {DDR_BASE + 0x1000}", f"li s1, {iters}", "loop:"]
+    for _ in range(rng.randrange(1, 24)):
+        roll = rng.random()
+        if roll < 0.6:
+            rd, rs1, rs2 = (rng.choice(_REGS) for _ in range(3))
+            lines.append(f"{rng.choice(_ALU3)} {rd}, {rs1}, {rs2}")
+        elif roll < 0.8:
+            op, nb = rng.choice(_STORES)
+            offset = rng.randrange(0, 256 // nb) * nb
+            lines.append(f"{op} {rng.choice(_REGS)}, {offset}(s0)")
+        else:
+            op, nb = rng.choice(_LOADS)
+            offset = rng.randrange(0, 256 // nb) * nb
+            lines.append(f"{op} {rng.choice(_REGS)}, {offset}(s0)")
+    lines += ["addi s1, s1, -1", "bnez s1, loop", "ebreak"]
+    return "\n".join(lines)
+
+
+def _count_in_place_passes() -> Tuple[List[int], object]:
+    """Spy on compiled blocks: record every call that retired more than
+    one pass of its block (a back-edge taken inside the closure)."""
+    passes: List[int] = []
+    compile_block = hart_module.compile_block
+
+    def spy(hart: Hart, pc: int) -> object:
+        block = compile_block(hart, pc)
+        if block is not None:
+            fn, n_instr = block.fn, block.n_instr
+
+            def run(*args: object) -> int:
+                retired = fn(*args)
+                if retired > n_instr:
+                    passes.append(retired)
+                return retired
+
+            block.fn = run
+        return block
+
+    return passes, mock.patch.object(hart_module, "compile_block", spy)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seeds, st.booleans())
+def test_self_loop_back_edge_in_place(seed, compress):
+    """A one-block loop runs its back-edge inside the closure and still
+    replays the interpreter exactly."""
+    body = _self_loop(random.Random(seed), iters=12)
+    passes, spy = _count_in_place_passes()
+    with spy:
+        _assert_equiv(body, compress=compress)
+    assert passes
+
+
+@settings(max_examples=10, deadline=None)
+@given(seeds, st.integers(40, 400))
+def test_self_loop_stops_at_the_budget(seed, budget):
+    """The in-place loop leaves before a pass the budget would not
+    cover: both engines exhaust the same budget at the same state."""
+    body = _self_loop(random.Random(seed), iters=1000)
+    states = []
+    for engine in ("interp", "block"):
+        hart = _build(body, engine)
+        with pytest.raises(CpuError, match="budget exceeded"):
+            hart.run(max_instructions=budget)
+        states.append(_state(hart))
+    assert states[0] == states[1]
 
 
 # ----------------------------------------------------------------------
