@@ -14,7 +14,9 @@ input has arrived, and ``produce`` reads through a byte cursor over the
 filtered rows, running the golden filter once over every ready row not
 yet filtered when the cursor first reaches one of them.  A row's pixels
 depend only on its 3-row neighbourhood and its ready cycle only on its
-index, so where the filter runs moves no cycle.
+index, so where the filter runs moves no cycle.  While no row is ready
+to go, :meth:`StreamAccelerator.poll_law` declares what every poll
+returns, so the DMA's S2MM spin can skip those polls in closed form.
 
 Timing bookkeeping uses a fixed-point II (``ii_num / ii_den``) so the
 cycle accounting stays integral and reproducible.
@@ -23,11 +25,11 @@ cycle accounting stays integral and reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.axi.stream import StreamSink, StreamSource
+from repro.axi.stream import PollLaw, StreamSink, StreamSource
 from repro.errors import ControllerError
 
 BYTES_PER_BEAT = 8
@@ -211,3 +213,11 @@ class StreamAccelerator(StreamSink, StreamSource):
         avail = (started + self.timing.startup_cycles
                  + self.timing.cycles_for_beats(needed_beats))
         return bytes(self._out[pos:end]), (avail if avail > now else now)
+
+    def poll_law(self) -> Optional[PollLaw]:
+        """``produce``'s not-ready retry, while no row is ready to go:
+        one cycle later, or once the input landed so far is consumed."""
+        if (self._out_pos < self._rows_ready * self.width
+                or self._rows_ready >= self.height):
+            return None
+        return 1, self._in_busy

@@ -14,8 +14,10 @@ control interface.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.axi.interface import AxiSlave
-from repro.axi.stream import StreamSink, StreamSource
+from repro.axi.stream import PollLaw, StreamSink, StreamSource
 from repro.axi.types import AxiResult
 
 
@@ -72,3 +74,8 @@ class StreamIsolator(StreamSink, StreamSource):
         if self.decoupled or self.source is None:
             return b"", now + 1
         return self.source.produce(nbytes, now)
+
+    def poll_law(self) -> Optional[PollLaw]:
+        if self.decoupled or self.source is None:
+            return 1, 0  # an idle gate retries one cycle later
+        return self.source.poll_law()

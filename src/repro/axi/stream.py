@@ -6,35 +6,60 @@ last byte was consumed.  A stream *source* produces bytes on demand.
 The DMA moves data between memory-mapped space and these interfaces at
 burst granularity, so a full 650 KB bitstream transfer costs thousands
 — not hundreds of thousands — of simulation events.
+
+Two closed forms let the DMA engine skip per-burst calls that carry no
+choice.  A sink chain may resolve a *bulk accept* (:data:`BulkAccept`):
+it schedules a whole run of bursts and commits it in one call.  A
+source may declare its *empty-poll law* (:meth:`StreamSource.poll_law`):
+what every poll returns while it has no data, until foreign code runs.
 """
 
 from __future__ import annotations
 
 import abc
 from collections import deque
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import BusError
 
-#: planned bulk accept: ``plan(arrivals, nbytes)`` schedules one
-#: ``nbytes`` burst per arrival time and returns ``(accept_done,
-#: commit)`` without touching any state; ``commit(data, n)`` then applies
-#: exactly the side effects of the first ``n`` per-burst ``accept`` calls
-#: (``data`` is their payload, concatenated) and returns the capacity
-BulkAcceptPlan = Callable[
-    [np.ndarray, int],
-    Tuple[np.ndarray, Callable[[bytes, int], int]],
-]
-#: resolved bulk sink ``(accept, plan)``: ``accept(data, now)`` is
-#: :meth:`StreamSink.accept` returning ``(accept_done, capacity)``, the
-#: *capacity* being how many back-to-back bursts of ``data``'s size
-#: ``plan`` may schedule from the sink's new state (valid until foreign
-#: code runs).  ``resolve_bulk_accept(lead)`` resolves one for arrivals
+#: resolved bulk accept, from ``resolve_bulk_accept(lead)`` for arrivals
 #: delayed by ``lead`` cycles of pure pipeline stages in the layers
-#: above.
-BulkAccept = Tuple[Callable[[bytes, int], Tuple[int, int]], BulkAcceptPlan]
+#: above: ``plan(arrivals, nbytes)`` schedules one ``nbytes`` burst per
+#: arrival time and returns ``(accept_done, commit)`` without touching
+#: any state, or ``None`` when the sink cannot take the run in closed
+#: form.  ``commit(data, n)`` then applies exactly the side effects of
+#: the first ``n`` per-burst ``accept`` calls (``data`` is their payload,
+#: concatenated).
+BulkAccept = Callable[
+    [np.ndarray, int],
+    Optional[Tuple[np.ndarray, Callable[[bytes, int], None]]],
+]
+#: empty-poll law ``(k, floor)`` of a source: until foreign code runs,
+#: a ``produce`` at any cycle ``t`` returns ``(b"", max(t + k, floor))``
+#: and changes no state; ``k`` is at least one cycle
+PollLaw = Tuple[int, int]
+
+
+def counted_bulk(plan: BulkAccept, count: Callable[[int], None]) -> BulkAccept:
+    """``plan`` whose commits first count the bytes they move, as a
+    layer's ``accept`` counts each burst before passing it on."""
+
+    def counted(arrivals: np.ndarray, nbytes: int
+                ) -> Optional[Tuple[np.ndarray, Callable[[bytes, int], None]]]:
+        planned = plan(arrivals, nbytes)
+        if planned is None:
+            return None
+        done, commit = planned
+
+        def counted_commit(data: bytes, n: int) -> None:
+            count(n * nbytes)
+            commit(data, n)
+
+        return done, counted_commit
+
+    return counted
 
 
 class StreamSink(abc.ABC):
@@ -61,6 +86,11 @@ class StreamSource(abc.ABC):
         Returns ``(data, complete_at)``.  ``data`` may be shorter than
         requested when the source ends its packet (TLAST).
         """
+
+    def poll_law(self) -> Optional[PollLaw]:
+        """The source's empty-poll law now, or ``None`` (no closed form,
+        or the next poll finds data or the end of the packet)."""
+        return None
 
 
 class NullSink(StreamSink):

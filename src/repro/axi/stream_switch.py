@@ -11,9 +11,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
-import numpy as np
-
-from repro.axi.stream import BulkAccept, StreamSink, StreamSource
+from repro.axi.stream import (
+    BulkAccept,
+    PollLaw,
+    StreamSink,
+    StreamSource,
+    counted_bulk,
+)
 from repro.errors import BusError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -125,22 +129,18 @@ class AxiStreamSwitch(StreamSink):
         """A fused accept closure for the currently selected route.
 
         Exactly :meth:`accept`'s behaviour (stage latency, per-port byte
-        counter) with the switch frame and the downstream converter's
-        frame collapsed into one closure.  Resolved per descriptor by
-        the DMA engine, so a ``select`` between transfers simply yields
-        a new closure; switching mid-transfer is a protocol violation
-        regardless.  ``None`` when no sink is selected (the slow path
-        raises the proper error).
+        counter) with the switch frame collapsed into one closure.
+        Resolved per descriptor by the DMA engine, so a ``select``
+        between transfers simply yields a new closure; switching
+        mid-transfer is a protocol violation regardless.  ``None`` when
+        no sink is selected (the slow path raises the proper error).
         """
         if self._selected is None:
             return None
         sink = self._sinks.get(self._selected)
         if sink is None:
             return None
-        inner_resolve = getattr(sink, "resolve_accept", None)
-        inner = inner_resolve() if inner_resolve is not None else None
-        if inner is None:
-            inner = sink.accept
+        inner = sink.accept
         stage = self.stage_latency
         counter = (self._port_counter(self._selected)
                    if self.obs is not None else None)
@@ -157,8 +157,8 @@ class AxiStreamSwitch(StreamSink):
         """Bulk sibling of :meth:`resolve_accept` (see ``BulkAccept``).
 
         The stage latency folds into the selected sink's ``lead``; the
-        per-port byte counter advances by each burst or committed run.
-        ``None`` unless the selected sink resolves a bulk path itself.
+        per-port byte counter advances by each committed run.  ``None``
+        unless the selected sink resolves a bulk path itself.
         """
         if self._selected is None:
             return None
@@ -168,24 +168,7 @@ class AxiStreamSwitch(StreamSink):
                                        if resolve is not None else None)
         if inner is None or self.obs is None:
             return inner
-        inner_accept, inner_plan = inner
-        counter = self._port_counter(self._selected)
-
-        def accept(data: bytes, now: int) -> Tuple[int, int]:
-            counter.value += len(data)
-            return inner_accept(data, now)
-
-        def plan(arrivals: np.ndarray, nbytes: int
-                 ) -> Tuple[np.ndarray, Callable[[bytes, int], int]]:
-            done, inner_commit = inner_plan(arrivals, nbytes)
-
-            def commit(data: bytes, n: int) -> int:
-                counter.value += n * nbytes
-                return inner_commit(data, n)
-
-            return done, commit
-
-        return accept, plan
+        return counted_bulk(inner, self._port_counter(self._selected).inc)
 
     def resolve_produce(self) -> Optional[Callable[[int, int], Tuple[bytes, int]]]:
         """A fused produce closure for the selected source, or ``None``."""
@@ -222,3 +205,12 @@ class AxiStreamSwitch(StreamSink):
         if self.obs is not None and data:
             self._port_counter(self._selected).inc(len(data))  # type: ignore[arg-type]
         return data, done
+
+    def poll_law(self) -> Optional[PollLaw]:
+        """The selected source's empty-poll law, one stage later."""
+        source = (self._sources.get(self._selected)
+                  if self._selected is not None else None)
+        law = source.poll_law() if source is not None else None
+        if law is None:
+            return None
+        return law[0] + self.stage_latency, law[1]

@@ -14,11 +14,11 @@ it reaches the port.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.axi.stream import BulkAccept, StreamSink
+from repro.axi.stream import BulkAccept, StreamSink, counted_bulk
 from repro.fpga.compression import rle_decompress
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -49,37 +49,14 @@ class Axis2Icap(StreamSink):
             "axis2icap_bytes_out_total",
             "bytes written to the ICAP data port (post-decompression)")
 
-    def resolve_accept(self) -> Optional[Callable[[bytes, int], int]]:
-        """A fused accept closure for the pass-through (64b->2x32b) mode.
-
-        Identical to :meth:`accept` with the converter frame removed
-        and the byte counters inlined; ``None`` in decompression mode
-        (record buffering needs the full path).
-        """
-        if self.decompress:
-            return None
-        icap_accept = self.icap.accept
-        stage = self.stage_latency
-        c_in = self._c_in
-        c_out = self._c_out
-
-        def accept(data: bytes, now: int) -> int:
-            n = len(data)
-            self.bytes_in += n
-            self.bytes_out += n
-            if c_in is not None:
-                c_in.value += n
-                c_out.value += n
-            return icap_accept(data, now + stage)
-
-        return accept
-
     def resolve_bulk_accept(self, lead: int = 0) -> Optional[BulkAccept]:
-        """Bulk sibling of :meth:`resolve_accept` (see ``BulkAccept``).
+        """Bulk form of :meth:`accept` (see ``BulkAccept``).
 
         Pass-through mode only, and only when the ICAP resolves a bulk
         path: the stage latency folds into the ICAP's ``lead`` and the
-        byte counters advance by each burst or committed run.
+        byte counters advance by each committed run.  (The DMA streams
+        a bitstream in bulk but for its first burst and its tail, so
+        the per-burst path through :meth:`accept` needs no fused form.)
         """
         if self.decompress:
             return None
@@ -88,7 +65,6 @@ class Axis2Icap(StreamSink):
                                        if resolve is not None else None)
         if inner is None:
             return None
-        inner_accept, inner_plan = inner
         c_in = self._c_in
         c_out = self._c_out
 
@@ -99,21 +75,7 @@ class Axis2Icap(StreamSink):
                 c_in.value += moved
                 c_out.value += moved
 
-        def accept(data: bytes, now: int) -> Tuple[int, int]:
-            count(len(data))
-            return inner_accept(data, now)
-
-        def plan(arrivals: np.ndarray, nbytes: int
-                 ) -> Tuple[np.ndarray, Callable[[bytes, int], int]]:
-            done, inner_commit = inner_plan(arrivals, nbytes)
-
-            def commit(data: bytes, n: int) -> int:
-                count(n * nbytes)
-                return inner_commit(data, n)
-
-            return done, commit
-
-        return accept, plan
+        return counted_bulk(inner, count)
 
     def accept(self, data: bytes, now: int) -> int:
         self.bytes_in += len(data)

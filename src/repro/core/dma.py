@@ -34,22 +34,31 @@ oracle in ``tests/property/test_dma_engine_equiv.py``, which pins this
 engine to it.
 
 On the reconfiguration route (crossbar -> ``DdrPort`` -> stream switch
--> pass-through ``Axis2Icap`` -> ``Icap``) the engine moves FDRI
-payload in *bulk steps*: a run of at least ``_MIN_BULK_BURSTS`` whole
-bursts lying wholly inside one FDRI payload is scheduled at once, each
-layer computing its part in closed form behind a bulk sibling of its
-resolved port (``resolve_bulk_read``, ``resolve_bulk_accept``).  The
-step cuts the run after the first burst whose pacing target reaches the
-batch window, commits that prefix with exactly the per-burst calls'
-side effects and leaves the clock where the per-burst loop would.
-Every other burst — the session header, the CRC/DESYNC trailer and NOOP
-pad — and every other route (fault proxies, RLE decompression, a capped
-DDR device bandwidth, bursts longer than a DDR row) keeps the per-burst
-loop.
+-> pass-through ``Axis2Icap`` -> ``Icap``) the engine moves the
+descriptor in *bulk steps*: a run of at least ``_MIN_BULK_BURSTS`` whole
+bursts is scheduled at once, each layer computing its part in closed
+form behind a bulk sibling of its resolved port (``resolve_bulk_read``,
+``resolve_bulk_accept``).  The step cuts the run after the first burst
+whose pacing target reaches the batch window, commits that prefix with
+exactly the per-burst calls' side effects and leaves the clock where the
+per-burst loop would.  The DDR refuses a run whose first burst does not
+continue its sequential stream, so a descriptor's first burst and its
+partial tail go burst by burst, as does every other route (fault
+proxies, RLE decompression, a capped DDR device bandwidth, bursts longer
+than a DDR row, an ICAP holding a partial word or a commit guard).
+
+S2MM spins on a source with no data yet (the accelerator filling its
+pipeline) in closed form when the source declares its empty-poll law
+(:meth:`~repro.axi.stream.StreamSource.poll_law`): every later poll
+returns ``k`` cycles after the one before, so the engine moves the
+clock to the last poll the loop would make before the batch window or
+the spin bound in one step and yields the ``Delay`` that poll returns —
+where, and as long as, the poll loop would.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Callable, Generator, List, Optional, Tuple
 
 import numpy as np
@@ -88,6 +97,21 @@ SR_ERR_IRQ = 1 << 14
 #: shortest run of whole bursts the engine schedules as one bulk step;
 #: shorter runs cost less burst by burst than planning them
 _MIN_BULK_BURSTS = 8
+#: empty S2MM polls batched back to back before the engine yields a
+#: real event, so a source that never fills still shows as queue
+#: traffic (and trips the kernel's runaway-event guard)
+_MAX_SPINS = 4096
+
+
+def _polls_to_yield(k: int, ready: int, window: float, spins: int) -> int:
+    """Empty polls the S2MM spin makes after its ``spins``-th returned
+    ``ready`` inside the window, up to and including the first whose
+    result meets the batch window or the spin bound, when every poll
+    returns ``k`` cycles after the one before."""
+    polls = _MAX_SPINS - spins
+    if window != math.inf:
+        polls = min(polls, -(-int(window - ready) // k))
+    return polls
 
 
 class DmaChannel:
@@ -300,7 +324,7 @@ class DmaChannel:
 
     def _bulk_step(self, bulk: Tuple[BulkRead, BulkAccept], addr: int,
                    count: int, read_time: int
-                   ) -> Optional[Tuple[int, int, int, int, int]]:
+                   ) -> Optional[Tuple[int, int, int, int]]:
         """Run the next ``count`` whole bursts as one scheduled step.
 
         The step schedules the whole run, cuts it after the first burst
@@ -309,11 +333,11 @@ class DmaChannel:
         per-burst calls' side effects.  The clock ends at the pacing
         position before the prefix's last burst, which the caller paces
         like any other.  Returns ``(bytes, read_time, accept_done,
-        capacity, advanced)`` for the prefix, ``advanced`` being the
-        cycles the clock moved, or ``None`` when the window is shut or
-        the memory side refuses the run.
+        advanced)`` for the prefix, ``advanced`` being the cycles the
+        clock moved, or ``None`` when the window is shut or a layer
+        refuses the run.
         """
-        read, (_accept, plan_accept) = bulk
+        read, plan_accept = bulk
         burst = self.burst_bytes
         sim = self.sim
         now = sim._now
@@ -324,14 +348,17 @@ class DmaChannel:
         if planned is None:
             return None
         read_done, commit_read = planned
-        accept_done, commit_accept = plan_accept(read_done, burst)
+        accepted = plan_accept(read_done, burst)
+        if accepted is None:
+            return None
+        accept_done, commit_accept = accepted
         # the pacing target max(accept_done - burst, read_done) never
         # decreases, so the first burst whose target reaches the window
         # is the earlier of the two series' first crossings
         cut = min(int(accept_done.searchsorted(window + burst)),
                   int(read_done.searchsorted(window)))
         n = cut + 1 if cut < count else count
-        capacity = commit_accept(commit_read(n), n)
+        commit_accept(commit_read(n), n)
         self.bytes_done += n * burst
         self.bursts_completed += n
         histogram = self._h_burst
@@ -351,7 +378,7 @@ class DmaChannel:
                 sim.batch_advance(before)
                 advanced = before - now
         return (n * burst, int(read_done[n - 1]), int(accept_done[n - 1]),
-                capacity, advanced)
+                advanced)
 
     def _run_mm2s(self) -> Generator[Delay, None, bool]:
         if self.sink is None:
@@ -377,22 +404,16 @@ class DmaChannel:
         resolve_accept = getattr(self.sink, "resolve_accept", None)
         fast_accept = resolve_accept() if resolve_accept is not None else None
         sink_accept = fast_accept if fast_accept is not None else self.sink.accept
-        # bulk step: runs of whole bursts inside one FDRI payload, on a
-        # route that schedules them in closed form (module docstring).
-        # There every burst's accept also reports the sink's capacity,
-        # which holds until foreign code runs at the next yield.
+        # bulk step: runs of whole bursts on a route that schedules
+        # them in closed form (module docstring)
         bulk = self._resolve_bulk(addr, remaining)
-        probe_accept = bulk[1][0] if bulk is not None else None
-        capacity = 0
         while remaining:
             count = remaining // burst
-            if capacity < count:
-                count = capacity
-            step: Optional[Tuple[int, int, int, int, int]] = None
+            step: Optional[Tuple[int, int, int, int]] = None
             if count >= _MIN_BULK_BURSTS and bulk is not None:
                 step = self._bulk_step(bulk, addr, count, read_time)
             if step is not None:
-                nbytes, read_time, accept_done, capacity, advanced = step
+                nbytes, read_time, accept_done, advanced = step
                 if observed:
                     stall += advanced
             else:
@@ -407,10 +428,7 @@ class DmaChannel:
                     data, complete_at = result.data, result.complete_at
                 issue_time = read_time
                 read_time = complete_at
-                if probe_accept is None:
-                    accept_done = sink_accept(data, read_time)
-                else:
-                    accept_done, capacity = probe_accept(data, read_time)
+                accept_done = sink_accept(data, read_time)
                 self.bytes_done += nbytes
                 self.bursts_completed += 1
                 if observed:
@@ -429,7 +447,6 @@ class DmaChannel:
                     batch_advance(target)
                 else:
                     stall = self._flush_obs(latencies, stall)
-                    capacity = 0
                     yield Delay(target - now)
         final = read_time if read_time > accept_done else accept_done
         self._flush_obs(latencies, stall)
@@ -459,6 +476,7 @@ class DmaChannel:
         fast_produce = (resolve_produce()
                         if resolve_produce is not None else None)
         produce = fast_produce if fast_produce is not None else self.source.produce
+        poll_law = self.source.poll_law
         while remaining:
             nbytes = burst if burst < remaining else remaining
             now = sim._now
@@ -471,12 +489,25 @@ class DmaChannel:
                     # the kernel's runaway-event guard) instead of
                     # spinning eagerly forever
                     spins += 1
-                    if spins < 4096 and ready < batch_window():
-                        batch_advance(ready)
-                    else:
-                        spins = 0
-                        stall = self._flush_obs(latencies, stall)
-                        yield Delay(ready - now)
+                    window = batch_window()
+                    if spins < _MAX_SPINS and ready < window:
+                        law = poll_law()
+                        if law is None:
+                            batch_advance(ready)
+                            continue
+                        # this poll met the law's floor, so every later
+                        # one returns k cycles after the one before:
+                        # land on the last poll the loop makes, the
+                        # first whose result meets the window or the
+                        # spin bound, and yield what it returns
+                        k = law[0]
+                        now = ready + (_polls_to_yield(k, ready, window,
+                                                       spins) - 1) * k
+                        batch_advance(now)
+                        ready = now + k
+                    spins = 0
+                    stall = self._flush_obs(latencies, stall)
+                    yield Delay(ready - now)
                     continue
                 break
             spins = 0

@@ -23,6 +23,7 @@ For instruction-exact numbers use :mod:`repro.firmware.hwicap_fw`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
 from repro.core import hwicap as hw
 from repro.drivers.fileio import RmDescriptor
@@ -30,6 +31,23 @@ from repro.drivers.mmio import HostPort
 from repro.drivers.rvcap_driver import ReconfigResult
 from repro.drivers.timer import ClintTimer
 from repro.errors import ControllerError
+from repro.fpga import packets as pk
+from repro.fpga.frames import FrameAddress
+from repro.fpga.packets import Command, ConfigRegister
+
+
+def readback_request(far: FrameAddress, total_words: int) -> List[int]:
+    """The UG470 readback request: sync, RCFG, FAR and an FDRO read of
+    ``total_words`` words (the device's pad frame included)."""
+    return [
+        pk.DUMMY_WORD, pk.SYNC_WORD, pk.NOOP_WORD,
+        pk.type1_write(ConfigRegister.CMD, 1), int(Command.RCFG),
+        pk.NOOP_WORD,
+        pk.type1_write(ConfigRegister.FAR, 1), far.encode(),
+        pk.type1_read(ConfigRegister.FDRO, 0),
+        pk.type2_read(total_words),
+        pk.NOOP_WORD,
+    ]
 
 
 @dataclass(frozen=True)
@@ -137,22 +155,11 @@ class HwIcapDriver:
         skipped here exactly as a real driver must.
         """
         import numpy as np
-        from repro.fpga import packets as pk
-        from repro.fpga.packets import Command, ConfigRegister
 
         soc = self.port.soc
         wpf = soc.config_memory.device.words_per_frame
         total_words = (frames + 1) * wpf  # + pad frame
-
-        command_words = [
-            pk.DUMMY_WORD, pk.SYNC_WORD, pk.NOOP_WORD,
-            pk.type1_write(ConfigRegister.CMD, 1), int(Command.RCFG),
-            pk.NOOP_WORD,
-            pk.type1_write(ConfigRegister.FAR, 1), far.encode(),
-            pk.type1_read(ConfigRegister.FDRO, 0),
-            pk.type2_read(total_words),
-            pk.NOOP_WORD,
-        ]
+        command_words = readback_request(far, total_words)
 
         def swap(word: int) -> int:
             # the WF register carries bitstream *bytes* as an LE load

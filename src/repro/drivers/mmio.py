@@ -7,19 +7,24 @@ host-driver mode: every access is a real AXI transaction issued at the
 current simulation time with the CPU-side issue overhead charged, and
 simulation time advances to the response.
 
-Hot 32-bit register accesses are routed through the fused port chains
-of :mod:`repro.axi.fastpath` (built for the ISS block engine): one
-cached closure per address reproduces the exact timing, arbitration
-watermarks and counters of the full crossbar walk.  Addresses the
-fuser refuses (wide accesses, unusual chain shapes, error paths) fall
-back to the fully timed crossbar transaction unchanged.
+32-bit register accesses go through one cached closure per address
+that reproduces the exact timing, arbitration watermarks and counters
+of the full crossbar walk: the fused port chain of
+:mod:`repro.axi.fastpath` (built for the ISS block engine) where the
+fuser takes the address, else the crossbar's resolved port
+(``resolve_read_port``/``resolve_write_port``), which serves register
+banks with no AXI4-Lite converter in front, such as the CLINT and the
+PLIC.  Only 64-bit accesses and addresses no port resolves (unmapped
+ones raise :class:`~repro.errors.BusError`) take the plain crossbar
+transaction.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.axi.fastpath import fuse_read_port, fuse_write_port
+from repro.axi.interface import ReadPort, WritePort
 from repro.axi.types import AxiResult
 from repro.errors import BusError
 from repro.soc.soc import Soc
@@ -35,10 +40,10 @@ class HostPort:
         self.sim = soc.sim
         self.cpu_timing = soc.config.timing.cpu
         self.accesses = 0
-        # per-address fused port caches; value None = "not fusible,
-        # use the timed path" (resolved once, then cached)
-        self._fused_reads: Dict[int, Optional[Callable[[int], Tuple[int, int]]]] = {}
-        self._fused_writes: Dict[int, Optional[Callable[[int, int], int]]] = {}
+        # per-address resolved port caches; value None = "no port
+        # resolves, use the plain path" (resolved once, then cached)
+        self._read_ports: Dict[int, Optional[ReadPort]] = {}
+        self._write_ports: Dict[int, Optional[WritePort]] = {}
 
     # ------------------------------------------------------------------
     # time bookkeeping
@@ -74,10 +79,12 @@ class HostPort:
         self.sim.advance_to(result.complete_at)
 
     def read32(self, addr: int) -> int:
-        port = self._fused_reads.get(addr, _UNRESOLVED)
+        port = self._read_ports.get(addr, _UNRESOLVED)
         if port is _UNRESOLVED:
-            port = fuse_read_port(self.soc.xbar, addr, 4)
-            self._fused_reads[addr] = port
+            xbar = self.soc.xbar
+            port = (fuse_read_port(xbar, addr, 4)
+                    or xbar.resolve_read_port(addr, 4))
+            self._read_ports[addr] = port
         if port is None:
             return self._issue_read(addr, 4).value()
         self.accesses += 1
@@ -86,10 +93,12 @@ class HostPort:
         return value
 
     def write32(self, addr: int, value: int) -> None:
-        port = self._fused_writes.get(addr, _UNRESOLVED)
+        port = self._write_ports.get(addr, _UNRESOLVED)
         if port is _UNRESOLVED:
-            port = fuse_write_port(self.soc.xbar, addr, 4)
-            self._fused_writes[addr] = port
+            xbar = self.soc.xbar
+            port = (fuse_write_port(xbar, addr, 4)
+                    or xbar.resolve_write_port(addr, 4))
+            self._write_ports[addr] = port
         if port is None:
             self._issue_write(addr, (value & 0xFFFF_FFFF).to_bytes(4, "little"))
             return

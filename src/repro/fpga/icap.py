@@ -25,17 +25,23 @@ every FDRI word into the CRC as it arrives, is kept as the oracle in
 ``tests/property/test_icap_vector_props.py``, which cross-checks the
 two word-for-word.
 
-The port also takes FDRI payload from the DMA in bulk
-(:meth:`Icap.resolve_bulk_accept`): a run of whole bursts strictly
-inside the payload is timed by one max-plus scan over the port's busy
-chain and staged as one chunk, with the counters the per-burst fast
-path would have advanced (see :mod:`repro.core.dma`).
+The port also takes whole runs of DMA bursts in one step
+(:meth:`Icap.resolve_bulk_accept`): the run is timed by one max-plus
+scan over the port's busy chain, whatever its words are, and parsed in
+one pass over the concatenated words — staged as one chunk when it lies
+inside an FDRI payload.  Every side effect that depends on where the
+bursts split is taken from the burst that carried the word: a session
+span opens at the arrival of the burst carrying the sync word and
+closes where the DESYNC burst drains (see :mod:`repro.core.dma`).
 
 Observability: a configuration session runs from the sync word to
 DESYNC or a port reset.  With a tracer attached each one is an
 ``icap/session`` span, opened at the ``now`` of the accept whose words
 take the parser out of UNSYNCED and closed where the port drains:
 status ``ok``/``error`` at DESYNC, ``aborted`` at :meth:`Icap.reset`.
+The span's ``words`` counts that session's words, from the sync word
+through the DESYNC command word (through the last word consumed
+before the reset, for an aborted session).
 """
 
 from __future__ import annotations
@@ -130,6 +136,13 @@ class Icap(StreamSink):
         # detached cost is a single ``is not None`` check per accept
         self.obs: Optional["Observability"] = None
         self._session_span: Optional["Span"] = None
+        #: stream index (``words_consumed`` numbering) of the open
+        #: session's sync word
+        self._session_first = 0
+        #: while a bulk commit parses its run: ``(first, words,
+        #: arrivals, done)`` — the stream index of the run's first word,
+        #: the words per burst and each burst's arrival and drain cycle
+        self._bulk_run: Optional[Tuple[int, int, np.ndarray, np.ndarray]] = None
         self._c_words: Optional["Counter"] = None
         self._c_stall: Optional["Counter"] = None
         self._c_sessions: Optional["Counter"] = None
@@ -175,7 +188,8 @@ class Icap(StreamSink):
         aborted session can never leak data or addressing into the
         next one.  An open session span closes as ``aborted``.
         """
-        self._end_session("aborted")
+        self._end_session("aborted", self._busy_until,
+                          self.words_consumed - 1)
         self._byte_buffer.clear()
         self._state = _ParseState.UNSYNCED
         self._payload_reg = None
@@ -224,24 +238,30 @@ class Icap(StreamSink):
             else:
                 raw = data[:whole]
                 buffer.extend(data[whole:])
+        self._consume(raw, now)
+        return self._busy_until
+
+    def _consume(self, raw: bytes, now: int) -> None:
+        """Parse ``raw``, whole words that arrived at ``now``."""
+        whole = len(raw)
         n = whole >> 2
         if (self._state is _ParseState.PAYLOAD
                 and self._payload_reg == ConfigRegister.FDRI
                 and self._payload_remaining > n):
-            # streaming fast path: the burst sits wholly inside an FDRI
+            # streaming fast path: the words sit wholly inside an FDRI
             # payload, so the word scan reduces to staging the raw
             # bytes — exactly the PAYLOAD arm of either word scan with
             # take == n and no packet boundary reached (words_consumed
             # and the remaining count advance the same way; the staged
             # bytes join _fdri_words and the CRC backlog at the next
             # flush, where list order keeps concatenation and folding
-            # identical).  Applies to any burst size, so DMA bursts and
-            # keyhole words skip the per-word state machine alike; the
-            # ndarray materialization is deferred to the flush.
+            # identical).  Applies to any size, so DMA bursts, bulk runs
+            # and keyhole words skip the per-word state machine alike;
+            # the ndarray materialization is deferred to the flush.
             self._fdri_raw.append(raw)
             self.words_consumed += n
             self._payload_remaining -= n
-            return self._busy_until
+            return
         if self._fdri_raw:
             self._flush_fdri_raw()
         if whole <= _SMALL_ACCEPT_BYTES:
@@ -251,33 +271,25 @@ class Icap(StreamSink):
         else:
             self._consume_words_vec(
                 np.frombuffer(raw, dtype=">u4").astype(np.uint32), now)
-        return self._busy_until
 
     def resolve_bulk_accept(self, lead: int = 0) -> Optional[BulkAccept]:
-        """Bulk form of the streaming fast path (see ``BulkAccept``).
+        """Bulk form of :meth:`accept` for runs of whole-word bursts.
 
-        Capacity is the number of whole bursts that fit strictly inside
-        the open FDRI payload — exactly the bursts :meth:`accept` would
-        stage on its fast path — and zero whenever that path would not
-        run for the next burst: another packet state or a partial word
-        in the byte buffer.  The busy chain
-        ``done[i] = max(done[i-1], t[i]) + words`` is one max-plus scan;
-        a committed run stages its payload as one ``_fdri_raw`` chunk.
+        ``None`` — and the plan refuses — while bytes of a partial word
+        are buffered (the run's words would straddle its bursts) or a
+        ``commit_guard`` is installed (it may raise in the middle of a
+        run).  The busy chain ``done[i] = max(done[i-1], t[i]) + words``
+        does not depend on the words, so it is one max-plus scan.  The
+        commit parses the whole run in one pass, taking the timing of
+        every session boundary from the burst that carried the word.
         """
-        accept_burst = self.accept
-
-        def capacity(nbytes: int) -> int:
-            if (self._state is not _ParseState.PAYLOAD
-                    or self._payload_reg != ConfigRegister.FDRI
-                    or self._byte_buffer or nbytes % 4):
-                return 0
-            return (self._payload_remaining - 1) // (nbytes >> 2)
-
-        def accept(data: bytes, now: int) -> Tuple[int, int]:
-            return accept_burst(data, now + lead), capacity(len(data))
+        if not self._takes_bulk_runs():
+            return None
 
         def plan(arrivals: np.ndarray, nbytes: int
-                 ) -> Tuple[np.ndarray, Callable[[bytes, int], int]]:
+                 ) -> Optional[Tuple[np.ndarray, Callable[[bytes, int], None]]]:
+            if nbytes % 4 or not self._takes_bulk_runs():
+                return None
             words = nbytes >> 2  # one word per cycle
             count = len(arrivals)
             # burst i arrives at t[i] = arrivals[i] + lead, so
@@ -292,7 +304,7 @@ class Icap(StreamSink):
             done += ramp
             done += lead + words
 
-            def commit(data: bytes, n: int) -> int:
+            def commit(data: bytes, n: int) -> None:
                 # each burst stalls max(done[i-1] - t[i], 0), which is
                 # done[i] - t[i] - words
                 taken = n * words
@@ -303,14 +315,21 @@ class Icap(StreamSink):
                 if self.obs is not None:
                     self._c_stall.value += stall  # type: ignore[union-attr]
                     self._c_words.value += taken  # type: ignore[union-attr]
-                self._fdri_raw.append(data)
-                self.words_consumed += taken
-                self._payload_remaining -= taken
-                return capacity(nbytes)
+                self._bulk_run = (self.words_consumed, words,
+                                  arrivals + lead, done)
+                try:
+                    self._consume(data, int(arrivals[0]) + lead)
+                finally:
+                    self._bulk_run = None
 
             return done, commit
 
-        return accept, plan
+        return plan
+
+    def _takes_bulk_runs(self) -> bool:
+        """A run's words start at its first burst and no guard can
+        raise in the middle of it."""
+        return not self._byte_buffer and self.commit_guard is None
 
     def _flush_fdri_raw(self) -> None:
         """Materialize fast-path staged FDRI bytes into the word lists.
@@ -332,13 +351,14 @@ class Icap(StreamSink):
     # ------------------------------------------------------------------
     def _consume_words_vec(self, words: np.ndarray, now: int) -> None:
         n = int(words.size)
-        self.words_consumed += n
+        base = self.words_consumed  # stream index of words[0]
+        self.words_consumed = base + n
         i = 0
         while i < n:
             state = self._state
             if state is _ParseState.PAYLOAD:
                 take = min(self._payload_remaining, n - i)
-                self._payload_vec(words[i : i + take])
+                self._payload_vec(words[i : i + take], base + i)
                 i += take
                 continue
             if state is _ParseState.UNSYNCED:
@@ -349,21 +369,24 @@ class Icap(StreamSink):
                     return
                 i += int(hits[0]) + 1
                 self._state = _ParseState.IDLE
-                self._begin_session(now)
+                self._begin_session(now, base + i - 1)
                 continue
             # IDLE: expect NOP or a packet header
             word = int(words[i])
             if word == NOOP_WORD:
-                # skip the whole NOP run in one scan
-                rest = np.nonzero(words[i:] != NOOP_WORD)[0]
-                if rest.size == 0:
+                # skip the whole NOP run in one scan: argmax finds the
+                # first other word without listing every later one (a
+                # bulk run's FDRI payload follows), and returns 0 only
+                # when there is none, since words[i] is a NOP
+                run = int(np.argmax(words[i:] != NOOP_WORD))
+                if run == 0:
                     return
-                i += int(rest[0])
+                i += run
                 continue
             i += 1
             self._header(word)
 
-    def _payload_vec(self, chunk: np.ndarray) -> None:
+    def _payload_vec(self, chunk: np.ndarray, pos: int) -> None:
         reg = self._payload_reg
         assert reg is not None
         if reg == ConfigRegister.FDRI:
@@ -371,8 +394,8 @@ class Icap(StreamSink):
             if self.crc_check:
                 self._crc_backlog.append(chunk)
         else:
-            for value in chunk.tolist():
-                self._write_register(reg, value)
+            for k, value in enumerate(chunk.tolist()):
+                self._write_register(reg, value, pos + k)
         self._finish_payload_chunk(reg, len(chunk))
 
     # ------------------------------------------------------------------
@@ -380,12 +403,13 @@ class Icap(StreamSink):
     # ------------------------------------------------------------------
     def _consume_words_scalar(self, words: List[int], now: int) -> None:
         n = len(words)
-        self.words_consumed += n
+        base = self.words_consumed  # stream index of words[0]
+        self.words_consumed = base + n
         i = 0
         while i < n:
             if self._state is _ParseState.PAYLOAD:
                 take = min(self._payload_remaining, n - i)
-                self._payload_scalar(words[i : i + take])
+                self._payload_scalar(words[i : i + take], base + i)
                 i += take
                 continue
             word = words[i]
@@ -393,13 +417,13 @@ class Icap(StreamSink):
             if self._state is _ParseState.UNSYNCED:
                 if word == SYNC_WORD:
                     self._state = _ParseState.IDLE
-                    self._begin_session(now)
+                    self._begin_session(now, base + i - 1)
                 continue
             if word == NOOP_WORD:
                 continue
             self._header(word)
 
-    def _payload_scalar(self, chunk: List[int]) -> None:
+    def _payload_scalar(self, chunk: List[int], pos: int) -> None:
         reg = self._payload_reg
         assert reg is not None
         if reg == ConfigRegister.FDRI:
@@ -409,8 +433,8 @@ class Icap(StreamSink):
                 # keyhole-sized accepts still batch their CRC work
                 self._crc_backlog.append(arr)
         else:
-            for value in chunk:
-                self._write_register(reg, value)
+            for k, value in enumerate(chunk):
+                self._write_register(reg, value, pos + k)
         self._finish_payload_chunk(reg, len(chunk))
 
     # ------------------------------------------------------------------
@@ -447,7 +471,8 @@ class Icap(StreamSink):
             if reg == ConfigRegister.FDRI:
                 self._commit_frames()
 
-    def _write_register(self, reg: int, value: int) -> None:
+    def _write_register(self, reg: int, value: int, pos: int) -> None:
+        """Write ``value``, stream word ``pos``, to register ``reg``."""
         if reg == ConfigRegister.CRC:
             if self.crc_check and value != self._running_crc():
                 self.crc_error = True
@@ -465,7 +490,7 @@ class Icap(StreamSink):
                 self._crc = 0
                 return  # the RCRC word itself is not hashed
             if command == Command.DESYNC:
-                self._finish_desync()
+                self._finish_desync(pos)
             self._hash(value, reg)
             return
         if reg == ConfigRegister.IDCODE:
@@ -585,37 +610,52 @@ class Icap(StreamSink):
     # ------------------------------------------------------------------
     # session boundaries
     # ------------------------------------------------------------------
-    def _begin_session(self, now: int) -> None:
-        """The parser left UNSYNCED: open the session span at ``now``.
+    def _begin_session(self, now: int, pos: int) -> None:
+        """The parser left UNSYNCED at stream word ``pos``: open the
+        session span at the arrival of the accept that carried it.
 
         A re-sync inside an open session (after a protocol error
         dropped the parser) keeps the span it already has.
         """
         if self.obs is not None and self._session_span is None:
+            run = self._bulk_run
+            if run is not None:
+                first, words, arrivals, _done = run
+                now = int(arrivals[(pos - first) // words])
             tracer = self.obs.tracer
             self._session_span = tracer.begin("icap", "session", now)
             tracer.signal("icap_session", now, 1)
+            self._session_first = pos
 
-    def _end_session(self, status: str) -> None:
-        """Close the open session span where the port drains."""
+    def _end_session(self, status: str, done: int, last: int) -> None:
+        """Close the open session span at ``done``, where the port
+        drains; ``last`` is the session's last stream word."""
         span = self._session_span
         if span is None or self.obs is None:
             return
         self._session_span = None
         tracer = self.obs.tracer
-        tracer.end(span, self._busy_until, status=status,
-                   words=self.words_consumed)
-        tracer.signal("icap_session", self._busy_until, 0)
+        tracer.end(span, done, status=status,
+                   words=last + 1 - self._session_first)
+        tracer.signal("icap_session", done, 0)
 
-    def _finish_desync(self) -> None:
+    def _finish_desync(self, pos: int) -> None:
+        """DESYNC at stream word ``pos`` ends the session."""
         self.desynced_count += 1
         self._state = _ParseState.UNSYNCED
         if self.obs is not None:
+            # the port drains where the accept carrying the DESYNC
+            # word does: inside a bulk commit, that burst's own cycle
+            done = self._busy_until
+            run = self._bulk_run
+            if run is not None:
+                first, words, _arrivals, drained = run
+                done = int(drained[(pos - first) // words])
             self._c_sessions.inc()  # type: ignore[union-attr]
-            self._end_session("error" if self.error else "ok")
+            self._end_session("error" if self.error else "ok", done, pos)
             if self.error:
                 self.obs.tracer.instant(
-                    "icap", "config_error", self._busy_until,
+                    "icap", "config_error", done,
                     crc=self.crc_error, protocol=self.protocol_error,
                     idcode=self.idcode_mismatch)
         if not self.error:

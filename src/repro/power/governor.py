@@ -125,29 +125,28 @@ class PowerGovernor:
     # ------------------------------------------------------------------
     # compliance trace
     # ------------------------------------------------------------------
-    def _window_busy(self, end: int) -> int:
-        lo = end - self.window_cycles
-        busy = 0
-        for a, b in self._intervals:
-            overlap = min(b, end) - max(a, lo)
-            if overlap > 0:
-                busy += overlap
-        return busy
-
     def power_samples(self) -> List[Tuple[int, float]]:
         """(cycle, windowed-average mW) at every critical window end.
 
         Windowed busy time is piecewise linear with maxima at interval
         end edges; sampling starts, ends and trailing edges bounds the
-        whole trace.
+        whole trace.  The intervals are chronological, so a window's
+        scan stops at the first interval that starts at or after its
+        end.
         """
-        points: List[int] = []
-        for a, b in self._intervals:
-            points.extend((a, b, b + self.window_cycles))
+        intervals = self._intervals
+        width = self.window_cycles
         samples = []
-        for cycle in sorted(set(points)):
-            busy = self._window_busy(cycle)
-            mw = self.floor_mw + self.dynamic_mw * busy / self.window_cycles
+        for cycle in sorted({edge for a, b in intervals
+                             for edge in (a, b, b + width)}):
+            lo = cycle - width
+            busy = 0
+            for a, b in intervals:
+                if a >= cycle:
+                    break
+                if b > lo:
+                    busy += (b if b < cycle else cycle) - (a if a > lo else lo)
+            mw = self.floor_mw + self.dynamic_mw * busy / width
             samples.append((cycle, round(mw, 3)))
         return samples
 

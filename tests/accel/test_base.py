@@ -128,3 +128,49 @@ class TestTimingModel:
         # paper deltas: 606-598 = 8 us, 598-588 = 10 us at 100 MHz
         assert cycles["gaussian"] - cycles["median"] == pytest.approx(800, abs=60)
         assert cycles["median"] - cycles["sobel"] == pytest.approx(1000, abs=60)
+
+
+class TestPollLaw:
+    """The empty-poll law the DMA skips polls by, checked against the
+    polls it stands for through the switch and the stream isolator."""
+
+    @staticmethod
+    def _assert_law_holds(chain, rm):
+        law = chain.poll_law()
+        state = (rm._out_pos, bytes(rm._out), rm._rows_ready, rm._in_busy)
+        k, floor = law
+        for t in (0, 7, floor, floor + 1, floor + 1000):
+            assert chain.produce(128, t) == (b"", max(t + k, floor))
+        assert (rm._out_pos, bytes(rm._out), rm._rows_ready,
+                rm._in_busy) == state
+        return law
+
+    def test_law_matches_the_polls_it_stands_for(self):
+        from repro.axi.isolator import StreamIsolator
+        from repro.axi.stream_switch import AxiStreamSwitch
+
+        rm = make_accelerator("sobel", width=16, height=6)
+        isolator = StreamIsolator(sink=rm, source=rm)
+        switch = AxiStreamSwitch(stage_latency=1)
+        switch.attach_sink("rm0", isolator)
+        switch.attach_source("rm0", isolator)
+        switch.select("rm0")
+        # no input yet, then decoupled: one cycle per layer
+        assert self._assert_law_holds(switch, rm) == (2, 0)
+        isolator.set_decouple(True)
+        assert self._assert_law_holds(switch, rm) == (2, 0)
+        isolator.set_decouple(False)
+        data = (np.arange(16 * 6) % 251).astype(np.uint8).tobytes()
+        t = switch.accept(data[:16], 10)  # one row: none ready yet
+        assert self._assert_law_holds(switch, rm) == (2, rm._in_busy)
+        assert rm._in_busy == t > 0
+        switch.accept(data[16:], t)  # the whole frame: rows ready
+        assert switch.poll_law() is None
+        out = b""
+        while True:
+            chunk, t = switch.produce(128, t)
+            if not chunk:
+                break
+            out += chunk
+        assert len(out) == len(data)
+        assert switch.poll_law() is None  # end of frame, not a retry

@@ -291,7 +291,7 @@ def _partial_bitstream():
 
 
 def _stream_into_icap(image, *, timing=None, decompress=False,
-                      fault_proxy=False):
+                      fault_proxy=False, commit_guard=None):
     """Stream ``image`` over crossbar -> DdrPort -> switch -> AXIS2ICAP
     -> ICAP.  Returns the bytes each bulk step committed, the number of
     per-burst ICAP accepts, and the ICAP."""
@@ -300,6 +300,7 @@ def _stream_into_icap(image, *, timing=None, decompress=False,
     xbar = AxiCrossbar("rvcap_xbar")
     xbar.attach("ddr", 0, ddr.size, ddr.port("dma_mm2s"))
     icap = Icap(ConfigMemory(KINTEX7_325T))
+    icap.commit_guard = commit_guard
     rvcap = RvCapController(sim, xbar, icap, decompress=decompress)
     rvcap.switch.select(PORT_ICAP)
     if fault_proxy:
@@ -330,20 +331,23 @@ def _stream_into_icap(image, *, timing=None, decompress=False,
 
 
 class TestBulkStep:
-    """Which routes stream FDRI payload as bulk steps."""
+    """Which routes stream a bitstream as bulk steps."""
 
     def test_fdri_payload_streams_as_bulk_steps(self):
         pbit = _partial_bitstream()
         steps, accepts, icap = _stream_into_icap(pbit)
         assert icap.reconfigurations_completed == 1 and not icap.error
-        assert sum(steps) > len(pbit) * 3 // 4
-        # the session header and the CRC/DESYNC/NOOP trailer lie outside
-        # the FDRI payload, so their bursts still go one by one
-        assert accepts >= 2
+        # one step carries the session header, the FDRI payload and the
+        # CRC/DESYNC/NOOP trailer alike.  Only the descriptor's first
+        # burst (the DDR refuses a run that does not continue its
+        # sequential stream) and its partial tail go one by one.
+        assert len(steps) == 1
+        assert accepts <= 2
         assert accepts == -(-len(pbit) // 128) - sum(steps) // 128
 
     @pytest.mark.parametrize("route", [
-        "fault_proxy", "rle", "device_bandwidth", "burst_longer_than_row"])
+        "fault_proxy", "rle", "device_bandwidth", "burst_longer_than_row",
+        "commit_guard"])
     def test_fallback_routes_stream_burst_by_burst(self, route):
         pbit = _partial_bitstream()
         image = pbit
@@ -356,8 +360,39 @@ class TestBulkStep:
             kwargs["decompress"] = True
         elif route == "device_bandwidth":
             kwargs["timing"] = DdrTiming(device_beats_per_cycle=2)
+        elif route == "commit_guard":
+            # a guard may raise in the middle of a run
+            kwargs["commit_guard"] = lambda far, frames: True
         else:
             kwargs["timing"] = DdrTiming(row_bytes=64)
         steps, _accepts, icap = _stream_into_icap(image, **kwargs)
         assert steps == []
         assert icap.reconfigurations_completed == 1 and not icap.error
+
+
+class TestClosedFormPolls:
+    """The S2MM spin's poll count against the loop it stands for."""
+
+    @staticmethod
+    def _loop_polls(k, ready, window, spins):
+        # after an empty poll returned ``ready`` as the ``spins``-th in a
+        # row, the loop advances and polls again while the spin bound
+        # and the window allow; count the polls up to the one it yields at
+        polls = 0
+        while True:
+            polls += 1
+            if (spins + polls >= dr._MAX_SPINS
+                    or ready + polls * k >= window):
+                return polls
+
+    @pytest.mark.parametrize("k, ready, window, spins", [
+        (2, 100, 140, 1),        # the window cuts the spin
+        (2, 100, 141, 1),
+        (1, 0, 1, 4095),         # the bound is one poll away
+        (2, 100, float("inf"), 1),
+        (2, 100, 100 + 2 * 4096, 1),
+        (3, 7, 10**6, 3000),     # the bound cuts before the window
+    ])
+    def test_polls_to_yield_match_the_loop(self, k, ready, window, spins):
+        assert (dr._polls_to_yield(k, ready, window, spins)
+                == self._loop_polls(k, ready, window, spins))

@@ -6,6 +6,7 @@ from repro.fpga.bitgen import Bitgen, BitgenOptions
 from repro.fpga.config_memory import ConfigMemory
 from repro.fpga.device import KINTEX7_325T
 from repro.fpga.icap import Icap
+from repro.fpga.packets import SYNC_WORD, Command, ConfigRegister, type1_write
 from repro.fpga.partition import ReconfigurableModule, ResourceBudget
 
 
@@ -234,3 +235,41 @@ class TestReadPackets:
         assert icap.pop_readback(2) == [1, 2]
         assert icap.pop_readback(10) == [3, 4, 5]
         assert icap.pop_readback(1) == []
+
+
+class TestSessionWords:
+    """A session span's ``words`` counts its sync word through its
+    DESYNC command word (through the reset, when aborted)."""
+
+    @staticmethod
+    def _session_words(data, chunk, *, reset_after=None):
+        from repro.obs import Observability
+
+        icap = Icap(ConfigMemory(KINTEX7_325T))
+        obs = Observability()
+        icap.attach_obs(obs)
+        end = len(data) if reset_after is None else reset_after
+        for start in range(0, end, chunk):
+            icap.accept(data[start:min(start + chunk, end)], 0)
+        if reset_after is not None:
+            icap.reset()
+        return [span.args["words"] for span in obs.tracer.find("icap", "session")]
+
+    def test_words_do_not_depend_on_how_the_stream_arrives(self):
+        data = make_test_bitstream().to_bytes()
+        words = np.frombuffer(data, dtype=">u4")
+        sync = int(np.flatnonzero(words == SYNC_WORD)[0])
+        [desync] = [i + 1 for i in np.flatnonzero(
+            words[:-1] == type1_write(ConfigRegister.CMD, 1))
+            if words[i + 1] == Command.DESYNC]
+        # keyhole words, DMA bursts, large chunks, one accept for both
+        for chunk in (4, 128, 4096, 2 * len(data)):
+            assert self._session_words(data + data, chunk) == [
+                desync - sync + 1] * 2
+
+    def test_aborted_session_counts_through_the_reset(self):
+        data = make_test_bitstream().to_bytes()
+        sync = int(np.flatnonzero(
+            np.frombuffer(data, dtype=">u4") == SYNC_WORD)[0])
+        assert self._session_words(data, 128, reset_after=4096) == [
+            4096 // 4 - sync]

@@ -50,6 +50,22 @@ def test_back_to_back_reconfigurations(provisioned_manager_factory):
     assert [s.args["status"] for s in sessions] == ["ok"] * 3
 
 
+def test_session_words_count_that_session_only(provisioned_manager_factory):
+    # a session's words run from its sync word through its DESYNC
+    # command word: the same for three equal-size bitstreams, and
+    # fewer than the bitstream's words (its header precedes the sync
+    # word, its NOOP pad follows the DESYNC)
+    soc, manager = provisioned_manager_factory()
+    obs = soc.attach_observability()
+    names = ("sobel", "median", "gaussian")
+    for name in names:
+        manager.load_module(name)
+    words = [s.args["words"] for s in _assert_session_invariants(obs.tracer)]
+    sizes = {manager.descriptor(name).pbit_size for name in names}
+    assert len(sizes) == 1
+    assert len(set(words)) == 1 and words[0] < sizes.pop() // 4
+
+
 def test_replay_charges_the_icap_only_while_it_configures():
     from repro.sched import (
         DprScheduler, WorkloadSpec, build_sched_soc, make_cache, synthesize,

@@ -1,6 +1,8 @@
 """Sliding-window admission-control tests for the peak-power governor."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchedulerError
 from repro.power import DEFAULT_PROFILE, PowerGovernor
@@ -102,6 +104,24 @@ class TestComplianceTrace:
         gov = make_governor()
         assert gov.max_window_power_mw() == gov.floor_mw
         assert gov.power_samples() == []
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 50_000),
+                              st.integers(1, 30_000)), max_size=25))
+    def test_samples_equal_the_per_window_loop(self, bursts):
+        # the array pass against the loop it replaced: every critical
+        # window end, each interval's overlap with the window summed
+        gov = make_governor()
+        gov._intervals = sorted((a, a + d) for a, d in bursts)
+        width = gov.window_cycles
+        expected = []
+        for end in sorted({c for a, b in gov._intervals
+                           for c in (a, b, b + width)}):
+            busy = sum(max(0, min(b, end) - max(a, end - width))
+                       for a, b in gov._intervals)
+            expected.append((end, round(
+                gov.floor_mw + gov.dynamic_mw * busy / width, 3)))
+        assert gov.power_samples() == expected
 
 
 class TestBookkeeping:

@@ -1,23 +1,26 @@
 """The DMA engine against its per-burst oracle, over randomized scenarios.
 
 The engine collapses a transfer's per-burst simulation events into one
-computed timeline, and schedules runs of FDRI payload bursts into the
-ICAP as single bulk steps.  The oracle is the generator pair the model
-started with, one simulation event per pacing step; it lives here and
+computed timeline, schedules runs of bursts into the ICAP as single bulk
+steps, and skips S2MM's empty polls of a source that declares its
+empty-poll law.  The oracle is the generator pair the model started
+with, one simulation event per pacing step or poll; it lives here and
 is patched over ``DmaChannel._run_mm2s``/``_run_s2mm`` for the
 ``burst`` runs.  These properties pin the engine to it under
 everything that can interrupt a transfer mid-flight: random lengths and
 burst geometries, injected bus faults, soft resets, real partial
-bitstreams (pristine and corrupted) with foreign events cutting the
-batch window, and the full multi-tenant serving path (where the whole
-ReplayReport — statuses, latencies, Tr breakdowns, ICAP busy cycles —
-and every metric must come out bit-identical).
+bitstreams (pristine, corrupted, back to back, followed by a readback
+request, behind junk words) with foreign events cutting the batch
+window, accelerator round trips whose S2MM spins before MM2S starts,
+and the full multi-tenant serving path (where the whole ReplayReport —
+statuses, latencies, Tr breakdowns, ICAP busy cycles — and every
+metric must come out bit-identical).
 
 The oracle yields one event per pacing step, so it cannot match the
 engine's event count.  ``events_processed`` is pinned instead against
-the engine with its bulk step refused (``descriptor-per-burst``), whose
-per-burst loop yields at exactly the points the bulk step must
-reproduce.
+the engine with its bulk steps and closed-form polls refused
+(``descriptor-per-burst``), whose per-burst loop yields at exactly the
+points the closed forms must reproduce.
 """
 
 import asyncio
@@ -27,12 +30,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.accel import GOLDEN_FILTERS, StreamAccelerator, make_accelerator
 from repro.axi.crossbar import AxiCrossbar
 from repro.axi.stream import BufferSource, CaptureSink
+from repro.axi.stream_switch import AxiStreamSwitch
 from repro.core import dma as dr
 from repro.core.dma import AxiDma, DmaChannel
 from repro.core.rp_control import PORT_ICAP
 from repro.core.rvcap import RvCapController
+from repro.drivers.hwicap_driver import readback_request
 from repro.errors import ControllerError
 from repro.faults.injectors import (
     DmaResetInjector,
@@ -42,8 +48,10 @@ from repro.faults.injectors import (
 )
 from repro.fpga.bitgen import Bitgen
 from repro.fpga.config_memory import ConfigMemory
+from repro.fpga import packets as pk
 from repro.fpga.device import KINTEX7_325T
 from repro.fpga.icap import Icap
+from repro.fpga.packets import Command, ConfigRegister
 from repro.fpga.partition import (
     ReconfigurableModule,
     ReconfigurablePartition,
@@ -137,14 +145,17 @@ def _burst_s2mm(self):
 
 def _with_engine(engine, fn):
     """Run ``fn`` under ``engine``: ``descriptor`` (the production
-    engine), ``descriptor-per-burst`` (it with every bulk step refused)
-    or ``burst`` (the oracle generators patched in)."""
+    engine), ``descriptor-per-burst`` (it with every bulk step and the
+    switch's empty-poll law refused) or ``burst`` (the oracle
+    generators patched in)."""
     if engine == "burst":
         with mock.patch.object(DmaChannel, "_run_mm2s", _burst_mm2s), \
                 mock.patch.object(DmaChannel, "_run_s2mm", _burst_s2mm):
             return fn()
     if engine == "descriptor-per-burst":
-        with mock.patch.object(DmaChannel, "_bulk_step", return_value=None):
+        with mock.patch.object(DmaChannel, "_bulk_step", return_value=None), \
+                mock.patch.object(AxiStreamSwitch, "poll_law",
+                                  return_value=None):
             return fn()
     return fn()
 
@@ -281,7 +292,10 @@ geometries = st.builds(
 
 
 def _partial_bitstream(geometry, form, where, bit):
-    """A Bitgen partial bitstream, pristine or corrupted at ``where``."""
+    """A Bitgen partial bitstream, pristine or corrupted at ``where``,
+    or in one of three longer forms: twice back to back, followed by a
+    readback request of up to two of its frames (then a DESYNC and a
+    NOOP pad), or behind up to 200 junk words."""
     rp = ReconfigurablePartition(
         "prop_rp", geometry, ResourceBudget(10**6, 10**6, 10**3, 10**3))
     data = Bitgen(rp.device).generate(rp, _MODULE).to_bytes()
@@ -290,6 +304,20 @@ def _partial_bitstream(geometry, form, where, bit):
         return flip_word_bit(data, index, bit)
     if form == "truncate":
         return truncate_at_word(data, index + 1)
+    if form == "twice":
+        return data + data
+    if form == "readback":
+        frames = 1 + bit % 2
+        wpf = rp.device.words_per_frame
+        words = [*readback_request(rp.base_far, (frames + 1) * wpf),
+                 pk.type1_write(ConfigRegister.CMD, 1), int(Command.DESYNC),
+                 *[pk.NOOP_WORD] * 64]
+        return data + np.array(words, dtype=">u4").tobytes()
+    if form == "junk":
+        junk = np.random.default_rng(bit).integers(
+            0, 2**32, size=1 + int(where * 199), dtype=np.uint64)
+        junk = junk[junk != pk.SYNC_WORD].astype(">u4")
+        return junk.tobytes() + data
     return data
 
 
@@ -337,7 +365,7 @@ def _icap_route_observe(engine, pbit, burst_beats, offset, period, phase):
                      icap.protocol_error, icap.desynced_count,
                      icap.reconfigurations_completed, icap.pending_frames,
                      icap._running_crc(), icap.busy_until,
-                     icap.stall_cycles),
+                     icap.stall_cycles, list(icap.readback_queue)),
             "ddr": (port.busy_until, port.next_seq_addr, port.open_row,
                     ddr.row_activates, ddr.bytes_read),
             "xbar": (xbar.transactions, sorted(xbar._busy_until.values())),
@@ -379,6 +407,59 @@ class TestIcapRouteEquivalence:
         desc.pop("events")
         assert burst == desc
 
+    @settings(max_examples=12, deadline=None)
+    @given(
+        geometries,
+        st.sampled_from([2, 8, 16, 32]),
+        st.sampled_from(["twice", "readback", "junk"]),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=31),
+        st.integers(min_value=0, max_value=3 * 1024),
+        st.integers(min_value=40, max_value=4000),
+        st.integers(min_value=0, max_value=2000),
+    )
+    def test_longer_streams_into_icap_are_cycle_identical(
+            self, geometry, burst_beats, form, where, bit, offset_words,
+            period, phase):
+        # a whole-run step parses session boundaries, a second sync and
+        # the readback request's _serve_read in one pass
+        pbit = _partial_bitstream(geometry, form, where, bit)
+        burst, per_burst, desc = (
+            _icap_route_observe(engine, pbit, burst_beats, 8 * offset_words,
+                                period, phase)
+            for engine in ("burst", "descriptor-per-burst", "descriptor"))
+        assert per_burst == desc
+        burst.pop("events")
+        desc.pop("events")
+        assert burst == desc
+
+    def test_session_boundaries_fall_inside_steps(self):
+        # liveness: with no competitor, one step carries everything
+        # after the first burst, so the properties above exercise the
+        # parse of both DESYNCs, the second sync and the readback
+        geometry = RpGeometry(clb_cols=2, bram_cols=0, dsp_cols=0)
+        pbit = _partial_bitstream(geometry, "readback", 0.0, 1)
+        inside = []
+
+        def spy(name):
+            method = getattr(Icap, name)
+
+            def wrapper(icap, *args):
+                inside.append((name, icap._bulk_run is not None))
+                return method(icap, *args)
+            return wrapper
+
+        with mock.patch.multiple(Icap, **{name: spy(name) for name in (
+                "_begin_session", "_finish_desync", "_serve_read")}):
+            observed = _icap_route_observe("descriptor", pbit, 16, 0,
+                                           period=10**6, phase=0)
+        assert observed["icap"][-1], "readback queue left empty"
+        assert inside == [("_begin_session", False),
+                          ("_finish_desync", True),
+                          ("_begin_session", True),
+                          ("_serve_read", True),
+                          ("_finish_desync", True)]
+
     def test_burst_oracle_takes_its_own_path(self):
         # liveness: were the patch to miss, the properties would compare
         # the engine with itself.  The oracle yields once per pacing
@@ -389,6 +470,143 @@ class TestIcapRouteEquivalence:
             _icap_route_observe(engine, pbit, 16, 0, period=10**6, phase=0)
             for engine in ENGINES)
         assert burst["events"] > desc["events"]
+
+
+def _accel_round_trip_observe(engine, width, height, behavior, launch,
+                              decoupled_until, period, phase, seed):
+    """Every observable of one image through the loaded accelerator.
+
+    MM2S -> switch -> ``StreamIsolator`` -> ``StreamAccelerator`` ->
+    S2MM, each channel on its own DDR port.  S2MM starts first and
+    polls the filter until MM2S, launched ``launch`` cycles later,
+    feeds it.  The RP stays decoupled until ``decoupled_until`` (if
+    given, no later than ``launch``), and a competing process wakes
+    every ``period`` cycles to cut the batch windows.
+    """
+    def run():
+        sim = Simulator()
+        ddr = DdrController(1 << 20)
+        mm2s_xbar = AxiCrossbar("xbar_mm2s")
+        mm2s_xbar.attach("ddr", 0, ddr.size, ddr.port("dma_mm2s"))
+        s2mm_xbar = AxiCrossbar("xbar_s2mm")
+        s2mm_xbar.attach("ddr", 0, ddr.size, ddr.port("dma_s2mm"))
+        rvcap = RvCapController(sim, mm2s_xbar, Icap(ConfigMemory(KINTEX7_325T)),
+                                ddr_port_s2mm=s2mm_xbar)
+        rm = make_accelerator(behavior, width=width, height=height)
+        rvcap.attach_rm_streams(rm, rm)
+        obs = Observability()
+        for part in (rvcap.dma, mm2s_xbar, s2mm_xbar):
+            part.attach_obs(obs)
+        rvcap.switch.attach_obs(obs, lambda: sim.now)
+        nbytes = width * height
+        image = np.random.default_rng(seed).integers(
+            0, 256, size=nbytes, dtype=np.uint8).tobytes()
+        ddr.load_image(0, image)
+        dst = 0x8_0000
+        dma = rvcap.dma
+
+        def write(offset, value):
+            dma.write(offset, value.to_bytes(4, "little"), sim.now)
+
+        def launch_mm2s():
+            write(dr.MM2S_DMACR, dr.CR_RS)
+            write(dr.MM2S_LENGTH, nbytes)
+
+        def competitor():
+            yield Delay(phase)
+            for _ in range((launch + 40 * nbytes) // period + 2):
+                yield Delay(period)
+
+        isolator = rvcap.rm_stream_isolator
+        if decoupled_until is not None:
+            isolator.set_decouple(True)
+            sim.schedule(decoupled_until,
+                         lambda: isolator.set_decouple(False))
+        sim.add_process(competitor(), name="competitor")
+        write(dr.S2MM_DMACR, dr.CR_RS)
+        write(dr.S2MM_DA, dst)
+        write(dr.S2MM_LENGTH, nbytes)
+        sim.schedule(launch, launch_mm2s)
+        sim.run()
+        return {
+            "input": image,
+            "output": ddr.dump(dst, nbytes),
+            "channels": [(channel.status, channel.bytes_done,
+                          channel.bursts_completed,
+                          channel.transfers_completed,
+                          channel.last_start_cycle,
+                          channel.last_complete_cycle)
+                         for channel in (dma.mm2s, dma.s2mm)],
+            "rm": (rm._out_pos, rm._rows_ready, rm.images_processed,
+                   rm.busy_cycles),
+            "now": sim.now,
+            "events": sim.events_processed,
+            "metrics": _metrics(obs.metrics),
+            "trace": obs.chrome_trace(),
+        }
+    return _with_engine(engine, run)
+
+
+class TestAcceleratorRoundTrip:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=3, max_value=40),
+        st.sampled_from(["sobel", "median", "gaussian"]),
+        st.integers(min_value=0, max_value=30_000),
+        st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+        st.integers(min_value=40, max_value=20_000),
+        st.integers(min_value=0, max_value=2000),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_round_trip_is_cycle_identical(self, beats, height, behavior,
+                                           launch, decoupled, period, phase,
+                                           seed):
+        # launches up to 30,000 cycles after S2MM, with windows of up
+        # to 20,000 cycles, run S2MM into the 4,096-poll bound; a
+        # decoupled spell changes the law mid-spin
+        width = 8 * beats
+        decoupled_until = (None if decoupled is None
+                           else int(decoupled * launch))
+        burst, per_burst, desc = (
+            _accel_round_trip_observe(engine, width, height, behavior,
+                                      launch, decoupled_until, period,
+                                      phase, seed)
+            for engine in ("burst", "descriptor-per-burst", "descriptor"))
+        golden = GOLDEN_FILTERS[behavior](np.frombuffer(
+            burst["input"], dtype=np.uint8).reshape(height, width))
+        assert burst["output"] == golden.tobytes()
+        assert per_burst == desc
+        burst.pop("events")
+        desc.pop("events")
+        assert burst == desc
+
+    def test_closed_form_polls_are_live(self):
+        # liveness: a 32x32 request polls the filter at most 20 times
+        # (93 with every poll made), with the same T_c and output
+        from repro.sched import build_sched_soc, module_names
+
+        def run():
+            manager = build_sched_soc(1, frame=32)
+            manager.init_rmodules()
+            [name] = module_names(1)
+            image = (np.arange(32 * 32) % 251).astype(np.uint8).reshape(32, 32)
+            manager.process_image(name, image)  # loads the module
+            polls = []
+            produce = StreamAccelerator.produce
+
+            def spy(rm, nbytes, now):
+                polls.append(now)
+                return produce(rm, nbytes, now)
+
+            with mock.patch.object(StreamAccelerator, "produce", spy):
+                out, times = manager.process_image(name, image)
+            return len(polls), times.tc_us, out.tobytes()
+
+        polls, tc_us, out = run()
+        every_poll, tc_ref, out_ref = _with_engine("descriptor-per-burst", run)
+        assert polls <= 20 < every_poll
+        assert (tc_us, out) == (tc_ref, out_ref)
 
 
 def _replay_observe(engine, seed, rate):

@@ -49,9 +49,9 @@ class WordIcap(Icap):
         self._consume_words_scalar(words, now)
         return self._busy_until
 
-    def _payload_scalar(self, chunk: list) -> None:
+    def _payload_scalar(self, chunk: list, pos: int) -> None:
         if self._payload_reg != ConfigRegister.FDRI or not self.crc_check:
-            super()._payload_scalar(chunk)
+            super()._payload_scalar(chunk, pos)
             return
         crc = self._crc
         for value in chunk:
