@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.axi.interface import AxiSlave, BulkRead, ReadPort, WritePort
+from repro.axi.interface import AxiSlave, BulkRead
 from repro.axi.memory_map import MemoryMap, Region
 from repro.axi.types import AxiResp, AxiResult
 
@@ -123,64 +123,6 @@ class AxiCrossbar(AxiSlave):
         return AxiResult(
             result.data, result.complete_at + self.response_latency, result.resp
         )
-
-    def resolve_read_port(self, addr: int, nbytes: int,
-                          lead: int = 0) -> Optional[ReadPort]:
-        region = self.memory_map.decode(addr)
-        if region is None:
-            return None
-        inner = region.slave.resolve_read_port(addr - region.base, nbytes)
-        if inner is None:
-            return None
-        busy = self._busy_until
-        key = id(region)
-        request = lead + self.request_latency
-        response = self.response_latency
-
-        def port(now: int) -> Tuple[int, int]:
-            self.transactions += 1
-            arrive = now + request
-            start = busy.get(key, 0)
-            if start < arrive:
-                start = arrive
-            if self.obs is not None:
-                self._c_txn.value += 1  # type: ignore[union-attr]
-                if start > arrive:
-                    self._wait_counter(region).value += start - arrive
-            value, complete = inner(start)
-            busy[key] = complete
-            return value, complete + response
-
-        return port
-
-    def resolve_write_port(self, addr: int, nbytes: int,
-                           lead: int = 0) -> Optional[WritePort]:
-        region = self.memory_map.decode(addr)
-        if region is None:
-            return None
-        inner = region.slave.resolve_write_port(addr - region.base, nbytes)
-        if inner is None:
-            return None
-        busy = self._busy_until
-        key = id(region)
-        request = lead + self.request_latency
-        response = self.response_latency
-
-        def port(value: int, now: int) -> int:
-            self.transactions += 1
-            arrive = now + request
-            start = busy.get(key, 0)
-            if start < arrive:
-                start = arrive
-            if self.obs is not None:
-                self._c_txn.value += 1  # type: ignore[union-attr]
-                if start > arrive:
-                    self._wait_counter(region).value += start - arrive
-            complete = inner(value, start)
-            busy[key] = complete
-            return complete + response
-
-        return port
 
     def resolve_burst_read(self, lo: int, hi: int) -> Optional[
         "Callable[[int, int, int], Tuple[bytes, int]]"

@@ -3,6 +3,12 @@
 Every memory-mapped component implements :class:`AxiSlave`.  Addresses
 passed to a slave are *local* (offset from the slave's base); the
 crossbar performs the translation.
+
+A :class:`RegisterBank` also hands its storage, hook and latency for
+one register to :mod:`repro.axi.fastpath` (``read_port_parts`` /
+``write_port_parts``), which fuses the whole interconnect chain in
+front of it into one closure; any access the fuser refuses takes the
+plain :meth:`AxiSlave.read`/:meth:`AxiSlave.write` transaction.
 """
 
 from __future__ import annotations
@@ -15,9 +21,9 @@ import numpy as np
 from repro.axi.types import AxiResp, AxiResult, encode_word
 from repro.errors import AlignmentError
 
-#: resolved read port: ``f(now) -> (value, complete_at)``
+#: fused read port: ``f(now) -> (value, complete_at)``
 ReadPort = Callable[[int], Tuple[int, int]]
-#: resolved write port: ``f(value, now) -> complete_at`` (``value`` is
+#: fused write port: ``f(value, now) -> complete_at`` (``value`` is
 #: already masked to the access width)
 WritePort = Callable[[int, int], int]
 #: resolved bulk burst reader: ``plan(addr, nbytes, count, now, gap)``
@@ -61,35 +67,6 @@ class AxiSlave(abc.ABC):
 
     def write_burst(self, addr: int, data: bytes, now: int) -> AxiResult:
         return self.write(addr, data, now)
-
-    # ------------------------------------------------------------------
-    # resolved-port fast path
-    # ------------------------------------------------------------------
-    # An interconnect layer may pre-resolve a *single-beat, always-OKAY*
-    # access into a flat closure so a hot master (the hart's MMIO path)
-    # skips per-transaction routing and AxiResult allocation.  The
-    # contract: the returned closure must produce exactly the timing and
-    # side effects of the equivalent read()/write() call, sharing all
-    # arbitration state (busy watermarks, counters) with the slow path.
-    # A resolved port stays valid for the lifetime of the topology —
-    # layers whose behaviour can change dynamically (isolators, fault
-    # proxies) simply keep the default refusal.
-    #
-    # ``lead`` folds the pure request-side delays of the layers above
-    # into the resolved port: a port resolved with ``lead=n`` must
-    # behave exactly like the plain call issued at ``now + n``.  Pure
-    # pipeline stages (the width converter) resolve to their inner
-    # port with the stage folded into ``lead``, contributing zero call
-    # frames to the composed path.
-    def resolve_read_port(self, addr: int, nbytes: int,
-                          lead: int = 0) -> Optional[ReadPort]:
-        """Pre-resolve a read access, or ``None`` to use :meth:`read`."""
-        return None
-
-    def resolve_write_port(self, addr: int, nbytes: int,
-                           lead: int = 0) -> Optional[WritePort]:
-        """Pre-resolve a write access, or ``None`` to use :meth:`write`."""
-        return None
 
 
 ReadHook = Callable[[int], int]
@@ -190,32 +167,13 @@ class RegisterBank(AxiSlave):
         """Set stored value without invoking hooks (for tests/models)."""
         self._storage[offset] = value & 0xFFFF_FFFF
 
-    # ------------------------------------------------------------------
-    # resolved-port fast path
-    # ------------------------------------------------------------------
-    # Only safe when the subclass did not override read()/write() (it
-    # might wrap them with extra behaviour the closure would bypass).
-    # Subclasses that *do* override but still want the fast path build
-    # on _register_read_port/_register_write_port directly (AxiHwIcap).
-    def resolve_read_port(self, addr: int, nbytes: int,
-                          lead: int = 0) -> Optional[ReadPort]:
-        if type(self).read is not RegisterBank.read:
-            return None
-        return self._register_read_port(addr, nbytes, lead)
-
-    def resolve_write_port(self, addr: int, nbytes: int,
-                           lead: int = 0) -> Optional[WritePort]:
-        if type(self).write is not RegisterBank.write:
-            return None
-        return self._register_write_port(addr, nbytes, lead)
-
-    # Port *parts* let an upstream fuser (repro.axi.fastpath) inline
-    # the register access into its own closure, eliminating the
-    # terminal call frame.  Returns (storage, hook, service_latency,
-    # capture_now): ``capture_now`` is True when the slave wants its
-    # ``_now`` attribute stamped with the access time before the
-    # storage/hook side effects run (AxiHwIcap).  Same safety rule as
-    # the resolved ports: only when read()/write() are not overridden.
+    # Port *parts* let the fuser (repro.axi.fastpath) inline the
+    # register access into its closure.  Returns (storage, hook,
+    # service_latency, capture_now): ``capture_now`` is True when the
+    # slave wants its ``_now`` attribute stamped with the access time
+    # before the storage/hook side effects run (AxiHwIcap).  Only when
+    # read()/write() are not overridden: a subclass override may add
+    # behaviour the closure would bypass (SpiController.write).
     def read_port_parts(self, addr: int, nbytes: int) -> Optional[
         Tuple[Dict[int, int], Optional[ReadHook], int, bool]
     ]:
@@ -233,45 +191,6 @@ class RegisterBank(AxiSlave):
         if nbytes != 4 or addr % 4 or addr >= self.size:
             return None
         return self._storage, self._write_hooks.get(addr), self.write_latency, False
-
-    def _register_read_port(self, addr: int, nbytes: int,
-                            lead: int = 0) -> Optional[ReadPort]:
-        if nbytes != 4 or addr % 4 or addr >= self.size:
-            return None
-        storage = self._storage
-        hook = self._read_hooks.get(addr)
-        delay = lead + self.read_latency
-        if hook is None:
-            def port(now: int) -> Tuple[int, int]:
-                value = storage.get(addr, 0) & 0xFFFF_FFFF
-                storage[addr] = value
-                return value, now + delay
-        else:
-            bound_hook = hook
-            def port(now: int) -> Tuple[int, int]:
-                value = bound_hook(addr) & 0xFFFF_FFFF
-                storage[addr] = value
-                return value, now + delay
-        return port
-
-    def _register_write_port(self, addr: int, nbytes: int,
-                             lead: int = 0) -> Optional[WritePort]:
-        if nbytes != 4 or addr % 4 or addr >= self.size:
-            return None
-        storage = self._storage
-        hook = self._write_hooks.get(addr)
-        delay = lead + self.write_latency
-        if hook is None:
-            def port(value: int, now: int) -> int:
-                storage[addr] = value
-                return now + delay
-        else:
-            bound_hook = hook
-            def port(value: int, now: int) -> int:
-                storage[addr] = value
-                bound_hook(value)
-                return now + delay
-        return port
 
     # ------------------------------------------------------------------
     # AxiSlave implementation

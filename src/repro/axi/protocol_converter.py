@@ -9,9 +9,7 @@ block that costs 420 LUT / 909 FF in the RV-CAP integration and
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.axi.interface import AxiSlave, ReadPort, WritePort
+from repro.axi.interface import AxiSlave
 from repro.axi.types import AxiResult
 
 
@@ -28,49 +26,6 @@ class Axi4ToLiteConverter(AxiSlave):
     def _start(self, now: int) -> int:
         start = max(now + self.stage_latency, self._busy_until)
         return start
-
-    # Resolved ports cover the single-beat case; the serialization
-    # state (_busy_until) is read and written through the instance so
-    # fast- and slow-path transactions stay mutually ordered.
-    def resolve_read_port(self, addr: int, nbytes: int,
-                          lead: int = 0) -> Optional[ReadPort]:
-        if nbytes > self.lite_width:
-            return None
-        inner = self.inner.resolve_read_port(addr, nbytes)
-        if inner is None:
-            return None
-        entry = lead + self.stage_latency
-        latency = self.stage_latency
-
-        def port(now: int) -> tuple[int, int]:
-            time = now + entry
-            if self._busy_until > time:
-                time = self._busy_until
-            value, complete = inner(time)
-            self._busy_until = complete
-            return value, complete + latency
-
-        return port
-
-    def resolve_write_port(self, addr: int, nbytes: int,
-                           lead: int = 0) -> Optional[WritePort]:
-        if nbytes > self.lite_width:
-            return None
-        inner = self.inner.resolve_write_port(addr, nbytes)
-        if inner is None:
-            return None
-        entry = lead + self.stage_latency
-        latency = self.stage_latency
-
-        def port(value: int, now: int) -> int:
-            time = now + entry
-            if self._busy_until > time:
-                time = self._busy_until
-            complete = inner(value, time)
-            self._busy_until = complete
-            return complete + latency
-
-        return port
 
     def read(self, addr: int, nbytes: int, now: int) -> AxiResult:
         time = self._start(now)

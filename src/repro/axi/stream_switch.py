@@ -30,7 +30,9 @@ class AxiStreamSwitch(StreamSink):
 
     The select input comes from the RP control interface's
     ``select_ICAP`` register; switching while a transfer is in flight is
-    a protocol violation in real hardware and raises here.
+    a protocol violation in real hardware and raises here.  The owner
+    wires in what "in flight" means (:meth:`set_busy_source`): RV-CAP
+    reports whether either DMA channel on the switch is busy.
     """
 
     def __init__(self, name: str = "axis_switch", stage_latency: int = 1) -> None:
@@ -39,7 +41,7 @@ class AxiStreamSwitch(StreamSink):
         self._sinks: Dict[str, StreamSink] = {}
         self._sources: Dict[str, StreamSource] = {}
         self._selected: str | None = None
-        self._in_flight = False
+        self._busy: Callable[[], bool] = lambda: False
         self.obs: Optional["Observability"] = None
         self._clock: Callable[[], int] = lambda: 0
         self._port_counters: Dict[str, "Counter"] = {}
@@ -75,6 +77,11 @@ class AxiStreamSwitch(StreamSink):
     def attach_source(self, port: str, source: StreamSource) -> None:
         self._sources[port] = source
 
+    def set_busy_source(self, source: Callable[[], bool]) -> None:
+        """``source()`` is True while a transfer through the switch is in
+        flight; :meth:`select` refuses to change ports then."""
+        self._busy = source
+
     @property
     def ports(self) -> list[str]:
         return sorted(set(self._sinks) | set(self._sources))
@@ -86,7 +93,7 @@ class AxiStreamSwitch(StreamSink):
         """Route subsequent traffic to ``port``."""
         if port not in self._sinks and port not in self._sources:
             raise BusError(f"switch {self.name!r}: unknown port {port!r}")
-        if self._in_flight:
+        if port != self._selected and self._busy():
             raise BusError(
                 f"switch {self.name!r}: cannot switch ports mid-transfer"
             )
@@ -119,11 +126,7 @@ class AxiStreamSwitch(StreamSink):
         sink = self._selected_sink()
         if self.obs is not None:
             self._port_counter(self._selected).inc(len(data))  # type: ignore[arg-type]
-        self._in_flight = True
-        try:
-            return sink.accept(data, now + self.stage_latency)
-        finally:
-            self._in_flight = False
+        return sink.accept(data, now + self.stage_latency)
 
     def resolve_accept(self) -> Optional[Callable[[bytes, int], int]]:
         """A fused accept closure for the currently selected route.
@@ -131,9 +134,10 @@ class AxiStreamSwitch(StreamSink):
         Exactly :meth:`accept`'s behaviour (stage latency, per-port byte
         counter) with the switch frame collapsed into one closure.
         Resolved per descriptor by the DMA engine, so a ``select``
-        between transfers simply yields a new closure; switching
-        mid-transfer is a protocol violation regardless.  ``None`` when
-        no sink is selected (the slow path raises the proper error).
+        between transfers simply yields a new closure; :meth:`select`
+        refuses to switch mid-transfer, so the closure stays the route
+        for the whole transfer.  ``None`` when no sink is selected (the
+        slow path raises the proper error).
         """
         if self._selected is None:
             return None

@@ -10,9 +10,7 @@ pipeline stage plus one additional cycle per extra narrow beat.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.axi.interface import AxiSlave, ReadPort, WritePort
+from repro.axi.interface import AxiSlave
 from repro.axi.types import AxiResp, AxiResult
 from repro.errors import DrcError
 
@@ -54,23 +52,6 @@ class AxiWidthConverter(AxiSlave):
             beats.append((beat_addr, span))
             offset += span
         return beats
-
-    # Resolved ports exist only for the single-beat fast path, where
-    # the converter is a pure +stage_latency delay on the request — so
-    # it folds itself into ``lead`` and contributes no call frame.
-    def resolve_read_port(self, addr: int, nbytes: int,
-                          lead: int = 0) -> Optional[ReadPort]:
-        if nbytes + addr % self.narrow_bytes > self.narrow_bytes:
-            return None
-        return self.inner.resolve_read_port(addr, nbytes,
-                                            lead + self.stage_latency)
-
-    def resolve_write_port(self, addr: int, nbytes: int,
-                           lead: int = 0) -> Optional[WritePort]:
-        if nbytes + addr % self.narrow_bytes > self.narrow_bytes:
-            return None
-        return self.inner.resolve_write_port(addr, nbytes,
-                                             lead + self.stage_latency)
 
     def read(self, addr: int, nbytes: int, now: int) -> AxiResult:
         time = now + self.stage_latency

@@ -690,9 +690,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     from repro.eval.benches import BENCHES
 
-    if args.engine:
-        from repro.riscv.hart import set_default_engine
-        set_default_engine(args.engine)
     bench = BENCHES[args.scenario]
     profiler = cProfile.Profile()
     profiler.enable()
@@ -1025,9 +1022,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="cProfile a named perf bench")
     p.add_argument("scenario", choices=sorted(BENCHES),
                    help="any bench from benchmarks/perf.py")
-    p.add_argument("--engine", choices=["interp", "block"], default=None,
-                   help="ISS execution engine for the workload "
-                        "(default: process default)")
     p.add_argument("--sort", default="cumulative",
                    help="pstats sort key (default: cumulative)")
     p.add_argument("--top", "--limit", dest="top", type=int, default=30,

@@ -26,13 +26,7 @@ from __future__ import annotations
 import struct
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.axi.interface import (
-    ReadHook,
-    ReadPort,
-    RegisterBank,
-    WriteHook,
-    WritePort,
-)
+from repro.axi.interface import ReadHook, RegisterBank, WriteHook
 from repro.axi.stream import StreamSink
 from repro.axi.types import AxiResult
 
@@ -121,62 +115,6 @@ class AxiHwIcap(RegisterBank):
     def write(self, addr: int, data: bytes, now: int) -> AxiResult:
         self._now = now
         return super().write(addr, data, now)
-
-    # The read/write overrides above exist only for the ``_now`` access
-    # timestamp, so the resolved fast path stays available: replicate
-    # the generic register port with the timestamp capture fused in.
-    # (The base class refuses to resolve when read/write are overridden,
-    # hence the explicit opt-in here.)
-    def resolve_read_port(self, addr: int, nbytes: int,
-                          lead: int = 0) -> Optional[ReadPort]:
-        if nbytes != 4 or addr % 4 or addr >= self.size:
-            return None
-        storage = self._storage
-        hook = self._read_hooks.get(addr)
-        latency = self.read_latency
-
-        if hook is None:
-            def port(now: int) -> tuple[int, int]:
-                access = now + lead
-                self._now = access
-                value = storage.get(addr, 0) & 0xFFFF_FFFF
-                storage[addr] = value
-                return value, access + latency
-        else:
-            bound_hook = hook
-
-            def port(now: int) -> tuple[int, int]:
-                access = now + lead
-                self._now = access
-                value = bound_hook(addr) & 0xFFFF_FFFF
-                storage[addr] = value
-                return value, access + latency
-        return port
-
-    def resolve_write_port(self, addr: int, nbytes: int,
-                           lead: int = 0) -> Optional[WritePort]:
-        if nbytes != 4 or addr % 4 or addr >= self.size:
-            return None
-        storage = self._storage
-        hook = self._write_hooks.get(addr)
-        latency = self.write_latency
-
-        if hook is None:
-            def port(value: int, now: int) -> int:
-                access = now + lead
-                self._now = access
-                storage[addr] = value
-                return access + latency
-        else:
-            bound_hook = hook
-
-            def port(value: int, now: int) -> int:
-                access = now + lead
-                self._now = access
-                storage[addr] = value
-                bound_hook(value)
-                return access + latency
-        return port
 
     # Fusible port parts (see RegisterBank): opt in despite the
     # read()/write() overrides — those exist only for the ``_now``

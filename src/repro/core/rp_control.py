@@ -140,23 +140,22 @@ class RpControlInterface(RegisterBank):
             for isolator in isolators:
                 isolator.set_decouple(state)
 
-    def _route_switch(self) -> None:
-        if self.icap_selected:
-            self.switch.select(PORT_ICAP)
-        else:
-            self.switch.select(rm_port_name(self.rm_selected))
-
+    # a write the switch refuses (BusError) leaves the selection, and the
+    # traced select signal, as they were
     def _write_select(self, value: int) -> None:
-        self.icap_selected = bool(value & 1)
+        icap_selected = bool(value & 1)
+        self.switch.select(PORT_ICAP if icap_selected
+                           else rm_port_name(self.rm_selected))
+        self.icap_selected = icap_selected
         if self.obs is not None:
             self.obs.tracer.signal(
-                "axis_icap_sel", self._clock(), int(self.icap_selected))
-        self._route_switch()
+                "axis_icap_sel", self._clock(), int(icap_selected))
 
     def _write_rm_select(self, value: int) -> None:
-        self.rm_selected = value & 0xF
+        rm_selected = value & 0xF
         if not self.icap_selected:
-            self._route_switch()
+            self.switch.select(rm_port_name(rm_selected))
+        self.rm_selected = rm_selected
 
     def _write_icap_reset(self, value: int) -> None:
         if value & 1:

@@ -62,6 +62,8 @@ class RvCapController:
         self.switch.select(rm_port_name(0))  # acceleration mode at reset
         self.dma.mm2s.sink = self.switch
         self.dma.s2mm.source = self.switch
+        self.switch.set_busy_source(
+            lambda: self.dma.mm2s.busy or self.dma.s2mm.busy)
 
     # ------------------------------------------------------------------
     # RM ports (one per reconfigurable partition)

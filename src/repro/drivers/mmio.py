@@ -7,16 +7,12 @@ host-driver mode: every access is a real AXI transaction issued at the
 current simulation time with the CPU-side issue overhead charged, and
 simulation time advances to the response.
 
-32-bit register accesses go through one cached closure per address
-that reproduces the exact timing, arbitration watermarks and counters
-of the full crossbar walk: the fused port chain of
-:mod:`repro.axi.fastpath` (built for the ISS block engine) where the
-fuser takes the address, else the crossbar's resolved port
-(``resolve_read_port``/``resolve_write_port``), which serves register
-banks with no AXI4-Lite converter in front, such as the CLINT and the
-PLIC.  Only 64-bit accesses and addresses no port resolves (unmapped
-ones raise :class:`~repro.errors.BusError`) take the plain crossbar
-transaction.
+A 32-bit register access goes through the register's fused port
+(:mod:`repro.axi.fastpath`), one cached closure per address that
+reproduces the exact timing, arbitration watermarks and counters of
+the plain crossbar transaction.  Everything the fuser refuses takes
+that plain transaction: 64-bit accesses, SPI writes, memories and
+unmapped addresses (which raise :class:`~repro.errors.BusError`).
 """
 
 from __future__ import annotations
@@ -40,8 +36,8 @@ class HostPort:
         self.sim = soc.sim
         self.cpu_timing = soc.config.timing.cpu
         self.accesses = 0
-        # per-address resolved port caches; value None = "no port
-        # resolves, use the plain path" (resolved once, then cached)
+        # per-address fused port caches; value None = "the fuser
+        # refused, use the plain path" (resolved once, then cached)
         self._read_ports: Dict[int, Optional[ReadPort]] = {}
         self._write_ports: Dict[int, Optional[WritePort]] = {}
 
@@ -81,9 +77,7 @@ class HostPort:
     def read32(self, addr: int) -> int:
         port = self._read_ports.get(addr, _UNRESOLVED)
         if port is _UNRESOLVED:
-            xbar = self.soc.xbar
-            port = (fuse_read_port(xbar, addr, 4)
-                    or xbar.resolve_read_port(addr, 4))
+            port = fuse_read_port(self.soc.xbar, addr, 4)
             self._read_ports[addr] = port
         if port is None:
             return self._issue_read(addr, 4).value()
@@ -95,9 +89,7 @@ class HostPort:
     def write32(self, addr: int, value: int) -> None:
         port = self._write_ports.get(addr, _UNRESOLVED)
         if port is _UNRESOLVED:
-            xbar = self.soc.xbar
-            port = (fuse_write_port(xbar, addr, 4)
-                    or xbar.resolve_write_port(addr, 4))
+            port = fuse_write_port(self.soc.xbar, addr, 4)
             self._write_ports[addr] = port
         if port is None:
             self._issue_write(addr, (value & 0xFFFF_FFFF).to_bytes(4, "little"))

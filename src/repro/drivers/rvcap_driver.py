@@ -114,8 +114,15 @@ class RvCapDriver:
         self.port.write32(self.dma_base + dma_regs.MM2S_DMACR, control)
 
     def dma_reset(self) -> None:
-        """Soft-reset the MM2S channel, aborting any in-flight transfer."""
+        """Soft-reset both DMA channels, aborting any in-flight transfer.
+
+        The AXIS switch refuses to re-route while either channel is
+        busy, so every failure path stops both before it selects the
+        acceleration path again.
+        """
         self.port.write32(self.dma_base + dma_regs.MM2S_DMACR,
+                          dma_regs.CR_RESET)
+        self.port.write32(self.dma_base + dma_regs.S2MM_DMACR,
                           dma_regs.CR_RESET)
 
     def reset_icap(self) -> None:
@@ -249,10 +256,10 @@ class RvCapDriver:
                               timeout_us: float | None = None) -> ReconfigResult:
         """Load the RM described by ``descriptor`` into the RP.
 
-        On any failure the driver restores a safe state — AXIS switch
-        back to the acceleration path, RP re-coupled — before the error
-        propagates, so a failed DPR never strands the partition
-        decoupled with the switch pointed at the ICAP.
+        On any failure the driver restores a safe state — DMA stopped,
+        AXIS switch back to the acceleration path, RP re-coupled —
+        before the error propagates, so a failed DPR never strands the
+        partition decoupled with the switch pointed at the ICAP.
         """
         if mode not in ("interrupt", "polling"):
             raise ControllerError(f"unknown DMA mode {mode!r}")
@@ -273,27 +280,28 @@ class RvCapDriver:
         if obs is not None:
             obs.tracer.end(decision, self._now())
             decouple = obs.tracer.begin("driver", "decouple", self._now())
-        self.decouple_accel(1)
-        self.select_icap(1)
-        if obs is not None:
-            obs.tracer.end(decouple, self._now())
-        self.dma_start(irq_enabled=(mode == "interrupt"))
-        t_start = self.timer.read_ticks()
-        # the Tr window opens exactly where the CLINT measurement does:
-        # at the cycle t_start was sampled.  Its children (kick, transfer,
-        # isr/complete) are contiguous, so their cycle sum equals the
-        # window duration by construction — the breakdown report asserts
-        # that identity.
-        if obs is not None:
-            c0 = self._now()
-            tr_window = obs.tracer.begin("driver", "tr_window", c0)
-            kick = obs.tracer.begin("driver", "kick", c0)
-        self.dma_write_stream(descriptor.start_address, descriptor.pbit_size)
-        if obs is not None:
-            c1 = self._now()
-            obs.tracer.end(kick, c1)
-            obs.tracer.begin("driver", "transfer", c1)
         try:
+            self.decouple_accel(1)
+            self.select_icap(1)
+            if obs is not None:
+                obs.tracer.end(decouple, self._now())
+            self.dma_start(irq_enabled=(mode == "interrupt"))
+            t_start = self.timer.read_ticks()
+            # the Tr window opens exactly where the CLINT measurement
+            # does: at the cycle t_start was sampled.  Its children
+            # (kick, transfer, isr/complete) are contiguous, so their
+            # cycle sum equals the window duration by construction —
+            # the breakdown report asserts that identity.
+            if obs is not None:
+                c0 = self._now()
+                tr_window = obs.tracer.begin("driver", "tr_window", c0)
+                kick = obs.tracer.begin("driver", "kick", c0)
+            self.dma_write_stream(descriptor.start_address,
+                                  descriptor.pbit_size)
+            if obs is not None:
+                c1 = self._now()
+                obs.tracer.end(kick, c1)
+                obs.tracer.begin("driver", "transfer", c1)
             if mode == "interrupt":
                 self._handle_completion_irq(IRQ_DMA_MM2S, dma_regs.MM2S_DMASR,
                                             timeout_us=timeout_us)
@@ -319,6 +327,9 @@ class RvCapDriver:
                 obs.metrics.counter(
                     "driver_reconfig_failures_total",
                     "init_reconfig_process calls that raised").inc()
+            # a timed-out transfer is still streaming; stop it first,
+            # the switch does not re-route under a busy channel
+            self.dma_reset()
             self.select_icap(0)
             self.decouple_accel(0)
             raise
@@ -359,8 +370,8 @@ class RvCapDriver:
     def abort_reconfig(self) -> None:
         """Abort an in-flight reconfiguration and restore a safe state.
 
-        Stops the DMA channel (aborting the transfer engine), clears
-        any latched DMA status bits, resets the ICAP packet parser so
+        Stops both DMA channels (aborting the transfer engines), clears
+        any latched MM2S status bits, resets the ICAP packet parser so
         a half-delivered bitstream cannot poison the next session, and
         re-couples the RP with the switch on the acceleration path.
         """
@@ -462,6 +473,8 @@ class RvCapDriver:
         except Exception:
             if obs is not None:
                 obs.tracer.end_open("driver", self._now(), status="error")
+            # a channel starved by the failure would hold the switch
+            self.dma_reset()
             raise
         t1 = self.timer.read_ticks()
         tc_us = self.timer.ticks_to_us(t1 - t0)

@@ -1,6 +1,6 @@
 """Source-level lints for the repo's own invariants.
 
-Four checks, all pure ``ast`` walks (no third-party tooling, so they
+Five checks, all pure ``ast`` walks (no third-party tooling, so they
 run in any environment the simulator runs in):
 
 * **LINT-SPAN-001** — span discipline: a ``tracer.begin``/``open_span``
@@ -19,6 +19,10 @@ run in any environment the simulator runs in):
 * **LINT-TYPE-001** — annotation coverage: every function in the
   strictly-typed packages must annotate its parameters and return
   type (the in-repo stand-in for the CI ``mypy --strict`` gate).
+* **LINT-ENV-001** — the library reads no environment variable
+  (``os.environ``, ``os.getenv``) and imports nothing from ``tests``:
+  behaviour is chosen by arguments, and test-local oracles stay out of
+  production code.
 
 Run standalone (``python -m repro.lint.astchecks [root]``) or through
 ``repro lint``; the pytest suite runs it over ``src/repro`` so a
@@ -43,6 +47,9 @@ TIME_MUTATORS = frozenset({
     "advance", "tick", "step", "schedule", "schedule_at", "schedule_in",
     "add_process", "run", "run_until", "elapse",
 })
+
+#: ``os`` names that read the process environment
+ENV_READERS = frozenset({"environ", "environb", "getenv", "getenvb"})
 
 _BEGIN_METHODS = frozenset({"begin", "begin_span", "open_span"})
 _END_METHODS = frozenset({"end", "end_span", "end_open"})
@@ -180,6 +187,34 @@ def check_register_masks(tree: ast.Module, path: str) -> Iterator[Finding]:
                     break
 
 
+def check_env_and_test_imports(tree: ast.Module, path: str) -> Iterator[Finding]:
+    """LINT-ENV-001: no environment reads, no imports from ``tests``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ENV_READERS
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            what = f"reads os.{node.attr}"
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(alias.name in ENV_READERS for alias in node.names)):
+            what = "imports an environment reader from os"
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and (node.module or "").split(".")[0] == "tests"):
+            what = f"imports from {node.module}"
+        elif (isinstance(node, ast.Import)
+              and any(alias.name.split(".")[0] == "tests"
+                      for alias in node.names)):
+            what = "imports the tests package"
+        else:
+            continue
+        yield Finding(
+            rule_id="LINT-ENV-001",
+            severity=Severity.ERROR,
+            component=f"{path}:{node.lineno}",
+            message=f"library code {what}",
+            hint="take the choice as an argument instead of an environment "
+                 "variable, and keep test-local oracles under tests/",
+        )
+
+
 def _in_strict_package(path: Path, root: Path) -> bool:
     try:
         relative = path.relative_to(root)
@@ -225,6 +260,7 @@ def check_file(path: Path, *, root: Path | None = None) -> List[Finding]:
     findings: List[Finding] = []
     findings.extend(check_span_pairing(tree, shown))
     findings.extend(check_register_masks(tree, shown))
+    findings.extend(check_env_and_test_imports(tree, shown))
     resolved = path.resolve()
     anchor = (root or _default_root()).resolve()
     relative = None

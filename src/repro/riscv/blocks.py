@@ -1,18 +1,20 @@
-"""Basic-block compiler for the ISS (the "block" execution engine).
+"""Basic-block compiler for the ISS run loop (:meth:`Hart.run_until`).
 
-The interpreter retires one instruction per :meth:`Hart.step` call and
-pays the full dispatch cost — pc-cache lookup, handler call, ``Decoded``
-field access, per-retire bookkeeping — for every instruction.  This
-module removes that cost for straight-line code: decoded instructions
-are grouped into *basic blocks* (up to the next branch / jump /
-system-class instruction) and each block is compiled, via Python source
-generation + ``exec``, into one specialized closure that executes the
-whole block with plain local-variable arithmetic.
+:meth:`Hart.step` retires one instruction and pays the full dispatch
+cost — pc-cache lookup, handler call, ``Decoded`` field access,
+per-retire bookkeeping — for every instruction.  This module removes
+that cost for straight-line code: decoded instructions are grouped
+into *basic blocks* (up to the next branch / jump / system-class
+instruction) and each block is compiled, via Python source generation
++ ``exec``, into one specialized closure that executes the whole block
+with plain local-variable arithmetic.  The run loop single-steps only
+what no block covers.
 
 Equivalence contract
 --------------------
-A compiled block is *observationally identical* to running the
-interpreter over the same instructions:
+A compiled block is *observationally identical* to retiring the same
+instructions one :meth:`Hart.step` at a time (the one-step loop the
+property suites keep as their oracle, ``tests/property/iss_oracle.py``):
 
 * registers, pc, csr state, ``cycles``, ``instret`` and the D-cache /
   MMIO side effects match exactly;
@@ -20,7 +22,7 @@ interpreter over the same instructions:
   instruction the block compares ``cycles`` against the earliest
   pending event time (``limit``) and returns to the dispatcher when
   reached, so device events fire and interrupts are taken at exactly
-  the same instruction boundary as under the interpreter;
+  the same instruction boundary as under single-stepping;
 * after every memory access other than a D-cache hit or a batched
   push the block re-checks the interrupt-window (``mstatus.MIE`` is
   hoisted per block — only CSR writes and traps can change it, and
@@ -30,15 +32,15 @@ interpreter over the same instructions:
   head (the access may have scheduled or drained events);
 * traps inside a block (load/store access faults) commit the partial
   block — pc of the faulting instruction, retired count, cycles — and
-  re-raise for the dispatcher, which applies the interpreter's exact
+  re-raise for the dispatcher, which applies :meth:`Hart.step`'s exact
   trap accounting.
 
 Hot and cold paths
 ------------------
 A load or store that hits the D-cache in the fast-memory window runs
 inline.  Every other access — a miss, ROM, MMIO — goes out of line to
-:meth:`Hart.load` / :meth:`Hart.store`, the interpreter's own access
-path, and is followed by the re-checks above.  The one exception is a
+:meth:`Hart.load` / :meth:`Hart.store`, :meth:`Hart.step`'s own
+access path, and is followed by the re-checks above.  The one exception is a
 batched push (below).  Every exit — the quantum check, a re-check, the
 terminator, the fall-through — is one call of the exit helper
 ``_exit``, which commits any open batch and then pc, cycles and the
@@ -51,9 +53,10 @@ whose write only appends to a FIFO, schedules no event, raises no
 interrupt and reads no time (the HWICAP write FIFO; see
 :func:`repro.axi.fastpath.fuse_push_batch`).  The block appends such a
 store's masked value to a block-local batch and charges it its exact
-constant cost, ``base + ex + request + p_entry + delay + p_exit +
-response``, where ``ex`` is the MMIO issue cost including the
-branch-shadow stall.  That cost is exact because the hart waits for
+constant cost, ``base + ex + PushBatch.cost`` (the request, entry,
+register, converter-exit and response cycles of the fused chain),
+where ``ex`` is the MMIO issue cost including the branch-shadow
+stall.  That cost is exact because the hart waits for
 each non-posted store's response before it issues the next: stores
 of one batch never contend for the crossbar region or the AXI4-Lite
 converter.  The first store of a batch is checked for contention (and
@@ -81,9 +84,9 @@ Block boundaries
 ``beq/bne/blt/bge/bltu/bgeu/jal/jalr`` terminate a block and are
 compiled into it.  Anything with system-level side effects — csr ops,
 ``ecall``/``ebreak``/``mret``/``wfi``/``fence.i``, AMOs, ``lr``/``sc``
-— ends the block *before* itself and is single-stepped by the
-interpreter, which keeps the rare/complex semantics in exactly one
-place.
+— ends the block *before* itself and is single-stepped by
+:meth:`Hart.step`, which keeps the rare/complex semantics in exactly
+one place.
 
 Invalidation
 ------------
@@ -323,7 +326,7 @@ def _discover(hart: "Hart", entry_pc: int) -> List[Tuple[int, Decoded]]:
             # and may run past the program into unmapped space.  Any
             # failure (trap, illegal encoding, backend fetch error)
             # just ends the block; if the pc is actually reached, the
-            # interpreter single-steps it and raises architecturally.
+            # run loop single-steps it and raises architecturally.
             break
         name = d.name
         if name in _TERMINATORS:
@@ -331,7 +334,7 @@ def _discover(hart: "Hart", entry_pc: int) -> List[Tuple[int, Decoded]]:
             break
         if (name not in _HANDLER_OPS and name not in _LOADS
                 and name not in _STORES and _emit_alu(d, pc) is None):
-            break  # system-class op: single-stepped by the interpreter
+            break  # system-class op: single-stepped by the run loop
         instrs.append((pc, d))
         pc += d.size
     return instrs
@@ -504,7 +507,7 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
         next_pc = (pc + d.size) & 0xFFFF_FFFF_FFFF_FFFF
         if idx > 0:
             # co-sim quantum check: identical granularity to the
-            # interpreter's per-step event/deadline comparison
+            # run loop's per-step event/deadline comparison
             lines += [f"{ind}if cycles >= limit:",
                       f"{ind}    {leave(pc, 'cycles', idx)}"]
 
@@ -676,7 +679,7 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
         if body is not None:
             lines += [ind + line for line in body]
         else:
-            # pure register op via its interpreter handler
+            # pure register op via its Hart.step handler
             ns[f"E{idx}"] = EXEC[name]
             ns[f"D{idx}"] = d
             lines.append(f"{ind}E{idx}(h, D{idx})")
@@ -700,7 +703,7 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
             # h.cycles/_extra_cycles already hold the faulting access's
             # partial charges (no batch is open: cold accesses commit
             # it first); commit pc + retired count and re-raise for the
-            # dispatcher's interpreter-exact trap accounting
+            # dispatcher's step-exact trap accounting
             "        h.pc = fpc",
             "        h.instret += i",
             "        h._block_retired = i",

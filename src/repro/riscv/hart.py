@@ -10,11 +10,19 @@ timestamp, or (c) executes ``wfi``.  Device models therefore always
 observe a consistent time order for MMIO traffic, and interrupts are
 taken at worst one quantum late — bounded by the next event timestamp,
 i.e. exact whenever a device has anything scheduled.
+
+Execution
+---------
+:meth:`Hart.run_until` is the one run loop.  It executes compiled basic
+blocks (:mod:`repro.riscv.blocks`) and single-steps (:meth:`Hart.step`)
+only what no block covers: system-class instructions, a block the
+remaining budget does not cover, an idle-queue early stop.  An MMIO access
+goes through its register's fused port (:mod:`repro.axi.fastpath`), or
+through the plain crossbar transaction where the fuser refuses it.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional
 
 from repro.axi.fastpath import (
@@ -41,31 +49,6 @@ _IRQ_PRIORITY = (isa.IRQ_MEI, isa.IRQ_MSI, isa.IRQ_MTI)
 #: sentinel distinguishing "not yet resolved" from "no fast path" in the
 #: per-hart MMIO/fill port caches
 _UNRESOLVED = object()
-
-#: the available ISS execution engines
-ENGINES = ("interp", "block")
-
-#: process-wide default engine; ``REPRO_ISS_ENGINE`` overrides it, an
-#: explicit ``Hart(engine=...)`` argument overrides both
-_DEFAULT_ENGINE = "block"
-
-
-def set_default_engine(name: str) -> None:
-    """Set the process-wide default ISS engine (CLI ``--engine``)."""
-    global _DEFAULT_ENGINE
-    if name not in ENGINES:
-        raise ValueError(f"unknown ISS engine {name!r}; expected one of {ENGINES}")
-    _DEFAULT_ENGINE = name
-
-
-def resolve_engine(name: Optional[str] = None) -> str:
-    """Resolve an engine choice: explicit arg > env var > default."""
-    if name is None:
-        name = os.environ.get("REPRO_ISS_ENGINE") or _DEFAULT_ENGINE
-    if name not in ENGINES:
-        raise ValueError(f"unknown ISS engine {name!r}; expected one of {ENGINES}")
-    return name
-
 
 class Hart:
     """A single RV64IMAC machine-mode hart.
@@ -98,15 +81,11 @@ class Hart:
         is_cacheable: Callable[[int], bool],
         timing: CpuTiming | None = None,
         reset_pc: int = 0x1_0000,
-        engine: Optional[str] = None,
         cacheable_windows: Optional[
             tuple[tuple[int, int], tuple[int, int]]
         ] = None,
         fast_memory: Optional[tuple[int, int, object]] = None,
     ) -> None:
-        #: execution engine: "interp" single-steps every instruction,
-        #: "block" compiles basic blocks (see repro.riscv.blocks)
-        self.engine = resolve_engine(engine)
         # cacheable_windows: when given, an *exhaustive* pair of
         # [lo, hi) windows equivalent to is_cacheable — lets the hot
         # load/store paths classify with inline compares instead of a
@@ -216,9 +195,9 @@ class Hart:
         self._mmio_store_extra = (self.timing.mmio_issue_overhead
                                   + self.timing.noncacheable_store_cost)
         self._mmio_shadow_extra = self.timing.mmio_after_branch_block
-        #: resolved MMIO ports keyed by ``addr * 16 + nbytes`` (a single
+        #: fused MMIO ports keyed by ``addr * 16 + nbytes`` (a single
         #: int hashes faster than a tuple); an entry of None means the
-        #: path refused a fast port and the timed bus call is used.
+        #: fuser refused the access and the plain bus call is used.
         #: Valid while the bus topology is static (always, here).
         self._mmio_read_ports: dict[int, object] = {}
         self._mmio_write_ports: dict[int, object] = {}
@@ -312,19 +291,12 @@ class Hart:
         return port
 
     def _resolve_mmio_port(self, addr: int, nbytes: int, is_read: bool) -> object:
-        """Resolve (and memoize) a flattened bus port for an MMIO access.
-
-        Tries the cross-layer fused closure first (one frame for the
-        whole interconnect chain), then the layered resolution.
-        """
+        """Resolve (and memoize) the fused bus port for an MMIO access,
+        or ``None`` when the fuser refuses it (the plain transaction)."""
         if is_read:
             port: object = fuse_read_port(self.bus, addr, nbytes)
         else:
             port = fuse_write_port(self.bus, addr, nbytes)
-        if port is None:
-            name = "resolve_read_port" if is_read else "resolve_write_port"
-            resolver = getattr(self.bus, name, None)
-            port = resolver(addr, nbytes) if resolver is not None else None
         cache = self._mmio_read_ports if is_read else self._mmio_write_ports
         cache[addr * 16 + nbytes] = port
         return port
@@ -417,7 +389,7 @@ class Hart:
         # MMIO: charge issue-side cycles (issue overhead, plus the
         # branch-shadow block — non-cacheable accesses may not issue
         # speculatively, Sec. IV-B of the paper), sync with the kernel,
-        # then use the resolved flat port when the path supports one.
+        # then use the fused port when the fuser takes the access.
         self.mmio_accesses += 1
         extra = self._extra_cycles + self._mmio_load_extra
         if self._branch_shadow:
@@ -693,75 +665,17 @@ class Hart:
                   until_halted: bool = True) -> int:
         """Run until ``deadline`` (a cycle count), halt, or budget.
 
-        The hot loop keeps every per-instruction lookup in locals: the
-        bound ``step`` / ``peek_next_time`` methods and the instruction
-        budget are hoisted out so each retire costs one method call and
-        two compares of loop overhead.  ``deadline=None`` runs with no
-        time bound (the :meth:`run` behaviour).
-
-        With ``engine="block"`` the same loop runs at basic-block
-        granularity through compiled blocks (repro.riscv.blocks); the
-        architectural and timing behaviour is identical by contract.
-        """
-        if self.engine == "block":
-            return self._run_until_blocks(deadline,
-                                          max_instructions=max_instructions,
-                                          until_halted=until_halted)
-        start_instret = self.instret
-        budget = max_instructions
-        sim = self.sim
-        step = self.step
-        peek = sim.peek_next_time
-        advance = sim.advance_to
-        while not self.halted:
-            if deadline is not None and self.cycles >= deadline:
-                break
-            if self.in_wfi:
-                nxt = peek()
-                if nxt is None:
-                    raise CpuError(
-                        "hart is in wfi with no pending events: deadlock"
-                    )
-                target = max(nxt, self.cycles)
-                advance(target)
-                self.cycles = max(self.cycles, sim.now)
-                if self.pending_interrupt() is not None or (
-                    self.csr.mip & self.csr.mie
-                ):
-                    # wfi wakes on pending-and-enabled regardless of MIE
-                    self.in_wfi = False
-                    continue
-                if peek() is None:
-                    raise CpuError("wfi wake condition unreachable: deadlock")
-                continue
-            nxt = peek()
-            if nxt is not None and self.cycles >= nxt:
-                advance(self.cycles)
-            step()
-            budget -= 1
-            if budget <= 0:
-                raise CpuError(f"instruction budget exceeded ({max_instructions})")
-            if not until_halted and peek() is None:
-                break
-        # fold the hart's final time into the kernel
-        if self.cycles > sim.now:
-            advance(self.cycles)
-        return self.instret - start_instret
-
-    def _run_until_blocks(self, deadline: int | None, *,
-                          max_instructions: int,
-                          until_halted: bool) -> int:
-        """Block-engine twin of the :meth:`run_until` loop.
-
-        Per iteration: handle wfi / pending interrupts / the event
-        quantum exactly as the interpreter loop does, then execute one
-        compiled basic block (falling back to a single :meth:`step` at
-        pcs that do not begin a compilable block, when the remaining
-        budget is smaller than the block, or when an idle-queue early
-        exit must stop at single-instruction granularity).  A block
-        that branches back to its own entry takes that back-edge inside
-        its closure for as long as this loop would re-enter it, so it
-        is given the remaining budget.
+        ``deadline=None`` runs with no time bound (the :meth:`run`
+        behaviour).  Per iteration: handle wfi, the event quantum and
+        pending interrupts, then execute one compiled basic block
+        (:mod:`repro.riscv.blocks`), falling back to a single
+        :meth:`step` at pcs that do not begin a compilable block, when
+        the remaining budget is smaller than the block, or when an
+        idle-queue early exit must stop at single-instruction
+        granularity.  A block that branches back to its own entry takes
+        that back-edge inside its closure for as long as this loop would
+        re-enter it, so it is given the remaining budget.  The result is
+        the one-``step``-per-instruction loop's, retire for retire.
         """
         start_instret = self.instret
         budget = max_instructions
@@ -788,6 +702,7 @@ class Hart:
                 if self.pending_interrupt() is not None or (
                     self.csr.mip & self.csr.mie
                 ):
+                    # wfi wakes on pending-and-enabled regardless of MIE
                     self.in_wfi = False
                     continue
                 if peek() is None:
@@ -799,7 +714,7 @@ class Hart:
                 nxt = peek()
             irq = self.pending_interrupt()
             if irq is not None:
-                # interpreter-exact delivery (step()'s interrupt branch)
+                # step()'s interrupt branch, retired like one step
                 self.in_wfi = False
                 self.take_trap(irq, interrupt=True)
                 self.cycles += self._extra_cycles
@@ -810,7 +725,7 @@ class Hart:
                         f"instruction budget exceeded ({max_instructions})"
                     )
                 if not until_halted and peek() is None:
-                    break  # the interpreter stops after this step too
+                    break  # a step stops the run here too
                 continue
             block = cache.get(self.pc)
             if block is None and self.pc not in refused:
@@ -839,6 +754,7 @@ class Hart:
                 )
             if not until_halted and peek() is None:
                 break
+        # fold the hart's final time into the kernel
         if self.cycles > sim.now:
             advance(self.cycles)
         return self.instret - start_instret

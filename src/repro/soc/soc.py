@@ -162,8 +162,7 @@ class Soc:
     # ------------------------------------------------------------------
     # firmware support
     # ------------------------------------------------------------------
-    def load_firmware(self, program: Program,
-                      engine: Optional[str] = None) -> Hart:
+    def load_firmware(self, program: Program) -> Hart:
         """Program the boot memory and construct a hart at its entry."""
         layout = self.config.layout
         if program.base != layout.bootrom_base:
@@ -181,7 +180,6 @@ class Soc:
             is_cacheable=layout.is_cacheable,
             timing=self.config.timing.cpu,
             reset_pc=program.entry,
-            engine=engine,
             # the two windows below are exactly is_cacheable's ranges,
             # letting the hart classify accesses with inline compares
             cacheable_windows=(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import dma as dr
 from repro.core import rp_control as rc
+from repro.drivers.mmio import HostPort
 from repro.errors import BusError
 from repro.eval.scenarios import make_test_bitstream, small_rp
 
@@ -55,12 +56,42 @@ class TestReconfigurationMode:
         # small bitstream: overhead visible, but well above 350 MB/s
         assert mb_s > 350
 
-    def test_switch_cannot_change_midstream(self, bare_soc):
-        soc = bare_soc
-        soc.rvcap.switch.select("icap")
-        soc.rvcap.switch._in_flight = True
-        with pytest.raises(BusError):
-            soc.rvcap.switch.select("rm")
+    def test_switch_cannot_change_midstream(self, soc):
+        """SELECT_ICAP=0 while the sobel bitstream streams into the ICAP
+        is refused; the transfer finishes on the ICAP route."""
+        layout = soc.config.layout
+        pbit = soc.bitgen.generate(soc.rp, soc.module("sobel")).to_bytes()
+        src = layout.ddr_base + 0x10_0000
+        soc.ddr_write(src, pbit)
+        obs = soc.attach_observability()
+        port = HostPort(soc)
+        port.write32(layout.rp_ctrl_base + rc.DECOUPLE_OFFSET, 1)
+        port.write32(layout.rp_ctrl_base + rc.SELECT_ICAP_OFFSET, 1)
+        port.write32(layout.dma_base + dr.MM2S_DMACR, dr.CR_RS)
+        port.write32(layout.dma_base + dr.MM2S_SA, src & 0xFFFF_FFFF)
+        port.write32(layout.dma_base + dr.MM2S_SA_MSB, src >> 32)
+        port.write32(layout.dma_base + dr.MM2S_LENGTH, len(pbit))
+        port.elapse(5_000)
+        assert 0 < soc.rvcap.dma.mm2s.bytes_done < len(pbit)
+        edges = list(obs.tracer.signals["axis_icap_sel"])
+        assert edges[-1][1] == 1
+        with pytest.raises(BusError, match="mid-transfer"):
+            port.write32(layout.rp_ctrl_base + rc.SELECT_ICAP_OFFSET, 0)
+        assert soc.rvcap.switch.selected == "icap"
+        assert port.read32(layout.rp_ctrl_base + rc.SELECT_ICAP_OFFSET) == 1
+        # the refused write leaves no edge on the select signal
+        assert obs.tracer.signals["axis_icap_sel"] == edges
+        # rewriting the current selection switches nothing
+        port.write32(layout.rp_ctrl_base + rc.SELECT_ICAP_OFFSET, 1)
+        assert soc.rvcap.switch.selected == "icap"
+        soc.sim.run()
+        assert soc.rvcap.dma.mm2s.bytes_done == len(pbit)
+        assert soc.icap.reconfigurations_completed == 1
+        assert not soc.icap.error
+        assert soc.active_module_names[0] == "sobel"
+        # once the channel is idle the switch may change again
+        port.write32(layout.rp_ctrl_base + rc.SELECT_ICAP_OFFSET, 0)
+        assert soc.rvcap.switch.selected == "rm"
 
 
 class TestAccelerationMode:

@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
 
+from repro.accel import median3x3, scene_image
+from repro.core import dma as dr
 from repro.errors import (
+    BusError,
     ControllerError,
     ReconfigAbortError,
     ReconfigTimeoutError,
@@ -10,6 +14,18 @@ from repro.faults.injectors import (
     install_mem_fault,
     remove_mem_fault,
 )
+
+
+def _stall_s2mm(soc, manager):
+    """Start an S2MM transfer that no module feeds; it stays busy."""
+    port = manager.port
+    dma_base = soc.config.layout.dma_base
+    port.write32(dma_base + dr.S2MM_DMACR, dr.CR_RS)
+    port.write32(dma_base + dr.S2MM_DA,
+                 (soc.config.layout.ddr_base + (80 << 20)) & 0xFFFF_FFFF)
+    port.write32(dma_base + dr.S2MM_LENGTH, 4096)
+    port.elapse(10_000)
+    assert soc.rvcap.dma.s2mm.busy
 
 
 class TestReconfiguration:
@@ -108,6 +124,61 @@ class TestFailurePathRestoresState:
         self._assert_safe_state(soc)
         assert channel.transfers_errored == 1
 
+    @pytest.mark.parametrize("mode", ["interrupt", "polling"])
+    def test_timeout_mid_transfer_stops_the_channel(
+            self, provisioned_manager_factory, mode):
+        """The deadline expires while the DMA still streams the
+        bitstream: the driver stops the channel before it re-routes the
+        switch, the timeout propagates, and a retry goes through."""
+        soc, manager = provisioned_manager_factory()
+        d = manager.descriptor("sobel")
+        channel = soc.rvcap.dma.mm2s
+        with pytest.raises(ReconfigTimeoutError):
+            manager.rvcap.init_reconfig_process(d, mode=mode,
+                                                timeout_us=100.0)
+        self._assert_safe_state(soc)
+        assert not channel.busy
+        assert channel.transfers_aborted == 1
+        result = manager.rvcap.recover_and_retry(d, mode=mode)
+        assert soc.active_module_name == "sobel"
+        assert result.tr_us == pytest.approx(1651.0, rel=0.02)
+
+    def test_refused_switch_recouples(self, provisioned_manager_factory):
+        """A busy S2MM channel makes the switch refuse SELECT_ICAP=1
+        right after the RP is decoupled; the failure path still stops
+        the channels and re-couples, so the next attempt succeeds."""
+        soc, manager = provisioned_manager_factory()
+        _stall_s2mm(soc, manager)
+        d = manager.descriptor("sobel")
+        with pytest.raises(BusError, match="mid-transfer"):
+            manager.rvcap.init_reconfig_process(d)
+        self._assert_safe_state(soc)
+        assert not soc.rvcap.dma.s2mm.busy
+        manager.rvcap.init_reconfig_process(d)
+        assert soc.active_module_name == "sobel"
+
+    def test_failed_accelerator_run_releases_the_switch(
+            self, provisioned_manager_factory):
+        """An MM2S error mid-run starves S2MM; the driver stops both
+        channels, so the next reconfiguration and run still work."""
+        soc, manager = provisioned_manager_factory()
+        image = scene_image(512)
+        manager.load_module("sobel")
+        channel = soc.rvcap.dma.mm2s
+        proxy = install_mem_fault(channel, fail_read_at=image.size // 2)
+        try:
+            with pytest.raises(ControllerError):
+                manager.process_image("sobel", image)
+        finally:
+            remove_mem_fault(channel, proxy)
+        assert proxy.faults_injected == 1
+        assert not channel.busy
+        assert not soc.rvcap.dma.s2mm.busy
+        self._assert_safe_state(soc)
+        out, _times = manager.process_image("median", image)
+        assert soc.active_module_name == "median"
+        assert np.array_equal(out, median3x3(image))
+
 
 class TestTimeoutsAndAborts:
     def test_interrupt_mode_times_out_on_silent_stall(
@@ -175,6 +246,17 @@ class TestRecoverAndRetry:
         assert "after 2 attempts" in str(excinfo.value)
         assert excinfo.value.__cause__ is not None
         assert not soc.rvcap.rp_control.decoupled
+
+    def test_abort_reconfig_idles_a_stalled_s2mm(
+            self, provisioned_manager_factory):
+        """An S2MM transfer with no producer holds the switch; recovery
+        stops it, and the next reconfiguration goes through."""
+        soc, manager = provisioned_manager_factory()
+        _stall_s2mm(soc, manager)
+        manager.rvcap.abort_reconfig()
+        assert not soc.rvcap.dma.s2mm.busy
+        manager.rvcap.init_reconfig_process(manager.descriptor("sobel"))
+        assert soc.active_module_name == "sobel"
 
     def test_abort_reconfig_resets_icap_parser(
             self, provisioned_manager_factory):

@@ -47,6 +47,21 @@ class TestSweepMechanics:
         assert report.detection_rate == 1.0
         assert report.recovery_rate == 1.0
 
+    def test_deadline_shorter_than_transfer_is_scored(
+            self, provisioned_manager_factory):
+        """Every attempt times out with the DMA still streaming; the
+        point is scored, not raised, and the RP ends coupled with the
+        switch on the acceleration path."""
+        soc, manager = provisioned_manager_factory()
+        report = run_fault_sweep(manager, points=1, seed=7,
+                                 kinds=("bitflip",), timeout_us=100.0,
+                                 max_attempts=1)
+        (outcome,) = report.outcomes
+        assert outcome.detected
+        assert not outcome.recovered
+        assert not soc.rvcap.rp_control.decoupled
+        assert not soc.rvcap.in_reconfiguration_mode
+
     def test_same_seed_reproduces_points(self, provisioned):
         _soc, manager = provisioned
         a = run_fault_sweep(manager, points=2, seed=17, kinds=("bitflip",))

@@ -6,6 +6,7 @@ import textwrap
 
 from repro.lint.astchecks import (
     check_annotations,
+    check_env_and_test_imports,
     check_file,
     check_obs_time,
     check_register_masks,
@@ -130,6 +131,38 @@ class TestAnnotations:
         assert lint(check_annotations, """
             def decode(self, addr: int, nbytes: int = 4) -> int:
                 return addr
+        """) == []
+
+
+class TestEnvAndTestImports:
+    def test_each_violating_form_fires(self):
+        forms = {
+            "os.environ.get('REPRO_X')": "reads os.environ",
+            "os.environ['REPRO_X']": "reads os.environ",
+            "'REPRO_X' in os.environ": "reads os.environ",
+            "os.getenv('REPRO_X')": "reads os.getenv",
+            "from os import environ": "environment reader",
+            "from os import getenv as _getenv": "environment reader",
+            "import tests": "tests package",
+            "import tests.property.iss_oracle as oracle": "tests package",
+            "from tests.property import iss_oracle": "from tests.property",
+            "from tests import conftest": "from tests",
+        }
+        for source, message in forms.items():
+            found = lint(check_env_and_test_imports, source)
+            assert [f.rule_id for f in found] == ["LINT-ENV-001"], source
+            assert found[0].severity is Severity.ERROR
+            assert message in found[0].message, source
+
+    def test_clean_module_is_clean(self):
+        assert lint(check_env_and_test_imports, """
+            import os
+            from os import path
+            from .tests import helper
+            import testsuite
+
+            def load(name: str) -> str:
+                return os.path.join(path.dirname(name), "environ")
         """) == []
 
 

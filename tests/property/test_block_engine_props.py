@@ -6,13 +6,16 @@ interpreter: same registers, same pc, same CSR state, same cycle and
 retired-instruction counts, for any program — including compressed
 encodings, traps raised mid-block, interrupts delivered inside a
 block's window, and self-modifying code.  These tests pin that
-contract with randomized programs run through both engines on
-identical twin systems.
+contract with randomized programs run on identical twin systems: the
+"block" twin runs ``Hart.run_until``, the "interp" twin has the
+one-step-per-instruction oracle (:mod:`tests.property.iss_oracle`)
+bound over it.
 """
 
 from __future__ import annotations
 
 import random
+import types
 from typing import List, Tuple
 from unittest import mock
 
@@ -29,6 +32,7 @@ from repro.riscv import isa
 from repro.riscv.assembler import assemble
 from repro.riscv.hart import Hart
 from repro.sim.kernel import Simulator
+from tests.property import iss_oracle
 
 ROM_BASE = 0x1_0000
 DDR_BASE = 0x8000_0000
@@ -49,7 +53,8 @@ def _run(body: str, engine: str, *, compress: bool = False,
 
 def _build(body: str, engine: str, *, compress: bool = False,
            code_in_ddr: bool = False) -> Hart:
-    """Assemble ``body`` into a fresh mini system with an ``engine`` hart."""
+    """Assemble ``body`` into a fresh mini system with an ``engine`` hart
+    ("block": the production run loop, "interp": the oracle's)."""
     sim = Simulator()
     rom = BootRom(64 * 1024)
     ddr = DdrController(DDR_SIZE)
@@ -72,8 +77,9 @@ def _build(body: str, engine: str, *, compress: bool = False,
         data_store=lambda a, v, n: ddr.memory.store_word(a - DDR_BASE, v, n),
         is_cacheable=lambda a: a >= DDR_BASE,
         reset_pc=program.entry,
-        engine=engine,
     )
+    if engine == "interp":
+        hart.run_until = types.MethodType(iss_oracle.run_until, hart)
     return hart
 
 
@@ -406,3 +412,40 @@ def test_self_modifying_code_without_fence_i():
     """
     block = _assert_equiv(body, code_in_ddr=True)
     assert block.reg(isa.register_number("a0")) == 65
+
+
+# ----------------------------------------------------------------------
+# the oracle binding is live
+# ----------------------------------------------------------------------
+def test_oracle_twin_steps_every_instruction():
+    """The interp twin retires every instruction through ``Hart.step``;
+    the block twin steps only the ``ebreak`` no block covers.  Without
+    the binding both twins would run the block loop and every property
+    above would compare it with itself."""
+    body = """
+        li s1, 100
+    loop:
+        addi a0, a0, 1
+        addi s1, s1, -1
+        bnez s1, loop
+        ebreak
+    """
+    step = Hart.step
+    harts, stepped = {}, {}
+    for engine in ("interp", "block"):
+        pcs: List[int] = []
+
+        def spy(hart: Hart, pcs: List[int] = pcs) -> None:
+            pcs.append(hart.pc)
+            step(hart)
+
+        hart = _build(body, engine)
+        with mock.patch.object(Hart, "step", spy):
+            hart.run(max_instructions=10_000)
+        harts[engine], stepped[engine] = hart, pcs
+    assert _state(harts["interp"]) == _state(harts["block"])
+    assert len(stepped["interp"]) == harts["interp"].instret == 302
+    assert not harts["interp"]._block_cache
+    assert len(stepped["block"]) == 1
+    assert set(stepped["block"]) <= harts["block"]._block_refused
+    assert harts["block"]._block_cache

@@ -4,12 +4,13 @@
 no cacheable windows or fast memory, so it never runs the block
 engine's inline D-cache path or its batched MMIO pushes.  These
 properties run random HWICAP-style copy firmware (Sec. IV-B) on twin
-:class:`~repro.soc.soc.Soc` instances through ``Soc.load_firmware(...,
-engine=...)`` and compare everything the firmware can observe or
-leave behind: registers, pc, cycles, instret, MMIO and trap counts,
-kernel time, the HWICAP write FIFO, the crossbar, the ICAP, the
-configuration memory and, with observability attached, every metric
-and span.
+:class:`~repro.soc.soc.Soc` instances, the "interp" twin with the
+one-step-per-instruction oracle (:mod:`tests.property.iss_oracle`)
+bound over its hart's ``run_until``, and compare everything the
+firmware can observe or leave behind: registers, pc, cycles, instret,
+MMIO and trap counts, kernel time, the HWICAP write FIFO, the
+crossbar, the ICAP, the configuration memory and, with observability
+attached, every metric and span.
 
 The random firmware varies the unroll factor (1-16) and the encoding
 (plain or RVC), overflows the 1024-word FIFO, mixes WFV/SR loads and
@@ -24,6 +25,7 @@ comparing the per-store path with itself.
 from __future__ import annotations
 
 import random
+import types
 from typing import Dict, List, Optional, Tuple
 from unittest import mock
 
@@ -40,6 +42,7 @@ from repro.riscv.assembler import assemble
 from repro.riscv.hart import Hart
 from repro.soc.builder import build_soc
 from repro.soc.soc import Soc
+from tests.property import iss_oracle
 
 #: a small but complete partial bitstream (3,143 words, 28 frames)
 _PBIT = Bitgen().generate(
@@ -148,10 +151,19 @@ def _firmware(*, unroll: int, inner: int, chunks: int, extras: Dict[int, int],
                     compress=compress)
 
 
+def _load(soc: Soc, program, engine: str) -> Hart:
+    """Load ``program`` on ``soc``: the production run loop ("block")
+    or the oracle bound over it ("interp")."""
+    hart = soc.load_firmware(program)
+    if engine == "interp":
+        hart.run_until = types.MethodType(iss_oracle.run_until, hart)
+    return hart
+
+
 def _twin(program, engine: str) -> Soc:
     soc = build_soc(with_case_study_modules=False)
     soc.ddr_write(soc.config.layout.ddr_base + _SRC_OFFSET, _PBIT)
-    soc.load_firmware(program, engine=engine)
+    _load(soc, program, engine)
     return soc
 
 
@@ -280,8 +292,7 @@ def test_observed_counters_match_the_interpreter():
         soc = build_soc(with_case_study_modules=False)
         soc.attach_observability()
         soc.ddr_write(soc.config.layout.ddr_base + _SRC_OFFSET, _PBIT)
-        soc.load_firmware(program, engine=engine)
-        soc.hart.run(max_instructions=2_000_000)
+        _load(soc, program, engine).run(max_instructions=2_000_000)
         twins.append(soc)
     interp, block = twins
     assert _state(interp) == _state(block)
@@ -330,3 +341,30 @@ def test_batches_and_back_edges_are_live():
     assert block.icap.words_consumed > 0
     assert max(commits) >= 2
     assert looped
+
+
+def test_oracle_twin_steps_every_instruction():
+    """On the SoC firmware too, the interp twin retires every
+    instruction through ``Hart.step`` and the block twin single-steps
+    only pcs where block compilation refused (csr ops, ``ebreak``)."""
+    program = _firmware(unroll=4, inner=50, chunks=2, extras={0: 1},
+                        cr_value=0, period=None, compress=False)
+    step = Hart.step
+    twins, stepped = {}, {}
+    for engine in ("interp", "block"):
+        pcs: List[int] = []
+
+        def spy(hart: Hart, pcs: List[int] = pcs) -> None:
+            pcs.append(hart.pc)
+            step(hart)
+
+        soc = _twin(program, engine)
+        with mock.patch.object(Hart, "step", spy):
+            soc.hart.run(max_instructions=2_000_000)
+        twins[engine], stepped[engine] = soc, pcs
+    assert _state(twins["interp"]) == _state(twins["block"])
+    interp, block = twins["interp"].hart, twins["block"].hart
+    assert len(stepped["interp"]) == interp.instret > 1_000
+    assert not interp._block_cache
+    assert 0 < len(stepped["block"]) < 10
+    assert set(stepped["block"]) <= block._block_refused
