@@ -64,10 +64,7 @@ class ReconfigurationManager:
         for name in names:
             bitstream = soc.bitgen.generate(soc.rp, soc.module(name))
             files[f"{name.upper()}.PBI"] = bitstream.to_bytes()
-        image_device = make_disk_image(files)
-        backdoor = SdBackdoorBlockDevice(soc.sdcard)
-        for lba in image_device.populated_blocks():
-            backdoor.write_block(lba, image_device.read_block(lba))
+        soc.sdcard.load_blocks(make_disk_image(files).populated_blocks())
 
     def init_rmodules(self, modules: Optional[list[str]] = None, *,
                       block_device: Optional[BlockDevice] = None) -> None:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import abc
+from collections.abc import Mapping
+from types import MappingProxyType
 
 from repro.errors import FilesystemError
 
@@ -54,18 +56,9 @@ class RamBlockDevice(BlockDevice):
         self.writes += 1
         self._blocks[lba] = bytes(data)
 
-    def populated_blocks(self) -> list[int]:
-        """LBAs that have been written (sparse image transfer)."""
-        return sorted(self._blocks)
-
-    def to_image(self, max_blocks: int | None = None) -> bytes:
-        """Serialize the populated prefix as a flat image."""
-        if not self._blocks:
-            return b""
-        top = max(self._blocks) + 1 if max_blocks is None else max_blocks
-        return b"".join(
-            self._blocks.get(i, bytes(BLOCK_SIZE)) for i in range(top)
-        )
+    def populated_blocks(self) -> Mapping[int, bytes]:
+        """The written blocks by LBA (sparse image transfer)."""
+        return MappingProxyType(self._blocks)
 
 
 class SdBackdoorBlockDevice(BlockDevice):

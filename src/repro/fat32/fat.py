@@ -83,7 +83,8 @@ class FatTable:
         cluster = self._next_free_hint
         limit = self.bpb.num_clusters + 2
         scanned = 0
-        while len(allocated) < count and scanned < limit:
+        # one lap of the data clusters 2 .. limit-1, from the hint
+        while len(allocated) < count and scanned < self.bpb.num_clusters:
             if cluster >= limit:
                 cluster = 2
             if self.read_entry(cluster) == FREE_CLUSTER:

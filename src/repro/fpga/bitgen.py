@@ -90,58 +90,43 @@ class Bitgen:
 
     def _assemble(self, rp: ReconfigurablePartition,
                   payload: np.ndarray) -> Bitstream:
+        """Wrap ``payload`` in the header and trailer words.
+
+        The header and trailer are short word lists; the payload array
+        is concatenated between them, never copied through a list.
+        """
         opts = self.options
         if len(payload) != rp.frame_words:
             raise BitstreamError(
                 f"payload of {len(payload)} words does not match RP "
                 f"footprint of {rp.frame_words} words"
             )
-        words: list[int] = []
-        words.extend([DUMMY_WORD] * opts.preamble_dummies)
-        words.append(BUS_WIDTH_SYNC)
-        words.append(BUS_WIDTH_DETECT)
-        words.extend([DUMMY_WORD] * 2)
-        words.append(SYNC_WORD)
-        words.append(NOOP_WORD)
-
-        crc = 0
-
-        def emit_reg(register: ConfigRegister, value: int) -> None:
-            nonlocal crc
-            words.append(type1_write(register, 1))
-            words.append(value)
-            if register != ConfigRegister.CRC:
-                crc = crc32_config_word(crc, value, register)
-
-        emit_reg(ConfigRegister.CMD, Command.RCRC)
+        head = [DUMMY_WORD] * opts.preamble_dummies
+        head += [BUS_WIDTH_SYNC, BUS_WIDTH_DETECT, DUMMY_WORD, DUMMY_WORD,
+                 SYNC_WORD, NOOP_WORD,
+                 type1_write(ConfigRegister.CMD, 1), Command.RCRC,
+                 NOOP_WORD, NOOP_WORD]
         crc = 0  # RCRC resets the running CRC
-        words.append(NOOP_WORD)
-        words.append(NOOP_WORD)
-        emit_reg(ConfigRegister.IDCODE, self.device.idcode)
-        emit_reg(ConfigRegister.FAR, rp.base_far.encode())
-        emit_reg(ConfigRegister.CMD, Command.WCFG)
-        words.append(NOOP_WORD)
-
-        words.append(type1_write(ConfigRegister.FDRI, 0))
-        words.append(type2_write(len(payload)))
-        frame_start = len(words)
-        words.extend([0] * len(payload))  # placeholder, filled vectorized
-
+        for register, value in ((ConfigRegister.IDCODE, self.device.idcode),
+                                (ConfigRegister.FAR, rp.base_far.encode()),
+                                (ConfigRegister.CMD, Command.WCFG)):
+            head += [type1_write(register, 1), value]
+            crc = crc32_config_word(crc, value, register)
+        head += [NOOP_WORD, type1_write(ConfigRegister.FDRI, 0),
+                 type2_write(len(payload))]
         crc = crc32_config_words(crc, payload, ConfigRegister.FDRI)
 
+        tail: list[int] = []
         if opts.emit_crc:
             crc_value = crc ^ 0xDEAD_BEEF if opts.corrupt_crc else crc
-            words.append(type1_write(ConfigRegister.CRC, 1))
-            words.append(crc_value)
-        emit_reg(ConfigRegister.CMD, Command.DGHIGH)
-        words.append(NOOP_WORD)
-        words.append(NOOP_WORD)
-        emit_reg(ConfigRegister.CMD, Command.DESYNC)
-        words.extend([NOOP_WORD] * opts.pad_nops)
-
-        array = np.array(words, dtype=np.uint32)
-        array[frame_start : frame_start + len(payload)] = payload
-        return Bitstream(array)
+            tail += [type1_write(ConfigRegister.CRC, 1), crc_value]
+        tail += [type1_write(ConfigRegister.CMD, 1), Command.DGHIGH,
+                 NOOP_WORD, NOOP_WORD,
+                 type1_write(ConfigRegister.CMD, 1), Command.DESYNC]
+        tail += [NOOP_WORD] * opts.pad_nops
+        return Bitstream(np.concatenate((
+            np.array(head, dtype=np.uint32), payload,
+            np.array(tail, dtype=np.uint32))))
 
     def expected_size_bytes(self, rp: ReconfigurablePartition) -> int:
         """Size of a PB for ``rp`` without generating the payload."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from collections.abc import Mapping
 
 BLOCK_SIZE = 512
 
@@ -68,20 +69,21 @@ class SdCard:
     # host-side backdoor (image preparation)
     # ------------------------------------------------------------------
     def load_block(self, lba: int, data: bytes) -> None:
-        if len(data) != BLOCK_SIZE:
-            raise ValueError("block must be exactly 512 bytes")
-        self.storage[lba] = bytearray(data)
+        self.load_blocks({lba: data})
+
+    def load_blocks(self, blocks: Mapping[int, bytes]) -> None:
+        """Store a copy of every block, after checking them all."""
+        for lba, data in blocks.items():
+            if not 0 <= lba < self.blocks:
+                raise ValueError(
+                    f"block {lba} out of range (card has {self.blocks})")
+            if len(data) != BLOCK_SIZE:
+                raise ValueError("block must be exactly 512 bytes")
+        self.storage.update(
+            {lba: bytearray(data) for lba, data in blocks.items()})
 
     def read_block_backdoor(self, lba: int) -> bytes:
         return bytes(self.storage.get(lba, bytearray(BLOCK_SIZE)))
-
-    def load_image(self, image: bytes, start_lba: int = 0) -> None:
-        """Load a raw disk image starting at ``start_lba``."""
-        for i in range(0, len(image), BLOCK_SIZE):
-            chunk = image[i : i + BLOCK_SIZE]
-            if len(chunk) < BLOCK_SIZE:
-                chunk = chunk + bytes(BLOCK_SIZE - len(chunk))
-            self.load_block(start_lba + i // BLOCK_SIZE, chunk)
 
     # ------------------------------------------------------------------
     # SPI wire interface

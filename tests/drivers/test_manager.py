@@ -14,6 +14,24 @@ class TestProvisioning:
         assert names == {"GAUSSIAN.PBI", "MEDIAN.PBI", "SOBEL.PBI"}
         assert fs.file_size("SOBEL.PBI") == 650_892
 
+    def test_card_equals_the_per_block_backdoor_copy(self, soc):
+        """``provision_sdcard`` hands the image over in one call; the card
+        ends up exactly as a block-by-block backdoor copy leaves it."""
+        from repro.drivers.manager import ReconfigurationManager
+        from repro.fat32 import SdBackdoorBlockDevice, make_disk_image
+        from repro.soc.sdcard import SdCard
+        ReconfigurationManager(soc).provision_sdcard()
+        files = {f"{name.upper()}.PBI":
+                 soc.bitgen.generate(soc.rp, soc.module(name)).to_bytes()
+                 for name in soc.registered_modules}
+        image = make_disk_image(files)
+        reference = SdCard(soc.sdcard.blocks)
+        backdoor = SdBackdoorBlockDevice(reference)
+        for lba in sorted(image.populated_blocks()):
+            backdoor.write_block(lba, image.read_block(lba))
+        assert soc.sdcard.storage.keys() == reference.storage.keys()
+        assert soc.sdcard.storage == reference.storage
+
     def test_descriptors_populated(self, shared_manager):
         _soc, manager = shared_manager
         d = manager.descriptor("gaussian")

@@ -70,3 +70,34 @@ class TestChains:
         fs = format_volume(RamBlockDevice(4096))
         with pytest.raises(FilesystemError):
             fs.fat.allocate(10**6)
+
+
+class TestNearlyFullVolume:
+    """The free-cluster scan visits each data cluster once, so a request
+    for more clusters than are free cannot take one twice."""
+
+    @pytest.fixture()
+    def small(self):
+        # 1,565 free one-sector clusters
+        return format_volume(RamBlockDevice(3672), sectors_per_cluster=1)
+
+    @pytest.mark.parametrize("extra", [1, 2])
+    @pytest.mark.parametrize("hint_moved", [False, True])
+    def test_more_than_free_is_volume_full(self, small, extra, hint_moved):
+        if hint_moved:
+            small.fat.allocate(1)
+        free = small.fat.count_free()
+        with pytest.raises(FilesystemError, match="volume full"):
+            small.fat.allocate(free + extra)
+        assert small.fat.count_free() == free
+
+    def test_exactly_free_takes_distinct_clusters(self, small):
+        free = small.fat.count_free()
+        chain = small.fat.chain_list(small.fat.allocate(free))
+        assert len(chain) == len(set(chain)) == free
+        assert small.fat.count_free() == 0
+
+    def test_oversized_file_is_refused(self, small):
+        too_big = (small.fat.count_free() + 1) * small.bpb.cluster_bytes
+        with pytest.raises(FilesystemError, match="volume full"):
+            small.write_file("BIG.BIN", bytes(too_big))

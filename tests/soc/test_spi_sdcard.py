@@ -1,5 +1,9 @@
 """SPI controller + SD card protocol tests."""
 
+import pytest
+
+from repro.errors import FilesystemError
+from repro.fat32 import SdBackdoorBlockDevice
 from repro.soc.sdcard import (
     BLOCK_SIZE,
     DATA_START_TOKEN,
@@ -152,3 +156,30 @@ class TestBlockIo:
         host.xfer(0xFF)
         # 8 bits at divider 4 = 32 cycles, plus register latencies
         assert host.now - t0 >= 32
+
+
+class TestBackdoorLoad:
+    def test_load_blocks_stores_copies(self):
+        card = SdCard(capacity_blocks=16)
+        source = {3: bytearray(BLOCK_SIZE), 0: bytearray(b"\x5a" * BLOCK_SIZE)}
+        card.load_blocks(source)
+        source[3][0] = 0xFF
+        card.storage[0][0] = 0x00
+        assert card.read_block_backdoor(3) == bytes(BLOCK_SIZE)
+        assert source[0] == b"\x5a" * BLOCK_SIZE
+        assert sorted(card.storage) == [0, 3]
+
+    @pytest.mark.parametrize("lba, data", [
+        (0, bytes(BLOCK_SIZE - 1)),         # short block
+        (16, bytes(BLOCK_SIZE)),            # LBA == capacity
+        (-1, bytes(BLOCK_SIZE)),
+    ], ids=["short", "past_end", "negative"])
+    def test_bad_blocks_rejected_like_the_per_block_path(self, lba, data):
+        card = SdCard(capacity_blocks=16)
+        with pytest.raises(FilesystemError):
+            SdBackdoorBlockDevice(card).write_block(lba, data)
+        with pytest.raises(ValueError):
+            card.load_blocks({1: bytes(BLOCK_SIZE), lba: data})
+        with pytest.raises(ValueError):
+            card.load_block(lba, data)
+        assert card.storage == {}  # checked before anything is stored
