@@ -14,21 +14,38 @@ port is busy waits for the previous one to drain.  That is exactly the
 effect that makes the CPU's DMA-status polling reads slightly perturb —
 but not stall — an in-flight DMA stream, and it serializes concurrent
 MM2S/S2MM traffic to the single DDR port in acceleration mode.
+
+That arbitration is written once, as one closure per region and
+direction (read, write, timing-only fill), built on the region's first
+access.  :meth:`AxiCrossbar.resolve_read`, ``resolve_write`` and
+``resolve_fill_port`` hand a master the region's closure when its
+window lies in one region and a decoding port otherwise; the plain
+:meth:`AxiCrossbar.read`/``write`` go through the decoding port.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, NamedTuple, Optional, Tuple, TypeVar
 
 import numpy as np
 
-from repro.axi.interface import AxiSlave, BulkRead
+from repro.axi.interface import AxiSlave, BulkRead, DataPort
 from repro.axi.memory_map import MemoryMap, Region
 from repro.axi.types import AxiResp, AxiResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import Observability
     from repro.obs.metrics import Counter
+
+_P = TypeVar("_P")
+
+
+class _RegionPorts(NamedTuple):
+    """A region's arbitration closures, one per direction."""
+
+    read: DataPort[int]
+    write: DataPort[bytes]
+    fill: DataPort[int]
 
 
 class AxiCrossbar(AxiSlave):
@@ -51,7 +68,11 @@ class AxiCrossbar(AxiSlave):
         self.response_latency = response_latency
         self.memory_map = MemoryMap()
         self._busy_until: Dict[int, int] = {}
+        self._region_ports: Dict[int, _RegionPorts] = {}
         self._last_region: Region | None = None  # MRU decode fast path
+        self._decoders = _RegionPorts(self._decoding(lambda ports: ports.read),
+                                      self._decoding(lambda ports: ports.write),
+                                      self._decoding(lambda ports: ports.fill))
         self.transactions = 0
         self.decode_errors = 0
         self.obs: Optional["Observability"] = None
@@ -87,73 +108,32 @@ class AxiCrossbar(AxiSlave):
         return self.memory_map.decode(addr)
 
     # ------------------------------------------------------------------
-    # transaction routing
+    # transaction routing: one arbitration closure per region and
+    # direction; plain calls and resolved ports share it
     # ------------------------------------------------------------------
-    def _route(
-        self, addr: int, now: int, burst: bool, is_read: bool,
-        nbytes: int, data: bytes,
-    ) -> AxiResult:
-        # most traffic streams to one slave (DMA bursts, polling loops):
-        # re-check the most recently decoded region before searching
-        region = self._last_region
-        if region is None or not (region.base <= addr < region.end):
-            region = self.memory_map.decode(addr)
-            if region is None:
-                self.decode_errors += 1
-                return AxiResult(b"", now + self.request_latency, AxiResp.DECERR)
-            self._last_region = region
-        self.transactions += 1
-        key = id(region)
-        arrive = now + self.request_latency
-        start = max(arrive, self._busy_until.get(key, 0))
-        if self.obs is not None:
-            self._c_txn.value += 1  # type: ignore[union-attr]
-            if start > arrive:
-                self._wait_counter(region).value += start - arrive
-        local = addr - region.base
-        slave = region.slave
-        if is_read:
-            fn = slave.read_burst if burst else slave.read
-            result = fn(local, nbytes, start)
-        else:
-            fn = slave.write_burst if burst else slave.write
-            result = fn(local, data, start)
-        # the slave port is occupied until its response is produced
-        self._busy_until[key] = result.complete_at
-        return AxiResult(
-            result.data, result.complete_at + self.response_latency, result.resp
-        )
+    def _ports(self, region: Region) -> _RegionPorts:
+        """``region``'s arbitration closures, built on first use (most
+        regions of a platform are never reached through a port)."""
+        ports = self._region_ports.get(id(region))
+        if ports is None:
+            slave, size = region.slave, region.size
+            ports = self._region_ports[id(region)] = _RegionPorts(
+                self._arbitrate(region, slave.resolve_read(0, size)),
+                self._arbitrate(region, slave.resolve_write(0, size)),
+                self._arbitrate(region, slave.resolve_fill_port(0, size)))
+        return ports
 
-    def resolve_burst_read(self, lo: int, hi: int) -> Optional[
-        "Callable[[int, int, int], Tuple[bytes, int]]"
-    ]:
-        """A fused data burst-read port over one region window.
-
-        Returns ``f(addr, nbytes, now) -> (data, complete_at)``
-        reproducing :meth:`read_burst` exactly (arbitration watermark,
-        counters, slave row/port state) for bursts wholly inside
-        [lo, hi).  The DMA descriptor engine resolves one per transfer,
-        replacing the per-burst crossbar walk with a single closure.
-        Requires the window to decode to one region whose slave itself
-        resolves (``None`` otherwise — callers fall back to
-        :meth:`read_burst`, which also covers fault-injection proxies).
-        """
-        region = self.memory_map.decode(lo)
-        if region is None or hi > region.end or lo >= hi:
-            return None
-        resolve = getattr(region.slave, "resolve_burst_read", None)
-        if resolve is None:
-            return None
-        inner = resolve(lo - region.base, hi - region.base)
-        if inner is None:
-            return None
+    def _arbitrate(self, region: Region, inner: DataPort[_P]) -> DataPort[_P]:
+        """``region``'s arbitration around its slave's port ``inner``:
+        the request slice, the wait for the region's watermark, the
+        counters and the response slice."""
         busy = self._busy_until
         key = id(region)
         base = region.base
         request = self.request_latency
         response = self.response_latency
 
-        def port(addr: int, nbytes: int, now: int) -> Tuple[bytes, int]:
+        def port(addr: int, payload: _P, now: int) -> Tuple[bytes, int, AxiResp]:
             self.transactions += 1
             arrive = now + request
             start = busy.get(key, 0)
@@ -163,14 +143,52 @@ class AxiCrossbar(AxiSlave):
                 self._c_txn.value += 1  # type: ignore[union-attr]
                 if start > arrive:
                     self._wait_counter(region).value += start - arrive
-            data, complete = inner(addr - base, nbytes, start)
+            data, complete, resp = inner(addr - base, payload, start)
+            # the slave port is occupied until its response is produced
             busy[key] = complete
-            return data, complete + response
+            return data, complete + response, resp
 
         return port
 
+    def _decoding(self, pick: Callable[[_RegionPorts], DataPort[Any]]
+                  ) -> DataPort[Any]:
+        """A port that decodes each access and takes ``pick`` of its
+        region's ports: DECERR after the request slice in a hole."""
+        request = self.request_latency
+
+        def port(addr: int, payload: Any, now: int) -> Tuple[bytes, int, AxiResp]:
+            # most traffic streams to one slave (DMA bursts, polling
+            # loops): re-check the most recently decoded region first
+            region = self._last_region
+            if region is None or not (region.base <= addr < region.end):
+                region = self.memory_map.decode(addr)
+                if region is None:
+                    self.decode_errors += 1
+                    return b"", now + request, AxiResp.DECERR
+                self._last_region = region
+            return pick(self._ports(region))(addr, payload, now)
+
+        return port
+
+    def _window(self, lo: int, hi: int) -> _RegionPorts:
+        """The ports for accesses inside [lo, hi): the region's own when
+        the window lies in one region, else the decoding ports."""
+        region = self.memory_map.decode(lo)
+        if region is None or not lo < hi <= region.end:
+            return self._decoders
+        return self._ports(region)
+
+    def resolve_read(self, lo: int, hi: int) -> DataPort[int]:
+        return self._window(lo, hi).read
+
+    def resolve_write(self, lo: int, hi: int) -> DataPort[bytes]:
+        return self._window(lo, hi).write
+
+    def resolve_fill_port(self, lo: int, hi: int) -> DataPort[int]:
+        return self._window(lo, hi).fill
+
     def resolve_bulk_read(self, lo: int, hi: int) -> Optional[BulkRead]:
-        """Bulk sibling of :meth:`resolve_burst_read` (see ``BulkRead``).
+        """Bulk sibling of :meth:`resolve_read` (see ``BulkRead``).
 
         Only the run's first burst can wait for the region: each later
         one arrives ``response + gap + request`` cycles after the
@@ -217,98 +235,11 @@ class AxiCrossbar(AxiSlave):
 
         return plan
 
-    def resolve_burst_write(self, lo: int, hi: int) -> Optional[
-        "Callable[[int, bytes, int], int]"
-    ]:
-        """A fused data burst-write port over one region window.
-
-        Mirror of :meth:`resolve_burst_read` for
-        ``f(addr, data, now) -> complete_at``.
-        """
-        region = self.memory_map.decode(lo)
-        if region is None or hi > region.end or lo >= hi:
-            return None
-        resolve = getattr(region.slave, "resolve_burst_write", None)
-        if resolve is None:
-            return None
-        inner = resolve(lo - region.base, hi - region.base)
-        if inner is None:
-            return None
-        busy = self._busy_until
-        key = id(region)
-        base = region.base
-        request = self.request_latency
-        response = self.response_latency
-
-        def port(addr: int, data: bytes, now: int) -> int:
-            self.transactions += 1
-            arrive = now + request
-            start = busy.get(key, 0)
-            if start < arrive:
-                start = arrive
-            if self.obs is not None:
-                self._c_txn.value += 1  # type: ignore[union-attr]
-                if start > arrive:
-                    self._wait_counter(region).value += start - arrive
-            complete = inner(addr - base, data, start)
-            busy[key] = complete
-            return complete + response
-
-        return port
-
-    def resolve_fill_port(self, lo: int, hi: int, nbytes: int) -> Optional[
-        "Callable[[int, int], int]"
-    ]:
-        """A timing-only burst-read port over one region window.
-
-        Returns ``f(addr, now) -> complete_at`` reproducing
-        :meth:`read_burst` timing (arbitration watermark, counters) for
-        an ``nbytes`` burst at any address inside [lo, hi), without
-        materializing the data.  Cache line fills are timing-only —
-        architectural data moves through the hart's zero-time backdoor
-        — so this removes the per-fill payload copy and routing frames.
-        Requires the whole window to decode to one region whose slave
-        exposes ``burst_read_timing``; ``None`` otherwise.
-        """
-        region = self.memory_map.decode(lo)
-        if region is None or hi > region.end or lo >= hi:
-            return None
-        timing_fn = getattr(region.slave, "burst_read_timing", None)
-        if timing_fn is None:
-            return None
-        busy = self._busy_until
-        key = id(region)
-        base = region.base
-        request = self.request_latency
-        response = self.response_latency
-
-        def port(addr: int, now: int) -> int:
-            self.transactions += 1
-            arrive = now + request
-            start = busy.get(key, 0)
-            if start < arrive:
-                start = arrive
-            if self.obs is not None:
-                self._c_txn.value += 1  # type: ignore[union-attr]
-                if start > arrive:
-                    self._wait_counter(region).value += start - arrive
-            complete = int(timing_fn(addr - base, nbytes, start))
-            busy[key] = complete
-            return complete + response
-
-        return port
-
     def read(self, addr: int, nbytes: int, now: int) -> AxiResult:
-        return self._route(addr, now, False, True, nbytes, b"")
+        return AxiResult(*self._decoders.read(addr, nbytes, now))
 
     def write(self, addr: int, data: bytes, now: int) -> AxiResult:
-        return self._route(addr, now, False, False, 0, data)
-
-    def read_burst(self, addr: int, nbytes: int, now: int) -> AxiResult:
-        return self._route(addr, now, True, True, nbytes, b"")
-
-    def write_burst(self, addr: int, data: bytes, now: int) -> AxiResult:
-        return self._route(addr, now, True, False, 0, data)
+        return AxiResult(*self._decoders.write(addr, data, now))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<AxiCrossbar {self.name} regions={len(self.memory_map)}>"

@@ -4,6 +4,16 @@ Every memory-mapped component implements :class:`AxiSlave`.  Addresses
 passed to a slave are *local* (offset from the slave's base); the
 crossbar performs the translation.
 
+A data transfer is timed in one place per layer, the layer's *resolved
+port* (:data:`DataPort`): a master resolves it once per route with
+:meth:`AxiSlave.resolve_read`/:meth:`~AxiSlave.resolve_write` and calls
+it once per burst.  A layer with timing of its own (the crossbar, the
+DDR) builds its port and makes its plain :meth:`AxiSlave.read`/
+:meth:`~AxiSlave.write` thin wrappers over it; every other slave gets a
+default port over its plain methods.  A failed burst comes back in the
+port's result (DECERR, SLVERR, an injected fault), like a plain
+transaction's.
+
 A :class:`RegisterBank` also hands its storage, hook and latency for
 one register to :mod:`repro.axi.fastpath` (``read_port_parts`` /
 ``write_port_parts``), which fuses the whole interconnect chain in
@@ -14,7 +24,7 @@ plain :meth:`AxiSlave.read`/:meth:`AxiSlave.write` transaction.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -26,6 +36,13 @@ ReadPort = Callable[[int], Tuple[int, int]]
 #: fused write port: ``f(value, now) -> complete_at`` (``value`` is
 #: already masked to the access width)
 WritePort = Callable[[int, int], int]
+_P = TypeVar("_P")
+#: resolved data port: ``f(addr, payload, now) -> (data, complete_at,
+#: resp)`` for one burst at ``addr``, issued at ``now``.  The payload is
+#: the byte count of a read (``DataPort[int]``) or the bytes of a write
+#: (``DataPort[bytes]``, whose ``data`` is ``b""``), and
+#: ``AxiResult(*port(addr, payload, now))`` is the plain transaction.
+DataPort = Callable[[int, _P, int], Tuple[bytes, int, AxiResp]]
 #: resolved bulk burst reader: ``plan(addr, nbytes, count, now, gap)``
 #: schedules ``count`` back-to-back ``nbytes`` bursts from ``addr``, the
 #: first issued at ``now`` and each later one ``gap`` cycles after the
@@ -60,13 +77,33 @@ class AxiSlave(abc.ABC):
     def write(self, addr: int, data: bytes, now: int) -> AxiResult:
         """Service a write of ``data`` at local address ``addr``."""
 
-    # Burst transfers default to a single transaction of the full
-    # payload; memory-like slaves override this with real burst timing.
-    def read_burst(self, addr: int, nbytes: int, now: int) -> AxiResult:
-        return self.read(addr, nbytes, now)
+    # Resolved ports (see ``DataPort``).  These defaults wrap the plain
+    # methods, looked up per call; a layer with timing of its own
+    # overrides them and wraps its plain methods around its ports.
+    def resolve_read(self, lo: int, hi: int) -> DataPort[int]:
+        """The read port for bursts inside the local window [lo, hi)."""
 
-    def write_burst(self, addr: int, data: bytes, now: int) -> AxiResult:
-        return self.write(addr, data, now)
+        def port(addr: int, nbytes: int, now: int) -> Tuple[bytes, int, AxiResp]:
+            result = self.read(addr, nbytes, now)
+            return result.data, result.complete_at, result.resp
+
+        return port
+
+    def resolve_write(self, lo: int, hi: int) -> DataPort[bytes]:
+        """The write port for bursts inside the local window [lo, hi)."""
+
+        def port(addr: int, data: bytes, now: int) -> Tuple[bytes, int, AxiResp]:
+            result = self.write(addr, data, now)
+            return result.data, result.complete_at, result.resp
+
+        return port
+
+    def resolve_fill_port(self, lo: int, hi: int) -> DataPort[int]:
+        """A timing-only read port for bursts inside [lo, hi): a read's
+        completion and side effects, its data possibly left out (cache
+        line fills move data through a backdoor).  Default: the read
+        port."""
+        return self.resolve_read(lo, hi)
 
 
 ReadHook = Callable[[int], int]

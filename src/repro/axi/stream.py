@@ -7,6 +7,12 @@ The DMA moves data between memory-mapped space and these interfaces at
 burst granularity, so a full 650 KB bitstream transfer costs thousands
 — not hundreds of thousands — of simulation events.
 
+The DMA calls a sink or source through its resolved port
+(:meth:`StreamSink.resolve_accept`, :meth:`StreamSource.resolve_produce`),
+resolved once per transfer.  By default that port is the plain method;
+a layer that builds a port of its own (the stream switch) makes the
+plain method a wrapper over it.
+
 Two closed forms let the DMA engine skip per-burst calls that carry no
 choice.  A sink chain may resolve a *bulk accept* (:data:`BulkAccept`):
 it schedules a whole run of bursts and commits it in one call.  A
@@ -40,6 +46,11 @@ BulkAccept = Callable[
 #: a ``produce`` at any cycle ``t`` returns ``(b"", max(t + k, floor))``
 #: and changes no state; ``k`` is at least one cycle
 PollLaw = Tuple[int, int]
+#: resolved accept port: ``f(data, now) -> accept_done``, as ``accept``
+AcceptPort = Callable[[bytes, int], int]
+#: resolved produce port: ``f(nbytes, now) -> (data, complete_at)``, as
+#: ``produce``
+ProducePort = Callable[[int, int], Tuple[bytes, int]]
 
 
 def counted_bulk(plan: BulkAccept, count: Callable[[int], None]) -> BulkAccept:
@@ -75,6 +86,10 @@ class StreamSink(abc.ABC):
         back-to-back calls pipeline correctly.
         """
 
+    def resolve_accept(self) -> AcceptPort:
+        """The accept port for the next transfer: :meth:`accept`."""
+        return self.accept
+
 
 class StreamSource(abc.ABC):
     """Producer side of an AXI-Stream link."""
@@ -86,6 +101,10 @@ class StreamSource(abc.ABC):
         Returns ``(data, complete_at)``.  ``data`` may be shorter than
         requested when the source ends its packet (TLAST).
         """
+
+    def resolve_produce(self) -> ProducePort:
+        """The produce port for the next transfer: :meth:`produce`."""
+        return self.produce
 
     def poll_law(self) -> Optional[PollLaw]:
         """The source's empty-poll law now, or ``None`` (no closed form,

@@ -9,11 +9,13 @@ for the RM's output stream into the DMA's S2MM channel.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.axi.stream import (
+    AcceptPort,
     BulkAccept,
     PollLaw,
+    ProducePort,
     StreamSink,
     StreamSource,
     counted_bulk,
@@ -111,47 +113,40 @@ class AxiStreamSwitch(StreamSink):
     # ------------------------------------------------------------------
     # datapath
     # ------------------------------------------------------------------
-    def _selected_sink(self) -> StreamSink:
+    def _selected_port(self) -> str:
         if self._selected is None:
             raise BusError(f"switch {self.name!r}: no port selected")
-        sink = self._sinks.get(self._selected)
-        if sink is None:
-            raise BusError(
-                f"switch {self.name!r}: port {self._selected!r} has no sink"
-            )
-        return sink
+        return self._selected
 
     def accept(self, data: bytes, now: int) -> int:
         """Forward a burst to the selected sink (adds one stage)."""
-        sink = self._selected_sink()
-        if self.obs is not None:
-            self._port_counter(self._selected).inc(len(data))  # type: ignore[arg-type]
-        return sink.accept(data, now + self.stage_latency)
+        return self.resolve_accept()(data, now)
 
-    def resolve_accept(self) -> Optional[Callable[[bytes, int], int]]:
-        """A fused accept closure for the currently selected route.
+    def produce(self, nbytes: int, now: int) -> tuple[bytes, int]:
+        """Pull a burst from the selected source (adds one stage)."""
+        return self.resolve_produce()(nbytes, now)
 
-        Exactly :meth:`accept`'s behaviour (stage latency, per-port byte
-        counter) with the switch frame collapsed into one closure.
-        Resolved per descriptor by the DMA engine, so a ``select``
-        between transfers simply yields a new closure; :meth:`select`
-        refuses to switch mid-transfer, so the closure stays the route
-        for the whole transfer.  ``None`` when no sink is selected (the
-        slow path raises the proper error).
+    def resolve_accept(self) -> AcceptPort:
+        """The accept port of the selected route: the stage latency and
+        the per-port byte counter around the sink's own port.
+
+        The DMA engine resolves it per transfer; :meth:`select` refuses
+        to switch mid-transfer, so the port stays the route for the
+        whole transfer.  Raises :class:`BusError` when no port with a
+        sink is selected.
         """
-        if self._selected is None:
-            return None
-        sink = self._sinks.get(self._selected)
+        port = self._selected_port()
+        sink = self._sinks.get(port)
         if sink is None:
-            return None
-        inner = sink.accept
+            raise BusError(f"switch {self.name!r}: port {port!r} has no sink")
+        inner = sink.resolve_accept()
         stage = self.stage_latency
-        counter = (self._port_counter(self._selected)
-                   if self.obs is not None else None)
-        if counter is None:
+        if self.obs is None:
             def accept(data: bytes, now: int) -> int:
                 return inner(data, now + stage)
         else:
+            counter = self._port_counter(port)
+
             def accept(data: bytes, now: int) -> int:
                 counter.value += len(data)
                 return inner(data, now + stage)
@@ -174,41 +169,28 @@ class AxiStreamSwitch(StreamSink):
             return inner
         return counted_bulk(inner, self._port_counter(self._selected).inc)
 
-    def resolve_produce(self) -> Optional[Callable[[int, int], Tuple[bytes, int]]]:
-        """A fused produce closure for the selected source, or ``None``."""
-        if self._selected is None:
-            return None
-        source = self._sources.get(self._selected)
+    def resolve_produce(self) -> ProducePort:
+        """The produce port of the selected route, mirroring
+        :meth:`resolve_accept` (only bytes produced are counted)."""
+        port = self._selected_port()
+        source = self._sources.get(port)
         if source is None:
-            return None
-        produce_inner = source.produce
+            raise BusError(
+                f"switch {self.name!r}: port {port!r} has no source")
+        inner = source.resolve_produce()
         stage = self.stage_latency
-        counter = (self._port_counter(self._selected)
-                   if self.obs is not None else None)
-        if counter is None:
+        if self.obs is None:
             def produce(nbytes: int, now: int) -> tuple[bytes, int]:
-                return produce_inner(nbytes, now + stage)
+                return inner(nbytes, now + stage)
         else:
+            counter = self._port_counter(port)
+
             def produce(nbytes: int, now: int) -> tuple[bytes, int]:
-                data, done = produce_inner(nbytes, now + stage)
+                data, done = inner(nbytes, now + stage)
                 if data:
                     counter.value += len(data)
                 return data, done
         return produce
-
-    def produce(self, nbytes: int, now: int) -> tuple[bytes, int]:
-        """Pull a burst from the selected source (adds one stage)."""
-        if self._selected is None:
-            raise BusError(f"switch {self.name!r}: no port selected")
-        source = self._sources.get(self._selected)
-        if source is None:
-            raise BusError(
-                f"switch {self.name!r}: port {self._selected!r} has no source"
-            )
-        data, done = source.produce(nbytes, now + self.stage_latency)
-        if self.obs is not None and data:
-            self._port_counter(self._selected).inc(len(data))  # type: ignore[arg-type]
-        return data, done
 
     def poll_law(self) -> Optional[PollLaw]:
         """The selected source's empty-poll law, one stage later."""

@@ -16,6 +16,14 @@ Transfers proceed burst-by-burst (128 B per burst at the default
 ICAP all see correctly interleaved traffic, and a CPU polling DMASR
 mid-transfer observes the true in-flight state.
 
+A burst goes through the route's resolved ports, resolved once per
+descriptor: the memory port's ``resolve_read``/``resolve_write`` (see
+:data:`~repro.axi.interface.DataPort`) and the stream's
+``resolve_accept``/``resolve_produce``.  Every slave, sink and source
+has them, so a fault proxy or a window that leaves its crossbar region
+runs the same loop; a failed burst (an injected fault, DECERR, SLVERR)
+comes back as the port's response and ends the transfer in error.
+
 The engine runs each descriptor as a handful of bulk events.  The
 burst loop executes eagerly inside one callback, tracking the virtual
 pacing position through ``Simulator.batch_advance`` instead of yielding
@@ -65,6 +73,7 @@ import numpy as np
 
 from repro.axi.interface import AxiSlave, BulkRead, RegisterBank
 from repro.axi.stream import BulkAccept, StreamSink, StreamSource
+from repro.axi.types import AxiResp
 from repro.errors import ControllerError
 from repro.sim.kernel import Delay, Simulator
 
@@ -394,16 +403,11 @@ class DmaChannel:
         observed = self.obs is not None
         latencies: List[int] = []
         stall = 0
-        # fused per-descriptor ports: one closure instead of the
-        # crossbar walk / switch+converter frames per burst.  Fault
-        # proxies and unusual shapes resolve to None and take the
-        # plain calls, burst by burst.
-        resolve_read = getattr(self.mem_port, "resolve_burst_read", None)
-        fast_read = (resolve_read(addr, addr + remaining)
-                     if resolve_read is not None else None)
-        resolve_accept = getattr(self.sink, "resolve_accept", None)
-        fast_accept = resolve_accept() if resolve_accept is not None else None
-        sink_accept = fast_accept if fast_accept is not None else self.sink.accept
+        okay = AxiResp.OKAY
+        # the route's resolved ports, called once per burst (module
+        # docstring); a failed burst comes back as the read's resp
+        read = self.mem_port.resolve_read(addr, addr + remaining)
+        accept = self.sink.resolve_accept()
         # bulk step: runs of whole bursts on a route that schedules
         # them in closed form (module docstring)
         bulk = self._resolve_bulk(addr, remaining)
@@ -418,17 +422,12 @@ class DmaChannel:
                     stall += advanced
             else:
                 nbytes = burst if burst < remaining else remaining
-                if fast_read is not None:
-                    data, complete_at = fast_read(addr, nbytes, read_time)
-                else:
-                    result = self.mem_port.read_burst(addr, nbytes, read_time)
-                    if not result.ok:
-                        self._flush_obs(latencies, stall)
-                        return False
-                    data, complete_at = result.data, result.complete_at
                 issue_time = read_time
-                read_time = complete_at
-                accept_done = sink_accept(data, read_time)
+                data, read_time, resp = read(addr, nbytes, issue_time)
+                if resp is not okay:
+                    self._flush_obs(latencies, stall)
+                    return False
+                accept_done = accept(data, read_time)
                 self.bytes_done += nbytes
                 self.bursts_completed += 1
                 if observed:
@@ -469,13 +468,9 @@ class DmaChannel:
         latencies: List[int] = []
         stall = 0
         spins = 0
-        resolve_write = getattr(self.mem_port, "resolve_burst_write", None)
-        fast_write = (resolve_write(addr, addr + remaining)
-                      if resolve_write is not None else None)
-        resolve_produce = getattr(self.source, "resolve_produce", None)
-        fast_produce = (resolve_produce()
-                        if resolve_produce is not None else None)
-        produce = fast_produce if fast_produce is not None else self.source.produce
+        okay = AxiResp.OKAY
+        write = self.mem_port.resolve_write(addr, addr + remaining)
+        produce = self.source.resolve_produce()
         poll_law = self.source.poll_law
         while remaining:
             nbytes = burst if burst < remaining else remaining
@@ -513,15 +508,10 @@ class DmaChannel:
             spins = 0
             pull_time = ready
             issue_time = pull_time if pull_time > write_time else write_time
-            if fast_write is not None:
-                write_complete = fast_write(addr, data, issue_time)
-            else:
-                result = self.mem_port.write_burst(addr, data, issue_time)
-                if not result.ok:
-                    self._flush_obs(latencies, stall)
-                    return False
-                write_complete = result.complete_at
-            write_time = write_complete
+            _, write_time, resp = write(addr, data, issue_time)
+            if resp is not okay:
+                self._flush_obs(latencies, stall)
+                return False
             ndata = len(data)
             addr += ndata
             remaining -= ndata

@@ -75,31 +75,26 @@ class FaultyAxiPort(AxiSlave):
         return True
 
     # ------------------------------------------------------------------
-    # AxiSlave implementation: delegate, with the fault check on bursts
+    # AxiSlave implementation: delegate, with the fault check on each
+    # access (the DMA reaches these through the default resolved ports)
     # ------------------------------------------------------------------
     def read(self, addr: int, nbytes: int, now: int) -> AxiResult:
-        return self.read_burst(addr, nbytes, now)
-
-    def write(self, addr: int, data: bytes, now: int) -> AxiResult:
-        return self.write_burst(addr, data, now)
-
-    def read_burst(self, addr: int, nbytes: int, now: int) -> AxiResult:
         tripped = self._trip(self.fail_read_at, self.read_bytes, nbytes)
         self.read_bytes += nbytes
         if tripped:
             if not self.once:
                 self.fail_read_at = self.read_bytes  # hard fault: stay down
             return AxiResult(b"", now + 1, AxiResp.SLVERR)
-        return self.inner.read_burst(addr, nbytes, now)
+        return self.inner.read(addr, nbytes, now)
 
-    def write_burst(self, addr: int, data: bytes, now: int) -> AxiResult:
+    def write(self, addr: int, data: bytes, now: int) -> AxiResult:
         tripped = self._trip(self.fail_write_at, self.write_bytes, len(data))
         self.write_bytes += len(data)
         if tripped:
             if not self.once:
                 self.fail_write_at = self.write_bytes
             return AxiResult(b"", now + 1, AxiResp.SLVERR)
-        return self.inner.write_burst(addr, data, now)
+        return self.inner.write(addr, data, now)
 
 
 def install_mem_fault(channel: DmaChannel, **kwargs) -> FaultyAxiPort:

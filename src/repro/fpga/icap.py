@@ -358,8 +358,7 @@ class Icap(StreamSink):
             state = self._state
             if state is _ParseState.PAYLOAD:
                 take = min(self._payload_remaining, n - i)
-                self._payload_vec(words[i : i + take], base + i)
-                i += take
+                i += self._payload_vec(words[i : i + take], base + i)
                 continue
             if state is _ParseState.UNSYNCED:
                 # a desynced device ignores everything except the sync
@@ -386,17 +385,18 @@ class Icap(StreamSink):
             i += 1
             self._header(word)
 
-    def _payload_vec(self, chunk: np.ndarray, pos: int) -> None:
+    def _payload_vec(self, chunk: np.ndarray, pos: int) -> int:
         reg = self._payload_reg
         assert reg is not None
         if reg == ConfigRegister.FDRI:
+            taken = len(chunk)
             self._fdri_words.append(chunk)
             if self.crc_check:
                 self._crc_backlog.append(chunk)
         else:
-            for k, value in enumerate(chunk.tolist()):
-                self._write_register(reg, value, pos + k)
-        self._finish_payload_chunk(reg, len(chunk))
+            taken = self._write_registers(reg, chunk.tolist(), pos)
+        self._finish_payload_chunk(reg, taken)
+        return taken
 
     # ------------------------------------------------------------------
     # configuration state machine — small accepts, word by word
@@ -409,8 +409,7 @@ class Icap(StreamSink):
         while i < n:
             if self._state is _ParseState.PAYLOAD:
                 take = min(self._payload_remaining, n - i)
-                self._payload_scalar(words[i : i + take], base + i)
-                i += take
+                i += self._payload_scalar(words[i : i + take], base + i)
                 continue
             word = words[i]
             i += 1
@@ -423,19 +422,20 @@ class Icap(StreamSink):
                 continue
             self._header(word)
 
-    def _payload_scalar(self, chunk: List[int], pos: int) -> None:
+    def _payload_scalar(self, chunk: List[int], pos: int) -> int:
         reg = self._payload_reg
         assert reg is not None
         if reg == ConfigRegister.FDRI:
+            taken = len(chunk)
             arr = np.array(chunk, dtype=np.uint32)
             self._fdri_words.append(arr)
             if self.crc_check:
                 # keyhole-sized accepts still batch their CRC work
                 self._crc_backlog.append(arr)
         else:
-            for k, value in enumerate(chunk):
-                self._write_register(reg, value, pos + k)
-        self._finish_payload_chunk(reg, len(chunk))
+            taken = self._write_registers(reg, chunk, pos)
+        self._finish_payload_chunk(reg, taken)
+        return taken
 
     # ------------------------------------------------------------------
     # shared packet/register semantics
@@ -471,6 +471,17 @@ class Icap(StreamSink):
             if reg == ConfigRegister.FDRI:
                 self._commit_frames()
 
+    def _write_registers(self, reg: int, values: List[int], pos: int) -> int:
+        """Write ``values``, from stream word ``pos`` on, to ``reg``;
+        the number of words taken.  A DESYNC ends the packet with the
+        session: the words after it go back to the sync search, so the
+        outcome does not depend on where the bursts split the packet."""
+        for k, value in enumerate(values):
+            self._write_register(reg, value, pos + k)
+            if self._state is not _ParseState.PAYLOAD:
+                return k + 1
+        return len(values)
+
     def _write_register(self, reg: int, value: int, pos: int) -> None:
         """Write ``value``, stream word ``pos``, to register ``reg``."""
         if reg == ConfigRegister.CRC:
@@ -482,7 +493,9 @@ class Icap(StreamSink):
             self._crc = 0
             return
         if reg == ConfigRegister.CMD:
-            command = Command(value & 0x1F)
+            # a reserved code (a corrupted word, or a header whose count
+            # a bit flip grew) acts as NULL; the CRC check catches it
+            command = value & 0x1F
             if command == Command.RCRC:
                 # RCRC resets the running CRC; deferred FDRI
                 # contributions would be zeroed anyway, so drop them

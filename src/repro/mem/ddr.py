@@ -22,6 +22,12 @@ With the defaults a single sequential DMA stream sustains 8 B/cycle
 less a 0.05 % row-crossing tax — which lets RV-CAP feed the ICAP at
 its 400 MB/s ceiling — while the concurrent MM2S+S2MM streams of
 acceleration mode each get a full port.
+
+Every access is timed by a :class:`DdrPort`, the controller's
+``"default"`` port or a named one, in its resolved read, write or
+timing-only body (see :data:`~repro.axi.interface.DataPort`); the plain
+``read``/``write`` wrap those bodies, and the bulk plan
+(:meth:`DdrPort.resolve_bulk_read`) is the one other form.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.axi.interface import AxiSlave, BulkRead
+from repro.axi.interface import AxiSlave, BulkRead, DataPort
 from repro.axi.types import AxiResp, AxiResult
 from repro.mem.sparse_memory import SparseMemory
 
@@ -59,20 +65,11 @@ class DdrTiming:
             raise ValueError("device bandwidth must be >= 0 (0 = uncapped)")
 
 
-class _PortState:
-    __slots__ = ("busy_until", "next_seq_addr", "open_row")
-
-    def __init__(self) -> None:
-        self.busy_until = 0
-        self.next_seq_addr: int | None = None
-        self.open_row: int | None = None
-
-
 class DdrController(AxiSlave):
     """The SoC's external memory, fronted by MIG-like timing.
 
-    The controller object itself acts as port ``"default"``; additional
-    independent ports are created with :meth:`port`.
+    The controller itself acts as its port ``"default"``; additional
+    independent ports come from :meth:`port`.
     """
 
     def __init__(
@@ -83,110 +80,44 @@ class DdrController(AxiSlave):
     ) -> None:
         self.name = name
         self.timing = timing or DdrTiming()
-        # timing scalars unpacked once — _service runs per burst and the
-        # frozen-dataclass attribute reads add up (timing is fixed at
-        # construction; nothing reassigns it)
-        t = self.timing
-        self._bytes_per_beat = t.bytes_per_beat
-        self._row_bytes = t.row_bytes
-        self._first_access_latency = t.first_access_latency
-        self._row_miss_penalty = t.row_miss_penalty
-        self._device_beats_per_cycle = t.device_beats_per_cycle
         self.memory = SparseMemory(size)
-        self._ports: Dict[str, _PortState] = {"default": _PortState()}
+        self._ports: Dict[str, DdrPort] = {}
         self._device_free = 0
         self.bytes_read = 0
         self.bytes_written = 0
         #: precharge/activate command pairs issued (power-model input)
         self.row_activates = 0
+        self._default = self.port("default")
 
     @property
     def size(self) -> int:
         return self.memory.size
 
     def port(self, name: str) -> "DdrPort":
-        """An independent AXI port into this controller."""
-        if name not in self._ports:
-            self._ports[name] = _PortState()
-        return DdrPort(self, name)
+        """The independent AXI port ``name`` into this controller, made
+        on first use."""
+        port = self._ports.get(name)
+        if port is None:
+            port = self._ports[name] = DdrPort(self, name)
+        return port
 
     # ------------------------------------------------------------------
-    # timing core
-    # ------------------------------------------------------------------
-    def _service(self, port_name: str, addr: int, nbytes: int, now: int) -> int:
-        port = self._ports[port_name]
-        beats = -(-nbytes // self._bytes_per_beat) if nbytes else 1
-        start = port.busy_until
-        if now > start:
-            start = now
-        device_bw = self._device_beats_per_cycle
-        if device_bw and self._device_free > start:
-            start = self._device_free
-        cost = beats
-        row_bytes = self._row_bytes
-        first_row = addr // row_bytes
-        last_row = (addr + nbytes - 1) // row_bytes if nbytes else first_row
-        if addr != port.next_seq_addr:
-            cost += self._first_access_latency
-            self.row_activates += 1 + (last_row - first_row)
-        else:
-            # a sequential stream pays precharge/activate once per row
-            # it enters (relative to the port's open row)
-            new_rows = last_row - first_row
-            if port.open_row is not None and first_row != port.open_row:
-                new_rows += 1
-            cost += new_rows * self._row_miss_penalty
-            self.row_activates += new_rows
-        port.open_row = last_row
-        port.next_seq_addr = addr + nbytes
-        port.busy_until = start + cost
-        if device_bw:
-            self._device_free = start + -(-beats // device_bw)
-        return port.busy_until
-
-    # ------------------------------------------------------------------
-    # AxiSlave implementation (the "default" port)
+    # AxiSlave implementation: the "default" port
     # ------------------------------------------------------------------
     def read(self, addr: int, nbytes: int, now: int) -> AxiResult:
-        return self._read(("default"), addr, nbytes, now)
+        return self._default.read(addr, nbytes, now)
 
     def write(self, addr: int, data: bytes, now: int) -> AxiResult:
-        return self._write("default", addr, data, now)
+        return self._default.write(addr, data, now)
 
-    def read_burst(self, addr: int, nbytes: int, now: int) -> AxiResult:
-        return self._read("default", addr, nbytes, now)
+    def resolve_read(self, lo: int, hi: int) -> DataPort[int]:
+        return self._default.resolve_read(lo, hi)
 
-    def write_burst(self, addr: int, data: bytes, now: int) -> AxiResult:
-        return self._write("default", addr, data, now)
+    def resolve_write(self, lo: int, hi: int) -> DataPort[bytes]:
+        return self._default.resolve_write(lo, hi)
 
-    def burst_read_timing(self, addr: int, nbytes: int, now: int) -> int:
-        """Timing of a default-port read burst without the payload.
-
-        Exactly :meth:`read_burst`'s completion time and side effects
-        (row/port state, ``bytes_read``) minus the data copy; used by
-        the crossbar's resolved fill port for timing-only cache line
-        fills.
-        """
-        if addr + nbytes > self.size:
-            return now + 1
-        complete = self._service("default", addr, nbytes, now)
-        self.bytes_read += nbytes
-        return complete
-
-    def _read(self, port: str, addr: int, nbytes: int, now: int) -> AxiResult:
-        if addr + nbytes > self.size:
-            return AxiResult(b"", now + 1, AxiResp.SLVERR)
-        complete = self._service(port, addr, nbytes, now)
-        self.bytes_read += nbytes
-        return AxiResult(self.memory.load(addr, nbytes), complete)
-
-    def _write(self, port: str, addr: int, data: bytes, now: int) -> AxiResult:
-        if addr + len(data) > self.size:
-            return AxiResult(b"", now + 1, AxiResp.SLVERR)
-        complete = self._service(port, addr, len(data), now)
-        self.memory.store(addr, data)
-        self.bytes_written += len(data)
-        return AxiResult(b"", complete)
+    def resolve_fill_port(self, lo: int, hi: int) -> DataPort[int]:
+        return self._default.resolve_fill_port(lo, hi)
 
     # ------------------------------------------------------------------
     # zero-time backdoor for loaders and checkers
@@ -201,36 +132,109 @@ class DdrController(AxiSlave):
 
 
 class DdrPort(AxiSlave):
-    """A named, independently arbitrated port of a :class:`DdrController`."""
+    """A named, independently arbitrated port of a :class:`DdrController`.
+
+    The port keeps its own state (``busy_until``, the sequential-stream
+    address ``next_seq_addr`` and the ``open_row``) and times every
+    access in one of three bodies over one timing core: read, write and
+    timing-only read (a cache line fill, without the payload copy).
+    Each bounds-checks its access and answers past the end of memory
+    with SLVERR a cycle later, so the port resolves for any window, and
+    the plain :meth:`read`/:meth:`write` wrap the bodies.
+    """
 
     def __init__(self, controller: DdrController, name: str) -> None:
         self.controller = controller
         self.port_name = name
+        self.busy_until = 0
+        self.next_seq_addr: int | None = None
+        self.open_row: int | None = None
+        self._read, self._write, self._fill = self._bodies()
 
-    def resolve_burst_read(self, lo: int, hi: int) -> Optional[Callable[[int, int, int], Tuple[bytes, int]]]:
-        """A fused burst-read closure for bursts inside [lo, hi).
-
-        ``f(addr, nbytes, now) -> (data, complete_at)`` with exactly
-        :meth:`read_burst`'s timing and side effects, minus the
-        ``AxiResult`` wrapper; ``None`` when the window exceeds the
-        memory (those accesses must surface SLVERR on the slow path).
-        """
+    def _bodies(self) -> Tuple[DataPort[int], DataPort[bytes], DataPort[int]]:
         ctrl = self.controller
-        if lo >= hi or hi > ctrl.size:
-            return None
-        service = ctrl._service
+        timing = ctrl.timing
+        per_beat = timing.bytes_per_beat
+        row_bytes = timing.row_bytes
+        first_access = timing.first_access_latency
+        row_miss = timing.row_miss_penalty
+        device_bw = timing.device_beats_per_cycle
+        size = ctrl.size
         load = ctrl.memory.load
-        port_name = self.port_name
+        store = ctrl.memory.store
+        okay, slverr = AxiResp.OKAY, AxiResp.SLVERR
+        port = self
 
-        def read(addr: int, nbytes: int, now: int):
-            complete = service(port_name, addr, nbytes, now)
+        def service(addr: int, nbytes: int, now: int) -> int:
+            beats = -(-nbytes // per_beat) if nbytes else 1
+            start = port.busy_until
+            if now > start:
+                start = now
+            if device_bw and ctrl._device_free > start:
+                start = ctrl._device_free
+            cost = beats
+            first_row = addr // row_bytes
+            last_row = (addr + nbytes - 1) // row_bytes if nbytes else first_row
+            if addr != port.next_seq_addr:
+                cost += first_access
+                ctrl.row_activates += 1 + (last_row - first_row)
+            else:
+                # a sequential stream pays precharge/activate once per
+                # row it enters (relative to the port's open row)
+                new_rows = last_row - first_row
+                if port.open_row is not None and first_row != port.open_row:
+                    new_rows += 1
+                cost += new_rows * row_miss
+                ctrl.row_activates += new_rows
+            port.open_row = last_row
+            port.next_seq_addr = addr + nbytes
+            port.busy_until = done = start + cost
+            if device_bw:
+                ctrl._device_free = start + -(-beats // device_bw)
+            return done
+
+        def read(addr: int, nbytes: int, now: int) -> Tuple[bytes, int, AxiResp]:
+            if addr + nbytes > size:
+                return b"", now + 1, slverr
+            complete = service(addr, nbytes, now)
             ctrl.bytes_read += nbytes
-            return load(addr, nbytes), complete
+            return load(addr, nbytes), complete, okay
 
-        return read
+        def write(addr: int, data: bytes, now: int) -> Tuple[bytes, int, AxiResp]:
+            nbytes = len(data)
+            if addr + nbytes > size:
+                return b"", now + 1, slverr
+            complete = service(addr, nbytes, now)
+            store(addr, data)
+            ctrl.bytes_written += nbytes
+            return b"", complete, okay
+
+        def fill(addr: int, nbytes: int, now: int) -> Tuple[bytes, int, AxiResp]:
+            if addr + nbytes > size:
+                return b"", now + 1, slverr
+            complete = service(addr, nbytes, now)
+            ctrl.bytes_read += nbytes
+            return b"", complete, okay
+
+        return read, write, fill
+
+    def read(self, addr: int, nbytes: int, now: int) -> AxiResult:
+        return AxiResult(*self._read(addr, nbytes, now))
+
+    def write(self, addr: int, data: bytes, now: int) -> AxiResult:
+        return AxiResult(*self._write(addr, data, now))
+
+    def resolve_read(self, lo: int, hi: int) -> DataPort[int]:
+        return self._read
+
+    def resolve_write(self, lo: int, hi: int) -> DataPort[bytes]:
+        return self._write
+
+    def resolve_fill_port(self, lo: int, hi: int) -> DataPort[int]:
+        return self._fill
 
     def resolve_bulk_read(self, lo: int, hi: int) -> Optional[BulkRead]:
-        """Bulk sibling of :meth:`resolve_burst_read` (see ``BulkRead``).
+        """Bulk sibling of :meth:`resolve_read` (see ``BulkRead``).
 
         Schedules a run that continues this port's sequential stream:
         every burst after the first is issued ``gap`` cycles after the
@@ -240,26 +244,27 @@ class DdrPort(AxiSlave):
         open row: the row of burst ``i``'s last byte minus the open row.
         The plan refuses a non-sequential first burst and bursts longer
         than a row, so each burst enters at most one row; the resolve
-        refuses a capped device bandwidth (``device_beats_per_cycle``),
-        whose shared watermark has no such closed form.
+        refuses a window past the end of memory and a capped device
+        bandwidth (``device_beats_per_cycle``), whose shared watermark
+        has no such closed form.
         """
         ctrl = self.controller
-        if lo >= hi or hi > ctrl.size or ctrl._device_beats_per_cycle:
+        timing = ctrl.timing
+        if lo >= hi or hi > ctrl.size or timing.device_beats_per_cycle:
             return None
-        state = ctrl._ports[self.port_name]
-        row_bytes = ctrl._row_bytes
-        penalty = ctrl._row_miss_penalty
-        per_beat = ctrl._bytes_per_beat
+        row_bytes = timing.row_bytes
+        penalty = timing.row_miss_penalty
+        per_beat = timing.bytes_per_beat
         load = ctrl.memory.load
 
         def plan(addr: int, nbytes: int, count: int, now: int, gap: int
                  ) -> Optional[Tuple[np.ndarray, Callable[[int], bytes]]]:
-            open_row = state.open_row
-            if (addr != state.next_seq_addr or open_row is None
+            open_row = self.open_row
+            if (addr != self.next_seq_addr or open_row is None
                     or nbytes > row_bytes):
                 return None
             beats = -(-nbytes // per_beat)
-            start = state.busy_until if state.busy_until > now else now
+            start = self.busy_until if self.busy_until > now else now
             step = beats + gap
             first = start + beats
             done = np.arange(first, first + count * step, step,
@@ -272,40 +277,11 @@ class DdrPort(AxiSlave):
                 last_row = (addr + n * nbytes - 1) // row_bytes
                 ctrl.row_activates += last_row - open_row
                 ctrl.bytes_read += n * nbytes
-                state.busy_until = int(done[n - 1])
-                state.next_seq_addr = addr + n * nbytes
-                state.open_row = last_row
+                self.busy_until = int(done[n - 1])
+                self.next_seq_addr = addr + n * nbytes
+                self.open_row = last_row
                 return load(addr, n * nbytes)
 
             return done, commit
 
         return plan
-
-    def resolve_burst_write(self, lo: int, hi: int) -> Optional[Callable[[int, bytes, int], int]]:
-        """Mirror of :meth:`resolve_burst_read` for writes."""
-        ctrl = self.controller
-        if lo >= hi or hi > ctrl.size:
-            return None
-        service = ctrl._service
-        store = ctrl.memory.store
-        port_name = self.port_name
-
-        def write(addr: int, data: bytes, now: int) -> int:
-            complete = service(port_name, addr, len(data), now)
-            store(addr, data)
-            ctrl.bytes_written += len(data)
-            return complete
-
-        return write
-
-    def read(self, addr: int, nbytes: int, now: int) -> AxiResult:
-        return self.controller._read(self.port_name, addr, nbytes, now)
-
-    def write(self, addr: int, data: bytes, now: int) -> AxiResult:
-        return self.controller._write(self.port_name, addr, data, now)
-
-    def read_burst(self, addr: int, nbytes: int, now: int) -> AxiResult:
-        return self.controller._read(self.port_name, addr, nbytes, now)
-
-    def write_burst(self, addr: int, data: bytes, now: int) -> AxiResult:
-        return self.controller._write(self.port_name, addr, data, now)

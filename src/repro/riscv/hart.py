@@ -204,9 +204,9 @@ class Hart:
         #: batch commits of pure push registers, same keys; None = the
         #: store is not batchable (see repro.axi.fastpath.PushBatch)
         self._mmio_batch_ports: dict[int, Optional[PushBatch]] = {}
-        #: timing-only burst port for D-cache line fills in the fast
-        #: memory window (resolved lazily; None = no fast path)
-        self._fill_port: object = _UNRESOLVED
+        #: timing-only port for D-cache line fills in the fast memory
+        #: window (see AxiSlave.resolve_fill_port)
+        self._fill_port = bus.resolve_fill_port(self._fm_lo, self._fm_hi)
 
     # ------------------------------------------------------------------
     # register file
@@ -252,9 +252,10 @@ class Hart:
         """Charge a D-cache miss: line fill (+ optional writeback).
 
         The bus transactions here are *timing-only*: architectural data
-        moves through the zero-time backdoor, so the victim writeback is
-        charged as a second line-sized burst (read_burst is used for it
-        as well, deliberately, to avoid mutating memory contents).
+        moves through the zero-time backdoor, so the fill and the victim
+        writeback both go through the bus's fill port, the writeback as
+        a second line-sized read burst (a read, deliberately, to avoid
+        mutating memory contents).
         """
         hit, writeback = self.dcache.access(addr, is_store)
         if hit:
@@ -262,33 +263,14 @@ class Hart:
         line_bytes = self.timing.dcache_line_bytes
         line_addr = addr & ~(line_bytes - 1)
         local = self._local_time()
-        port = self._fill_port
-        if port is _UNRESOLVED:
-            port = self._resolve_fill_port()
-        if (port is not None and line_addr >= self._fm_lo
-                and line_addr + line_bytes <= self._fm_hi):
-            start = local
-            if writeback:
-                start = port(line_addr, start)  # type: ignore[operator]
-            complete = port(line_addr, start)  # type: ignore[operator]
-            self._extra_cycles += complete - local
-            return
+        if self._fm_lo <= line_addr and line_addr + line_bytes <= self._fm_hi:
+            port = self._fill_port
+        else:
+            port = self.bus.resolve_fill_port(line_addr, line_addr + line_bytes)
         start = local
         if writeback:
-            result = self.bus.read_burst(line_addr, line_bytes, start)
-            start = result.complete_at
-        result = self.bus.read_burst(line_addr, line_bytes, start)
-        self._extra_cycles += result.complete_at - local
-
-    def _resolve_fill_port(self) -> object:
-        """Resolve (and memoize) the timing-only line-fill port."""
-        resolver = getattr(self.bus, "resolve_fill_port", None)
-        port = None
-        if resolver is not None and self._fm_lo < self._fm_hi:
-            port = resolver(self._fm_lo, self._fm_hi,
-                            self.timing.dcache_line_bytes)
-        self._fill_port = port
-        return port
+            start = port(line_addr, line_bytes, start)[1]
+        self._extra_cycles += port(line_addr, line_bytes, start)[1] - local
 
     def _resolve_mmio_port(self, addr: int, nbytes: int, is_read: bool) -> object:
         """Resolve (and memoize) the fused bus port for an MMIO access,

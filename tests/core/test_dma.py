@@ -209,6 +209,68 @@ class TestErrorPaths:
         assert dma.s2mm.transfers_completed == 0
 
 
+def _transfer(sim, dma, mm2s, address, length=4096):
+    """Run one ``length``-byte transfer from (MM2S) or to (S2MM)
+    ``address`` and return its channel."""
+    if mm2s:
+        channel = dma.mm2s
+        channel.sink = CaptureSink()
+        registers = (dr.MM2S_DMACR, dr.MM2S_SA, dr.MM2S_LENGTH)
+    else:
+        channel = dma.s2mm
+        channel.source = BufferSource(b"\xa5" * length)
+        registers = (dr.S2MM_DMACR, dr.S2MM_DA, dr.S2MM_LENGTH)
+    for offset, value in zip(registers, (dr.CR_RS, address, length), strict=True):
+        _w(dma, offset, value)
+    sim.run()
+    return channel
+
+
+class TestFailedBursts:
+    """A transfer that leaves mapped memory fails on the burst that
+    leaves it: DECERR past a crossbar region, SLVERR past the DDR.  The
+    failed burst moves no data, and the channel halts with Err_Irq."""
+
+    HALTED_ERR = dr.SR_ERR_IRQ | dr.SR_HALTED
+
+    @staticmethod
+    def _crossbar_system():
+        sim = Simulator()
+        ddr = DdrController(DDR_SIZE)
+        xbar = AxiCrossbar("dma_xbar")
+        xbar.attach("ddr", 0, DDR_SIZE, ddr.port("dma"))
+        return sim, xbar, AxiDma(sim, xbar)
+
+    @pytest.mark.parametrize("mm2s, cycle", [(True, 192), (False, 152)])
+    def test_leaving_the_crossbar_region_decodes_an_error(self, mm2s, cycle):
+        sim, xbar, dma = self._crossbar_system()
+        channel = _transfer(sim, dma, mm2s, DDR_SIZE - 1024)
+        assert channel.status == self.HALTED_ERR == 0x4001
+        assert channel.bytes_done == 1024  # eight bursts, then DECERR
+        assert channel.last_complete_cycle == cycle
+        assert (channel.transfers_errored, channel.transfers_completed) == (1, 0)
+        assert (xbar.transactions, xbar.decode_errors) == (8, 1)
+
+    @pytest.mark.parametrize("mm2s", [True, False])
+    def test_unmapped_address_fails_the_first_burst(self, mm2s):
+        sim, xbar, dma = self._crossbar_system()
+        channel = _transfer(sim, dma, mm2s, DDR_SIZE + 0x1000)
+        assert channel.status == self.HALTED_ERR
+        assert channel.bytes_done == 0
+        assert channel.last_complete_cycle == 24  # the start latency
+        assert (xbar.transactions, xbar.decode_errors) == (0, 1)
+
+    @pytest.mark.parametrize("mm2s, cycle", [(True, 160), (False, 136)])
+    def test_off_the_end_of_a_bare_ddr_is_a_slave_error(self, system, mm2s,
+                                                        cycle):
+        sim, ddr, dma = system
+        channel = _transfer(sim, dma, mm2s, DDR_SIZE - 1000)
+        assert channel.status == self.HALTED_ERR
+        assert channel.bytes_done == 896  # seven bursts, then SLVERR
+        assert channel.last_complete_cycle == cycle
+        assert (channel.transfers_errored, channel.transfers_completed) == (1, 0)
+
+
 class TestResetAbort:
     """DMACR.Reset must kill the in-flight transfer engine."""
 

@@ -24,41 +24,41 @@ class TestFaultyAxiPort:
     def test_clean_passthrough(self, ddr):
         ddr.load_image(0, b"abcdefgh")
         proxy = FaultyAxiPort(ddr)
-        result = proxy.read_burst(0, 8, 0)
+        result = proxy.read(0, 8, 0)
         assert result.ok and result.data == b"abcdefgh"
         assert proxy.faults_injected == 0
 
     def test_read_fault_at_cumulative_offset(self, ddr):
         proxy = FaultyAxiPort(ddr, fail_read_at=256)
-        assert proxy.read_burst(0, 128, 0).ok      # bytes 0..127
-        assert proxy.read_burst(128, 128, 0).ok    # bytes 128..255
-        assert not proxy.read_burst(256, 128, 0).ok  # contains byte 256
+        assert proxy.read(0, 128, 0).ok      # bytes 0..127
+        assert proxy.read(128, 128, 0).ok    # bytes 128..255
+        assert not proxy.read(256, 128, 0).ok  # contains byte 256
         assert proxy.faults_injected == 1
 
     def test_once_disarms_after_firing(self, ddr):
         proxy = FaultyAxiPort(ddr, fail_read_at=0)
-        assert not proxy.read_burst(0, 64, 0).ok
-        assert proxy.read_burst(0, 64, 0).ok
+        assert not proxy.read(0, 64, 0).ok
+        assert proxy.read(0, 64, 0).ok
         assert not proxy.armed
 
     def test_hard_fault_keeps_failing(self, ddr):
         proxy = FaultyAxiPort(ddr, fail_read_at=64, once=False)
-        assert proxy.read_burst(0, 64, 0).ok
-        assert not proxy.read_burst(64, 64, 0).ok
-        assert not proxy.read_burst(128, 64, 0).ok
+        assert proxy.read(0, 64, 0).ok
+        assert not proxy.read(64, 64, 0).ok
+        assert not proxy.read(128, 64, 0).ok
 
     def test_write_fault(self, ddr):
         proxy = FaultyAxiPort(ddr, fail_write_at=16)
-        assert proxy.write_burst(0, b"x" * 16, 0).ok
-        assert not proxy.write_burst(16, b"x" * 16, 0).ok
+        assert proxy.write(0, b"x" * 16, 0).ok
+        assert not proxy.write(16, b"x" * 16, 0).ok
 
     def test_disarmed_never_fires(self, ddr):
         proxy = FaultyAxiPort(ddr, fail_read_at=32)
         proxy.disarm()
-        assert proxy.read_burst(0, 64, 0).ok  # would have tripped
+        assert proxy.read(0, 64, 0).ok  # would have tripped
         proxy.arm()
         proxy.fail_read_at = proxy.read_bytes + 32
-        assert not proxy.read_burst(64, 64, 0).ok
+        assert not proxy.read(64, 64, 0).ok
 
 
 class TestFaultyBlockDevice:

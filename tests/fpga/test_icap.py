@@ -119,6 +119,50 @@ class TestErrorPaths:
         icap.accept(make_test_bitstream().to_bytes(), now=0)
         assert calls == [True]
 
+    @staticmethod
+    def _words_after_sync():
+        words = np.frombuffer(make_test_bitstream().to_bytes(), ">u4").copy()
+        return words, int(np.nonzero(words == SYNC_WORD)[0][0]) + 1
+
+    def test_reserved_cmd_code_acts_as_null(self, icap):
+        words, start = self._words_after_sync()
+        assert words[start + 1] == type1_write(ConfigRegister.CMD, 1)
+        bs = np.insert(words, start + 1,
+                       [type1_write(ConfigRegister.CMD, 1), 0x13])
+        icap.accept(bs.astype(">u4").tobytes(), now=0)
+        assert not icap.error
+        assert icap.reconfigurations_completed == 1
+
+    def test_grown_cmd_count_fails_crc_without_raising(self, icap):
+        # a flip of bit 2 in the RCRC header makes its payload swallow
+        # the IDCODE header and value; the IDCODE value's low five bits
+        # are a reserved command code
+        words, start = self._words_after_sync()
+        words[start + 1] ^= 1 << 2
+        assert words[start + 6] & 0x1F not in set(Command)
+        icap.accept(words.astype(">u4").tobytes(), now=0)
+        assert icap.crc_error
+        assert icap.reconfigurations_completed == 0
+        assert icap.config_memory.frames_written == 0
+
+    def test_desync_ends_its_packet_however_the_stream_is_split(self):
+        # the words after a DESYNC in a three-word CMD packet are not
+        # register writes: the desynced device looks for the sync word
+        tail = [SYNC_WORD, type1_write(ConfigRegister.CMD, 3),
+                int(Command.DESYNC), int(Command.DESYNC), SYNC_WORD]
+        data = (make_test_bitstream().to_bytes()
+                + np.array(tail, dtype=">u4").tobytes())
+        outcomes = []
+        for chunk in (4, 128, len(data)):
+            icap = Icap(ConfigMemory(KINTEX7_325T))
+            for start in range(0, len(data), chunk):
+                icap.accept(data[start:start + chunk], now=0)
+            outcomes.append((icap.desynced_count,
+                             icap.reconfigurations_completed, icap.error,
+                             icap._state, icap._payload_remaining))
+        assert outcomes[0][:3] == (2, 2, False)
+        assert outcomes == [outcomes[0]] * 3
+
     def test_commit_guard_blocks(self, icap):
         icap.commit_guard = lambda far, frames: False
         from repro.errors import ConfigurationError

@@ -76,7 +76,7 @@ def _burst_mm2s(self):
     while remaining:
         nbytes = min(self.burst_bytes, remaining)
         issue_time = read_time
-        result = self.mem_port.read_burst(addr, nbytes, read_time)
+        result = self.mem_port.read(addr, nbytes, read_time)
         if not result.ok:
             return False
         read_time = result.complete_at
@@ -122,7 +122,7 @@ def _burst_s2mm(self):
             break
         pull_time = ready
         issue_time = max(pull_time, write_time)
-        result = self.mem_port.write_burst(addr, data, issue_time)
+        result = self.mem_port.write(addr, data, issue_time)
         if not result.ok:
             return False
         write_time = result.complete_at

@@ -49,16 +49,16 @@ class WordIcap(Icap):
         self._consume_words_scalar(words, now)
         return self._busy_until
 
-    def _payload_scalar(self, chunk: list, pos: int) -> None:
+    def _payload_scalar(self, chunk: list, pos: int) -> int:
         if self._payload_reg != ConfigRegister.FDRI or not self.crc_check:
-            super()._payload_scalar(chunk, pos)
-            return
+            return super()._payload_scalar(chunk, pos)
         crc = self._crc
         for value in chunk:
             crc = crc32_config_word(crc, value, ConfigRegister.FDRI)
         self._crc = crc
         self._fdri_words.append(np.array(chunk, dtype=np.uint32))
         self._finish_payload_chunk(ConfigRegister.FDRI, len(chunk))
+        return len(chunk)
 
 
 geometries = st.builds(

@@ -49,7 +49,7 @@ class TestBuiltSoc:
     def test_ddr_reachable_from_both_crossbars(self, soc):
         layout = soc.config.layout
         soc.xbar.write(layout.ddr_base, b"mainbus!", now=0)
-        result = soc.dma_xbar.read_burst(layout.ddr_base, 8, now=100)
+        result = soc.dma_xbar.read(layout.ddr_base, 8, now=100)
         assert result.data == b"mainbus!"
 
     def test_case_study_modules_registered(self, soc):
