@@ -76,7 +76,6 @@ def main() -> None:
             print(f"  {key}: {snapshot[key]}")
 
     # --- file exports -------------------------------------------------
-    soc.capture_stats_metrics()
     artifacts = {
         "dpr_trace.json": obs.chrome_trace(soc.sim.freq_hz),
         "dpr_trace.vcd": obs.vcd(soc.sim.freq_hz),

@@ -77,15 +77,14 @@ class AxiCrossbar(AxiSlave):
         self.decode_errors = 0
         self.obs: Optional["Observability"] = None
         self._wait_counters: Dict[int, "Counter"] = {}
-        self._c_txn: Optional["Counter"] = None
 
     def attach_obs(self, obs: "Observability") -> None:
         self.obs = obs
         self._wait_counters = {}
-        self._c_txn = obs.metrics.counter(
+        obs.metrics.observed_counter(
             "axi_transactions_total",
             "transactions routed through the crossbar",
-            labels={"xbar": self.name})
+            self, "transactions", labels={"xbar": self.name})
 
     def _wait_counter(self, region: Region) -> "Counter":
         counter = self._wait_counters.get(id(region))
@@ -139,10 +138,8 @@ class AxiCrossbar(AxiSlave):
             start = busy.get(key, 0)
             if start < arrive:
                 start = arrive
-            if self.obs is not None:
-                self._c_txn.value += 1  # type: ignore[union-attr]
-                if start > arrive:
-                    self._wait_counter(region).value += start - arrive
+            if start > arrive and self.obs is not None:
+                self._wait_counter(region).value += start - arrive
             data, complete, resp = inner(addr - base, payload, start)
             # the slave port is occupied until its response is produced
             busy[key] = complete
@@ -224,10 +221,8 @@ class AxiCrossbar(AxiSlave):
 
             def commit(n: int) -> bytes:
                 self.transactions += n
-                if self.obs is not None:
-                    self._c_txn.value += n  # type: ignore[union-attr]
-                    if start > arrive:
-                        self._wait_counter(region).value += start - arrive
+                if start > arrive and self.obs is not None:
+                    self._wait_counter(region).value += start - arrive
                 busy[key] = int(done[n - 1])
                 return inner_commit(n)
 

@@ -123,10 +123,8 @@ def fuse_write_port(bus: object, addr: int,
         start = busy.get(key, 0)
         if start < arrive:
             start = arrive
-        if xbar.obs is not None:
-            xbar._c_txn.value += 1  # type: ignore[union-attr]
-            if start > arrive:
-                xbar._wait_counter(region).value += start - arrive
+        if start > arrive and xbar.obs is not None:
+            xbar._wait_counter(region).value += start - arrive
         time = start + entry
         if proto is not None and proto._busy_until > time:
             time = proto._busy_until
@@ -178,8 +176,6 @@ def fuse_push_batch(bus: object, addr: int,
     def commit(values: List[int], last: int) -> None:
         count = len(values)
         xbar.transactions += count
-        if xbar.obs is not None:
-            xbar._c_txn.value += count  # type: ignore[union-attr]
         time = last + request + entry
         if capture:
             terminal._now = time  # type: ignore[attr-defined]
@@ -219,10 +215,8 @@ def fuse_read_port(bus: object, addr: int,
         start = busy.get(key, 0)
         if start < arrive:
             start = arrive
-        if xbar.obs is not None:
-            xbar._c_txn.value += 1  # type: ignore[union-attr]
-            if start > arrive:
-                xbar._wait_counter(region).value += start - arrive
+        if start > arrive and xbar.obs is not None:
+            xbar._wait_counter(region).value += start - arrive
         time = start + entry
         if proto is not None and proto._busy_until > time:
             time = proto._busy_until

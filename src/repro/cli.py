@@ -74,7 +74,6 @@ def _cmd_unroll(args: argparse.Namespace) -> int:
 
 def _export_observability(soc, obs, args: argparse.Namespace) -> None:
     """Write whichever trace/metric artifacts the flags requested."""
-    soc.capture_stats_metrics()
     if getattr(args, "trace_chrome", None):
         Path(args.trace_chrome).write_text(obs.chrome_trace(soc.sim.freq_hz))
         print(f"chrome trace written to {args.trace_chrome}")

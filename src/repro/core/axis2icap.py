@@ -36,18 +36,16 @@ class Axis2Icap(StreamSink):
         self.bytes_in = 0
         self.bytes_out = 0
         self._carry = bytearray()  # sub-record residue in compressed mode
-        self.obs: Optional["Observability"] = None
-        self._c_in = None
-        self._c_out = None
 
     def attach_obs(self, obs: "Observability") -> None:
-        self.obs = obs
-        self._c_in = obs.metrics.counter(
+        obs.metrics.observed_counter(
             "axis2icap_bytes_in_total",
-            "bytes entering the 64b->32b width converter")
-        self._c_out = obs.metrics.counter(
+            "bytes entering the 64b->32b width converter",
+            self, "bytes_in")
+        obs.metrics.observed_counter(
             "axis2icap_bytes_out_total",
-            "bytes written to the ICAP data port (post-decompression)")
+            "bytes written to the ICAP data port (post-decompression)",
+            self, "bytes_out")
 
     def resolve_bulk_accept(self, lead: int = 0) -> Optional[BulkAccept]:
         """Bulk form of :meth:`accept` (see ``BulkAccept``).
@@ -65,27 +63,18 @@ class Axis2Icap(StreamSink):
                                        if resolve is not None else None)
         if inner is None:
             return None
-        c_in = self._c_in
-        c_out = self._c_out
 
         def count(moved: int) -> None:
             self.bytes_in += moved
             self.bytes_out += moved
-            if c_in is not None:
-                c_in.value += moved
-                c_out.value += moved
 
         return counted_bulk(inner, count)
 
     def accept(self, data: bytes, now: int) -> int:
         self.bytes_in += len(data)
-        if self.obs is not None:
-            self._c_in.inc(len(data))
         arrival = now + self.stage_latency
         if not self.decompress:
             self.bytes_out += len(data)
-            if self.obs is not None:
-                self._c_out.inc(len(data))
             return self.icap.accept(data, arrival)
         # decompression path: records are word-granular, so buffer any
         # partial words/records across bursts
@@ -99,8 +88,6 @@ class Axis2Icap(StreamSink):
         expanded = rle_decompress(usable)
         payload = expanded.astype(">u4").tobytes()
         self.bytes_out += len(payload)
-        if self.obs is not None:
-            self._c_out.inc(len(payload))
         return self.icap.accept(payload, arrival)
 
     def _take_complete_records(self, whole_words: int) -> tuple[np.ndarray, int]:

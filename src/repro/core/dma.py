@@ -153,10 +153,9 @@ class DmaChannel:
         self.length = 0
         self.bytes_done = 0
         self.busy = False
-        #: activity counters the power model integrates; maintained
-        #: unconditionally (plain int adds on the burst schedule)
+        #: activity counters, maintained unconditionally (plain int
+        #: adds on the burst schedule)
         self.bursts_completed = 0
-        self.descriptors_completed = 0
         self.transfers_completed = 0
         self.transfers_errored = 0
         self.transfers_aborted = 0
@@ -283,7 +282,6 @@ class DmaChannel:
             return
         self.status |= SR_IDLE | SR_IOC_IRQ
         self.transfers_completed += 1
-        self.descriptors_completed += 1
         if self.obs is not None:
             cycles = self.sim.now - self.last_start_cycle
             if self._span is not None:

@@ -32,7 +32,6 @@ from repro.axi.types import AxiResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import Observability
-    from repro.obs.metrics import Counter
 
 GIER_OFFSET = 0x1C
 ISR_OFFSET = 0x20
@@ -92,17 +91,17 @@ class AxiHwIcap(RegisterBank):
                              read_only=True)
         self._now = 0  # updated on every access via read/write overrides
         self.obs = None
-        self._c_words: Optional["Counter"] = None
-        self._c_drains: Optional["Counter"] = None
 
     def attach_obs(self, obs: "Observability") -> None:
         self.obs = obs
-        self._c_words = obs.metrics.counter(
+        obs.metrics.observed_counter(
             "hwicap_words_total",
-            "words drained from the AXI_HWICAP write FIFO into the ICAP")
-        self._c_drains = obs.metrics.counter(
+            "words drained from the AXI_HWICAP write FIFO into the ICAP",
+            self, "words_transferred")
+        obs.metrics.observed_counter(
             "hwicap_drains_total",
-            "CR.Write-triggered FIFO drain operations")
+            "CR.Write-triggered FIFO drain operations",
+            self, "transfers_started")
 
     # ------------------------------------------------------------------
     # time plumbing: RegisterBank hooks have no time argument, so track
@@ -202,8 +201,6 @@ class AxiHwIcap(RegisterBank):
             self._drain_done_at = self.icap.accept(payload, start)
             self.words_transferred += len(words)
             if self.obs is not None:
-                self._c_words.inc(len(words))  # type: ignore[union-attr]
-                self._c_drains.inc()  # type: ignore[union-attr]
                 span = self.obs.tracer.begin(
                     "hwicap", "fifo_drain", start, words=len(words))
                 self.obs.tracer.end(span, self._drain_done_at)

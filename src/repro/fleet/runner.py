@@ -46,7 +46,10 @@ def _execute_unit(payload: Tuple[str, Unit]) -> Dict[str, Any]:
         result = task.run_unit(unit)
     finally:
         set_default_observability(None)
-    return {"unit": unit, "result": result, "metrics": obs.metrics}
+    # a plain copy: observed instruments would keep the unit's SoCs alive
+    metrics = MetricsRegistry()
+    metrics.merge(obs.metrics)
+    return {"unit": unit, "result": result, "metrics": metrics}
 
 
 @dataclass

@@ -67,7 +67,6 @@ from repro.utils.crc import crc32_config_word, crc32_config_words
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import Observability
-    from repro.obs.metrics import Counter
     from repro.obs.tracer import Span
 
 #: byte payloads up to this size are parsed without numpy round-trips
@@ -119,7 +118,6 @@ class Icap(StreamSink):
         self.idcode_seen: Optional[int] = None
         self.words_consumed = 0
         #: cycles arriving bursts waited behind the 4 B/cycle port
-        #: (maintained unconditionally — the power model integrates it)
         self.stall_cycles = 0
         self.crc_error = False
         self.protocol_error = False
@@ -129,8 +127,9 @@ class Icap(StreamSink):
         #: optional guard invoked before committing frames; raise or
         #: return False to block (used by the safe-DPR checks)
         self.commit_guard: Optional[Callable[[FrameAddress, int], bool]] = None
-        #: invoked after every error-free DESYNC (reconfiguration done);
-        #: the SoC uses this to activate the newly loaded module
+        #: invoked where ``reconfigurations_completed`` counts: at the
+        #: DESYNC of an error-free session that committed at least one
+        #: frame; the SoC uses this to activate the newly loaded module
         self.on_complete: Optional[Callable[[], None]] = None
         # observability (attach_obs): session spans + port metrics;
         # detached cost is a single ``is not None`` check per accept
@@ -139,25 +138,27 @@ class Icap(StreamSink):
         #: stream index (``words_consumed`` numbering) of the open
         #: session's sync word
         self._session_first = 0
+        #: ``config_memory.frames_written`` at the last sync word
+        self._frames_at_sync = 0
         #: while a bulk commit parses its run: ``(first, words,
         #: arrivals, done)`` — the stream index of the run's first word,
         #: the words per burst and each burst's arrival and drain cycle
         self._bulk_run: Optional[Tuple[int, int, np.ndarray, np.ndarray]] = None
-        self._c_words: Optional["Counter"] = None
-        self._c_stall: Optional["Counter"] = None
-        self._c_sessions: Optional["Counter"] = None
 
     def attach_obs(self, obs: "Observability") -> None:
         """Wire the port into an :class:`~repro.obs.Observability`."""
         self.obs = obs
         metrics = obs.metrics
-        self._c_words = metrics.counter(
-            "icap_words_total", "32-bit words consumed by the ICAP port")
-        self._c_stall = metrics.counter(
+        metrics.observed_counter(
+            "icap_words_total", "32-bit words consumed by the ICAP port",
+            self, "words_consumed")
+        metrics.observed_counter(
             "icap_stall_cycles_total",
-            "cycles arriving data waited for the 4 B/cycle port to drain")
-        self._c_sessions = metrics.counter(
-            "icap_sessions_total", "configuration sessions (sync..desync)")
+            "cycles arriving data waited for the 4 B/cycle port to drain",
+            self, "stall_cycles")
+        metrics.observed_counter(
+            "icap_sessions_total", "configuration sessions (sync..desync)",
+            self, "desynced_count")
 
     # ------------------------------------------------------------------
     # status
@@ -169,16 +170,6 @@ class Icap(StreamSink):
     @property
     def busy_until(self) -> int:
         return self._busy_until
-
-    @property
-    def busy_cycles(self) -> int:
-        """Cycles the port spent actively consuming (1 word/cycle).
-
-        The port drains exactly one 32-bit word per cycle, so the
-        words-consumed count *is* the active-cycle count the power
-        model charges at ``icap_active_mw``.
-        """
-        return self.words_consumed
 
     def reset(self) -> None:
         """Port-level reset: abort any partial packet, clear errors.
@@ -213,10 +204,6 @@ class Icap(StreamSink):
         busy = self._busy_until
         if busy > now:
             self.stall_cycles += busy - now
-        if self.obs is not None:
-            if busy > now:
-                self._c_stall.value += busy - now  # type: ignore[union-attr]
-            self._c_words.value += len(data) // 4  # type: ignore[union-attr]
         self._busy_until = (busy if busy > now else now) + cycles
         buffer = self._byte_buffer
         if buffer:
@@ -312,9 +299,6 @@ class Icap(StreamSink):
                          - taken - n * lead)
                 self._busy_until = int(done[n - 1])
                 self.stall_cycles += stall
-                if self.obs is not None:
-                    self._c_stall.value += stall  # type: ignore[union-attr]
-                    self._c_words.value += taken  # type: ignore[union-attr]
                 self._bulk_run = (self.words_consumed, words,
                                   arrivals + lead, done)
                 try:
@@ -630,6 +614,7 @@ class Icap(StreamSink):
         A re-sync inside an open session (after a protocol error
         dropped the parser) keeps the span it already has.
         """
+        self._frames_at_sync = self.config_memory.frames_written
         if self.obs is not None and self._session_span is None:
             run = self._bulk_run
             if run is not None:
@@ -653,7 +638,9 @@ class Icap(StreamSink):
         tracer.signal("icap_session", done, 0)
 
     def _finish_desync(self, pos: int) -> None:
-        """DESYNC at stream word ``pos`` ends the session."""
+        """DESYNC at stream word ``pos`` ends the session.  It counts as
+        a reconfiguration only when it ends without error and committed
+        at least one frame (a readback or an empty session does not)."""
         self.desynced_count += 1
         self._state = _ParseState.UNSYNCED
         if self.obs is not None:
@@ -664,7 +651,6 @@ class Icap(StreamSink):
             if run is not None:
                 first, words, _arrivals, drained = run
                 done = int(drained[(pos - first) // words])
-            self._c_sessions.inc()  # type: ignore[union-attr]
             self._end_session("error" if self.error else "ok", done, pos)
             if self.error:
                 self.obs.tracer.instant(
@@ -673,8 +659,9 @@ class Icap(StreamSink):
                     idcode=self.idcode_mismatch)
         if not self.error:
             self._apply_pending()
-            self.reconfigurations_completed += 1
-            if self.on_complete is not None:
-                self.on_complete()
+            if self.config_memory.frames_written > self._frames_at_sync:
+                self.reconfigurations_completed += 1
+                if self.on_complete is not None:
+                    self.on_complete()
         else:
             self._drop_pending()

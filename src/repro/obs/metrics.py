@@ -1,13 +1,16 @@
 """Metrics registry: named counters, gauges and HDR-style histograms.
 
-Components register instruments once (at observability attach time) and
-update them on hot paths with plain attribute operations — no dict
-lookups, no string formatting.  Besides counters the registry holds
-distribution-valued measurements (per-burst DMA latency, interrupt
-service latency, crossbar contention) a scalar snapshot cannot hold.
-``Soc.capture_stats_metrics`` mirrors the ``Soc.stats()`` snapshot
-into it as ``soc_*`` gauges, for the SD, SPI and hart counters no
-instrument keeps.
+Components register instruments once, at observability attach time.
+A fact a component already counts for itself (the ICAP's words, a
+crossbar's transactions, ``Soc.stats()``) is registered *observed*:
+the registry reads the component's own counter when a snapshot, export
+or merge asks, so each fact is counted once.  A fact only the exports
+need (histograms, DMA bytes and stalls, crossbar contention) is
+*pushed*: the component updates the instrument on its hot path with
+plain attribute operations — no dict lookups, no string formatting.
+Besides counters the registry holds distribution-valued measurements
+(per-burst DMA latency, interrupt service latency) a scalar snapshot
+cannot hold.
 
 Histograms use HDR-style bucketing: values below 8 get exact unit
 buckets, larger values land in power-of-two octaves split into 8
@@ -18,7 +21,8 @@ latency distributions in serving systems.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Type, TypeVar
+from functools import reduce
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type, TypeVar
 
 _SUB_BITS = 3          # 8 sub-buckets per octave
 _SUB = 1 << _SUB_BITS
@@ -82,8 +86,62 @@ class Counter(_Instrument):
         self.value += amount
 
 
+class ObservedCounter(Counter):
+    """A counter that reads component counters instead of being pushed.
+
+    Each source is an ``(owner, attribute)`` pair naming a running count
+    the component keeps for itself.  The value is the sum over sources
+    of that count's change since the source was attached, computed when
+    read; it pickles as a plain :class:`Counter` holding that value.
+    """
+
+    __slots__ = ("_sources",)
+
+    def __init__(self, name: str, help_text: str = "",
+                 labels: Optional[Dict[str, str]] = None) -> None:
+        _Instrument.__init__(self, name, help_text, labels)
+        self._sources: List[Tuple[object, str, int]] = []
+
+    def observe(self, owner: object, attr: str) -> None:
+        """Count ``owner.attr`` from its value now; a pair already
+        observed keeps its first baseline."""
+        if not any(o is owner and a == attr for o, a, _ in self._sources):
+            self._sources.append((owner, attr, getattr(owner, attr)))
+
+    @property
+    def value(self) -> int:
+        return sum(getattr(owner, attr) - base
+                   for owner, attr, base in self._sources)
+
+    @value.setter
+    def value(self, _value: int) -> None:
+        _refuse_push(self)
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return _plain, (Counter, self.name, self.help, dict(self.labels),
+                        {"value": self.value})
+
+
 #: gauge cross-shard reductions :meth:`MetricsRegistry.merge` accepts
 GAUGE_MERGE_MODES = ("max", "min", "sum", "last")
+
+
+def _checked_merge_mode(merge_mode: str) -> str:
+    if merge_mode not in GAUGE_MERGE_MODES:
+        raise ValueError(
+            f"gauge merge_mode {merge_mode!r} not in {GAUGE_MERGE_MODES}")
+    return merge_mode
+
+
+def _combine(merge_mode: str, current: float, incoming: float) -> float:
+    """Reduce two gauge values per ``merge_mode``."""
+    if merge_mode == "max":
+        return max(current, incoming)
+    if merge_mode == "min":
+        return min(current, incoming)
+    if merge_mode == "sum":
+        return current + incoming
+    return incoming  # "last"
 
 
 class Gauge(_Instrument):
@@ -102,15 +160,62 @@ class Gauge(_Instrument):
                  labels: Optional[Dict[str, str]] = None,
                  merge_mode: str = "max") -> None:
         super().__init__(name, help_text, labels)
-        if merge_mode not in GAUGE_MERGE_MODES:
-            raise ValueError(
-                f"gauge merge_mode {merge_mode!r} not in "
-                f"{GAUGE_MERGE_MODES}")
         self.value = 0.0
-        self.merge_mode = merge_mode
+        self.merge_mode = _checked_merge_mode(merge_mode)
 
     def set(self, value: float) -> None:
         self.value = value
+
+
+class ObservedGauge(Gauge):
+    """A gauge that reads component state instead of being set.
+
+    Each source is a callable returning the current level; the value
+    reduces the sources' readings per ``merge_mode`` (``max``), the rule
+    :meth:`MetricsRegistry.merge` applies across registries.  It pickles
+    as a plain :class:`Gauge` holding that value.
+    """
+
+    __slots__ = ("_sources",)
+
+    def __init__(self, name: str, help_text: str = "",
+                 labels: Optional[Dict[str, str]] = None) -> None:
+        _Instrument.__init__(self, name, help_text, labels)
+        self.merge_mode = "max"
+        self._sources: List[Callable[[], float]] = []
+
+    def observe(self, read: Callable[[], float]) -> None:
+        self._sources.append(read)
+
+    @property
+    def value(self) -> float:
+        readings = [read() for read in self._sources]
+        if not readings:
+            return 0.0
+        return reduce(lambda a, b: _combine(self.merge_mode, a, b), readings)
+
+    @value.setter
+    def value(self, _value: float) -> None:
+        _refuse_push(self)
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return _plain, (Gauge, self.name, self.help, dict(self.labels),
+                        {"value": self.value, "merge_mode": self.merge_mode})
+
+
+def _refuse_push(instrument: _Instrument) -> None:
+    raise TypeError(f"metric {instrument.name!r} is observed: it reads its "
+                    f"sources and cannot be incremented or set")
+
+
+def _plain(cls: Type[_InstrumentT], name: str, help_text: str,
+           labels: Dict[str, str], state: Dict[str, Any]) -> _InstrumentT:
+    """A pushed instrument holding ``state``: what an observed one
+    unpickles to."""
+    instrument = cls(name, help_text, labels)
+    for attr, value in state.items():
+        setattr(instrument, attr, value)
+    return instrument
 
 
 class Histogram(_Instrument):
@@ -243,11 +348,24 @@ class MetricsRegistry:
               merge_mode: Optional[str] = None) -> Gauge:
         instrument = self._get(Gauge, name, help_text, labels)
         if merge_mode is not None:
-            if merge_mode not in GAUGE_MERGE_MODES:
-                raise ValueError(
-                    f"gauge merge_mode {merge_mode!r} not in "
-                    f"{GAUGE_MERGE_MODES}")
-            instrument.merge_mode = merge_mode
+            instrument.merge_mode = _checked_merge_mode(merge_mode)
+        return instrument
+
+    def observed_counter(self, name: str, help_text: str, owner: object,
+                         attr: str, labels: Optional[Dict[str, str]] = None
+                         ) -> ObservedCounter:
+        """Register ``owner.attr`` as a source of counter ``name``."""
+        instrument = self._get(ObservedCounter, name, help_text, labels)
+        instrument.observe(owner, attr)
+        return instrument
+
+    def observed_gauge(self, name: str, help_text: str,
+                       read: Callable[[], float],
+                       labels: Optional[Dict[str, str]] = None
+                       ) -> ObservedGauge:
+        """Register ``read`` as a source of gauge ``name``."""
+        instrument = self._get(ObservedGauge, name, help_text, labels)
+        instrument.observe(read)
         return instrument
 
     def histogram(self, name: str, help_text: str = "",
@@ -279,7 +397,8 @@ class MetricsRegistry:
 
         Every default reduction is order-independent, which is what
         keeps the fleet runner's serial vs. sharded outputs
-        byte-identical.
+        byte-identical.  Observed instruments in ``other`` merge as
+        their values now; the destination's must be pushed ones.
         """
         for instrument in other.instruments():
             labels = dict(instrument.labels)
@@ -292,14 +411,9 @@ class MetricsRegistry:
                 if existing is None:
                     mine.merge_mode = instrument.merge_mode
                     mine.set(instrument.value)
-                elif mine.merge_mode == "max":
-                    mine.set(max(mine.value, instrument.value))
-                elif mine.merge_mode == "min":
-                    mine.set(min(mine.value, instrument.value))
-                elif mine.merge_mode == "sum":
-                    mine.set(mine.value + instrument.value)
-                else:  # "last"
-                    mine.set(instrument.value)
+                else:
+                    mine.set(_combine(mine.merge_mode, mine.value,
+                                      instrument.value))
             else:
                 assert isinstance(instrument, Histogram)
                 mine = self.histogram(instrument.name, instrument.help,

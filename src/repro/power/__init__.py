@@ -17,7 +17,6 @@ from repro.power.model import (
     ANNOTATED_TRACK_PREFIXES,
     PowerIntegrator,
     PowerModel,
-    collect_activity,
 )
 from repro.power.profile import DEFAULT_PROFILE, PowerProfile
 from repro.power.report import (
@@ -38,7 +37,6 @@ __all__ = [
     "PowerModel",
     "PowerProfile",
     "build_energy_breakdown",
-    "collect_activity",
     "render_energy_breakdown",
     "traced_reconfiguration",
 ]

@@ -30,43 +30,6 @@ Contribution = Tuple[int, int, str, float, float]
 ANNOTATED_TRACK_PREFIXES = ("driver", "icap", "sched", "dma.")
 
 
-def collect_activity(soc: Any) -> Dict[str, int]:
-    """Raw activity counters the model integrates, straight off the SoC.
-
-    Every counter is maintained unconditionally by its component (no
-    observability required), so this is also the cross-check surface
-    for the span-derived energies.
-    """
-    out: Dict[str, int] = {}
-    icap = getattr(soc, "icap", None)
-    if icap is not None:
-        out["icap_words"] = icap.words_consumed
-        out["icap_busy_cycles"] = icap.busy_cycles
-        out["icap_stall_cycles"] = icap.stall_cycles
-    ddr = getattr(soc, "ddr", None)
-    if ddr is not None:
-        out["ddr_bytes_read"] = ddr.bytes_read
-        out["ddr_bytes_written"] = ddr.bytes_written
-        out["ddr_row_activates"] = ddr.row_activates
-    rvcap = getattr(soc, "rvcap", None)
-    dma = getattr(rvcap, "dma", None)
-    if dma is not None:
-        for channel in (dma.mm2s, dma.s2mm):
-            out[f"dma_{channel.name}_bytes"] = channel.bytes_done
-            out[f"dma_{channel.name}_bursts"] = channel.bursts_completed
-            out[f"dma_{channel.name}_descriptors"] = \
-                channel.descriptors_completed
-    hart = getattr(soc, "hart", None)
-    if hart is not None:
-        activity = hart.power_activity()
-        out["hart_cycles"] = activity["cycles"]
-        out["hart_instret"] = activity["instret"]
-    for index, accel in sorted(getattr(soc, "active_rms", {}).items()):
-        if accel is not None:
-            out[f"accel_rp{index}_busy_cycles"] = accel.busy_cycles
-    return out
-
-
 class PowerModel:
     """Derives power/energy views of a recorded trace from a profile."""
 

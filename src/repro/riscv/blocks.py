@@ -90,11 +90,10 @@ one place.
 
 Invalidation
 ------------
-Blocks cache decoded instruction bytes, so they follow the same
-staleness rules as the per-pc decode cache: ``Hart.store`` drops any
-block whose [start, end) byte range overlaps a written range (via a
-256-byte page index), ``fence.i`` and
-:meth:`Hart.invalidate_code_cache` flush everything, and every
+Blocks cache decoded instruction bytes, so they go stale when those
+bytes change: ``Hart.store`` drops any block whose [start, end) byte
+range overlaps a written range (via a 256-byte page index), ``fence.i``
+and :meth:`Hart.invalidate_code_cache` flush everything, and every
 invalidation bumps ``Hart._code_epoch`` so an in-flight block exits at
 its next epoch check.
 """
@@ -441,14 +440,12 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
                     lines.append(f"    p{nb} = P{nb}")
             if batch:
                 # code-range bounds for the self-modifying-code check;
-                # hoisting is safe: only step()/compile_block grow them
-                # and neither runs while a block is executing.  The
-                # open push batch: values, port, key, last issue, cost.
+                # hoisting is safe: only compile_block grows them and it
+                # does not run while a block is executing.  The open
+                # push batch: values, port, key, last issue, cost.
                 lines += [
                     "    dd = DD",
                     "    sw = SW",
-                    "    pclo = h._pc_cache_lo",
-                    "    pchi = h._pc_cache_hi",
                     "    blo = h._block_lo",
                     "    bhi = h._block_hi",
                     "    bv = []",
@@ -597,10 +594,8 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
                     lines += [
                         f"{fi}cycles += {base}",
                         # self-modifying code: invalidate overlapped
-                        # cache entries; exit if this block was hit
-                        f"{fi}if {av} + {nbytes} > pclo "
-                        f"and {av} - 3 <= pchi "
-                        f"or bhi >= 0 and {av} + {nbytes} > blo "
+                        # blocks; exit if this block was hit
+                        f"{fi}if bhi >= 0 and {av} + {nbytes} > blo "
                         f"and {av} < bhi:",
                         f"{fi}    h._code_store({av}, {nbytes})",
                         f"{fi}    if h._code_epoch != ep:",

@@ -161,14 +161,6 @@ class Hart:
         self.in_wfi = False
         self._branch_shadow = False  # a conditional branch has not yet "committed"
         self._decode_cache: dict[int, Decoded] = {}
-        #: fused fetch/decode/execute cache: pc -> (handler, decoded,
-        #: fixed extra cycles, is-unconditional-jump).  Valid while the
-        #: instruction bytes at pc are unchanged; stores through the
-        #: hart invalidate overlapping entries (see ``store``), other
-        #: writers must call :meth:`invalidate_code_cache`.
-        self._pc_cache: dict[int, tuple] = {}
-        self._pc_cache_lo = 1 << 62  # lowest / highest cached pc bounds
-        self._pc_cache_hi = -1
         #: compiled basic blocks: entry pc -> CompiledBlock, plus a
         #: page index (BLOCK_PAGE_SHIFT granularity) mapping pages to
         #: the entry pcs of blocks whose byte range touches them, and
@@ -333,18 +325,12 @@ class Hart:
                 sim._now = issue
 
     def _code_store(self, addr: int, nbytes: int) -> None:
-        """Invalidate fused pc entries and compiled blocks overlapping
-        a store into [addr, addr+nbytes) (self-modifying code)."""
-        if addr + nbytes > self._pc_cache_lo and addr - 3 <= self._pc_cache_hi:
-            # drop any fused entries whose instruction bytes overlap
-            cache = self._pc_cache
-            for overlapped in range(addr - 3, addr + nbytes):
-                cache.pop(overlapped, None)
+        """Invalidate compiled blocks overlapping a store into
+        [addr, addr+nbytes) (self-modifying code)."""
         if (self._block_hi >= 0 and addr + nbytes > self._block_lo
                 and addr < self._block_hi):
-            # likewise for compiled blocks *spanning* the written bytes
-            # (entry pc alone is not enough: the store may land
-            # mid-block)
+            # a block *spanning* the written bytes goes too (entry pc
+            # alone is not enough: the store may land mid-block)
             self._invalidate_blocks(addr, nbytes)
 
     def load(self, addr: int, nbytes: int) -> int:
@@ -483,9 +469,6 @@ class Hart:
     # ------------------------------------------------------------------
     # fetch/decode/execute
     # ------------------------------------------------------------------
-    def _fetch_decoded(self) -> Decoded:
-        return self.decode_at(self.pc)
-
     def decode_at(self, pc: int) -> Decoded:
         if pc & 1:
             raise Trap(isa.EXC_INSTR_MISALIGNED, pc)
@@ -508,22 +491,10 @@ class Hart:
             self._decode_cache[low] = cached
         return cached
 
-    def power_activity(self) -> dict:
-        """Activity counters feeding the power model (repro.power).
-
-        ``instret`` prices per-instruction dynamic energy, ``cycles``
-        the active-vs-idle split; both are already maintained by the
-        run loop, so this costs nothing on the execution path.
-        """
-        return {"cycles": self.cycles, "instret": self.instret}
-
     def invalidate_code_cache(self) -> None:
-        """Drop all fused/decoded/compiled entries (after rewriting
-        code; also the ``fence.i`` semantics)."""
-        self._pc_cache.clear()
+        """Drop all decoded/compiled entries (after rewriting code; also
+        the ``fence.i`` semantics)."""
         self._decode_cache.clear()
-        self._pc_cache_lo = 1 << 62
-        self._pc_cache_hi = -1
         self._block_cache.clear()
         self._block_pages.clear()
         self._block_refused.clear()
@@ -560,33 +531,6 @@ class Hart:
         if removed:
             self._code_epoch += 1
 
-    def _build_pc_entry(self, pc: int) -> tuple:
-        """Fuse fetch+decode+dispatch for ``pc`` into one cache entry.
-
-        The entry pre-resolves everything ``step`` would otherwise
-        recompute per retire: the EXEC handler, the fixed multi-cycle
-        cost of mul/div, and the unconditional-jump flag that charges
-        the frontend redirect penalty.
-        """
-        d = self._fetch_decoded()
-        handler = EXEC.get(d.name)
-        if handler is None:
-            raise Trap(isa.EXC_ILLEGAL_INSTR)
-        name = d.name
-        if name in ("mul", "mulh", "mulhsu", "mulhu", "mulw"):
-            fixed = self.timing.mul_cycles - 1
-        elif name.startswith(("div", "rem")):
-            fixed = self.timing.div_cycles - 1
-        else:
-            fixed = 0
-        entry = (handler, d, fixed, name == "jal" or name == "jalr")
-        self._pc_cache[pc] = entry
-        if pc < self._pc_cache_lo:
-            self._pc_cache_lo = pc
-        if pc > self._pc_cache_hi:
-            self._pc_cache_hi = pc
-        return entry
-
     def step(self) -> None:
         """Fetch, execute and retire one instruction (or take a trap)."""
         if self.halted:
@@ -603,20 +547,23 @@ class Hart:
             return
         self._extra_cycles = 0
         try:
-            entry = self._pc_cache.get(self.pc)
-            if entry is None:
-                try:
-                    entry = self._build_pc_entry(self.pc)
-                except IllegalInstructionError as err:
-                    raise Trap(isa.EXC_ILLEGAL_INSTR, err.word) from None
-            handler, d, fixed, is_jump = entry
+            try:
+                d = self.decode_at(self.pc)
+            except IllegalInstructionError as err:
+                raise Trap(isa.EXC_ILLEGAL_INSTR, err.word) from None
+            handler = EXEC.get(d.name)
+            if handler is None:
+                raise Trap(isa.EXC_ILLEGAL_INSTR)
+            name = d.name
             next_pc = handler(self, d)
-            if fixed:
-                self._extra_cycles += fixed
+            if name in ("mul", "mulh", "mulhsu", "mulhu", "mulw"):
+                self._extra_cycles += self.timing.mul_cycles - 1
+            elif name.startswith(("div", "rem")):
+                self._extra_cycles += self.timing.div_cycles - 1
             if next_pc is None:
                 self.pc = (self.pc + d.size) & MASK64
             else:
-                if is_jump:
+                if name == "jal" or name == "jalr":
                     self._extra_cycles += self.timing.branch_taken_penalty
                 self.pc = next_pc
             self.instret += 1

@@ -207,6 +207,14 @@ class DprScheduler:
         """
         if self._instrument_obs is not obs:
             m = obs.metrics
+            # facts the scheduler counts for itself: the registry reads
+            # them, from their values now on
+            m.observed_counter("sched_requests_total",
+                               "requests submitted to the scheduler",
+                               self, "_seq")
+            m.observed_counter("sched_icap_busy_cycles",
+                               "cycles the ICAP spent programming",
+                               self, "icap_busy_cycles")
             status_counters = {
                 status: m.counter(
                     f"sched_{status}_total",
@@ -217,9 +225,6 @@ class DprScheduler:
             self._instruments = {
                 "depth": m.gauge("sched_queue_depth",
                                  "requests queued in the scheduler"),
-                "requests": m.counter(
-                    "sched_requests_total",
-                    "requests submitted to the scheduler"),
                 "batches": m.counter("sched_batches_total",
                                      "batches serviced"),
                 "batch_size": m.histogram("sched_batch_size",
@@ -227,9 +232,6 @@ class DprScheduler:
                 "reconfigs": m.counter(
                     "sched_reconfigurations_total",
                     "batches that programmed the ICAP"),
-                "icap_busy": m.counter(
-                    "sched_icap_busy_cycles",
-                    "cycles the ICAP spent programming"),
                 "td": m.histogram("sched_td_cycles",
                                   "per-swap decision time"),
                 "tr": m.histogram("sched_tr_cycles",
@@ -257,6 +259,10 @@ class DprScheduler:
             if self.power_profile is not None:
                 # power instruments exist only when accounting is on,
                 # so plain replays keep their exact metric surface
+                m.observed_counter(
+                    "sched_power_deferrals_total",
+                    "reconfigurations deferred by the power governor",
+                    self, "power_deferrals")
                 self._instruments.update({
                     "energy": m.counter(
                         "sched_energy_nj_total",
@@ -265,9 +271,6 @@ class DprScheduler:
                     "reconfig_energy": m.histogram(
                         "sched_reconfig_energy_nj",
                         "modeled per-batch reconfiguration energy (nJ)"),
-                    "power_deferrals": m.counter(
-                        "sched_power_deferrals_total",
-                        "reconfigurations deferred by the power governor"),
                     "peak_power": m.gauge(
                         "sched_peak_window_power_mw",
                         "max windowed average power attained (mW)",
@@ -331,15 +334,15 @@ class DprScheduler:
         except RuntimeError as exc:  # pragma: no cover - usage error
             raise SchedulerError(
                 "submit() requires a running event loop") from exc
+        obs = self.obs
+        if obs is not None:
+            self._metrics(obs)  # a new registry counts this request
         future: "asyncio.Future[RequestOutcome]" = loop.create_future()
         entry = _Entry(request, future, self._seq, self._freq_hz)
         self._seq += 1
         heapq.heappush(self._arrivals,
                        (entry.arrival_cycle, entry.seq, entry))
         self._pending_count += 1
-        obs = self.obs
-        if obs is not None:
-            self._metrics(obs)["requests"].inc()
         self._sample_depth()
         self._wake.set()
         return future
@@ -542,7 +545,6 @@ class DprScheduler:
             if obs is not None:
                 instruments = self._metrics(obs)
                 instruments["reconfigs"].inc()
-                instruments["icap_busy"].inc(busy)
                 instruments["td"].record(int(td_us * self._freq_hz / 1e6))
                 instruments["tr"].record(busy)
                 if self.power_profile is not None:
@@ -650,7 +652,6 @@ class DprScheduler:
         governor.note_deferral(delay)
         obs = self.obs
         if obs is not None:
-            self._metrics(obs)["power_deferrals"].inc()
             obs.tracer.instant(TRACK, "power_deferral", self.sim.now,
                                module=module, cycles=delay)
         self.manager.port.elapse(delay)

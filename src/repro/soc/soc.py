@@ -236,7 +236,9 @@ class Soc:
                              ) -> "Observability":
         """Attach a span tracer + metrics registry to every instrumented
         component (DMA channels, ICAP parser, AXIS2ICAP, AXIS switch, RP
-        control, PLIC, both crossbars, AXI_HWICAP).
+        control, PLIC, both crossbars, AXI_HWICAP), and register each
+        :meth:`stats` key as an observed ``soc_*`` gauge, so one export
+        also carries the SD, SPI and hart counters no instrument keeps.
 
         Returns the :class:`~repro.obs.Observability` (a fresh one is
         created when None is given).  Detached components pay only an
@@ -256,16 +258,11 @@ class Soc:
         self.xbar.attach_obs(obs)
         self.dma_xbar.attach_obs(obs)
         self.hwicap.attach_obs(obs)
+        for key in self.stats():
+            obs.metrics.observed_gauge(
+                f"soc_{key}", "Soc.stats() counter",
+                lambda key=key: self.stats()[key])
         return obs
-
-    def capture_stats_metrics(self) -> None:
-        """Mirror :meth:`stats` into ``obs.metrics`` as ``soc_*`` gauges,
-        so one metrics export also carries the SD, SPI and hart counters
-        no instrument keeps."""
-        if self.obs is None:
-            return
-        for key, value in self.stats().items():
-            self.obs.metrics.gauge(f"soc_{key}", "Soc.stats() counter").set(value)
 
     def stats(self) -> Dict[str, int | float]:
         """Counter snapshot across all subsystems (side-effect free)."""

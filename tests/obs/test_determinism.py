@@ -1,5 +1,7 @@
 """Satellite: two identical traced runs produce byte-identical artifacts."""
 
+import json
+
 from repro.cli import main
 
 
@@ -41,3 +43,36 @@ class TestTraceDeterminism:
         capsys.readouterr()
         for flag in outputs[0]:
             assert outputs[0][flag] == outputs[1][flag], flag
+
+
+def _reconfig_metrics(tmp_path, controller):
+    path = tmp_path / f"metrics_{controller}.json"
+    rc = main(["reconfig", "sobel", "--controller", controller,
+               "--metrics-json", str(path)])
+    assert rc == 0
+    return json.loads(path.read_text())
+
+
+class TestExportedCounters:
+    """The exported counters of one reference reconfiguration, pinned:
+    the observed instruments read the same facts the pushed ones did."""
+
+    def test_rvcap(self, tmp_path, capsys):
+        metrics = _reconfig_metrics(tmp_path, "rvcap")
+        capsys.readouterr()
+        assert metrics["icap_words_total"] == 162_723
+        assert metrics["icap_stall_cycles_total"] == 180_219_224
+        assert metrics["icap_sessions_total"] == 1
+        assert metrics["axis2icap_bytes_in_total"] == 650_892
+        assert metrics["axis2icap_bytes_out_total"] == 650_892
+        assert metrics['axi_transactions_total{xbar="main_xbar"}'] == 21
+        assert metrics[
+            'axi_transactions_total{xbar="rvcap_xbar_mm2s"}'] == 5_086
+        assert metrics["soc_icap_words"] == 162_723
+
+    def test_hwicap(self, tmp_path, capsys):
+        metrics = _reconfig_metrics(tmp_path, "hwicap")
+        capsys.readouterr()
+        assert metrics["hwicap_words_total"] == 162_723
+        assert metrics["hwicap_drains_total"] == 159
+        assert metrics['axi_transactions_total{xbar="main_xbar"}'] == 167_501

@@ -54,10 +54,8 @@ def route(xbar: AxiCrossbar, addr: int, now: int, is_read: bool,
     key = id(region)
     arrive = now + xbar.request_latency
     start = max(arrive, xbar._busy_until.get(key, 0))
-    if xbar.obs is not None:
-        xbar._c_txn.value += 1  # type: ignore[union-attr]
-        if start > arrive:
-            xbar._wait_counter(region).value += start - arrive
+    if start > arrive and xbar.obs is not None:
+        xbar._wait_counter(region).value += start - arrive
     local = addr - region.base
     slave = region.slave
     if is_read:

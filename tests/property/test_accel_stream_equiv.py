@@ -364,10 +364,9 @@ def _channel_state(channel):
     return {
         attr: getattr(channel, attr)
         for attr in ("status", "address", "length", "bytes_done", "busy",
-                     "bursts_completed", "descriptors_completed",
-                     "transfers_completed", "transfers_errored",
-                     "transfers_aborted", "last_start_cycle",
-                     "last_complete_cycle")
+                     "bursts_completed", "transfers_completed",
+                     "transfers_errored", "transfers_aborted",
+                     "last_start_cycle", "last_complete_cycle")
     }
 
 
