@@ -29,7 +29,6 @@ Commands:
   ``serve`` export power-annotated traces)
 * ``asm``      — assemble an RV64 source file (optionally RVC-compressed)
 * ``disasm``   — disassemble a flat binary image
-* ``profile``  — cProfile a named simulator workload (pstats output)
 """
 
 from __future__ import annotations
@@ -683,27 +682,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    import cProfile
-    import pstats
-
-    from repro.eval.benches import BENCHES
-
-    bench = BENCHES[args.scenario]
-    profiler = cProfile.Profile()
-    profiler.enable()
-    bench()
-    profiler.disable()
-    if args.output:
-        profiler.dump_stats(args.output)
-        print(f"profile written to {args.output} "
-              "(inspect with python -m pstats)")
-        return 0
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1016,18 +994,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None,
                    help="also write the stable JSON report to a file")
     p.set_defaults(func=_cmd_fleet)
-
-    from repro.eval.benches import BENCHES
-    p = sub.add_parser("profile", help="cProfile a named perf bench")
-    p.add_argument("scenario", choices=sorted(BENCHES),
-                   help="any bench from benchmarks/perf.py")
-    p.add_argument("--sort", default="cumulative",
-                   help="pstats sort key (default: cumulative)")
-    p.add_argument("--top", "--limit", dest="top", type=int, default=30,
-                   help="rows of pstats output (default: 30)")
-    p.add_argument("-o", "--output", default=None,
-                   help="dump raw profile data instead of printing")
-    p.set_defaults(func=_cmd_profile)
 
     return parser
 

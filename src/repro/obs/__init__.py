@@ -15,8 +15,8 @@ Attach with ``soc.attach_observability()`` (or set a process-wide
 default via :func:`set_default_observability` so every
 ``build_soc()`` — including the ones evaluation workloads build
 internally — comes up instrumented).  When nothing is attached, every
-emit path reduces to one ``is not None`` check: the tracer-off overhead
-is gated below 2 % by ``benchmarks/perf.py --obs-check``.
+emit path reduces to one ``is not None`` check, and a detached flow
+calls no function of this package (``tests/obs/test_detached.py``).
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ def set_default_observability(obs: Optional[Observability]) -> None:
     """Install (or clear, with None) the process-wide default.
 
     While set, every subsequently built SoC auto-attaches to it — the
-    hook evaluation workloads and the perf harness use to instrument
-    SoCs they construct internally.
+    hook the fleet runner uses to instrument the SoCs its units
+    construct internally.
     """
     global _default
     _default = obs

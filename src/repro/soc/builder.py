@@ -148,8 +148,8 @@ def build_soc(config: SocConfig | None = None, *,
         for behavior in ("sobel", "median", "gaussian"):
             soc.register_module(make_filter_module(behavior))
 
-    # a process-wide default observability (set by the CLI / perf
-    # harness) instruments every SoC built while it is installed —
+    # a process-wide default observability (set by the fleet runner
+    # around each unit) instruments every SoC built while installed —
     # including ones evaluation workloads construct internally
     from repro.obs import get_default_observability
     default_obs = get_default_observability()

@@ -9,16 +9,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from repro.eval.scenarios import make_test_bitstream
 from repro.soc.builder import build_soc
 
 # Tier-1 draws the same property-test examples on every run and host,
 # and keeps no example database, so its result depends only on the
-# tree.  ``--hypothesis-profile=explore --hypothesis-seed=N`` draws
-# fresh ones instead (the CI explore job, seeded from the commit).
-settings.register_profile("tier1", derandomize=True, database=None)
+# tree.  It skips the explain phase, which re-runs a shrunk failure
+# many times only to comment which arguments could take any value: a
+# failing serving-replay property reports in seconds instead of
+# minutes, with the same falsifying example.
+# ``--hypothesis-profile=explore --hypothesis-seed=N`` draws fresh
+# examples instead, explain phase included (the CI explore job, seeded
+# from the commit).
+settings.register_profile(
+    "tier1", derandomize=True, database=None,
+    phases=[phase for phase in Phase if phase is not Phase.explain])
 settings.register_profile("explore", derandomize=False, database=None)
 settings.load_profile("tier1")
 

@@ -73,20 +73,3 @@ class TestAsmRoundtrip:
         assert main(["unroll", "16"]) == 0
         out = capsys.readouterr().out
         assert "MB/s" in out
-
-
-class TestProfileCommand:
-    def test_profiles_a_named_bench(self, capsys):
-        assert main(["profile", "bitgen_ref", "--top", "5",
-                     "--sort", "tottime"]) == 0
-        out = capsys.readouterr().out
-        assert "function calls" in out
-        assert "restriction <5>" in out
-
-    def test_registry_matches_perf_harness(self):
-        from repro.eval.benches import BENCHES
-        parser = build_parser()
-        text = parser.format_help()
-        assert "profile" in text
-        for name in BENCHES:
-            assert parser.parse_args(["profile", name]).scenario == name
