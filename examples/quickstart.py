@@ -38,7 +38,7 @@ reconfiguration complete:
   decision time T_d   {result.td_us:.1f} us     (paper: 18)
   reconfig time T_r   {result.tr_us:.1f} us     (paper: 1651)
   throughput          {result.throughput_mb_s:.1f} MB/s   (ICAP ceiling: 400)
-  active RM in RP     {soc.active_module_name}
+  active RM in RP     {soc.active_module(0)}
 """)
 
 

@@ -2,9 +2,10 @@
 """Safe DPR: what happens when a partial bitstream is corrupted.
 
 Demonstrates the Di-Carlo-style safety features ([14] in the paper):
-the ICAP's running CRC catches in-flight corruption, the device never
-completes startup, no module is activated, and the system recovers
-cleanly after a port reset — the RP is never left half-configured and
+the ICAP's running CRC catches in-flight corruption, the session ends
+``error`` with nothing written, the RP keeps its previous module, and
+the driver's failure path resets the ICAP port so the next load needs
+no manual cleanup — the RP is never left half-configured and
 *believed* healthy.
 
 Run:  python examples/safe_dpr.py
@@ -24,7 +25,7 @@ def main() -> None:
     print("1. loading a pristine 'gaussian' bitstream...")
     result = manager.load_module("gaussian")
     print(f"   ok: T_r = {result.tr_us:.0f} us, active RM = "
-          f"{soc.active_module_name}")
+          f"{soc.active_module(0)}")
 
     print("\n2. corrupting one byte of the 'sobel' bitstream in DDR...")
     d = manager.descriptor("sobel")
@@ -37,28 +38,25 @@ def main() -> None:
         manager.rvcap.init_reconfig_process(d)
     except ControllerError as err:
         print(f"   rejected: {err}")
-    print(f"   ICAP CRC error latched: {soc.icap.crc_error}")
-    print(f"   active RM after the failed DPR: {soc.active_module_name} "
+    print(f"   ICAP session outcome: {soc.icap.outcome}")
+    print(f"   active RM after the failed DPR: {soc.active_module(0)} "
           "(the corrupted module never activated)")
 
-    print("\n4. resetting the ICAP port and loading a pristine bitstream...")
-    soc.icap.reset()
-    manager.loaded_module = None
+    print("\n4. loading a pristine bitstream (no manual port reset)...")
     # restore the pristine image in DDR and retry
     manager.init_rmodules()
     result = manager.load_module("sobel")
     print(f"   recovered: T_r = {result.tr_us:.0f} us, active RM = "
-          f"{soc.active_module_name}")
+          f"{soc.active_module(0)}")
 
     print("\n5. truncated bitstream (transfer ends before DESYNC)...")
-    manager.loaded_module = None
     truncated = RmDescriptor("sobel", d.file_name, d.start_address,
                              d.pbit_size // 3)
     try:
         manager.rvcap.init_reconfig_process(truncated)
     except ControllerError as err:
         print(f"   rejected: {err}")
-    soc.icap.reset()
+    print(f"   ICAP session outcome: {soc.icap.outcome}")
     print("\nall failure paths detected; nothing half-applied silently.")
 
 

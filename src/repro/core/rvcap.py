@@ -79,11 +79,6 @@ class RvCapController:
         self.switch.attach_source(port, isolator)
         return index
 
-    @property
-    def rm_stream_isolator(self) -> StreamIsolator:
-        """Legacy single-RP accessor (RP 0's stream decoupler)."""
-        return self.rm_stream_isolators[0]
-
     def attach_rm_streams(self, rm_in: Optional[StreamSink],
                           rm_out: Optional[StreamSource],
                           rp_index: int = 0) -> None:
@@ -98,7 +93,3 @@ class RvCapController:
     @property
     def in_reconfiguration_mode(self) -> bool:
         return self.switch.selected == PORT_ICAP
-
-    @property
-    def reconfigurations_completed(self) -> int:
-        return self.icap.reconfigurations_completed

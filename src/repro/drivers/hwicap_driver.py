@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.core import hwicap as hw
+from repro.core import rp_control as rp_regs
 from repro.drivers.fileio import RmDescriptor
 from repro.drivers.mmio import HostPort
 from repro.drivers.rvcap_driver import ReconfigResult
@@ -89,8 +90,11 @@ class HwIcapDriver:
     # Listing-2 primitives
     # ------------------------------------------------------------------
     def decouple_accel(self, value: int) -> None:
-        from repro.core import rp_control as rp_regs
         self.port.write32(self.rp_ctrl_base + rp_regs.DECOUPLE_OFFSET, value)
+
+    def reset_icap(self) -> None:
+        """Reset the ICAP packet parser through the RP-control register."""
+        self.port.write32(self.rp_ctrl_base + rp_regs.ICAP_RESET_OFFSET, 1)
 
     def init_icap(self) -> None:
         """Reset the core and disable the global interrupt (Listing 2)."""
@@ -195,24 +199,26 @@ class HwIcapDriver:
 
         The reconfiguration overhead is 'measured as the time required
         from decoupling the RP till it is coupled again' (Sec. IV-B).
+        A failure (any ending but ``configured`` for this transfer's ICAP
+        session) resets the ICAP parser and re-couples before it raises.
         """
-        completions_before = self.port.soc.icap.reconfigurations_completed
+        icap = self.port.soc.icap
+        session = icap.sessions_opened + 1  # the session this load opens
         t_entry = self.timer.read_ticks()
         self.port.elapse(self.port.soc.config.timing.decision_cycles)
         self.decouple_accel(1)
-        self.init_icap()
-        t_start = self.timer.read_ticks()
-        self.reconfigure_rp(descriptor.start_address, descriptor.pbit_size)
-        icap = self.port.soc.icap
-        if icap.error:
-            raise ControllerError(
-                f"reconfiguration of {descriptor.name!r} failed: ICAP error"
-            )
-        if icap.reconfigurations_completed == completions_before:
-            raise ControllerError(
-                f"reconfiguration of {descriptor.name!r} incomplete: the "
-                "bitstream never desynced (truncated or malformed)"
-            )
+        try:
+            self.init_icap()
+            t_start = self.timer.read_ticks()
+            self.reconfigure_rp(descriptor.start_address, descriptor.pbit_size)
+            fault = icap.session_fault(session)
+            if fault is not None:
+                raise ControllerError(
+                    f"reconfiguration of {descriptor.name!r} failed: {fault}")
+        except Exception:
+            self.reset_icap()
+            self.decouple_accel(0)
+            raise
         t_done = self.timer.read_ticks()
         self.decouple_accel(0)
         return ReconfigResult(

@@ -38,7 +38,8 @@ class ExecutionTimes:
 
 
 class ReconfigurationManager:
-    """One-stop driver stack over a built SoC."""
+    """One-stop driver stack over a built SoC; what an RP holds is the
+    SoC's answer (:meth:`Soc.active_module`), never a copy kept here."""
 
     def __init__(self, soc: Soc, *, controller: str = "rvcap",
                  hwicap_unroll: int = 16) -> None:
@@ -50,19 +51,18 @@ class ReconfigurationManager:
             raise ControllerError(f"unknown controller {controller!r}")
         self.controller = controller
         self.store: Optional[PbitStore] = None
-        self.loaded_module: Optional[str] = None
-        self.last_reconfig: Optional[ReconfigResult] = None
 
     # ------------------------------------------------------------------
     # provisioning: build the SD card and load the pbit store
     # ------------------------------------------------------------------
     def provision_sdcard(self, modules: Optional[list[str]] = None) -> None:
-        """Generate partial bitstreams and place them on the SD card."""
+        """Put each module's partial bitstream, for its RP, on the card."""
         soc = self.soc
         names = modules or soc.registered_modules
         files: Dict[str, bytes] = {}
         for name in names:
-            bitstream = soc.bitgen.generate(soc.rp, soc.module(name))
+            rp = soc.partitions[soc.module_rp_index(name)]
+            bitstream = soc.bitgen.generate(rp, soc.module(name))
             files[f"{name.upper()}.PBI"] = bitstream.to_bytes()
         soc.sdcard.load_blocks(make_disk_image(files).populated_blocks())
 
@@ -92,40 +92,30 @@ class ReconfigurationManager:
                     mode: str = "interrupt",
                     descriptor: Optional[RmDescriptor] = None
                     ) -> Optional[ReconfigResult]:
-        """Ensure ``name`` is loaded; skips the DPR when already active.
+        """Ensure ``name`` is loaded; skips the DPR when its RP holds it.
 
         ``descriptor`` overrides the pbit-store lookup — the seam the
         scheduler's bitstream cache uses to point the DMA at a cached
         copy in DDR instead of the store's init_rmodules placement.
         """
-        if self.loaded_module == name and not force:
+        soc = self.soc
+        rp_index = soc.module_rp_index(name)
+        if not force and soc.active_module(rp_index) == name:
             return None
         if descriptor is None:
             descriptor = self.descriptor(name)
         elif descriptor.name != name:
             raise ControllerError(
                 f"descriptor is for {descriptor.name!r}, not {name!r}")
-        try:
-            if self.controller == "rvcap":
-                result = self.rvcap.init_reconfig_process(descriptor,
-                                                          mode=mode)
-            else:
-                result = self.hwicap.init_reconfig_process(descriptor)
-        except Exception:
-            # A failed DPR leaves the partition in an unknown state (it
-            # may be partially scrubbed).  Invalidate the cached name so
-            # a later load of the *previous* module actually re-programs
-            # instead of skipping against stale state.
-            self.loaded_module = None
-            self.last_reconfig = None
-            raise
-        if self.soc.active_module_name != name:
+        if self.controller == "rvcap":
+            result = self.rvcap.init_reconfig_process(descriptor, mode=mode)
+        else:
+            result = self.hwicap.init_reconfig_process(descriptor)
+        if soc.active_module(rp_index) != name:
             raise ControllerError(
-                f"after reconfiguration the RP holds "
-                f"{self.soc.active_module_name!r}, expected {name!r}"
+                f"after reconfiguration RP {rp_index} holds "
+                f"{soc.active_module(rp_index)!r}, expected {name!r}"
             )
-        self.loaded_module = name
-        self.last_reconfig = result
         return result
 
     # ------------------------------------------------------------------
@@ -165,7 +155,9 @@ class ReconfigurationManager:
         tr_us = reconfig.tr_us if reconfig else 0.0
         self.soc.ddr_write(src, image.tobytes())
         nbytes = image.size
-        tc_us = self.rvcap.run_accelerator(src, dst, nbytes, nbytes)
+        tc_us = self.rvcap.run_accelerator(
+            src, dst, nbytes, nbytes,
+            rp_index=self.soc.module_rp_index(accelerator))
         out = np.frombuffer(self.soc.ddr_read(dst, nbytes), dtype=np.uint8)
         times = ExecutionTimes(accelerator=accelerator, td_us=td_us,
                                tr_us=tr_us, tc_us=tc_us)

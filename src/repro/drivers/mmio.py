@@ -49,10 +49,6 @@ class HostPort:
         if cycles > 0:
             self.sim.advance_to(self.sim.now + cycles)
 
-    def elapse_call(self) -> None:
-        """Charge one driver API call's entry/exit cost."""
-        self.elapse(self.soc.config.timing.driver_call_cycles)
-
     # ------------------------------------------------------------------
     # transactions
     # ------------------------------------------------------------------

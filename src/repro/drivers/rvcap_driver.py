@@ -18,17 +18,19 @@ data transfer until the transfer-complete interrupt is handled.
 
 Error handling: a failed DMA burst raises the same PLIC source with
 DMASR.Err_Irq latched instead of IOC; the ISR distinguishes the two and
-the driver never reports an errored transfer as a completion.  Every
-completion wait is timeout-bounded, every failure path restores the
-RP coupling and switch routing, and :meth:`RvCapDriver.recover_and_retry`
-implements the full recovery sequence (abort, ICAP parser reset,
-re-couple, backoff, retry).
+the driver never reports an errored transfer, or one whose ICAP session
+ended other than ``configured``, as a completion.  Every wait is
+timeout-bounded, every failure path resets the ICAP parser and restores
+the RP coupling and switch routing, and :meth:`RvCapDriver.recover_and_retry`
+runs the full recovery (abort, parser reset, re-couple, backoff, retry).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import cast
 
+from repro.accel.base import StreamAccelerator
 from repro.core import dma as dma_regs
 from repro.core import rp_control as rp_regs
 from repro.drivers.fileio import RmDescriptor
@@ -256,16 +258,17 @@ class RvCapDriver:
                               timeout_us: float | None = None) -> ReconfigResult:
         """Load the RM described by ``descriptor`` into the RP.
 
-        On any failure the driver restores a safe state — DMA stopped,
-        AXIS switch back to the acceleration path, RP re-coupled —
-        before the error propagates, so a failed DPR never strands the
-        partition decoupled with the switch pointed at the ICAP.
+        Succeeds only when this transfer's ICAP session ends
+        ``configured``.  On any failure the driver restores a safe
+        state — DMA stopped, ICAP parser reset, AXIS switch back to the
+        acceleration path, RP re-coupled — before the error propagates.
         """
         if mode not in ("interrupt", "polling"):
             raise ControllerError(f"unknown DMA mode {mode!r}")
         if mode == "interrupt":
             self.setup_interrupts()
-        completions_before = self.port.soc.icap.reconfigurations_completed
+        icap = self.port.soc.icap
+        session = icap.sessions_opened + 1  # the session this load opens
         obs = self.obs
         if obs is not None:
             obs.tracer.begin("driver", "reconfig", self._now(),
@@ -310,17 +313,10 @@ class RvCapDriver:
                                       timeout_us=timeout_us)
             if obs is not None:
                 obs.tracer.end(tr_window, self._now())
-            icap = self.port.soc.icap
-            if icap.error:
+            fault = icap.session_fault(session)
+            if fault is not None:
                 raise ControllerError(
-                    f"reconfiguration of {descriptor.name!r} failed: "
-                    "ICAP error"
-                )
-            if icap.reconfigurations_completed == completions_before:
-                raise ControllerError(
-                    f"reconfiguration of {descriptor.name!r} incomplete: the "
-                    "bitstream never desynced (truncated or malformed)"
-                )
+                    f"reconfiguration of {descriptor.name!r} failed: {fault}")
         except Exception:
             if obs is not None:
                 obs.tracer.end_open("driver", self._now(), status="error")
@@ -330,6 +326,7 @@ class RvCapDriver:
             # a timed-out transfer is still streaming; stop it first,
             # the switch does not re-route under a busy channel
             self.dma_reset()
+            self.reset_icap()
             self.select_icap(0)
             self.decouple_accel(0)
             raise
@@ -439,12 +436,13 @@ class RvCapDriver:
         self.select_icap(0)
         self.select_rm(rp_index)
         self.decouple_accel(0)
-        # start pulse resets the RM's frame state
-        rm = self.port.soc.active_rms.get(rp_index)
+        # start pulse resets the RM's frame state; the SoC attaches the
+        # loaded module's accelerator as its RP's stream sink
+        rm = self.port.soc.rvcap.rm_stream_isolators[rp_index].sink
         if rm is None:
             raise ControllerError(
                 f"no accelerator is loaded in RP {rp_index}")
-        rm.reset()
+        cast(StreamAccelerator, rm).reset()
         t0 = self.timer.read_ticks()
         obs = self.obs
         accel_span = None

@@ -97,7 +97,7 @@ def unroll_sweep(unrolls: tuple[int, ...] = (1, 2, 4, 8, 16, 32), *,
         soc.ddr_write(src, pbit)
         firmware = build_hwicap_firmware(src, len(pbit), unroll=unroll)
         result = run_firmware(soc, firmware)
-        if not result.done or soc.icap.error:
+        if not result.done or soc.icap.outcome != "configured":
             raise RuntimeError(f"unroll={unroll} firmware run failed")
         us = result.elapsed_us()
         sweep.points.append(UnrollPoint(

@@ -34,14 +34,15 @@ bursts split is taken from the burst that carried the word: a session
 span opens at the arrival of the burst carrying the sync word and
 closes where the DESYNC burst drains (see :mod:`repro.core.dma`).
 
-Observability: a configuration session runs from the sync word to
-DESYNC or a port reset.  With a tracer attached each one is an
-``icap/session`` span, opened at the ``now`` of the accept whose words
-take the parser out of UNSYNCED and closed where the port drains:
-status ``ok``/``error`` at DESYNC, ``aborted`` at :meth:`Icap.reset`.
-The span's ``words`` counts that session's words, from the sync word
-through the DESYNC command word (through the last word consumed
-before the reset, for an aborted session).
+Sessions: a configuration session runs from the sync word to DESYNC
+or a port reset and ends with one outcome (:attr:`Icap.outcome`):
+``configured`` (no error, a frame committed), ``readback`` (no error or
+frame, an FDRO read served), ``empty``, ``error`` (a CRC, IDCODE or
+protocol error latched) or ``aborted`` (:meth:`Icap.reset`).  Only
+``configured`` counts in ``reconfigurations_completed``; ``on_complete``
+runs after every session that changed configuration memory.  Traced,
+each session is an ``icap/session`` span, status its outcome, whose
+``words`` count its words from the sync word through the last one.
 """
 
 from __future__ import annotations
@@ -115,7 +116,6 @@ class Icap(StreamSink):
         #: configuration-port master (readback, UG470 ch. 6)
         self.readback_queue: List[int] = []
         self.far: Optional[FrameAddress] = None
-        self.idcode_seen: Optional[int] = None
         self.words_consumed = 0
         #: cycles arriving bursts waited behind the 4 B/cycle port
         self.stall_cycles = 0
@@ -124,21 +124,26 @@ class Icap(StreamSink):
         self.idcode_mismatch = False
         self.desynced_count = 0
         self.reconfigurations_completed = 0
+        #: sessions opened so far, and how the last one ended (None
+        #: while one is open)
+        self.sessions_opened = 0
+        self.outcome: Optional[str] = None
         #: optional guard invoked before committing frames; raise or
         #: return False to block (used by the safe-DPR checks)
         self.commit_guard: Optional[Callable[[FrameAddress, int], bool]] = None
-        #: invoked where ``reconfigurations_completed`` counts: at the
-        #: DESYNC of an error-free session that committed at least one
-        #: frame; the SoC uses this to activate the newly loaded module
+        #: invoked at the end of every session that changed
+        #: configuration memory; the SoC re-derives each RP's module
         self.on_complete: Optional[Callable[[], None]] = None
         # observability (attach_obs): session spans + port metrics;
         # detached cost is a single ``is not None`` check per accept
         self.obs: Optional["Observability"] = None
+        self._in_session = False
+        self._read_served = False  # the open session served an FDRO read
         self._session_span: Optional["Span"] = None
         #: stream index (``words_consumed`` numbering) of the open
         #: session's sync word
         self._session_first = 0
-        #: ``config_memory.frames_written`` at the last sync word
+        #: ``config_memory.frames_written`` when the open session began
         self._frames_at_sync = 0
         #: while a bulk commit parses its run: ``(first, words,
         #: arrivals, done)`` — the stream index of the run's first word,
@@ -167,6 +172,22 @@ class Icap(StreamSink):
     def error(self) -> bool:
         return self.crc_error or self.protocol_error or self.idcode_mismatch
 
+    def session_fault(self, session: int) -> Optional[str]:
+        """Why session ``session`` did not end ``configured`` (None when
+        it did), naming the failed check while its flag is latched."""
+        outcome = self.outcome
+        if self.sessions_opened < session:
+            return "no configuration session opened (sync word not found)"
+        if outcome is None:
+            return "the bitstream never desynced (truncated or malformed)"
+        if outcome != "error":
+            return None if outcome == "configured" else \
+                f"the session ended {outcome}"
+        checks = [check for check, failed in (
+            ("CRC", self.crc_error), ("IDCODE", self.idcode_mismatch),
+            ("protocol", self.protocol_error)) if failed]
+        return f"{'/'.join(checks) or 'configuration'} check failed"
+
     @property
     def busy_until(self) -> int:
         return self._busy_until
@@ -177,10 +198,11 @@ class Icap(StreamSink):
         Clears *all* session state — including the readback queue, the
         frame-address register and any staged frame writes — so an
         aborted session can never leak data or addressing into the
-        next one.  An open session span closes as ``aborted``.
+        next one.  An open session ends ``aborted``.
         """
-        self._end_session("aborted", self._busy_until,
-                          self.words_consumed - 1)
+        if self._in_session:
+            self._end_session("aborted", self._busy_until,
+                              self.words_consumed - 1)
         self._byte_buffer.clear()
         self._state = _ParseState.UNSYNCED
         self._payload_reg = None
@@ -471,7 +493,7 @@ class Icap(StreamSink):
         if reg == ConfigRegister.CRC:
             if self.crc_check and value != self._running_crc():
                 self.crc_error = True
-                self._drop_pending()
+                self._pending_commits.clear()
             else:
                 self._apply_pending()
             self._crc = 0
@@ -491,7 +513,6 @@ class Icap(StreamSink):
             self._hash(value, reg)
             return
         if reg == ConfigRegister.IDCODE:
-            self.idcode_seen = value
             if value != self.config_memory.device.idcode:
                 self.idcode_mismatch = True
             self._hash(value, reg)
@@ -564,9 +585,6 @@ class Icap(StreamSink):
             self.config_memory.write_frames(far, payload)
         self._pending_commits.clear()
 
-    def _drop_pending(self) -> None:
-        self._pending_commits.clear()
-
     def _serve_read(self, reg: int, count: int) -> None:
         """Service a read packet: queue response words for the master.
 
@@ -588,6 +606,7 @@ class Icap(StreamSink):
                 self.protocol_error = True
                 return
             frames = payload_words // wpf
+            self._read_served = True
             data = self.config_memory.read_frames(self.far, frames)
             self.readback_queue.extend([0] * wpf)
             self.readback_queue.extend(int(w) for w in data)
@@ -608,14 +627,17 @@ class Icap(StreamSink):
     # session boundaries
     # ------------------------------------------------------------------
     def _begin_session(self, now: int, pos: int) -> None:
-        """The parser left UNSYNCED at stream word ``pos``: open the
-        session span at the arrival of the accept that carried it.
-
+        """The parser left UNSYNCED at stream word ``pos``: open a
+        session, its span at the arrival of the accept that carried it.
         A re-sync inside an open session (after a protocol error
-        dropped the parser) keeps the span it already has.
-        """
+        dropped the parser) continues it."""
+        if self._in_session:
+            return
+        self._in_session, self._read_served = True, False
+        self.sessions_opened += 1
+        self.outcome = None
         self._frames_at_sync = self.config_memory.frames_written
-        if self.obs is not None and self._session_span is None:
+        if self.obs is not None:
             run = self._bulk_run
             if run is not None:
                 first, words, arrivals, _done = run
@@ -625,43 +647,48 @@ class Icap(StreamSink):
             tracer.signal("icap_session", now, 1)
             self._session_first = pos
 
-    def _end_session(self, status: str, done: int, last: int) -> None:
-        """Close the open session span at ``done``, where the port
-        drains; ``last`` is the session's last stream word."""
+    def _end_session(self, outcome: str, done: int, last: int) -> None:
+        """End the open session with ``outcome``: close its span at
+        ``done``, where the port drains (``last`` is the session's last
+        stream word), and run ``on_complete`` if it wrote frames."""
+        self._in_session = False
+        self.outcome = outcome
+        if outcome == "configured":
+            self.reconfigurations_completed += 1
         span = self._session_span
-        if span is None or self.obs is None:
-            return
-        self._session_span = None
-        tracer = self.obs.tracer
-        tracer.end(span, done, status=status,
-                   words=last + 1 - self._session_first)
-        tracer.signal("icap_session", done, 0)
+        if span is not None and self.obs is not None:
+            self._session_span = None
+            tracer = self.obs.tracer
+            tracer.end(span, done, status=outcome,
+                       words=last + 1 - self._session_first)
+            tracer.signal("icap_session", done, 0)
+        if (self.on_complete is not None
+                and self.config_memory.frames_written > self._frames_at_sync):
+            self.on_complete()
 
     def _finish_desync(self, pos: int) -> None:
-        """DESYNC at stream word ``pos`` ends the session.  It counts as
-        a reconfiguration only when it ends without error and committed
-        at least one frame (a readback or an empty session does not)."""
+        """DESYNC at stream word ``pos`` ends the session: staged frames
+        apply unless an error latched, then the outcome is decided."""
         self.desynced_count += 1
         self._state = _ParseState.UNSYNCED
-        if self.obs is not None:
-            # the port drains where the accept carrying the DESYNC
-            # word does: inside a bulk commit, that burst's own cycle
-            done = self._busy_until
-            run = self._bulk_run
-            if run is not None:
-                first, words, _arrivals, drained = run
-                done = int(drained[(pos - first) // words])
-            self._end_session("error" if self.error else "ok", done, pos)
-            if self.error:
-                self.obs.tracer.instant(
-                    "icap", "config_error", done,
-                    crc=self.crc_error, protocol=self.protocol_error,
-                    idcode=self.idcode_mismatch)
-        if not self.error:
-            self._apply_pending()
-            if self.config_memory.frames_written > self._frames_at_sync:
-                self.reconfigurations_completed += 1
-                if self.on_complete is not None:
-                    self.on_complete()
+        error = self.error
+        if error:
+            self._pending_commits.clear()
         else:
-            self._drop_pending()
+            self._apply_pending()
+        wrote = self.config_memory.frames_written > self._frames_at_sync
+        outcome = ("error" if error else "configured" if wrote
+                   else "readback" if self._read_served else "empty")
+        # the port drains where the accept carrying the DESYNC word
+        # does: inside a bulk commit, that burst's own cycle
+        done = self._busy_until
+        run = self._bulk_run
+        if run is not None:
+            first, words, _arrivals, drained = run
+            done = int(drained[(pos - first) // words])
+        self._end_session(outcome, done, pos)
+        if error and self.obs is not None:
+            self.obs.tracer.instant(
+                "icap", "config_error", done,
+                crc=self.crc_error, protocol=self.protocol_error,
+                idcode=self.idcode_mismatch)

@@ -86,8 +86,6 @@ class ReconfigurablePartition:
     budget: ResourceBudget
     base_far: FrameAddress = field(default_factory=FrameAddress)
     device: FpgaDevice = KINTEX7_325T
-    loaded_module: Optional[ReconfigurableModule] = None
-    decoupled: bool = False
 
     @property
     def frames(self) -> int:

@@ -18,7 +18,7 @@ contribute impulses).
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.tracer import SpanTracer
 from repro.power.profile import DEFAULT_PROFILE, PowerProfile
@@ -185,47 +185,6 @@ class PowerModel:
             tracer.signal("power_mw", cycle, int(round(mw)))
         return len(series)
 
-    def record_metrics(self, obs: Any, tracer: SpanTracer, *,
-                       freq_hz: float) -> Dict[str, float]:
-        """Fold trace-derived energies into the metrics registry.
-
-        Creates fleet-mergeable instruments: integer-nJ counters (sum
-        across shards), a per-reconfiguration energy histogram
-        (bucket-wise add) and a peak-power gauge (max reduce).
-        Returns the per-component energy dict it recorded.
-        """
-        contributions = self.contributions(tracer)
-        lo, hi = self._trace_extent(tracer)
-        energies = self.component_energy(contributions, lo, hi,
-                                         freq_hz=freq_hz)
-        metrics = obs.metrics
-        total = 0.0
-        for component in sorted(energies):
-            nj = energies[component]
-            total += nj
-            metrics.counter(
-                "power_energy_nj", "modeled energy per component (nJ)",
-                {"component": component}).inc(int(round(nj)))
-        metrics.counter(
-            "power_energy_nj_total", "total modeled energy (nJ)",
-        ).inc(int(round(total)))
-        hist = metrics.histogram(
-            "power_reconfig_energy_nj",
-            "modeled whole-SoC energy per reconfiguration (nJ)")
-        integrator = PowerIntegrator(self, tracer, freq_hz=freq_hz,
-                                     contributions=contributions)
-        for span in tracer.find("driver", "tr_window"):
-            if span.end_cycle is not None:
-                hist.record(int(round(integrator.energy_nj(
-                    span.start_cycle, span.end_cycle))))
-        peak = max((mw for _cycle, mw in
-                    self._series(contributions, tracer, freq_hz)),
-                   default=self.profile.floor_mw)
-        metrics.gauge("power_peak_mw",
-                      "peak modeled instantaneous power (mW)").set(
-            round(peak, 3))
-        return energies
-
 
 class PowerIntegrator:
     """Prefix-sum integrator over the modeled power step series.
@@ -260,10 +219,6 @@ class PowerIntegrator:
         for _cycle, nj in self._impulses:
             impulse_prefix.append(impulse_prefix[-1] + nj)
         self._impulse_prefix = impulse_prefix
-
-    def _level_at(self, cycle: int) -> float:
-        index = bisect_right(self._cycles, cycle) - 1
-        return self._levels[index] if index >= 0 else self._floor
 
     def _cumulative(self, cycle: int) -> float:
         """nJ from series start up to ``cycle`` (floor before start)."""

@@ -35,7 +35,7 @@ from repro.fat32.blockdev import BLOCK_SIZE
 from repro.fat32.filesystem import Fat32FileSystem
 
 if TYPE_CHECKING:
-    from repro.obs import Counter, Observability
+    from repro.obs import Observability
 
 #: SPI-mode SD link cost model (matches SpiSdBlockDevice at divider 4)
 SPI_DIVIDER = 4
@@ -56,9 +56,21 @@ def sd_load_cycles(nbytes: int) -> int:
             + blocks * (BLOCK_SIZE * CYCLES_PER_BYTE + BLOCK_OVERHEAD_CYCLES))
 
 
+#: CacheStats field -> (observed counter, help text)
+_OBSERVED_STATS = {
+    "hits": ("sched_cache_hits_total", "bitstream cache hits"),
+    "misses": ("sched_cache_misses_total",
+               "bitstream cache misses (SD faults)"),
+    "evictions": ("sched_cache_evictions_total",
+                  "LRU evictions from the bitstream arena"),
+    "sd_bytes_loaded": ("sched_cache_sd_bytes_total",
+                        "pbit bytes faulted in from the SD card"),
+}
+
+
 @dataclass
 class CacheStats:
-    """Running counters; mirrored into the obs metrics registry."""
+    """Running counters; the obs metrics registry observes them."""
 
     hits: int = 0
     misses: int = 0
@@ -106,18 +118,26 @@ class BitstreamCache:
         self._resident: "OrderedDict[str, _Extent]" = OrderedDict()
         #: sorted, coalesced (address, size) free extents
         self._free: List[Tuple[int, int]] = [(arena_base, arena_bytes)]
+        #: the observability the stats are registered with
+        self._observed_by: "Optional[Observability]" = None
 
     # ------------------------------------------------------------------
     # observability plumbing
     # ------------------------------------------------------------------
-    @property
-    def _obs(self) -> "Optional[Observability]":
-        return self.port.soc.obs
-
-    def _counter(self, name: str, help_text: str) -> "Optional[Counter]":
-        obs = self._obs
-        return obs.metrics.counter(name, help_text) if obs is not None \
-            else None
+    def _observe(self) -> "Optional[Observability]":
+        """The SoC's observability; the first time the cache sees one it
+        registers its stats and resident bytes as observed instruments."""
+        obs = self.port.soc.obs
+        if obs is not None and obs is not self._observed_by:
+            self._observed_by = obs
+            metrics = obs.metrics
+            for attr, (name, help_text) in _OBSERVED_STATS.items():
+                metrics.observed_counter(name, help_text, self.stats, attr)
+            metrics.observed_gauge(
+                "sched_cache_resident_bytes",
+                "bytes of pbit data resident in the arena",
+                lambda: float(self.resident_bytes))
+        return obs
 
     # ------------------------------------------------------------------
     # queries
@@ -145,33 +165,25 @@ class BitstreamCache:
         :meth:`ReconfigurationManager.load_module`'s ``descriptor``
         override.
         """
+        self._observe()
         extent = self._resident.get(name)
         if extent is not None:
             self._resident.move_to_end(name)
             self.stats.hits += 1
-            counter = self._counter("sched_cache_hits_total",
-                                    "bitstream cache hits")
-            if counter is not None:
-                counter.inc()
             return extent.descriptor, True
         descriptor = self._fault_in(name)
         self.stats.misses += 1
-        counter = self._counter("sched_cache_misses_total",
-                                "bitstream cache misses (SD faults)")
-        if counter is not None:
-            counter.inc()
         return descriptor, False
 
     def prefetch(self, names: List[str]) -> int:
         """Warm the arena with ``names`` (most valuable last); returns
-        the number of modules actually faulted in."""
+        the number of modules actually faulted in.  Prefetches count no
+        demand hit or miss."""
         loaded = 0
         for name in names:
             if not self.contains(name):
-                _, hit = self.get(name)
-                loaded += 0 if hit else 1
-                # prefetching must not inflate the demand hit-rate
-                self.stats.misses -= 1
+                self._fault_in(name)
+                loaded += 1
         return loaded
 
     def invalidate(self, name: str) -> bool:
@@ -189,7 +201,7 @@ class BitstreamCache:
         from repro.fpga.bitfile import is_bit_file, parse_bit_file
 
         soc = self.port.soc
-        obs = self._obs
+        obs = self._observe()
         span = None
         if obs is not None:
             span = obs.tracer.begin("sched", "cache_fault", soc.sim.now,
@@ -214,17 +226,10 @@ class BitstreamCache:
         self.stats.sd_bytes_loaded += len(data)
         if obs is not None:
             obs.tracer.end(span, soc.sim.now, bytes=len(data))
-            obs.metrics.counter(
-                "sched_cache_sd_bytes_total",
-                "pbit bytes faulted in from the SD card").inc(len(data))
             obs.metrics.histogram(
                 "sched_cache_fault_cycles",
                 "simulated cycles per cache fault").record(
                     sd_load_cycles(len(data)) if self.charge_sd_time else 0)
-            obs.metrics.gauge(
-                "sched_cache_resident_bytes",
-                "bytes of pbit data resident in the arena").set(
-                    float(self.resident_bytes))
         return descriptor
 
     # ------------------------------------------------------------------
@@ -256,10 +261,6 @@ class BitstreamCache:
         _name, extent = self._resident.popitem(last=False)
         self._release(extent)
         self.stats.evictions += 1
-        counter = self._counter("sched_cache_evictions_total",
-                                "LRU evictions from the bitstream arena")
-        if counter is not None:
-            counter.inc()
 
     def _release(self, extent: _Extent) -> None:
         """Return an extent to the free list, coalescing neighbours."""

@@ -24,10 +24,10 @@ The asyncio layer models request concurrency (many tenants in flight),
 not hardware parallelism — while a batch holds the ICAP lock the event
 loop is busy exactly like the one physical configuration port is.
 
-Failed reconfigurations are retried through the driver's abort/recover
-path up to ``max_retries`` times; a batch that exhausts its retries
-fails its requests in-band (``status="failed"``) and the scheduler
-keeps serving.
+Failed reconfigurations (each driver's failure path resets the ICAP)
+are retried after a backoff up to ``max_retries`` times; a batch that
+exhausts its retries fails its requests in-band (``status="failed"``)
+and the scheduler keeps serving.
 """
 
 from __future__ import annotations
@@ -569,12 +569,14 @@ class DprScheduler:
     ) -> Tuple[Optional[ReconfigResult], Optional[bool]]:
         """Swap ``module`` in (through the cache when one is attached).
 
-        Returns ``(ReconfigResult | None, cache_hit | None)``; retries
-        through the driver's abort/recover path on failure.
+        Returns ``(ReconfigResult | None, cache_hit | None)``, None
+        when the module's RP already holds it.  A failed load has
+        already reset the ICAP and re-coupled the RP, so a retry only
+        waits out ``recovery_backoff_us`` first.
         """
-        manager = self.manager
+        manager, soc = self.manager, self.soc
         cache_hit: Optional[bool] = None
-        if manager.loaded_module == module:
+        if soc.active_module(soc.module_rp_index(module)) == module:
             return None, None
         attempts = 0
         while True:
@@ -596,7 +598,9 @@ class DprScheduler:
                     self._metrics(obs)["retries"].inc()
                 if attempts > self.max_retries:
                     raise
-                self._recover()
+                timing = soc.config.timing
+                manager.port.elapse(max(1, int(
+                    timing.recovery_backoff_us * timing.soc_freq_hz / 1e6)))
 
     def _verify_descriptor(self, module: str, descriptor: Any) -> None:
         """Statically verify the module's DDR-resident bitstream.
@@ -655,15 +659,6 @@ class DprScheduler:
             obs.tracer.instant(TRACK, "power_deferral", self.sim.now,
                                module=module, cycles=delay)
         self.manager.port.elapse(delay)
-
-    def _recover(self) -> None:
-        """Driver-level cleanup between retry attempts."""
-        manager = self.manager
-        if manager.controller == "rvcap":
-            manager.rvcap.abort_reconfig()
-        timing = self.soc.config.timing
-        manager.port.elapse(max(1, int(
-            timing.recovery_backoff_us * timing.soc_freq_hz / 1e6)))
 
     def _run_payload(self, entry: _Entry, start_us: float, *,
                      td_us: float, tr_us: float,

@@ -71,9 +71,6 @@ class TimingParams:
     ddr: DdrTiming = field(default_factory=DdrTiming)
     #: interrupt wire propagation + PLIC gateway latching
     plic_latency: int = 3
-    #: host-driver mode: cycles charged per driver API call for the
-    #: software path (function call, argument marshalling on the core)
-    driver_call_cycles: int = 60
     #: host-driver mode: software decision time before a reconfiguration
     #: is issued — looking up the RM table and preparing the descriptor
     #: (the paper's T_d = 18 us at 100 MHz)

@@ -1,10 +1,9 @@
 """The assembled FPGA-based RISC-V SoC (Fig. 1 + Fig. 2).
 
 :class:`Soc` owns every component instance and the bookkeeping that
-crosses subsystem boundaries: which reconfigurable module is loaded
-(derived from the actual configuration-memory contents, not from driver
-say-so), the RM's stream attachment, and hart construction for firmware
-runs.
+crosses subsystem boundaries: the one record of which module each RP
+holds (derived from configuration memory, not from driver say-so), the
+RM's stream attachment, and hart construction for firmware runs.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import hashlib
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.accel import make_accelerator
-from repro.accel.base import StreamAccelerator
 from repro.axi.crossbar import AxiCrossbar
 from repro.core.hwicap import AxiHwIcap
 from repro.core.rvcap import RvCapController
@@ -74,8 +72,9 @@ class Soc:
         self._modules: Dict[str, ReconfigurableModule] = {}
         #: module name -> index of the partition it was registered for
         self._module_rp_index: Dict[str, int] = {}
-        self.active_rms: Dict[int, Optional[StreamAccelerator]] = {}
-        self.active_module_names: Dict[int, Optional[str]] = {}
+        #: rp_index -> the registered module its frames hold, re-derived
+        #: whenever an ICAP session changes configuration memory
+        self._active_modules: Dict[int, str] = {}
 
         # memoized DDR window + bound accessors for the hart's cacheable
         # data path (resolved on first use: self.ddr is builder-set)
@@ -89,18 +88,10 @@ class Soc:
         """The primary (index 0) reconfigurable partition."""
         return self.partitions[0]
 
-    @property
-    def active_rm(self) -> Optional[StreamAccelerator]:
-        """Legacy single-RP view: RP 0's active accelerator."""
-        return self.active_rms.get(0)
-
-    @property
-    def active_module_name(self) -> Optional[str]:
-        """Legacy single-RP view: RP 0's active module name."""
-        return self.active_module_names.get(0)
-
     def active_module(self, rp_index: int) -> Optional[str]:
-        return self.active_module_names.get(rp_index)
+        """The registered module RP ``rp_index``'s frames hold (None
+        when they match none): the one answer to "is it loaded?"."""
+        return self._active_modules.get(rp_index)
 
     # ------------------------------------------------------------------
     # module registry: signatures map config-memory contents -> RM
@@ -132,32 +123,26 @@ class Soc:
         return hashlib.sha256(frames.tobytes()).hexdigest()
 
     def on_reconfiguration_complete(self) -> None:
-        """ICAP completion hook: re-derive each RP's active module from
-        the actual configuration-memory contents."""
-        for rp_index, rp in enumerate(self.partitions):
+        """ICAP hook, run when a session changed configuration memory:
+        re-derive each RP's module from its frames and attach that
+        module's accelerator (or none) to the RP's stream port."""
+        for rp_index in range(len(self.partitions)):
             signature = self._rp_signature(rp_index)
             name = self._module_signatures.get((rp_index, signature))
-            if name == self.active_module_names.get(rp_index):
+            if name == self._active_modules.get(rp_index):
                 continue  # unchanged
+            rm = None
             if name is None:
                 # unknown contents: partition holds no recognizable module
-                self.active_rms[rp_index] = None
-                self.active_module_names[rp_index] = None
-                rp.loaded_module = None
-                self.rvcap.attach_rm_streams(None, None, rp_index=rp_index)
-                continue
-            module = self._modules[name]
-            rp.loaded_module = module
-            self.active_module_names[rp_index] = name
-            if module.behavior is not None:
-                rm = make_accelerator(module.behavior,
-                                      width=module.frame_width,
-                                      height=module.frame_height)
-                self.active_rms[rp_index] = rm
-                self.rvcap.attach_rm_streams(rm, rm, rp_index=rp_index)
+                del self._active_modules[rp_index]
             else:
-                self.active_rms[rp_index] = None
-                self.rvcap.attach_rm_streams(None, None, rp_index=rp_index)
+                self._active_modules[rp_index] = name
+                module = self._modules[name]
+                if module.behavior is not None:
+                    rm = make_accelerator(module.behavior,
+                                          width=module.frame_width,
+                                          height=module.frame_height)
+            self.rvcap.attach_rm_streams(rm, rm, rp_index=rp_index)
 
     # ------------------------------------------------------------------
     # firmware support

@@ -34,7 +34,7 @@ class TestEndToEnd:
         output, times = manager.process_image("erode", image)
         assert np.array_equal(output, erode3x3(image))
         assert times.tr_us == pytest.approx(1651.0, abs=1.0)
-        assert soc.active_module_name == "erode"
+        assert soc.active_module(0) == "erode"
 
     def test_four_way_swapping(self, provisioned_manager_factory):
         soc, manager = provisioned_manager_factory()
@@ -43,4 +43,4 @@ class TestEndToEnd:
         manager.init_rmodules()
         for name in ("erode", "sobel", "erode", "gaussian"):
             manager.load_module(name)
-            assert soc.active_module_name == name
+            assert soc.active_module(0) == name

@@ -88,7 +88,7 @@ class TestReconfigurationMode:
         assert soc.rvcap.dma.mm2s.bytes_done == len(pbit)
         assert soc.icap.reconfigurations_completed == 1
         assert not soc.icap.error
-        assert soc.active_module_names[0] == "sobel"
+        assert soc.active_module(0) == "sobel"
         # once the channel is idle the switch may change again
         port.write32(layout.rp_ctrl_base + rc.SELECT_ICAP_OFFSET, 0)
         assert soc.rvcap.switch.selected == "rm"
@@ -99,8 +99,8 @@ class TestAccelerationMode:
         from repro.accel import make_accelerator
         rm = make_accelerator("sobel")
         soc.rvcap.attach_rm_streams(rm, rm)
-        assert soc.rvcap.rm_stream_isolator.sink is rm
-        assert soc.rvcap.rm_stream_isolator.source is rm
+        assert soc.rvcap.rm_stream_isolators[0].sink is rm
+        assert soc.rvcap.rm_stream_isolators[0].source is rm
 
     def test_decoupled_rm_receives_nothing(self, soc):
         from repro.accel import make_accelerator
@@ -110,4 +110,4 @@ class TestAccelerationMode:
         soc.rvcap.switch.select("rm")
         soc.rvcap.switch.accept(b"\x00" * 64, now=0)
         assert len(rm._in_bytes) == 0
-        assert soc.rvcap.rm_stream_isolator.dropped_bytes == 64
+        assert soc.rvcap.rm_stream_isolators[0].dropped_bytes == 64

@@ -50,8 +50,7 @@ class TestModuleLoading:
         soc, manager = provisioned_manager_factory()
         result = manager.load_module("median")
         assert result is not None
-        assert soc.active_module_name == "median"
-        assert soc.rp.loaded_module.name == "median"
+        assert soc.active_module(0) == "median"
 
     def test_reload_skipped_when_cached(self, provisioned_manager_factory):
         _soc, manager = provisioned_manager_factory()
@@ -63,9 +62,9 @@ class TestModuleLoading:
         soc, manager = provisioned_manager_factory()
         manager.load_module("sobel")
         manager.load_module("gaussian")
-        assert soc.active_module_name == "gaussian"
+        assert soc.active_module(0) == "gaussian"
         manager.load_module("sobel")
-        assert soc.active_module_name == "sobel"
+        assert soc.active_module(0) == "sobel"
 
 
 class TestImagePipeline:
@@ -177,35 +176,64 @@ class TestExplicitAddressRegression:
         assert np.array_equal(written, golden)
 
 
-class TestFailedReconfigInvalidatesState:
-    """A failed DPR must clear ``loaded_module``/``last_reconfig``.
+class TestConfigurationMemoryOwnsTheLoadedModule:
+    """The SoC's view, derived from configuration memory, is the only
+    record of what the RP holds: a failed load leaves the previous
+    module loaded, and a mislabelled load cannot make the next request
+    skip its DPR."""
 
-    The partition may be partially scrubbed when ``init_reconfig_process``
-    raises; leaving the previous module name cached makes a later load
-    of that module skip the DPR against stale state.
-    """
+    @pytest.mark.parametrize("controller,fault", [
+        ("rvcap", "crc"), ("rvcap", "truncate"), ("rvcap", "dma"),
+        ("hwicap", "crc"), ("hwicap", "truncate"),
+    ])
+    def test_failed_load_keeps_the_previous_module(self, controller, fault):
+        from dataclasses import replace
 
-    def test_reload_of_previous_module_reprograms(
-            self, provisioned_manager_factory):
         from repro.faults import install_mem_fault, remove_mem_fault
+        from repro.faults.injectors import flip_word_bit
+        from repro.sched import build_sched_soc
+
+        manager = build_sched_soc(2, frame=16, controller=controller)
+        manager.init_rmodules()
+        soc, rp = manager.soc, manager.soc.rp
+        assert manager.load_module("rm0") is not None
+        held = soc.config_memory.read_frames(rp.base_far, rp.frames).copy()
+        d = manager.descriptor("rm1")
+        pristine = soc.ddr_read(d.start_address, d.pbit_size)
+        descriptor, proxy = d, None
+        if fault == "crc":
+            soc.ddr_write(d.start_address,
+                          flip_word_bit(pristine, d.pbit_size // 8, 3))
+        elif fault == "truncate":
+            descriptor = replace(d, pbit_size=d.pbit_size // 8 * 4)
+        else:
+            proxy = install_mem_fault(soc.rvcap.dma.mm2s,
+                                      fail_read_at=d.pbit_size // 2)
+        with pytest.raises(ControllerError):
+            manager.load_module("rm1", descriptor=descriptor)
+        if proxy is not None:
+            remove_mem_fault(soc.rvcap.dma.mm2s, proxy)
+        soc.ddr_write(d.start_address, pristine)
+        after = soc.config_memory.read_frames(rp.base_far, rp.frames)
+        assert np.array_equal(after, held)
+        assert soc.active_module(0) == "rm0"
+        assert not soc.rvcap.rp_control.decoupled
+        assert manager.load_module("rm0") is None
+        # the failure path reset the ICAP: no manual cleanup needed
+        assert manager.load_module("rm1") is not None
+        assert soc.active_module(0) == "rm1"
+
+    def test_mislabelled_load_cannot_skip_the_next_dpr(
+            self, provisioned_manager_factory):
+        from dataclasses import replace
 
         soc, manager = provisioned_manager_factory()
-        assert manager.load_module("sobel") is not None
-        channel = soc.rvcap.dma.mm2s
-        d = manager.descriptor("median")
-        proxy = install_mem_fault(channel, fail_read_at=d.pbit_size // 2)
-        try:
-            with pytest.raises(ControllerError):
-                manager.load_module("median")
-        finally:
-            remove_mem_fault(channel, proxy)
-        # the failure invalidated the cached driver state...
-        assert manager.loaded_module is None
-        assert manager.last_reconfig is None
-        # ...so after the driver-level abort (ICAP parser reset), a load
-        # of the pre-failure module really reprograms instead of
-        # skipping against the scrubbed partition
-        manager.rvcap.abort_reconfig()
-        result = manager.load_module("sobel")
-        assert result is not None
-        assert soc.active_module_name == "sobel"
+        assert manager.load_module("median") is not None
+        mislabelled = replace(manager.descriptor("gaussian"), name="sobel")
+        with pytest.raises(ControllerError, match="holds 'gaussian'"):
+            manager.load_module("sobel", descriptor=mislabelled)
+        assert soc.active_module(0) == "gaussian"
+        image = scene_image(512)
+        out, times = manager.process_image("median", image)
+        assert times.tr_us > 0
+        assert np.array_equal(out, GOLDEN_FILTERS["median"](image))

@@ -36,7 +36,7 @@ class TestReadback:
         driver.read_frames(soc.rp.base_far, 2)
         result = manager.load_module("median")
         assert result is not None
-        assert soc.active_module_name == "median"
+        assert soc.active_module(0) == "median"
         assert not soc.icap.error
 
     def test_verify_after_write_workflow(self, loaded):

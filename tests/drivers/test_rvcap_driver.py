@@ -76,13 +76,17 @@ class TestReconfiguration:
     def test_corrupt_bitstream_raises(self, provisioned_manager_factory):
         soc, manager = provisioned_manager_factory()
         d = manager.descriptor("sobel")
+        before = soc.config_memory.read_frames(soc.rp.base_far,
+                                               soc.rp.frames).copy()
         # flip a bit inside the frame payload in DDR
         raw = bytearray(soc.ddr_read(d.start_address, d.pbit_size))
         raw[5000] ^= 0x01
         soc.ddr_write(d.start_address, bytes(raw))
-        with pytest.raises(ControllerError):
+        with pytest.raises(ControllerError, match="CRC check failed"):
             manager.rvcap.init_reconfig_process(d)
-        assert soc.icap.crc_error
+        assert soc.icap.outcome == "error"
+        after = soc.config_memory.read_frames(soc.rp.base_far, soc.rp.frames)
+        assert np.array_equal(before, after)
 
 
 class TestFailurePathRestoresState:
@@ -140,7 +144,7 @@ class TestFailurePathRestoresState:
         assert not channel.busy
         assert channel.transfers_aborted == 1
         result = manager.rvcap.recover_and_retry(d, mode=mode)
-        assert soc.active_module_name == "sobel"
+        assert soc.active_module(0) == "sobel"
         assert result.tr_us == pytest.approx(1651.0, rel=0.02)
 
     def test_refused_switch_recouples(self, provisioned_manager_factory):
@@ -155,7 +159,7 @@ class TestFailurePathRestoresState:
         self._assert_safe_state(soc)
         assert not soc.rvcap.dma.s2mm.busy
         manager.rvcap.init_reconfig_process(d)
-        assert soc.active_module_name == "sobel"
+        assert soc.active_module(0) == "sobel"
 
     def test_failed_accelerator_run_releases_the_switch(
             self, provisioned_manager_factory):
@@ -176,7 +180,7 @@ class TestFailurePathRestoresState:
         assert not soc.rvcap.dma.s2mm.busy
         self._assert_safe_state(soc)
         out, _times = manager.process_image("median", image)
-        assert soc.active_module_name == "median"
+        assert soc.active_module(0) == "median"
         assert np.array_equal(out, median3x3(image))
 
 
@@ -212,7 +216,7 @@ class TestRecoverAndRetry:
             manager.rvcap.init_reconfig_process(d)
         remove_mem_fault(channel, proxy)
         result = manager.rvcap.recover_and_retry(d)
-        assert soc.active_module_name == "sobel"
+        assert soc.active_module(0) == "sobel"
         # the retried transfer hits the reference throughput again
         assert result.tr_us == pytest.approx(1651.0, abs=2.0)
 
@@ -230,7 +234,7 @@ class TestRecoverAndRetry:
             remove_mem_fault(channel, proxy)
         assert proxy.faults_injected == 1
         assert result.module == "median"
-        assert soc.active_module_name == "median"
+        assert soc.active_module(0) == "median"
 
     def test_exhausted_attempts_raise_last_error(
             self, provisioned_manager_factory):
@@ -256,7 +260,7 @@ class TestRecoverAndRetry:
         manager.rvcap.abort_reconfig()
         assert not soc.rvcap.dma.s2mm.busy
         manager.rvcap.init_reconfig_process(manager.descriptor("sobel"))
-        assert soc.active_module_name == "sobel"
+        assert soc.active_module(0) == "sobel"
 
     def test_abort_reconfig_resets_icap_parser(
             self, provisioned_manager_factory):

@@ -29,7 +29,7 @@ class TestSweepMechanics:
         assert report.recovery_rate >= 0.95
         # after the sweep the platform is healthy: RP coupled, module up
         assert not soc.rvcap.rp_control.decoupled
-        assert soc.active_module_name == report.module
+        assert soc.active_module(0) == report.module
 
     def test_report_renders_rates(self, provisioned):
         _soc, manager = provisioned

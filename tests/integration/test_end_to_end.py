@@ -48,9 +48,9 @@ class TestModuleIdentityTracking:
     def test_soc_recognizes_loaded_module_from_frames(self, provisioned_manager_factory):
         soc, manager = provisioned_manager_factory()
         manager.load_module("gaussian")
-        assert soc.active_module_name == "gaussian"
+        assert soc.active_module(0) == "gaussian"
         manager.load_module("median")
-        assert soc.active_module_name == "median"
+        assert soc.active_module(0) == "median"
 
     def test_unknown_bitstream_deactivates_rm(self, provisioned_manager_factory):
         soc, manager = provisioned_manager_factory()
@@ -64,8 +64,8 @@ class TestModuleIdentityTracking:
         from repro.drivers.fileio import RmDescriptor
         descriptor = RmDescriptor("stranger", "S.PBI", src, bs.nbytes)
         manager.rvcap.init_reconfig_process(descriptor)
-        assert soc.active_module_name is None
-        assert soc.active_rm is None
+        assert soc.active_module(0) is None
+        assert soc.rvcap.rm_stream_isolators[0].sink is None
 
 
 class TestRepeatedOperation:
@@ -73,8 +73,8 @@ class TestRepeatedOperation:
         soc, manager = provisioned_manager_factory()
         sequence = ["sobel", "median", "gaussian"] * 3
         for name in sequence:
-            manager.load_module(name, force=(manager.loaded_module == name))
-            assert soc.active_module_name == name
+            manager.load_module(name)
+            assert soc.active_module(0) == name
         assert soc.icap.reconfigurations_completed == len(sequence)
         assert not soc.icap.error
 

@@ -20,11 +20,12 @@ class TestCorruptBitstreams:
         descriptor = RmDescriptor("evil", "E.PBI", src, bs.nbytes)
         before = soc.config_memory.read_frames(soc.rp.base_far,
                                                soc.rp.frames).copy()
-        with pytest.raises(ControllerError):
+        with pytest.raises(ControllerError, match="CRC check failed"):
             manager.rvcap.init_reconfig_process(descriptor)
-        assert soc.icap.crc_error
+        assert soc.icap.outcome == "error"
         assert soc.icap.reconfigurations_completed == 0
-        assert soc.active_module_name is None and soc.active_rm is None
+        assert soc.active_module(0) is None
+        assert soc.rvcap.rm_stream_isolators[0].sink is None
         # safe-DPR: frame writes are staged until the CRC proves the
         # bitstream, so a corrupted stream leaves the fabric untouched
         after = soc.config_memory.read_frames(soc.rp.base_far, soc.rp.frames)
@@ -45,7 +46,7 @@ class TestCorruptBitstreams:
         soc.icap.reset()
         result = manager.load_module("sobel")
         assert result is not None
-        assert soc.active_module_name == "sobel"
+        assert soc.active_module(0) == "sobel"
 
     def test_truncated_bitstream_never_completes(self, provisioned_manager_factory):
         soc, manager = provisioned_manager_factory()
@@ -86,7 +87,7 @@ class TestDdrFaultAcceptance:
         assert np.array_equal(before, after)
         # recovery brings the module up with the reference timing
         result = manager.rvcap.recover_and_retry(d, mode=mode)
-        assert soc.active_module_name == "sobel"
+        assert soc.active_module(0) == "sobel"
         assert result.tr_us == pytest.approx(1651.0, rel=0.02)
 
 
@@ -94,7 +95,7 @@ class TestDecouplingSafety:
     def test_rm_traffic_during_reconfig_is_isolated(self, provisioned_manager_factory):
         soc, manager = provisioned_manager_factory()
         manager.load_module("sobel")
-        rm = soc.active_rm
+        rm = soc.rvcap.rm_stream_isolators[0].sink
         # decouple (as the driver does during DPR) and push data at the RM
         soc.rvcap.rp_control._write_decouple(1)
         soc.rvcap.switch.select("rm")
@@ -112,8 +113,12 @@ class TestIcapErrorLatching:
         bs = alien.generate(soc.rp, module)
         src = soc.config.layout.ddr_base + (100 << 20)
         soc.ddr_write(src, bs.to_bytes())
-        with pytest.raises(ControllerError):
+        before = soc.config_memory.read_frames(soc.rp.base_far,
+                                               soc.rp.frames).copy()
+        with pytest.raises(ControllerError, match="IDCODE check failed"):
             manager.rvcap.init_reconfig_process(
                 RmDescriptor("alien_mod", "A.PBI", src, bs.nbytes))
-        assert soc.icap.idcode_mismatch
+        assert soc.icap.outcome == "error"
+        after = soc.config_memory.read_frames(soc.rp.base_far, soc.rp.frames)
+        assert np.array_equal(before, after)
         assert soc.config_memory.frames_written == 0

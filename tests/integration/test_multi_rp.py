@@ -92,6 +92,30 @@ class TestAccelerationAcrossPartitions:
                              dtype=np.uint8).reshape(image.shape)
         assert np.array_equal(out1, median3x3(image))
 
+    def test_manager_serves_each_module_on_its_rp(self, dual_soc):
+        from repro.drivers.manager import ReconfigurationManager
+
+        soc = dual_soc
+        manager = ReconfigurationManager(soc)
+        manager.provision_sdcard()
+        manager.init_rmodules()
+        image = scene_image(512)
+        out0, _times = manager.process_image("sobel", image)
+        rp0 = soc.partitions[0]
+        held = soc.config_memory.read_frames(rp0.base_far, rp0.frames).copy()
+        out1, times = manager.process_image("median", image)
+        assert times.tr_us > 0
+        after = soc.config_memory.read_frames(rp0.base_far, rp0.frames)
+        assert np.array_equal(after, held)  # median's load spared RP 0
+        assert (soc.active_module(0), soc.active_module(1)) == (
+            "sobel", "median")
+        assert np.array_equal(out0, sobel3x3(image))
+        assert np.array_equal(out1, median3x3(image))
+        assert manager.load_module("sobel") is None
+        again, times = manager.process_image("sobel", image)
+        assert times.tr_us == 0.0
+        assert np.array_equal(again, out0)
+
     def test_single_rp_default_unchanged(self):
         """The reference configuration still behaves identically."""
         soc = build_soc()

@@ -1,11 +1,11 @@
 """A configuration session counts as a reconfiguration only when it
-ends without error and committed at least one frame.
+ends without error and committed at least one frame (``configured``).
 
-``Icap.reconfigurations_completed`` is what both drivers check to call a
-transfer a success, and what fires ``Icap.on_complete`` (the SoC's
-module activation).  A session that reaches DESYNC cleanly but wrote
-nothing — a header corruption that swallowed the frame packets, or a
-readback — must move neither.
+Both drivers call a transfer a success only when its session ended
+``configured``, and ``Icap.on_complete`` (the SoC's module derivation)
+runs only after a session that wrote frames.  A session that reaches
+DESYNC cleanly but wrote nothing — a header corruption that swallowed
+the frame packets, or a readback — must move neither.
 """
 
 import numpy as np
@@ -88,4 +88,4 @@ def test_both_drivers_reject_a_session_that_commits_no_frame(controller):
         driver.init_reconfig_process(descriptor)
     assert soc.icap.desynced_count == 1 and not soc.icap.error
     assert soc.icap.reconfigurations_completed == 0
-    assert soc.active_module_name is None
+    assert soc.active_module(0) is None

@@ -29,7 +29,7 @@ def _assert_session_invariants(tracer):
     transfers = tracer.find("dma.mm2s", "transfer")
     owners = []
     for session in sessions:
-        if session.args["status"] != "ok":
+        if session.args["status"] != "configured":
             continue
         [owner] = [t for t in transfers
                    if t.start_cycle <= session.start_cycle
@@ -47,7 +47,7 @@ def test_back_to_back_reconfigurations(provisioned_manager_factory):
     for name in ("sobel", "median", "gaussian"):
         manager.load_module(name)
     sessions = _assert_session_invariants(obs.tracer)
-    assert [s.args["status"] for s in sessions] == ["ok"] * 3
+    assert [s.args["status"] for s in sessions] == ["configured"] * 3
 
 
 def test_session_words_count_that_session_only(provisioned_manager_factory):
@@ -104,7 +104,8 @@ def test_aborted_session_closes_before_the_retry(provisioned_manager_factory):
         manager.rvcap.init_reconfig_process(descriptor)
     manager.rvcap.recover_and_retry(descriptor)
     sessions = _assert_session_invariants(obs.tracer)
-    assert [s.args["status"] for s in sessions] == ["aborted", "ok"]
+    assert [s.args["status"] for s in sessions] == ["aborted",
+                                                    "configured"]
     failed = [t for t in obs.tracer.find("dma.mm2s", "transfer")
               if t.args["status"] == "error"]
     assert len(failed) == 1

@@ -154,25 +154,3 @@ class TestAnnotateAndInject:
         assert tracer.signals["power_mw"][-1][1] == int(
             round(DEFAULT_PROFILE.floor_mw))
 
-
-class TestRecordMetrics:
-    def test_counters_histogram_and_gauge_registered(self):
-        from repro.obs import Observability
-        obs = Observability()
-        tracer = obs.tracer
-        driver = tracer.begin("driver", "reconfig", 0)
-        window = tracer.begin("driver", "tr_window", 100)
-        tracer.end(window, 900)
-        tracer.end(driver, 1000)
-        model = PowerModel()
-        energies = model.record_metrics(obs, tracer, freq_hz=FREQ)
-        total = obs.metrics.get("power_energy_nj_total")
-        assert total is not None
-        assert total.value == int(round(sum(energies.values())))
-        per_cpu = obs.metrics.get("power_energy_nj", {"component": "cpu"})
-        assert per_cpu is not None and per_cpu.value > 0
-        hist = obs.metrics.get("power_reconfig_energy_nj")
-        assert hist is not None and hist.count == 1
-        peak = obs.metrics.get("power_peak_mw")
-        assert peak is not None
-        assert peak.value >= DEFAULT_PROFILE.floor_mw

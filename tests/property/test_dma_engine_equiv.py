@@ -364,6 +364,7 @@ def _icap_route_observe(engine, pbit, burst_beats, offset, period, phase):
                      icap.far, icap.error, icap.crc_error,
                      icap.protocol_error, icap.desynced_count,
                      icap.reconfigurations_completed, icap.pending_frames,
+                     icap.sessions_opened, icap.outcome,
                      icap._running_crc(), icap.busy_until,
                      icap.stall_cycles, list(icap.readback_queue)),
             "ddr": (port.busy_until, port.next_seq_addr, port.open_row,
@@ -517,7 +518,7 @@ def _accel_round_trip_observe(engine, width, height, behavior, launch,
             for _ in range((launch + 40 * nbytes) // period + 2):
                 yield Delay(period)
 
-        isolator = rvcap.rm_stream_isolator
+        isolator = rvcap.rm_stream_isolators[0]
         if decoupled_until is not None:
             isolator.set_decouple(True)
             sim.schedule(decoupled_until,

@@ -108,6 +108,8 @@ def _observable(icap: Icap) -> dict:
         "idcode_mismatch": icap.idcode_mismatch,
         "desynced_count": icap.desynced_count,
         "reconfigurations_completed": icap.reconfigurations_completed,
+        "sessions_opened": icap.sessions_opened,
+        "outcome": icap.outcome,
         "configured_frames": icap.config_memory.configured_frames,
         "frames": {
             index: frame.tobytes()

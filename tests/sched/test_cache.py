@@ -35,7 +35,7 @@ class TestHitMiss:
         descriptor, _hit = cache.get("rm1")
         result = manager.load_module("rm1", descriptor=descriptor)
         assert result is not None
-        assert manager.soc.active_module_name == "rm1"
+        assert manager.soc.active_module(0) == "rm1"
 
     def test_prefetch_does_not_skew_demand_hit_rate(
             self, sched_platform_factory):
@@ -109,3 +109,39 @@ class TestTiming:
         four_blocks = sd_load_cycles(2048)
         assert four_blocks > 3 * one_block
         assert sd_load_cycles(0) == sd_load_cycles(1) > 0
+
+
+class TestExport:
+    def test_export_reads_the_cache_stats(self):
+        """Each cache fact is counted once, in CacheStats, and the
+        export observes it: prefetches count no demand miss there
+        either, and counters that stay 0 are exported at 0."""
+        from repro.sched import WorkloadSpec, build_sched_soc, make_cache
+        from repro.sched import replay, synthesize
+
+        spec = WorkloadSpec(requests=60, arrival_rate_rps=300.0, modules=8,
+                            frame=32, seed=2026)
+        manager = build_sched_soc(spec.modules, frame=spec.frame)
+        cache = make_cache(manager, arena_bytes=64 << 10)
+        report = replay(manager, synthesize(spec), cache=cache,
+                        prefetch=["rm0", "rm1", "rm2"])
+        snapshot = manager.soc.obs.metrics.snapshot()
+        assert report.cache is not None
+        for field, name in [("hits", "sched_cache_hits_total"),
+                            ("misses", "sched_cache_misses_total"),
+                            ("evictions", "sched_cache_evictions_total"),
+                            ("sd_bytes_loaded",
+                             "sched_cache_sd_bytes_total")]:
+            assert snapshot[name] == report.cache[field], name
+        assert snapshot["sched_cache_resident_bytes"] == float(
+            report.cache["resident_bytes"])
+        # the three prefetches loaded from SD, but missed no demand
+        assert report.cache["sd_bytes_loaded"] == (
+            (report.cache["misses"] + 3) * _pbit_bytes(manager))
+
+    def test_zero_counters_are_exported(self, sched_platform_factory):
+        manager, cache = sched_platform_factory()
+        cache.get("rm0")
+        snapshot = manager.soc.obs.metrics.snapshot()
+        assert snapshot["sched_cache_evictions_total"] == 0
+        assert snapshot["sched_cache_misses_total"] == 1

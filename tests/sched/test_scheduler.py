@@ -169,7 +169,7 @@ class TestCancellation:
         cancelled = manager.soc.obs.metrics.get("sched_cancelled_total")
         assert cancelled.value == 1
         # the cancelled module was never swapped in
-        assert manager.loaded_module == "rm0"
+        assert manager.soc.active_module(0) == "rm0"
 
 
 class TestFaultHandling:
@@ -185,7 +185,7 @@ class TestFaultHandling:
             SwapRequest("rm0", 10.0, 90_000.0, request_id=0),
         ]))
         assert outcome.status == COMPLETED
-        assert manager.soc.active_module_name == "rm0"
+        assert manager.soc.active_module(0) == "rm0"
         retries = manager.soc.obs.metrics.get(
             "sched_reconfig_retries_total")
         assert retries.value == 1
@@ -209,4 +209,55 @@ class TestFaultHandling:
         failed, recovered = run(go())
         assert failed.status == FAILED and failed.error
         assert recovered.status == COMPLETED
-        assert manager.soc.active_module_name == "rm1"
+        assert manager.soc.active_module(0) == "rm1"
+
+    @pytest.mark.parametrize("controller", ["rvcap", "hwicap"])
+    def test_one_corrupt_module_fails_alone(self, controller):
+        """A failed load ends its ICAP session on either controller, so
+        the modules served after it still load."""
+        from repro.faults.injectors import flip_word_bit
+        from repro.sched import build_sched_soc, make_cache
+
+        manager = build_sched_soc(4, frame=16, controller=controller)
+        cache = make_cache(manager, charge_sd_time=False)
+        soc = manager.soc
+        descriptor, _hit = cache.get("rm1")
+        raw = soc.ddr_read(descriptor.start_address, descriptor.pbit_size)
+        soc.ddr_write(descriptor.start_address,
+                      flip_word_bit(raw, len(raw) // 8, 3))
+        modules = ["rm0", "rm1", "rm2", "rm3", "rm0"]
+        requests = [SwapRequest(name, 10.0 + 5_000.0 * i,
+                                1_000_000.0, request_id=i)
+                    for i, name in enumerate(modules)]
+        outcomes = run(_serve_all(DprScheduler(manager, cache=cache),
+                                  requests))
+        assert [o.status for o in outcomes] == [
+            COMPLETED, FAILED, COMPLETED, COMPLETED, COMPLETED]
+        assert "CRC check failed" in outcomes[1].error
+
+    @pytest.mark.parametrize("controller", ["rvcap", "hwicap"])
+    def test_session_that_commits_no_frame_fails_the_request(
+            self, controller):
+        """The bit-5 header flip ends its session ``empty``: served
+        without the static verifier, the request FAILS and never
+        completes, and the next module still loads."""
+        from repro.fat32 import make_disk_image
+        from repro.sched import build_sched_soc, make_cache
+        from tests.integration.test_session_count import (
+            _header_flip_bitstream,
+        )
+
+        manager = build_sched_soc(2, frame=16, controller=controller)
+        soc = manager.soc
+        rm1 = soc.bitgen.generate(soc.rp, soc.module("rm1")).to_bytes()
+        soc.sdcard.load_blocks(make_disk_image(
+            {"RM0.PBI": _header_flip_bitstream(), "RM1.PBI": rm1}
+        ).populated_blocks())
+        cache = make_cache(manager, charge_sd_time=False)
+        requests = [SwapRequest("rm0", 10.0, 1_000_000.0, request_id=0),
+                    SwapRequest("rm1", 5_000.0, 1_000_000.0, request_id=1)]
+        outcomes = run(_serve_all(DprScheduler(manager, cache=cache),
+                                  requests))
+        assert [o.status for o in outcomes] == [FAILED, COMPLETED]
+        assert "ended empty" in outcomes[0].error
+        assert soc.icap.reconfigurations_completed == 1

@@ -26,7 +26,7 @@ class TestSocIntegration:
         assert transfer.start_cycle < transfer.end_cycle
         # the ICAP session streams inside its DMA transfer
         [session] = tracer.find("icap", "session")
-        assert session.args["status"] == "ok"
+        assert session.args["status"] == "configured"
         assert (transfer.start_cycle <= session.start_cycle
                 < session.end_cycle <= transfer.end_cycle)
 
@@ -52,4 +52,5 @@ class TestSocIntegration:
         assert "us]" in timeline and "dma.mm2s" in timeline
         starts = [float(line[1:line.index(" us]")]) for line in lines]
         assert starts == sorted(starts)
-        assert any("icap" in line and "status=ok" in line for line in lines)
+        assert any("icap" in line and "status=configured" in line
+                   for line in lines)

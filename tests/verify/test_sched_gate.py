@@ -69,7 +69,7 @@ class TestRejection:
                    for o in outcomes)
         # the ICAP never saw a word: no reconfiguration, no module loaded
         assert manager.soc.icap.words_consumed == 0
-        assert manager.loaded_module is None
+        assert manager.soc.active_module(0) is None
 
     def test_clean_modules_keep_serving_next_to_a_rejected_one(
             self, platform):
