@@ -123,6 +123,14 @@ def _print_breakdown(soc, obs, result) -> None:
     print(render_tr_breakdown(breakdown))
 
 
+def _cache_kib(text: str) -> int:
+    """argparse type of ``--cache-kb``: the arena holds at least 1 KiB."""
+    kib = int(text)
+    if kib < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {kib}")
+    return kib
+
+
 def _add_obs_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace-chrome", metavar="FILE", default=None,
                    help="write a Perfetto-loadable Chrome trace JSON")
@@ -427,14 +435,13 @@ def _render_sched_report(report) -> str:
                 f"power cap           {power['power_cap_mw']:.0f} mW, "
                 f"peak window {power['peak_window_power_mw']:.1f} mW, "
                 f"{power['power_deferrals']} deferrals")
-    if report.cache is not None:
-        cache = report.cache
-        lines.append(
-            f"cache               {cache['hits']} hits / "
-            f"{cache['misses']} misses "
-            f"({100 * cache['hit_rate']:.1f}%), "
-            f"{cache['evictions']} evictions, "
-            f"{cache['sd_bytes_loaded']} SD bytes")
+    cache = report.cache
+    lines.append(
+        f"cache               {cache['hits']} hits / "
+        f"{cache['misses']} misses "
+        f"({100 * cache['hit_rate']:.1f}%), "
+        f"{cache['evictions']} evictions, "
+        f"{cache['sd_bytes_loaded']} SD bytes")
     lines.append(f"wall time           {report.wall_seconds:.2f} s")
     return "\n".join(lines)
 
@@ -460,11 +467,8 @@ def _sched_platform(args: argparse.Namespace, modules: int, frame: int):
     from repro.sched import build_sched_soc, make_cache
     manager = build_sched_soc(modules, frame=frame,
                               controller=args.controller)
-    cache = None
-    if args.cache_kb > 0:
-        cache = make_cache(manager, arena_bytes=args.cache_kb << 10,
-                           charge_sd_time=not args.no_sd_cost)
-    return manager, cache
+    return manager, make_cache(manager, arena_bytes=args.cache_kb << 10,
+                               charge_sd_time=not args.no_sd_cost)
 
 
 def _finish_sched(manager, report, args: argparse.Namespace) -> int:
@@ -507,7 +511,7 @@ def _cmd_sched_bench(args: argparse.Namespace) -> int:
         curves = []
         for rate in args.sweep:
             report = bench(replace(spec, arrival_rate_rps=rate),
-                           cache_bytes=max(1, args.cache_kb) << 10,
+                           cache_bytes=args.cache_kb << 10,
                            charge_sd_time=not args.no_sd_cost,
                            batch_limit=args.batch_limit,
                            drop_late=args.drop_late,
@@ -582,8 +586,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
             render_energy_breakdown,
             traced_reconfiguration,
         )
-        soc, result = traced_reconfiguration(
-            args.module, controller=args.controller, mode=args.mode)
+        soc, result = traced_reconfiguration(args.module, mode=args.mode)
         breakdown = build_energy_breakdown(
             soc.obs.tracer, soc.sim.freq_hz, tr_reported_us=result.tr_us)
         if args.json:
@@ -606,7 +609,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
         modules=args.modules, frame=args.frame,
         deadline_slack_us=args.deadline_slack_us, seed=args.seed)
     points = power_sweep(spec, list(args.caps),
-                         cache_bytes=max(1, args.cache_kb) << 10,
+                         cache_bytes=args.cache_kb << 10,
                          power_window_us=args.power_window_us)
     if args.json:
         print(json.dumps(points, indent=2))
@@ -811,9 +814,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     def _add_sched_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--cache-kb", type=int, default=1024,
+        p.add_argument("--cache-kb", type=_cache_kib, default=1024,
                        help="DDR bitstream-cache arena size in KiB "
-                            "(0 disables the cache)")
+                            "(at least 1)")
         p.add_argument("--no-sd-cost", action="store_true",
                        help="do not charge simulated SD time on cache "
                             "misses")
@@ -918,8 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("module", nargs="?", default=None,
                     choices=["sobel", "median", "gaussian"],
                     help="RM to reconfigure (default: first registered)")
-    pr.add_argument("--controller", choices=["rvcap", "hwicap"],
-                    default="rvcap")
     pr.add_argument("--mode", choices=["interrupt", "polling"],
                     default="interrupt")
     pr.add_argument("--json", action="store_true",
@@ -939,7 +940,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--modules", type=int, default=8)
     ps.add_argument("--frame", type=int, default=32)
     ps.add_argument("--deadline-slack-us", type=float, default=20_000.0)
-    ps.add_argument("--cache-kb", type=int, default=1024)
+    ps.add_argument("--cache-kb", type=_cache_kib, default=1024,
+                    help="DDR bitstream-cache arena size in KiB "
+                         "(at least 1)")
     ps.add_argument("--seed", type=int, default=2026)
     ps.add_argument("--json", action="store_true",
                     help="print the curve as JSON")

@@ -202,11 +202,12 @@ class HwIcapDriver:
         A failure (any ending but ``configured`` for this transfer's ICAP
         session) resets the ICAP parser and re-couples before it raises.
         """
-        icap = self.port.soc.icap
+        soc = self.port.soc
+        icap = soc.icap
         session = icap.sessions_opened + 1  # the session this load opens
         t_entry = self.timer.read_ticks()
-        self.port.elapse(self.port.soc.config.timing.decision_cycles)
-        self.decouple_accel(1)
+        self.port.elapse(soc.config.timing.decision_cycles)
+        self.decouple_accel(1 << soc.module_rp_index(descriptor.name))
         try:
             self.init_icap()
             t_start = self.timer.read_ticks()

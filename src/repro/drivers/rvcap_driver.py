@@ -88,7 +88,8 @@ class RvCapDriver:
     # Listing-1 primitives
     # ------------------------------------------------------------------
     def decouple_accel(self, value: int) -> None:
-        """Couple (0) / decouple (1) the RP from the static region."""
+        """Decouple each RP whose DECOUPLE bit is set (RP i is bit i);
+        0 couples every RP to the static region again."""
         self.port.write32(self.rp_ctrl_base + rp_regs.DECOUPLE_OFFSET, value)
 
     def select_icap(self, value: int) -> None:
@@ -267,7 +268,8 @@ class RvCapDriver:
             raise ControllerError(f"unknown DMA mode {mode!r}")
         if mode == "interrupt":
             self.setup_interrupts()
-        icap = self.port.soc.icap
+        soc = self.port.soc
+        icap = soc.icap
         session = icap.sessions_opened + 1  # the session this load opens
         obs = self.obs
         if obs is not None:
@@ -279,12 +281,12 @@ class RvCapDriver:
             decision = obs.tracer.begin("driver", "decision", self._now())
         # software decision time: select the requested RM, prepare the
         # descriptor, and decide between ICAP and accelerator paths
-        self.port.elapse(self.port.soc.config.timing.decision_cycles)
+        self.port.elapse(soc.config.timing.decision_cycles)
         if obs is not None:
             obs.tracer.end(decision, self._now())
             decouple = obs.tracer.begin("driver", "decouple", self._now())
         try:
-            self.decouple_accel(1)
+            self.decouple_accel(1 << soc.module_rp_index(descriptor.name))
             self.select_icap(1)
             if obs is not None:
                 obs.tracer.end(decouple, self._now())

@@ -157,7 +157,7 @@ def _sched_units(*, seed: int,
         "power": bool(power or power_cap_mw is not None),
         "power_cap_mw": power_cap_mw,
         "power_window_us": power_window_us,
-        # same workload shape at every rate (matches replay.sweep)
+        # same workload shape at every rate (as sched-bench --sweep)
         "seed": seed,
     } for rate in rates]
 

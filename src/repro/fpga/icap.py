@@ -162,8 +162,8 @@ class Icap(StreamSink):
             "cycles arriving data waited for the 4 B/cycle port to drain",
             self, "stall_cycles")
         metrics.observed_counter(
-            "icap_sessions_total", "configuration sessions (sync..desync)",
-            self, "desynced_count")
+            "icap_sessions_total", "configuration sessions opened "
+            "(sync word seen), however they ended", self, "sessions_opened")
 
     # ------------------------------------------------------------------
     # status

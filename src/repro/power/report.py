@@ -200,12 +200,13 @@ def render_energy_breakdown(breakdown: EnergyBreakdown) -> str:
 
 
 def traced_reconfiguration(module: Optional[str] = None, *,
-                           controller: str = "rvcap",
                            mode: str = "interrupt") -> Tuple[Any, Any]:
-    """Run one observed reference reconfiguration; returns (soc, result).
+    """Run one observed RV-CAP reconfiguration; returns (soc, result).
 
     Shared by ``repro power report``, the eval report's energy section
-    and the CI determinism job, so they all describe the same run.
+    and the CI determinism job, so they all describe the same run.  The
+    breakdown is defined on RV-CAP's ``driver/tr_window`` span, which
+    the HWICAP driver does not record.
     """
     from repro.drivers.manager import ReconfigurationManager
     from repro.obs import Observability
@@ -213,7 +214,7 @@ def traced_reconfiguration(module: Optional[str] = None, *,
 
     soc = build_soc()
     soc.attach_observability(Observability())
-    manager = ReconfigurationManager(soc, controller=controller)
+    manager = ReconfigurationManager(soc)
     manager.provision_sdcard()
     manager.init_rmodules()
     name = module or soc.registered_modules[0]

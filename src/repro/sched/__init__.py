@@ -20,7 +20,6 @@ from repro.sched.replay import (
     power_sweep,
     replay,
     summarize,
-    sweep,
 )
 from repro.sched.request import (
     CANCELLED,
@@ -51,7 +50,6 @@ __all__ = [
     "bench",
     "replay",
     "summarize",
-    "sweep",
     "power_sweep",
     "COMPLETED",
     "FAILED",

@@ -202,18 +202,20 @@ class BitstreamCache:
 
         soc = self.port.soc
         obs = self._observe()
-        span = None
-        if obs is not None:
-            span = obs.tracer.begin("sched", "cache_fault", soc.sim.now,
-                                    module=name)
+        # the untimed steps that can raise come before the span opens,
+        # so a missing file or an oversized pbit leaves no span open
         file_name = f"{name.upper()}.PBI"
         data = self.fs.read_file(file_name)
         if is_bit_file(data):
             _header, bitstream = parse_bit_file(data)
             data = bitstream.to_bytes()
+        address = self._allocate(len(data))
+        span = None
+        if obs is not None:
+            span = obs.tracer.begin("sched", "cache_fault", soc.sim.now,
+                                    module=name)
         if self.charge_sd_time:
             self.port.elapse(sd_load_cycles(len(data)))
-        address = self._allocate(len(data))
         soc.ddr_write(address, data)
         descriptor = RmDescriptor(
             name=name,

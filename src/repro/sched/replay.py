@@ -5,7 +5,7 @@ and ``repro serve``: it submits an entire trace as concurrent asyncio
 requests (open loop — arrival *eligibility* is enforced by the
 scheduler against simulated time, so submission order does not model
 anything), lets the arbiter drain it, and distils the outcomes plus the
-obs metrics registry into a :class:`ReplayReport`.
+scheduler's and the cache's own counts into a :class:`ReplayReport`.
 
 All latencies are simulated microseconds; ``wall_seconds`` is the only
 wall-clock number and exists purely to size benchmark runs.
@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.drivers.manager import ReconfigurationManager
 from repro.obs import Observability
-from repro.power.profile import DEFAULT_PROFILE, PowerProfile
+from repro.power.profile import DEFAULT_PROFILE
 from repro.sched.cache import BitstreamCache
 from repro.sched.request import (
     CANCELLED,
@@ -29,7 +29,13 @@ from repro.sched.request import (
     SwapRequest,
 )
 from repro.sched.scheduler import DprScheduler
-from repro.sched.workload import WorkloadSpec, build_sched_soc, make_cache, synthesize
+from repro.sched.workload import (
+    WorkloadSpec,
+    build_sched_soc,
+    make_cache,
+    module_names,
+    synthesize,
+)
 
 
 def _percentile(values: List[float], q: float) -> float:
@@ -63,7 +69,8 @@ class ReplayReport:
     reconfig_skips: int
     batches: int
     mean_batch_size: float
-    cache: Optional[Dict[str, Any]] = None
+    #: BitstreamCache.snapshot() at the end of the replay
+    cache: Dict[str, Any]
     wall_seconds: float = 0.0
     #: power accounting block from DprScheduler.power_summary();
     #: None when the replay ran without a power profile
@@ -99,7 +106,6 @@ class ReplayReport:
 
 def summarize(outcomes: List[RequestOutcome], *,
               scheduler: DprScheduler,
-              cache: Optional[BitstreamCache],
               wall_seconds: float) -> ReplayReport:
     """Distil raw outcomes + scheduler state into a report."""
     statuses: Dict[str, int] = {}
@@ -120,19 +126,7 @@ def summarize(outcomes: List[RequestOutcome], *,
             last_finish = max(last_finish, outcome.finish_us)
     completed = statuses.get(COMPLETED, 0)
     span_us = max(last_finish - first_arrival, 1e-9)
-    obs = scheduler.obs
-    reconfigs = skips = batches = 0
-    mean_batch = 0.0
-    if obs is not None:
-        def _count(name: str) -> int:
-            instrument = obs.metrics.get(name)
-            return int(instrument.value) if instrument is not None else 0
-        reconfigs = _count("sched_reconfigurations_total")
-        skips = _count("sched_reconfig_skips_total")
-        batches = _count("sched_batches_total")
-        hist = obs.metrics.get("sched_batch_size")
-        if hist is not None and hist.count:
-            mean_batch = hist.mean
+    batches = scheduler.batches
     return ReplayReport(
         requests=len(outcomes),
         completed=completed,
@@ -146,11 +140,12 @@ def summarize(outcomes: List[RequestOutcome], *,
         queue_wait_p99_us=_percentile(waits, 0.99),
         deadline_miss_rate=misses / len(outcomes) if outcomes else 0.0,
         icap_utilization=scheduler.icap_utilization(),
-        reconfigurations=reconfigs,
-        reconfig_skips=skips,
+        reconfigurations=scheduler.reconfigurations,
+        reconfig_skips=scheduler.reconfig_skips,
         batches=batches,
-        mean_batch_size=mean_batch,
-        cache=cache.snapshot() if cache is not None else None,
+        mean_batch_size=(scheduler.batched_requests / batches
+                         if batches else 0.0),
+        cache=scheduler.cache.snapshot(),
         wall_seconds=wall_seconds,
         power=scheduler.power_summary(),
         outcomes=outcomes,
@@ -186,84 +181,46 @@ async def _serve(scheduler: DprScheduler,
 
 def replay(manager: ReconfigurationManager,
            requests: List[SwapRequest], *,
-           cache: Optional[BitstreamCache] = None,
-           batch_limit: int = 64,
-           drop_late: bool = False,
-           max_retries: int = 1,
-           reconfig_mode: str = "interrupt",
-           verify: bool = False,
+           cache: BitstreamCache,
            prefetch: Optional[List[str]] = None,
-           power_profile: Optional["PowerProfile"] = None,
-           peak_power_mw: Optional[float] = None,
-           power_window_us: float = 200.0,
-           energy_budgets_nj: Optional[Dict[str, float]] = None) -> ReplayReport:
+           **options: Any) -> ReplayReport:
     """Replay ``requests`` through a fresh scheduler; returns the report.
 
-    Observability is always attached (the report needs the metrics
-    registry); reuse the SoC's existing instance when present.
+    ``prefetch`` warms the cache first; ``options`` are
+    :class:`DprScheduler`'s keywords.  Observability is always attached
+    (the exports need it); reuse the SoC's existing instance when
+    present.
     """
     soc = manager.soc
     if soc.obs is None:
         soc.attach_observability(Observability())
-    scheduler = DprScheduler(
-        manager, cache=cache, batch_limit=batch_limit, drop_late=drop_late,
-        max_retries=max_retries, reconfig_mode=reconfig_mode,
-        verify=verify,
-        power_profile=power_profile, peak_power_mw=peak_power_mw,
-        power_window_us=power_window_us,
-        energy_budgets_nj=energy_budgets_nj)
-    if cache is not None and prefetch:
+    scheduler = DprScheduler(manager, cache=cache, **options)
+    if prefetch:
         cache.prefetch(prefetch)
     started = time.perf_counter()
     outcomes = asyncio.run(_serve(scheduler, requests))
     wall = time.perf_counter() - started
-    return summarize(outcomes, scheduler=scheduler, cache=cache,
-                     wall_seconds=wall)
+    return summarize(outcomes, scheduler=scheduler, wall_seconds=wall)
 
 
 def bench(spec: WorkloadSpec, *,
           cache_bytes: int = 1 << 20,
           charge_sd_time: bool = True,
-          batch_limit: int = 64,
-          drop_late: bool = False,
           controller: str = "rvcap",
-          reconfig_mode: str = "interrupt",
-          verify: bool = False,
           prefetch_hot: int = 0,
-          power_profile: Optional[PowerProfile] = None,
-          peak_power_mw: Optional[float] = None,
-          power_window_us: float = 200.0,
-          energy_budgets_nj: Optional[Dict[str, float]] = None) -> ReplayReport:
-    """One-call benchmark: build platform, synthesize, replay."""
+          **options: Any) -> ReplayReport:
+    """One-call benchmark: build platform, synthesize, replay.
+
+    ``prefetch_hot`` warms the cache with the N most popular modules;
+    ``options`` are :class:`DprScheduler`'s keywords.
+    """
     manager = build_sched_soc(spec.modules, frame=spec.frame,
                               controller=controller)
     cache = make_cache(manager, arena_bytes=cache_bytes,
                        charge_sd_time=charge_sd_time)
-    requests = synthesize(spec)
-    warm = [f"rm{i}" for i in range(min(prefetch_hot, spec.modules))]
-    return replay(manager, requests, cache=cache, batch_limit=batch_limit,
-                  drop_late=drop_late, reconfig_mode=reconfig_mode,
-                  verify=verify, prefetch=warm or None,
-                  power_profile=power_profile, peak_power_mw=peak_power_mw,
-                  power_window_us=power_window_us,
-                  energy_budgets_nj=energy_budgets_nj)
-
-
-def sweep(spec: WorkloadSpec, rates: List[float],
-          **bench_kwargs: Any) -> List[Dict[str, Any]]:
-    """Replay the same workload shape at several arrival rates.
-
-    Returns one report dict per rate — the throughput/latency/miss
-    curves the issue asks for.
-    """
-    from dataclasses import replace
-    curves: List[Dict[str, Any]] = []
-    for rate in rates:
-        report = bench(replace(spec, arrival_rate_rps=rate), **bench_kwargs)
-        entry = report.to_dict()
-        entry["arrival_rate_rps"] = rate
-        curves.append(entry)
-    return curves
+    return replay(manager, synthesize(spec), cache=cache,
+                  prefetch=module_names(min(prefetch_hot, spec.modules)),
+                  **options)
 
 
 def power_sweep(spec: WorkloadSpec, caps_mw: List[Optional[float]],

@@ -8,11 +8,11 @@ task owns the fabric:
 
 * **EDF** — among requests whose arrival time has passed, the earliest
   absolute deadline wins the ICAP port;
-* **same-module batching** — every other eligible request for the
-  winner's module rides the same partition residency (deadline order,
-  bounded by ``batch_limit``), so one reconfiguration amortizes over
-  the whole batch;
-* **bitstream cache** — the swap takes its descriptor from the
+* **same-module batching** — the winner's module's next eligible
+  requests ride the same partition residency (deadline order, bounded
+  by ``batch_limit``), so one reconfiguration amortizes over the whole
+  batch;
+* **bitstream cache** — every swap takes its descriptor from the
   :class:`~repro.sched.cache.BitstreamCache`, so only cold modules pay
   the SD fault; requests for the already-resident module skip the DPR
   entirely.
@@ -24,10 +24,11 @@ The asyncio layer models request concurrency (many tenants in flight),
 not hardware parallelism — while a batch holds the ICAP lock the event
 loop is busy exactly like the one physical configuration port is.
 
-Failed reconfigurations (each driver's failure path resets the ICAP)
-are retried after a backoff up to ``max_retries`` times; a batch that
-exhausts its retries fails its requests in-band (``status="failed"``)
-and the scheduler keeps serving.
+A failed reconfiguration (``ControllerError``; each driver's failure
+path resets the ICAP) is retried ``MAX_RETRIES`` times after a backoff.
+A batch whose swap still fails, or raises any other ``ReproError``,
+fails its requests in-band (``status="failed"``) and the scheduler
+keeps serving.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ from typing import Any, Dict, List, Optional, TYPE_CHECKING, Tuple
 
 import numpy as np
 
+from repro.drivers.fileio import RmDescriptor
 from repro.drivers.manager import ReconfigurationManager
 from repro.drivers.rvcap_driver import ReconfigResult
-from repro.errors import ControllerError, SchedulerError
+from repro.errors import ControllerError, ReproError, SchedulerError
 from repro.power.governor import PowerGovernor
 from repro.power.profile import DEFAULT_PROFILE, PowerProfile
 from repro.sched.cache import BitstreamCache
@@ -63,9 +65,8 @@ if TYPE_CHECKING:
 #: span/metric track name
 TRACK = "sched"
 
-_PENDING = 0
-_CLAIMED = 1
-_DONE = 2
+#: swap attempts repeated after a ControllerError
+MAX_RETRIES = 1
 
 
 class BitstreamRejected(SchedulerError):
@@ -91,7 +92,7 @@ class _Entry:
     """Queue bookkeeping for one submitted request."""
 
     __slots__ = ("request", "future", "seq", "arrival_cycle",
-                 "deadline_cycle", "state")
+                 "deadline_cycle")
 
     def __init__(self, request: SwapRequest, future: "asyncio.Future[RequestOutcome]",
                  seq: int, freq_hz: float) -> None:
@@ -100,17 +101,15 @@ class _Entry:
         self.seq = seq
         self.arrival_cycle = int(request.arrival_us * freq_hz / 1e6)
         self.deadline_cycle = int(request.deadline_us * freq_hz / 1e6)
-        self.state = _PENDING
 
 
 class DprScheduler:
     """Multi-tenant asyncio front end over one ReconfigurationManager."""
 
     def __init__(self, manager: ReconfigurationManager, *,
-                 cache: Optional[BitstreamCache] = None,
+                 cache: BitstreamCache,
                  batch_limit: int = 64,
                  drop_late: bool = False,
-                 max_retries: int = 1,
                  reconfig_mode: str = "interrupt",
                  verify: bool = False,
                  power_profile: Optional[PowerProfile] = None,
@@ -119,13 +118,10 @@ class DprScheduler:
                  energy_budgets_nj: Optional[Dict[str, float]] = None) -> None:
         if batch_limit < 1:
             raise SchedulerError("batch_limit must be >= 1")
-        if max_retries < 0:
-            raise SchedulerError("max_retries must be >= 0")
         self.manager = manager
         self.cache = cache
         self.batch_limit = batch_limit
         self.drop_late = drop_late
-        self.max_retries = max_retries
         self.reconfig_mode = reconfig_mode
         #: admission gate: statically verify each module's bitstream
         #: before its first reconfiguration (repro.verify)
@@ -154,19 +150,22 @@ class DprScheduler:
         self.tenant_energy_nj: Dict[str, float] = {}
         #: not-yet-eligible entries, keyed by arrival
         self._arrivals: List[Tuple[int, int, _Entry]] = []
-        #: eligible entries, keyed by deadline (EDF order)
-        self._ready: List[Tuple[int, int, _Entry]] = []
-        #: eligible entries per module, keyed by deadline (batch pulls)
+        #: the EDF queue: eligible entries per module, each heap keyed
+        #: by (deadline, seq); a module leaves when its heap empties
         self._by_module: Dict[str, List[Tuple[int, int, _Entry]]] = {}
         self._pending_count = 0
         self._seq = 0
         self._wake = asyncio.Event()
-        self._idle = asyncio.Event()
-        self._idle.set()
         self._task: Optional["asyncio.Task[None]"] = None
         self._stopping = False
         #: cycles the ICAP spent programming (utilization numerator)
         self.icap_busy_cycles = 0
+        #: batches serviced and the requests they carried
+        self.batches = 0
+        self.batched_requests = 0
+        #: batches that programmed the ICAP / found their module resident
+        self.reconfigurations = 0
+        self.reconfig_skips = 0
         self._started_cycle: Optional[int] = None
         self._payload_frames: Dict[Tuple[int, int], np.ndarray] = {}
         #: instruments resolved once per attached Observability — the
@@ -190,10 +189,6 @@ class DprScheduler:
     def obs(self) -> "Optional[Observability]":
         return self.manager.soc.obs
 
-    @property
-    def queue_depth(self) -> int:
-        return self._pending_count
-
     def _cycles_to_us(self, cycles: int) -> float:
         return cycles * 1e6 / self._freq_hz
 
@@ -215,6 +210,15 @@ class DprScheduler:
             m.observed_counter("sched_icap_busy_cycles",
                                "cycles the ICAP spent programming",
                                self, "icap_busy_cycles")
+            m.observed_counter("sched_batches_total", "batches serviced",
+                               self, "batches")
+            m.observed_counter("sched_reconfigurations_total",
+                               "batches that programmed the ICAP",
+                               self, "reconfigurations")
+            m.observed_counter(
+                "sched_reconfig_skips_total",
+                "batches served by the already-resident module",
+                self, "reconfig_skips")
             status_counters = {
                 status: m.counter(
                     f"sched_{status}_total",
@@ -225,20 +229,12 @@ class DprScheduler:
             self._instruments = {
                 "depth": m.gauge("sched_queue_depth",
                                  "requests queued in the scheduler"),
-                "batches": m.counter("sched_batches_total",
-                                     "batches serviced"),
                 "batch_size": m.histogram("sched_batch_size",
                                           "requests per serviced batch"),
-                "reconfigs": m.counter(
-                    "sched_reconfigurations_total",
-                    "batches that programmed the ICAP"),
                 "td": m.histogram("sched_td_cycles",
                                   "per-swap decision time"),
                 "tr": m.histogram("sched_tr_cycles",
                                   "per-swap reconfiguration time"),
-                "skips": m.counter(
-                    "sched_reconfig_skips_total",
-                    "batches served by the already-resident module"),
                 "retries": m.counter(
                     "sched_reconfig_retries_total",
                     "reconfigurations retried after a failure"),
@@ -305,12 +301,6 @@ class DprScheduler:
         await self._task
         self._task = None
 
-    async def drain(self) -> None:
-        """Wait until every queued request has been resolved."""
-        while self._pending_count:
-            self._idle.clear()
-            await self._idle.wait()
-
     async def __aenter__(self) -> "DprScheduler":
         await self.start()
         return self
@@ -347,68 +337,47 @@ class DprScheduler:
         self._wake.set()
         return future
 
-    async def submit_and_wait(self, request: SwapRequest) -> RequestOutcome:
-        return await self.submit(request)
-
     # ------------------------------------------------------------------
     # the arbiter
     # ------------------------------------------------------------------
     async def _arbiter(self) -> None:
         while True:
             self._promote_arrivals()
-            if not self._ready:
-                if self._arrivals:
-                    # idle until the earliest pending arrival
-                    target = self._arrivals[0][0]
-                    if target > self.sim.now:
-                        self.sim.advance_to(target)
-                    continue
-                if self._stopping:
-                    break
-                self._idle.set()
+            if self._by_module:
+                self._service_batch(self._collect_batch())
+                # yield so freshly submitted requests (and cancellations)
+                # land between batches
+                await asyncio.sleep(0)
+            elif self._arrivals:
+                # idle until the earliest pending arrival
+                self.sim.advance_to(self._arrivals[0][0])
+            elif self._stopping:
+                break
+            else:
                 self._wake.clear()
                 await self._wake.wait()
-                continue
-            batch = self._collect_batch()
-            if batch:
-                self._service_batch(batch)
-            # yield so freshly submitted requests (and cancellations)
-            # land between batches
-            await asyncio.sleep(0)
-        self._idle.set()
 
     def _promote_arrivals(self) -> None:
         now = self.sim.now
         moved = False
         while self._arrivals and self._arrivals[0][0] <= now:
             _, _, entry = heapq.heappop(self._arrivals)
-            key = (entry.deadline_cycle, entry.seq, entry)
-            heapq.heappush(self._ready, key)
             heapq.heappush(
-                self._by_module.setdefault(entry.request.module, []), key)
+                self._by_module.setdefault(entry.request.module, []),
+                (entry.deadline_cycle, entry.seq, entry))
             moved = True
         if moved:
             self._sample_depth()
 
     def _collect_batch(self) -> List[_Entry]:
-        """EDF winner plus same-module riders, in deadline order."""
-        winner: Optional[_Entry] = None
-        while self._ready:
-            _, _, entry = heapq.heappop(self._ready)
-            if entry.state is _PENDING:
-                winner = entry
-                break
-        if winner is None:
-            return []
-        winner.state = _CLAIMED
-        batch = [winner]
-        module_heap = self._by_module.get(winner.request.module, [])
-        while module_heap and len(batch) < self.batch_limit:
-            _, _, entry = heapq.heappop(module_heap)
-            if entry.state is not _PENDING:
-                continue
-            entry.state = _CLAIMED
-            batch.append(entry)
+        """The earliest (deadline, seq) head of all module heaps, plus
+        its heap's next ``batch_limit - 1`` entries, in that order."""
+        module, heap = min(self._by_module.items(),
+                           key=lambda item: item[1][0])
+        batch = [heapq.heappop(heap)[2]
+                 for _ in range(min(len(heap), self.batch_limit))]
+        if not heap:
+            del self._by_module[module]
         return batch
 
     # ------------------------------------------------------------------
@@ -424,48 +393,15 @@ class DprScheduler:
         if obs is not None:
             span = obs.tracer.begin(TRACK, "batch", sim.now, module=module,
                                     size=len(batch))
-        try:
-            runnable = [e for e in batch if self._admit(e)]
-            if runnable:
-                self._run_batch(module, runnable)
-        finally:
-            if obs is not None:
-                obs.tracer.end(span, sim.now)
-                instruments = self._metrics(obs)
-                instruments["batches"].inc()
-                instruments["batch_size"].record(len(batch))
-        self._compact_heaps()
+        runnable = [e for e in batch if self._admit(e)]
+        if runnable:
+            self._run_batch(module, runnable)
+        self.batches += 1
+        self.batched_requests += len(batch)
+        if obs is not None:
+            obs.tracer.end(span, sim.now)
+            self._metrics(obs)["batch_size"].record(len(batch))
         self._sample_depth()
-
-    def _compact_heaps(self) -> None:
-        """Rebuild the EDF heaps once lazily-deleted keys dominate.
-
-        ``_collect_batch`` physically removes a claimed entry from only
-        one of the two heaps holding its key; the other keeps a stale
-        key until it happens to be popped.  A module that rarely wins
-        EDF arbitration would otherwise accumulate every one of its
-        finished riders in ``_by_module`` for the scheduler's lifetime.
-        Each heap is rebuilt (filter + heapify, O(live)) once its stale
-        keys outnumber half the live pending population; the growth
-        guard keeps the amortized cost per request constant.
-        """
-        pending = self._pending_count
-        threshold = pending + (pending >> 1) + 16
-        if len(self._ready) > threshold:
-            live = [key for key in self._ready if key[2].state is _PENDING]
-            heapq.heapify(live)
-            self._ready = live
-        by_module = self._by_module
-        stale_modules = [module for module, heap in by_module.items()
-                         if len(heap) > threshold]
-        for module in stale_modules:
-            live = [key for key in by_module[module]
-                    if key[2].state is _PENDING]
-            if live:
-                heapq.heapify(live)
-                by_module[module] = live
-            else:
-                del by_module[module]
 
     def _admit(self, entry: _Entry) -> bool:
         """Pre-service gate: cancellation, queue timeout, late drop."""
@@ -503,7 +439,6 @@ class DprScheduler:
         start_us = self._cycles_to_us(sim.now)
         cache_hit: Optional[bool] = None
         td_us = tr_us = 0.0
-        reconfigured = False
         try:
             result, cache_hit = self._ensure_loaded(module)
         except BitstreamRejected as exc:
@@ -518,18 +453,22 @@ class DprScheduler:
                     entry, REJECTED, start=start_us, error=str(exc),
                     cache_hit=cache_hit))
             return
-        except (ControllerError, SchedulerError) as exc:
-            # SchedulerError: the peak-power governor found the cap
-            # infeasible for one atomic reconfiguration — served
-            # in-band as FAILED so the replay never wedges
+        except ReproError as exc:
+            # a swap that failed its retries, a pbit missing from the
+            # card, a refused switch, a power cap infeasible for one
+            # atomic reconfiguration: served in-band as FAILED, so every
+            # submitted future resolves and the arbiter keeps serving
             for entry in entries:
                 self._finish(entry, self._outcome(
                     entry, FAILED, start=start_us, error=str(exc),
                     cache_hit=cache_hit))
             return
         reconfig_share_nj = 0.0
-        if result is not None:
-            reconfigured = True
+        reconfigured = result is not None
+        if result is None:
+            self.reconfig_skips += 1
+        else:
+            self.reconfigurations += 1
             td_us, tr_us = result.td_us, result.tr_us
             busy = int(tr_us * self._freq_hz / 1e6)
             self.icap_busy_cycles += busy
@@ -544,7 +483,6 @@ class DprScheduler:
                 reconfig_share_nj = batch_nj / len(entries)
             if obs is not None:
                 instruments = self._metrics(obs)
-                instruments["reconfigs"].inc()
                 instruments["td"].record(int(td_us * self._freq_hz / 1e6))
                 instruments["tr"].record(busy)
                 if self.power_profile is not None:
@@ -553,8 +491,6 @@ class DprScheduler:
                     if self._governor is not None:
                         instruments["peak_power"].set(
                             self._governor.max_window_power_mw())
-        elif obs is not None:
-            self._metrics(obs)["skips"].inc()
         for index, entry in enumerate(entries):
             self._run_payload(entry, start_us,
                               td_us=td_us if index == 0 else 0.0,
@@ -567,7 +503,7 @@ class DprScheduler:
     def _ensure_loaded(
             self, module: str
     ) -> Tuple[Optional[ReconfigResult], Optional[bool]]:
-        """Swap ``module`` in (through the cache when one is attached).
+        """Swap ``module`` in, its descriptor from the cache.
 
         Returns ``(ReconfigResult | None, cache_hit | None)``, None
         when the module's RP already holds it.  A failed load has
@@ -575,14 +511,11 @@ class DprScheduler:
         waits out ``recovery_backoff_us`` first.
         """
         manager, soc = self.manager, self.soc
-        cache_hit: Optional[bool] = None
         if soc.active_module(soc.module_rp_index(module)) == module:
             return None, None
         attempts = 0
         while True:
-            descriptor = None
-            if self.cache is not None:
-                descriptor, cache_hit = self.cache.get(module)
+            descriptor, cache_hit = self.cache.get(module)
             if self.verify:
                 self._verify_descriptor(module, descriptor)
             if self._governor is not None:
@@ -593,16 +526,17 @@ class DprScheduler:
                     mode=self.reconfig_mode), cache_hit
             except ControllerError:
                 attempts += 1
+                if attempts > MAX_RETRIES:
+                    raise
                 obs = self.obs
                 if obs is not None:
                     self._metrics(obs)["retries"].inc()
-                if attempts > self.max_retries:
-                    raise
                 timing = soc.config.timing
                 manager.port.elapse(max(1, int(
                     timing.recovery_backoff_us * timing.soc_freq_hz / 1e6)))
 
-    def _verify_descriptor(self, module: str, descriptor: Any) -> None:
+    def _verify_descriptor(self, module: str,
+                           descriptor: RmDescriptor) -> None:
         """Statically verify the module's DDR-resident bitstream.
 
         Raises :class:`BitstreamRejected` (served in-band as REJECTED)
@@ -611,8 +545,6 @@ class DprScheduler:
         ICAP write.  The verdict is memoized per DDR placement, so a
         clean trace pays one verification per (module, address, size).
         """
-        if descriptor is None:
-            descriptor = self.manager.descriptor(module)
         key = (module, descriptor.start_address, descriptor.pbit_size)
         errors = self._verify_memo.get(key)
         if errors is None:
@@ -634,7 +566,8 @@ class DprScheduler:
         if errors:
             raise BitstreamRejected(module, errors)
 
-    def _defer_for_power(self, module: str, descriptor: Any) -> None:
+    def _defer_for_power(self, module: str,
+                         descriptor: RmDescriptor) -> None:
         """Hold the batch until the peak-power governor admits it.
 
         The estimate (pbit size at 4 B/cycle plus a fixed driver
@@ -645,8 +578,6 @@ class DprScheduler:
         """
         governor = self._governor
         assert governor is not None
-        if descriptor is None:
-            descriptor = self.manager.descriptor(module)
         assert self.power_profile is not None
         est = self.power_profile.estimate_reconfig_cycles(
             descriptor.pbit_size)
@@ -680,7 +611,7 @@ class DprScheduler:
                 _out, times = self.manager.process_image(
                     request.module, image)
                 tc_us = times.tc_us
-        except ControllerError as exc:
+        except ReproError as exc:
             error = str(exc)
         finally:
             if obs is not None:
@@ -743,7 +674,6 @@ class DprScheduler:
     def _finish(self, entry: _Entry,
                 outcome: Optional[RequestOutcome]) -> None:
         """Resolve the entry's future and record terminal metrics."""
-        entry.state = _DONE
         self._pending_count -= 1
         obs = self.obs
         if outcome is None:  # cancelled upstream; future already dead
@@ -752,12 +682,7 @@ class DprScheduler:
             return
         if obs is not None:
             instruments = self._metrics(obs)
-            status_counter = instruments["status"].get(outcome.status)
-            if status_counter is None:  # pragma: no cover - custom status
-                status_counter = obs.metrics.counter(
-                    f"sched_{outcome.status}_total",
-                    f"requests that finished {outcome.status}")
-            status_counter.inc()
+            instruments["status"][outcome.status].inc()
             if outcome.deadline_missed:
                 instruments["deadline_misses"].inc()
                 obs.tracer.instant(TRACK, "deadline_miss", self.sim.now,
@@ -804,26 +729,11 @@ class DprScheduler:
         """Reconfigurations the peak-power governor held back."""
         return self._governor.deferrals if self._governor is not None else 0
 
-    @property
-    def power_deferred_cycles(self) -> int:
-        governor = self._governor
-        return governor.deferred_cycles if governor is not None else 0
-
-    def peak_window_power_mw(self) -> Optional[float]:
-        """Peak of the modeled windowed power trace (None = no governor)."""
-        if self._governor is None:
-            return None
-        return self._governor.max_window_power_mw()
-
-    def power_samples(self) -> List[Tuple[int, float]]:
-        """The governor's modeled power-over-time compliance trace."""
-        return (self._governor.power_samples()
-                if self._governor is not None else [])
-
     def power_summary(self) -> Optional[Dict[str, Any]]:
         """Energy/power accounting totals (None when accounting is off)."""
         if self.power_profile is None:
             return None
+        governor = self._governor
         return {
             "profile_version": self.power_profile.version,
             "energy_nj_total": round(self.energy_nj_total, 3),
@@ -831,7 +741,10 @@ class DprScheduler:
                 tenant: round(nj, 3)
                 for tenant, nj in sorted(self.tenant_energy_nj.items())},
             "power_deferrals": self.power_deferrals,
-            "power_deferred_cycles": self.power_deferred_cycles,
+            "power_deferred_cycles": (
+                governor.deferred_cycles if governor is not None else 0),
             "power_cap_mw": self.peak_power_mw,
-            "peak_window_power_mw": self.peak_window_power_mw(),
+            "peak_window_power_mw": (
+                governor.max_window_power_mw() if governor is not None
+                else None),
         }

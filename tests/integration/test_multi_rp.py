@@ -62,6 +62,28 @@ class TestIndependentReconfiguration:
             soc.partitions[1].base_far, soc.partitions[1].frames)
         assert np.array_equal(before, after)
 
+    @pytest.mark.parametrize("controller", ["rvcap", "hwicap"])
+    def test_load_decouples_only_its_own_rp(self, dual_soc, controller):
+        from repro.drivers.hwicap_driver import HwIcapDriver
+
+        soc = dual_soc
+        obs = soc.attach_observability()
+        driver = (RvCapDriver if controller == "rvcap"
+                  else HwIcapDriver)(HostPort(soc))
+        rp0 = soc.partitions[0]
+        before = soc.config_memory.read_frames(rp0.base_far,
+                                               rp0.frames).copy()
+        _load(soc, driver, "median", 1, soc.config.layout.ddr_base
+              + (32 << 20))
+        assert soc.active_module(1) == "median"
+        assert [s.name for s in obs.tracer.spans if s.track == "rp"] == [
+            "rp1_decoupled"]
+        # RP 0's isolators follow DECOUPLE bit 0, which no write set
+        assert all(not value & 1
+                   for _cycle, value in obs.tracer.signals["rp_decouple"])
+        after = soc.config_memory.read_frames(rp0.base_far, rp0.frames)
+        assert np.array_equal(before, after)
+
     def test_selective_decoupling(self, dual_soc):
         soc = dual_soc
         driver = RvCapDriver(HostPort(soc))

@@ -110,3 +110,18 @@ def test_aborted_session_closes_before_the_retry(provisioned_manager_factory):
               if t.args["status"] == "error"]
     assert len(failed) == 1
     assert sessions[0].start_cycle >= failed[0].start_cycle
+
+
+def test_sessions_counter_counts_the_aborted_session(
+        provisioned_manager_factory):
+    soc, manager = provisioned_manager_factory()
+    obs = soc.attach_observability()
+    descriptor = manager.descriptor("sobel")
+    install_mem_fault(soc.rvcap.dma.mm2s, fail_read_at=300_000)
+    with pytest.raises(ControllerError):
+        manager.rvcap.init_reconfig_process(descriptor)
+    manager.rvcap.recover_and_retry(descriptor)
+    statuses = [s.args["status"] for s in _closed_sessions(obs.tracer)]
+    assert statuses == ["aborted", "configured"]
+    assert soc.icap.sessions_opened == 2
+    assert obs.metrics.get("icap_sessions_total").value == 2

@@ -627,8 +627,7 @@ def _replay_observe(engine, seed, rate):
         cache = make_cache(manager, arena_bytes=1 << 18)
         scheduler = DprScheduler(manager, cache=cache)
         outcomes = asyncio.run(_serve(scheduler, synthesize(spec)))
-        report = summarize(outcomes, scheduler=scheduler, cache=cache,
-                           wall_seconds=0.0)
+        report = summarize(outcomes, scheduler=scheduler, wall_seconds=0.0)
         document = report.to_dict(include_outcomes=True)
         document.pop("wall_seconds")
         return {

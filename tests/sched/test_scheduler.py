@@ -180,7 +180,7 @@ class TestFaultHandling:
         pbit = cache.get("rm0")[0].pbit_size
         cache.invalidate("rm0")
         install_mem_fault(channel, fail_read_at=pbit // 2)  # once=True
-        scheduler = DprScheduler(manager, cache=cache, max_retries=1)
+        scheduler = DprScheduler(manager, cache=cache)
         outcome, = run(_serve_all(scheduler, [
             SwapRequest("rm0", 10.0, 90_000.0, request_id=0),
         ]))
@@ -195,7 +195,7 @@ class TestFaultHandling:
         manager, cache = sched_platform_factory()
         channel = manager.soc.rvcap.dma.mm2s
         proxy = install_mem_fault(channel, fail_read_at=0, once=False)
-        scheduler = DprScheduler(manager, cache=cache, max_retries=1)
+        scheduler = DprScheduler(manager, cache=cache)
 
         async def go():
             async with scheduler:
@@ -261,3 +261,69 @@ class TestFaultHandling:
         assert [o.status for o in outcomes] == [FAILED, COMPLETED]
         assert "ended empty" in outcomes[0].error
         assert soc.icap.reconfigurations_completed == 1
+
+
+async def _serve_within(scheduler, requests, seconds=30.0):
+    """Serve ``requests``, failing (not hanging) if a future never
+    resolves."""
+    async with scheduler:
+        futures = [scheduler.submit(r) for r in requests]
+        return await asyncio.wait_for(asyncio.gather(*futures), seconds)
+
+
+class TestEveryFutureResolves:
+    @pytest.mark.parametrize("controller", ["rvcap", "hwicap"])
+    def test_missing_pbit_fails_its_request_alone(self, controller):
+        from repro.fat32 import make_disk_image
+        from repro.sched import build_sched_soc, make_cache
+
+        manager = build_sched_soc(2, frame=16, controller=controller)
+        soc = manager.soc
+        obs = soc.attach_observability()
+        rm1 = soc.bitgen.generate(soc.rp, soc.module("rm1")).to_bytes()
+        soc.sdcard.load_blocks(
+            make_disk_image({"RM1.PBI": rm1}).populated_blocks())
+        cache = make_cache(manager, charge_sd_time=False)
+        outcomes = run(_serve_within(DprScheduler(manager, cache=cache), [
+            SwapRequest("rm0", 10.0, 1_000_000.0, request_id=0),
+            SwapRequest("rm1", 5_000.0, 1_000_000.0, request_id=1),
+        ]))
+        assert [o.status for o in outcomes] == [FAILED, COMPLETED]
+        assert "RM0.PBI" in outcomes[0].error
+        assert soc.active_module(0) == "rm1"
+        # the failed cache fault left no span open for later spans to
+        # nest under
+        assert all(span.end_cycle is not None for span in obs.tracer.spans)
+
+    def test_refused_switch_fails_its_request_alone(
+            self, sched_platform_factory):
+        """A busy S2MM channel makes the switch refuse SELECT_ICAP=1 with
+        a BusError, which is not retried; the driver's failure path
+        stops the channel, so the next request is served."""
+        from tests.drivers.test_rvcap_driver import _stall_s2mm
+
+        manager, cache = sched_platform_factory()
+        _stall_s2mm(manager.soc, manager)
+        outcomes = run(_serve_within(DprScheduler(manager, cache=cache), [
+            SwapRequest("rm0", 200.0, 1_000_000.0, request_id=0),
+            SwapRequest("rm1", 5_000.0, 1_000_000.0,
+                        payload_shape=(32, 32), request_id=1),
+        ]))
+        assert [o.status for o in outcomes] == [FAILED, COMPLETED]
+        assert "mid-transfer" in outcomes[0].error
+        assert manager.soc.active_module(0) == "rm1"
+        retries = manager.soc.obs.metrics.get(
+            "sched_reconfig_retries_total")
+        assert retries.value == 0
+
+    def test_hard_fault_counts_the_one_retry(self, sched_platform_factory):
+        manager, cache = sched_platform_factory()
+        install_mem_fault(manager.soc.rvcap.dma.mm2s, fail_read_at=0,
+                          once=False)
+        outcome, = run(_serve_within(DprScheduler(manager, cache=cache), [
+            SwapRequest("rm0", 10.0, 90_000.0, request_id=0),
+        ]))
+        assert outcome.status == FAILED
+        retries = manager.soc.obs.metrics.get(
+            "sched_reconfig_retries_total")
+        assert retries.value == 1

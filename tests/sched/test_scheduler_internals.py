@@ -1,9 +1,9 @@
-"""Scheduler internals: EDF heap compaction and replay cancel accounting.
+"""Scheduler internals: the EDF queue empties and replay cancel accounting.
 
-The EDF queues use lazy deletion (a claimed entry is physically removed
-from only one of the two heaps holding its key), so these tests pin the
-compaction that keeps the stale keys from accumulating, plus the replay
-harness's accounting for futures cancelled before service.
+The EDF queue is one deadline heap per module; a module leaves it when
+its heap empties.  These tests pin that nothing stays queued after
+service, plus the replay harness's accounting for futures cancelled
+before service.
 """
 
 import asyncio
@@ -22,12 +22,10 @@ async def _serve_all(scheduler, requests):
         return await asyncio.gather(*futures)
 
 
-class TestHeapCompaction:
-    def test_stale_keys_are_compacted_out_of_the_edf_heaps(
-            self, sched_platform_factory):
-        # batch_limit=1 makes every request an EDF winner: each one is
-        # popped from _ready but leaves its key behind in _by_module,
-        # the worst case for lazy deletion
+class TestEdfQueueEmpties:
+    def test_served_modules_leave_the_queue(self, sched_platform_factory):
+        # batch_limit=1 makes every request an EDF winner of its own
+        # batch; once all are served no module heap is left behind
         manager, cache = sched_platform_factory()
         scheduler = DprScheduler(manager, cache=cache, batch_limit=1)
         requests = [
@@ -36,15 +34,12 @@ class TestHeapCompaction:
         ]
         outcomes = run(_serve_all(scheduler, requests))
         assert all(o.status == COMPLETED for o in outcomes)
-        module_heap = scheduler._by_module.get("rm0", [])
-        # without compaction all 60 stale keys would remain
-        assert len(module_heap) <= 20
-        assert len(scheduler._ready) <= 20
+        assert scheduler._by_module == {}
 
-    def test_compaction_preserves_pending_entries(
+    def test_interleaved_modules_are_all_served(
             self, sched_platform_factory):
-        # interleave two modules so compaction runs while the other
-        # module still has live pending work — nothing may be lost
+        # interleave two modules so one module's heap empties while the
+        # other still has pending work — nothing may be lost
         manager, cache = sched_platform_factory()
         scheduler = DprScheduler(manager, cache=cache, batch_limit=1)
         requests = [
@@ -83,8 +78,7 @@ class TestReplayCancelledAccounting:
         assert cancelled[0].request_id == 1
         assert cancelled[0].finish_us is None
 
-        report = summarize(outcomes, scheduler=scheduler, cache=cache,
-                           wall_seconds=0.0)
+        report = summarize(outcomes, scheduler=scheduler, wall_seconds=0.0)
         assert report.requests == 2
         assert report.statuses.get(CANCELLED) == 1
         assert report.completed == 1

@@ -137,3 +137,15 @@ class TestCli:
         save_trace([SwapRequest("mystery", 0.0, 10.0)], path)
         assert main(["serve", str(path), "--modules", "2"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["sched-bench", "--cache-kb", "0"],
+        ["serve", "trace.json", "--cache-kb", "0"],
+        ["power", "sweep", "--caps", "200", "--cache-kb", "-4"],
+    ])
+    def test_cache_below_one_kib_is_a_usage_error(self, argv, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--cache-kb: must be at least 1" in capsys.readouterr().err
