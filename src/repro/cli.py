@@ -44,7 +44,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     which = set(args.which or ["1", "2", "3", "4"])
     if "1" in which:
         print("Table I: controller resources and throughput")
-        print(table1(hwicap_mode=args.hwicap_mode).render(), end="\n\n")
+        print(table1().render(), end="\n\n")
     if "2" in which:
         print("Table II: state-of-the-art comparison")
         print(table2().render(), end="\n\n")
@@ -222,8 +222,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.eval.report import generate_report
-    report = generate_report(include_unroll=not args.no_unroll,
-                             hwicap_mode=args.hwicap_mode)
+    report = generate_report(include_unroll=not args.no_unroll)
     text = report.render()
     if args.output:
         Path(args.output).write_text(text)
@@ -603,7 +602,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
             return 1
         return 0
     # sweep: deadline-miss-vs-energy tradeoff across peak-power caps
-    from repro.sched import WorkloadSpec, power_sweep
+    from repro.sched import FAILED, WorkloadSpec, power_sweep
     spec = WorkloadSpec(
         requests=args.requests, arrival_rate_rps=args.rate,
         modules=args.modules, frame=args.frame,
@@ -614,7 +613,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(points, indent=2))
     else:
-        print(f"{'cap_mw':>8} {'peak_mw':>8} {'deferrals':>9} "
+        print(f"{'cap_mw':>8} {'peak_mw':>8} {'deferrals':>9} {'failed':>6} "
               f"{'miss_rate':>9} {'miss_delta':>10} {'energy_mJ':>10}")
         for point in points:
             power = point["power"]
@@ -622,6 +621,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
             print(f"{cap if cap is not None else '-':>8} "
                   f"{power['peak_window_power_mw'] or '-':>8} "
                   f"{power['power_deferrals']:>9} "
+                  f"{point['statuses'].get(FAILED, 0):>6} "
                   f"{point['deadline_miss_rate']:>9.4f} "
                   f"{point['miss_delta_vs_uncapped']:>10.4f} "
                   f"{power['energy_nj_total'] / 1e6:>10.3f}")
@@ -696,9 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="regenerate Tables I-IV")
     p.add_argument("which", nargs="*", choices=["1", "2", "3", "4"],
                    help="subset of tables (default: all)")
-    p.add_argument("--hwicap-mode", choices=["firmware", "host"],
-                   default="firmware",
-                   help="measurement mode for the HWICAP throughput")
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("fig3", help="reconfiguration time vs RP size")
@@ -760,8 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--no-unroll", action="store_true",
                    help="skip the (slower) firmware unroll sweep")
-    p.add_argument("--hwicap-mode", choices=["firmware", "host"],
-                   default="firmware")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("lint", help="static analysis: SoC design-rule "

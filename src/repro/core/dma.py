@@ -53,7 +53,7 @@ per-burst loop would.  The DDR refuses a run whose first burst does not
 continue its sequential stream, so a descriptor's first burst and its
 partial tail go burst by burst, as does every other route (fault
 proxies, RLE decompression, a capped DDR device bandwidth, bursts longer
-than a DDR row, an ICAP holding a partial word or a commit guard).
+than a DDR row, or an ICAP holding a partial word).
 
 S2MM spins on a source with no data yet (the accelerator filling its
 pipeline) in closed form when the source declares its empty-poll law

@@ -40,8 +40,7 @@ class ReproductionReport:
         return "\n".join(parts)
 
 
-def generate_report(*, include_unroll: bool = True,
-                    hwicap_mode: str = "firmware") -> ReproductionReport:
+def generate_report(*, include_unroll: bool = True) -> ReproductionReport:
     """Run the whole evaluation; returns the assembled report."""
     from repro.eval.figures import fig3_series, unroll_sweep
     from repro.eval.tables import table1, table2, table3, table4
@@ -53,7 +52,7 @@ def generate_report(*, include_unroll: bool = True,
 
     report = ReproductionReport()
 
-    t1 = table1(hwicap_mode=hwicap_mode)
+    t1 = table1()
     report.add("Table I — controller resources and throughput "
                "(paper: RV-CAP 398.1 MB/s, HWICAP 8.23 MB/s)", t1.render())
 

@@ -10,8 +10,9 @@ import numpy as np
 from repro.accel import GOLDEN_FILTERS, scene_image
 from repro.drivers.manager import ExecutionTimes
 from repro.eval.baselines import BASELINES
+from repro.eval.figures import unroll_sweep
 from repro.eval.scenarios import fig3_geometries, reference_setup
-from repro.eval.throughput import measure_reconfiguration, measure_size_sweep
+from repro.eval.throughput import measure_size_sweep
 from repro.resources.library import (
     axi_dma,
     axi_hwicap_ip,
@@ -63,30 +64,19 @@ class Table1:
         return "\n".join(lines)
 
 
-def table1(*, hwicap_unroll: int = 16,
-           hwicap_mode: str = "firmware") -> Table1:
+def table1() -> Table1:
     """Table I: RV-CAP vs AXI_HWICAP resources and throughput.
 
     RV-CAP throughput is the sweep maximum (the paper's 398.1 MB/s
-    point).  The HWICAP number runs the Listing-2 copy loop as real
-    RISC-V firmware on the ISS by default (the paper's measurement is
-    instruction-level); pass ``hwicap_mode="host"`` for the faster
-    host-driver estimate.  Both use a reduced bitstream — the CPU-copy
+    point).  The HWICAP number runs the Listing-2 copy loop, unrolled
+    16x, as real RISC-V firmware on the ISS (the paper's measurement is
+    instruction-level) over a reduced bitstream — the CPU-copy
     throughput is size-insensitive.
     """
     # throughput: RV-CAP at the largest Fig.3 sweep point
     sweep = measure_size_sweep([fig3_geometries()[-1]])
     rvcap_tput = sweep[0].throughput_mb_s
-
-    if hwicap_mode == "firmware":
-        from repro.eval.figures import unroll_sweep
-        hwicap_tput = unroll_sweep((hwicap_unroll,)).points[0].throughput_mb_s
-    else:
-        from repro.eval.scenarios import make_test_bitstream
-        pbit = make_test_bitstream().to_bytes()
-        result = measure_reconfiguration(pbit, controller="hwicap",
-                                         hwicap_unroll=hwicap_unroll)
-        hwicap_tput = result.throughput_mb_s
+    hwicap_tput = unroll_sweep((16,)).points[0].throughput_mb_s
 
     table = Table1()
     table.rows.append(Table1Row("RV-CAP", "RP cntrl. + AXI modules",
@@ -132,8 +122,7 @@ class Table2:
 
 
 def table2(*, measured_rvcap: float | None = None,
-           measured_hwicap: float | None = None,
-           hwicap_unroll: int = 16) -> Table2:
+           measured_hwicap: float | None = None) -> Table2:
     """Table II: the state-of-the-art comparison.
 
     Third-party rows carry published values (validated against each
@@ -151,7 +140,7 @@ def table2(*, measured_rvcap: float | None = None,
             freq_mhz=baseline.freq_mhz,
         ))
     if measured_hwicap is None or measured_rvcap is None:
-        t1 = table1(hwicap_unroll=hwicap_unroll)
+        t1 = table1()
         measured_rvcap = measured_rvcap or t1.throughput("RV-CAP")
         measured_hwicap = measured_hwicap or t1.throughput("AXI_HWICAP")
     table.rows.append(Table2Row(

@@ -14,7 +14,7 @@ from repro.fpga.device import FpgaDevice, KINTEX7_325T
 from repro.fpga.frames import FrameAddress
 from repro.fpga.config_memory import ConfigMemory
 from repro.fpga.packets import ConfigPacket, ConfigRegister, Command
-from repro.fpga.bitstream import Bitstream, parse_bitstream
+from repro.fpga.bitstream import Bitstream
 from repro.fpga.bitgen import Bitgen, BitgenOptions
 from repro.fpga.partition import (
     ReconfigurableModule,
@@ -40,7 +40,6 @@ __all__ = [
     "ConfigRegister",
     "Command",
     "Bitstream",
-    "parse_bitstream",
     "Bitgen",
     "BitgenOptions",
     "ReconfigurableModule",

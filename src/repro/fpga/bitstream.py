@@ -1,4 +1,4 @@
-"""Bitstream container and offline parser.
+"""Bitstream container.
 
 A bitstream is a sequence of 32-bit configuration words.  On disk / SD
 card / DDR it is serialized big-endian per word (the Xilinx ``.bin``
@@ -8,24 +8,11 @@ byte stream in that same order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import BitstreamError
-from repro.fpga.packets import (
-    BUS_WIDTH_DETECT,
-    BUS_WIDTH_SYNC,
-    Command,
-    ConfigPacket,
-    ConfigRegister,
-    DUMMY_WORD,
-    NOOP_WORD,
-    Opcode,
-    SYNC_WORD,
-)
-from repro.utils.crc import crc32_config_word
 
 
 @dataclass
@@ -53,104 +40,3 @@ class Bitstream:
 
     def __len__(self) -> int:
         return int(self.words.size)
-
-
-@dataclass
-class ParsedBitstream:
-    """Result of structurally parsing a bitstream."""
-
-    idcode: Optional[int] = None
-    far: Optional[int] = None
-    frame_words: np.ndarray = field(default_factory=lambda: np.zeros(0, np.uint32))
-    commands: List[Command] = field(default_factory=list)
-    crc_written: Optional[int] = None
-    crc_computed: Optional[int] = None
-    register_writes: List[Tuple[int, int]] = field(default_factory=list)
-
-    @property
-    def crc_ok(self) -> bool:
-        return self.crc_written is not None and self.crc_written == self.crc_computed
-
-    @property
-    def desynced(self) -> bool:
-        return Command.DESYNC in self.commands
-
-
-def parse_bitstream(bitstream: Bitstream) -> ParsedBitstream:
-    """Structurally parse a bitstream (offline; no timing).
-
-    Mirrors the ICAP's packet state machine so tests can check that the
-    generator and the ICAP agree on the format.
-    """
-    words = bitstream.words
-    result = ParsedBitstream()
-    i = 0
-    n = int(words.size)
-    # preamble: dummies / bus-width sequence until the sync word
-    synced = False
-    while i < n:
-        word = int(words[i])
-        i += 1
-        if word == SYNC_WORD:
-            synced = True
-            break
-        if word not in (DUMMY_WORD, BUS_WIDTH_SYNC, BUS_WIDTH_DETECT, 0x0000_0000):
-            raise BitstreamError(f"unexpected preamble word {word:#010x} at {i - 1}")
-    if not synced:
-        raise BitstreamError("no sync word found")
-
-    crc = 0
-    frame_chunks: List[np.ndarray] = []
-    pending_type1_reg: Optional[int] = None
-    while i < n:
-        word = int(words[i])
-        i += 1
-        if word == NOOP_WORD:
-            continue
-        header = ConfigPacket.decode(word)
-        if header.packet_type == 1:
-            reg = header.register
-            count = header.word_count
-            pending_type1_reg = reg
-        else:
-            if pending_type1_reg is None:
-                raise BitstreamError("type-2 packet without preceding type-1")
-            reg = pending_type1_reg
-            count = header.word_count
-        if header.opcode != Opcode.WRITE or count == 0:
-            continue
-        if i + count > n:
-            raise BitstreamError("packet payload runs past end of bitstream")
-        payload = words[i : i + count]
-        i += count
-        if reg == ConfigRegister.FDRI:
-            frame_chunks.append(payload)
-            # bulk CRC update over the frame data
-            for value in payload.tolist():
-                crc = crc32_config_word(crc, value, reg)
-            continue
-        value = int(payload[-1])
-        result.register_writes.append((reg, value))
-        if reg == ConfigRegister.CRC:
-            result.crc_written = value
-            result.crc_computed = crc
-            crc = 0  # writing CRC resets the running value
-            continue
-        if reg == ConfigRegister.CMD:
-            command = Command(value)
-            result.commands.append(command)
-            if command == Command.RCRC:
-                crc = 0
-                continue
-            if command == Command.DESYNC:
-                break
-        if reg == ConfigRegister.IDCODE:
-            result.idcode = value
-        if reg == ConfigRegister.FAR:
-            result.far = value
-        for item in payload.tolist():
-            crc = crc32_config_word(crc, item, reg)
-
-    if frame_chunks:
-        result.frame_words = np.concatenate(frame_chunks)
-    return result

@@ -8,20 +8,21 @@ back-to-back observes exactly that ceiling.
 
 Function: an incremental packet parser mirrors the device's config
 state machine — sync search, type-1/type-2 packets, FAR/FDRI/CMD/CRC
-registers — and commits frame data into :class:`ConfigMemory`.  CRC
+registers — and writes frame data into :class:`ConfigMemory`.  CRC
 errors and protocol violations latch error flags exactly like the real
-CFGERR behaviour (a corrupted partial bitstream must never half-apply
-silently; the safe-DPR ablation exercises this path).
+CFGERR behaviour.  Frame writes stage until the bitstream proves itself
+(a CRC match, or a DESYNC with no error latched), so a corrupted partial
+bitstream never half-applies (the safe-DPR ablation exercises this
+path); a stream without a CRC word configures at its DESYNC.
 
-Performance: the parser scans sync/NOOP runs with numpy, stages FDRI
-payload bursts as whole arrays and defers the running CRC into a
-backlog that is folded with the block-parallel
-:func:`~repro.utils.crc.crc32_config_words` the moment a non-FDRI word
-needs hashing or a CRC word is checked — O(chunks) Python work per
-bitstream instead of O(words).  Accepts of at most
-``_SMALL_ACCEPT_BYTES`` (HWICAP keyhole words) walk the same state
-machine word by word.  The original word-at-a-time parser, which folds
-every FDRI word into the CRC as it arrives, is kept as the oracle in
+Performance: every whole-word accept goes through one numpy word scan.
+It skips sync/NOOP runs in one step, stages FDRI payload bursts as
+whole arrays and defers the running CRC into a backlog that is folded
+with the block-parallel :func:`~repro.utils.crc.crc32_config_words` the
+moment a non-FDRI word needs hashing or a CRC word is checked —
+O(chunks) Python work per bitstream instead of O(words).  The original
+word-at-a-time parser, which folds every FDRI word into the CRC as it
+arrives, is kept as the oracle in
 ``tests/property/test_icap_vector_props.py``, which cross-checks the
 two word-for-word.
 
@@ -53,7 +54,6 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.axi.stream import BulkAccept, StreamSink
-from repro.errors import ConfigurationError
 from repro.fpga.config_memory import ConfigMemory
 from repro.fpga.frames import FrameAddress
 from repro.fpga.packets import (
@@ -70,11 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import Observability
     from repro.obs.tracer import Span
 
-#: byte payloads up to this size are parsed without numpy round-trips
-#: (the HWICAP keyhole path feeds single words; ndarray setup would
-#: dominate there)
-_SMALL_ACCEPT_BYTES = 64
-
 
 class _ParseState(enum.Enum):
     UNSYNCED = enum.auto()
@@ -87,10 +82,8 @@ class Icap(StreamSink):
 
     BYTES_PER_CYCLE = 4
 
-    def __init__(self, config_memory: ConfigMemory, *,
-                 crc_check: bool = True) -> None:
+    def __init__(self, config_memory: ConfigMemory) -> None:
         self.config_memory = config_memory
-        self.crc_check = crc_check
         self._busy_until = 0
         self._byte_buffer = bytearray()
         self._state = _ParseState.UNSYNCED
@@ -128,9 +121,6 @@ class Icap(StreamSink):
         #: while one is open)
         self.sessions_opened = 0
         self.outcome: Optional[str] = None
-        #: optional guard invoked before committing frames; raise or
-        #: return False to block (used by the safe-DPR checks)
-        self.commit_guard: Optional[Callable[[FrameAddress, int], bool]] = None
         #: invoked at the end of every session that changed
         #: configuration memory; the SoC re-derives each RP's module
         self.on_complete: Optional[Callable[[], None]] = None
@@ -259,45 +249,39 @@ class Icap(StreamSink):
                 and self._payload_remaining > n):
             # streaming fast path: the words sit wholly inside an FDRI
             # payload, so the word scan reduces to staging the raw
-            # bytes — exactly the PAYLOAD arm of either word scan with
-            # take == n and no packet boundary reached (words_consumed
-            # and the remaining count advance the same way; the staged
-            # bytes join _fdri_words and the CRC backlog at the next
-            # flush, where list order keeps concatenation and folding
-            # identical).  Applies to any size, so DMA bursts, bulk runs
-            # and keyhole words skip the per-word state machine alike;
-            # the ndarray materialization is deferred to the flush.
+            # bytes — exactly its PAYLOAD arm with take == n and no
+            # packet boundary reached (words_consumed and the remaining
+            # count advance the same way; the staged bytes join
+            # _fdri_words and the CRC backlog at the next flush, where
+            # list order keeps concatenation and folding identical).
+            # Applies to any size, so DMA bursts, bulk runs and keyhole
+            # words skip the scan alike; the ndarray materialization is
+            # deferred to the flush.
             self._fdri_raw.append(raw)
             self.words_consumed += n
             self._payload_remaining -= n
             return
         if self._fdri_raw:
             self._flush_fdri_raw()
-        if whole <= _SMALL_ACCEPT_BYTES:
-            self._consume_words_scalar(
-                [int.from_bytes(raw[k:k + 4], "big")
-                 for k in range(0, whole, 4)], now)
-        else:
-            self._consume_words_vec(
-                np.frombuffer(raw, dtype=">u4").astype(np.uint32), now)
+        words = np.frombuffer(raw, dtype=">u4").astype(np.uint32)
+        self._consume_words(words, now)
 
     def resolve_bulk_accept(self, lead: int = 0) -> Optional[BulkAccept]:
         """Bulk form of :meth:`accept` for runs of whole-word bursts.
 
         ``None`` — and the plan refuses — while bytes of a partial word
-        are buffered (the run's words would straddle its bursts) or a
-        ``commit_guard`` is installed (it may raise in the middle of a
-        run).  The busy chain ``done[i] = max(done[i-1], t[i]) + words``
-        does not depend on the words, so it is one max-plus scan.  The
-        commit parses the whole run in one pass, taking the timing of
-        every session boundary from the burst that carried the word.
+        are buffered (the run's words would straddle its bursts).  The
+        busy chain ``done[i] = max(done[i-1], t[i]) + words`` does not
+        depend on the words, so it is one max-plus scan.  The commit
+        parses the whole run in one pass, taking the timing of every
+        session boundary from the burst that carried the word.
         """
-        if not self._takes_bulk_runs():
+        if self._byte_buffer:
             return None
 
         def plan(arrivals: np.ndarray, nbytes: int
                  ) -> Optional[Tuple[np.ndarray, Callable[[bytes, int], None]]]:
-            if nbytes % 4 or not self._takes_bulk_runs():
+            if nbytes % 4 or self._byte_buffer:
                 return None
             words = nbytes >> 2  # one word per cycle
             count = len(arrivals)
@@ -332,11 +316,6 @@ class Icap(StreamSink):
 
         return plan
 
-    def _takes_bulk_runs(self) -> bool:
-        """A run's words start at its first burst and no guard can
-        raise in the middle of it."""
-        return not self._byte_buffer and self.commit_guard is None
-
     def _flush_fdri_raw(self) -> None:
         """Materialize fast-path staged FDRI bytes into the word lists.
 
@@ -349,13 +328,12 @@ class Icap(StreamSink):
         chunks.clear()
         staged = np.frombuffer(blob, dtype=">u4").astype(np.uint32)
         self._fdri_words.append(staged)
-        if self.crc_check:
-            self._crc_backlog.append(staged)
+        self._crc_backlog.append(staged)
 
     # ------------------------------------------------------------------
-    # configuration state machine — numpy word scan
+    # configuration state machine: the word scan
     # ------------------------------------------------------------------
-    def _consume_words_vec(self, words: np.ndarray, now: int) -> None:
+    def _consume_words(self, words: np.ndarray, now: int) -> None:
         n = int(words.size)
         base = self.words_consumed  # stream index of words[0]
         self.words_consumed = base + n
@@ -364,7 +342,7 @@ class Icap(StreamSink):
             state = self._state
             if state is _ParseState.PAYLOAD:
                 take = min(self._payload_remaining, n - i)
-                i += self._payload_vec(words[i : i + take], base + i)
+                i += self._payload(words[i : i + take], base + i)
                 continue
             if state is _ParseState.UNSYNCED:
                 # a desynced device ignores everything except the sync
@@ -391,60 +369,20 @@ class Icap(StreamSink):
             i += 1
             self._header(word)
 
-    def _payload_vec(self, chunk: np.ndarray, pos: int) -> int:
+    def _payload(self, chunk: np.ndarray, pos: int) -> int:
         reg = self._payload_reg
         assert reg is not None
         if reg == ConfigRegister.FDRI:
             taken = len(chunk)
             self._fdri_words.append(chunk)
-            if self.crc_check:
-                self._crc_backlog.append(chunk)
+            self._crc_backlog.append(chunk)
         else:
             taken = self._write_registers(reg, chunk.tolist(), pos)
         self._finish_payload_chunk(reg, taken)
         return taken
 
     # ------------------------------------------------------------------
-    # configuration state machine — small accepts, word by word
-    # ------------------------------------------------------------------
-    def _consume_words_scalar(self, words: List[int], now: int) -> None:
-        n = len(words)
-        base = self.words_consumed  # stream index of words[0]
-        self.words_consumed = base + n
-        i = 0
-        while i < n:
-            if self._state is _ParseState.PAYLOAD:
-                take = min(self._payload_remaining, n - i)
-                i += self._payload_scalar(words[i : i + take], base + i)
-                continue
-            word = words[i]
-            i += 1
-            if self._state is _ParseState.UNSYNCED:
-                if word == SYNC_WORD:
-                    self._state = _ParseState.IDLE
-                    self._begin_session(now, base + i - 1)
-                continue
-            if word == NOOP_WORD:
-                continue
-            self._header(word)
-
-    def _payload_scalar(self, chunk: List[int], pos: int) -> int:
-        reg = self._payload_reg
-        assert reg is not None
-        if reg == ConfigRegister.FDRI:
-            taken = len(chunk)
-            arr = np.array(chunk, dtype=np.uint32)
-            self._fdri_words.append(arr)
-            if self.crc_check:
-                # keyhole-sized accepts still batch their CRC work
-                self._crc_backlog.append(arr)
-        else:
-            taken = self._write_registers(reg, chunk, pos)
-        self._finish_payload_chunk(reg, taken)
-        return taken
-
-    # ------------------------------------------------------------------
-    # shared packet/register semantics
+    # packet/register semantics
     # ------------------------------------------------------------------
     def _header(self, word: int) -> None:
         try:
@@ -491,7 +429,7 @@ class Icap(StreamSink):
     def _write_register(self, reg: int, value: int, pos: int) -> None:
         """Write ``value``, stream word ``pos``, to register ``reg``."""
         if reg == ConfigRegister.CRC:
-            if self.crc_check and value != self._running_crc():
+            if value != self._running_crc():
                 self.crc_error = True
                 self._pending_commits.clear()
             else:
@@ -537,8 +475,7 @@ class Icap(StreamSink):
         return self._crc
 
     def _hash(self, value: int, reg: int) -> None:
-        if self.crc_check:
-            self._crc = crc32_config_word(self._running_crc(), value, reg)
+        self._crc = crc32_config_word(self._running_crc(), value, reg)
 
     def _commit_frames(self) -> None:
         if self._fdri_raw:
@@ -554,25 +491,14 @@ class Icap(StreamSink):
         if self.error:
             return  # never half-apply after an error
         wpf = self.config_memory.device.words_per_frame
-        # the partial-frame protocol check comes first: a guard must
-        # never be consulted with a truncated frame count
         if len(payload) % wpf:
             self.protocol_error = True
             return
-        frames = len(payload) // wpf
-        if self.commit_guard is not None:
-            if not self.commit_guard(self.far, frames):
-                raise ConfigurationError(
-                    f"frame write at {self.far} blocked by commit guard"
-                )
-        if self.crc_check:
-            # safe-DPR: stage the write until the bitstream proves
-            # itself (CRC match or clean DESYNC); FAR auto-increments
-            # exactly as if the frames had been written
-            self._pending_commits.append((self.far, payload))
-            self.far = self.far.advance(frames)
-        else:
-            self.far = self.config_memory.write_frames(self.far, payload)
+        # safe-DPR: stage the write until the bitstream proves itself
+        # (CRC match or clean DESYNC); FAR auto-increments exactly as if
+        # the frames had been written
+        self._pending_commits.append((self.far, payload))
+        self.far = self.far.advance(len(payload) // wpf)
 
     @property
     def pending_frames(self) -> int:

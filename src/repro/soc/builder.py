@@ -66,7 +66,7 @@ def build_soc(config: SocConfig | None = None, *,
 
     # FPGA configuration fabric ------------------------------------------
     soc.config_memory = ConfigMemory(KINTEX7_325T)
-    soc.icap = Icap(soc.config_memory, crc_check=config.icap_crc_check)
+    soc.icap = Icap(soc.config_memory)
     soc.icap.on_complete = soc.on_reconfiguration_complete
     soc.bitgen = Bitgen(KINTEX7_325T)
     # one or more reconfigurable partitions, floorplanned back to back

@@ -98,8 +98,6 @@ class SocConfig:
     hwicap_fifo_words: int = 1024
     #: maximum AXI burst length of the RV-CAP DMA in beats (Sec. IV-A)
     dma_max_burst: int = 16
-    #: enable the CRC-checking safe-DPR extension on the ICAP path
-    icap_crc_check: bool = True
     #: number of reconfigurable partitions ("one or more RPs can be
     #: created", Sec. III-A); the reference evaluation uses one
     num_rps: int = 1

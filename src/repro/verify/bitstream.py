@@ -1,10 +1,10 @@
 """Static partial-bitstream verifier: packet walk + FAR coverage proof.
 
 Walks the type-1/type-2 configuration packet stream the way the ICAP's
-state machine would (mirroring :func:`repro.fpga.bitstream.parse_bitstream`)
-but *never raises*: every structural defect becomes a structured
-finding, so the serving path can reject a malformed stream in-band and
-CI can report all defects at once.
+state machine would (:class:`repro.fpga.icap.Icap`) but *never raises*:
+every structural defect becomes a structured finding, so the serving
+path can reject a malformed stream in-band and CI can report all
+defects at once.
 
 Beyond well-formedness the walker proves that the FAR coverage of all
 FDRI writes is exactly the declared partition's frame set — the

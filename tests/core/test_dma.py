@@ -353,7 +353,7 @@ def _partial_bitstream():
 
 
 def _stream_into_icap(image, *, timing=None, decompress=False,
-                      fault_proxy=False, commit_guard=None):
+                      fault_proxy=False):
     """Stream ``image`` over crossbar -> DdrPort -> switch -> AXIS2ICAP
     -> ICAP.  Returns the bytes each bulk step committed, the number of
     per-burst ICAP accepts, and the ICAP."""
@@ -362,7 +362,6 @@ def _stream_into_icap(image, *, timing=None, decompress=False,
     xbar = AxiCrossbar("rvcap_xbar")
     xbar.attach("ddr", 0, ddr.size, ddr.port("dma_mm2s"))
     icap = Icap(ConfigMemory(KINTEX7_325T))
-    icap.commit_guard = commit_guard
     rvcap = RvCapController(sim, xbar, icap, decompress=decompress)
     rvcap.switch.select(PORT_ICAP)
     if fault_proxy:
@@ -408,8 +407,7 @@ class TestBulkStep:
         assert accepts == -(-len(pbit) // 128) - sum(steps) // 128
 
     @pytest.mark.parametrize("route", [
-        "fault_proxy", "rle", "device_bandwidth", "burst_longer_than_row",
-        "commit_guard"])
+        "fault_proxy", "rle", "device_bandwidth", "burst_longer_than_row"])
     def test_fallback_routes_stream_burst_by_burst(self, route):
         pbit = _partial_bitstream()
         image = pbit
@@ -422,9 +420,6 @@ class TestBulkStep:
             kwargs["decompress"] = True
         elif route == "device_bandwidth":
             kwargs["timing"] = DdrTiming(device_beats_per_cycle=2)
-        elif route == "commit_guard":
-            # a guard may raise in the middle of a run
-            kwargs["commit_guard"] = lambda far, frames: True
         else:
             kwargs["timing"] = DdrTiming(row_bytes=64)
         steps, _accepts, icap = _stream_into_icap(image, **kwargs)

@@ -6,7 +6,9 @@ import pytest
 from repro.errors import BitstreamError
 from repro.eval.scenarios import fig3_geometries, rp_for_geometry, small_rp
 from repro.fpga.bitgen import Bitgen, BitgenOptions
-from repro.fpga.bitstream import parse_bitstream
+from repro.fpga.config_memory import ConfigMemory
+from repro.fpga.icap import Icap
+from repro.fpga.packets import Command, ConfigRegister, type1_write
 from repro.fpga.partition import (
     ReconfigurableModule,
     ReconfigurablePartition,
@@ -14,6 +16,7 @@ from repro.fpga.partition import (
     make_reference_rp,
 )
 from repro.sched.workload import SCHED_RP_BUDGET, SCHED_RP_GEOMETRY
+from repro.verify import verify_bitstream
 from tests.property import bitgen_oracle
 
 
@@ -24,6 +27,10 @@ def gen():
 
 def _module(name="m", luts=10):
     return ReconfigurableModule(name, ResourceBudget(luts, luts, 1, 1))
+
+
+def _icap(rp):
+    return Icap(ConfigMemory(rp.device))
 
 
 class TestReferenceSize:
@@ -63,21 +70,51 @@ class TestDeterminism:
 
 class TestStructure:
     def test_far_matches_rp_base(self, gen):
+        # one FAR write, whose FDRI frames cover exactly the partition
         rp = make_reference_rp()
-        parsed = parse_bitstream(gen.generate(rp, _module()))
-        assert parsed.far == rp.base_far.encode()
+        bs = gen.generate(rp, _module())
+        report = verify_bitstream(bs, rp)
+        assert report.findings == []
+        assert report.far_writes == 1
+        assert report.frames_written == rp.frames
+        icap = _icap(rp)
+        icap.accept(bs.to_bytes(), now=0)
+        assert icap.config_memory.frames_written == rp.frames
+        assert icap.far == rp.base_far.advance(rp.frames)
 
     def test_payload_embedded_verbatim(self, gen):
         rp = small_rp()
         module = _module()
         payload = gen.frame_payload(rp, module)
-        parsed = parse_bitstream(gen.generate(rp, module))
-        assert np.array_equal(parsed.frame_words, payload)
+        icap = _icap(rp)
+        icap.accept(gen.generate(rp, module).to_bytes(), now=0)
+        assert icap.outcome == "configured" and not icap.crc_error
+        assert np.array_equal(
+            icap.config_memory.read_frames(rp.base_far, rp.frames), payload)
 
     def test_crc_can_be_omitted(self):
+        rp = small_rp()
         gen = Bitgen(options=BitgenOptions(emit_crc=False))
-        parsed = parse_bitstream(gen.generate(small_rp(), _module()))
-        assert parsed.crc_written is None
+        bs = gen.generate(rp, _module())
+        report = verify_bitstream(bs, rp)
+        assert [(f.rule_id, f.message) for f in report.findings] == [
+            ("VFY-BIT-005", "stream carries no CRC check word")]
+        assert report.ok  # a warning
+        # with no CRC word to prove them, the frames stay staged until
+        # the DESYNC applies them
+        data = bs.to_bytes()
+        desync = (np.array([type1_write(ConfigRegister.CMD, 1),
+                            int(Command.DESYNC)], dtype=">u4").tobytes())
+        cut = data.index(desync)
+        icap = _icap(rp)
+        icap.accept(data[:cut], now=0)
+        assert icap.pending_frames == rp.frames
+        assert icap.config_memory.frames_written == 0
+        icap.accept(data[cut:], now=0)
+        assert icap.outcome == "configured" and not icap.crc_error
+        assert np.array_equal(
+            icap.config_memory.read_frames(rp.base_far, rp.frames),
+            gen.frame_payload(rp, _module()))
 
     def test_module_must_fit_budget(self, gen):
         rp = small_rp()

@@ -83,15 +83,6 @@ class TestErrorPaths:
         assert icap.crc_error
         assert icap.reconfigurations_completed == 0
 
-    def test_crc_check_can_be_disabled(self):
-        cm = ConfigMemory(KINTEX7_325T)
-        icap = Icap(cm, crc_check=False)
-        gen = Bitgen(options=BitgenOptions(corrupt_crc=True))
-        module = ReconfigurableModule("m", ResourceBudget(1, 1, 0, 0))
-        icap.accept(gen.generate(small_rp(), module).to_bytes(), now=0)
-        assert not icap.crc_error
-        assert icap.reconfigurations_completed == 1
-
     def test_idcode_mismatch_flagged(self, icap):
         from repro.fpga.device import FpgaDevice
         wrong_device = FpgaDevice(name="xc7a35t", idcode=0x362D093)
@@ -165,12 +156,6 @@ class TestErrorPaths:
         assert outcomes[0][:3] == (2, 1, False)
         assert outcomes == [outcomes[0]] * 3
 
-    def test_commit_guard_blocks(self, icap):
-        icap.commit_guard = lambda far, frames: False
-        from repro.errors import ConfigurationError
-        with pytest.raises(ConfigurationError):
-            icap.accept(make_test_bitstream().to_bytes(), now=0)
-
 
 class TestResetSemantics:
     def test_reset_clears_readback_queue_and_far(self, icap):
@@ -229,11 +214,9 @@ class TestStagedCommits:
         assert icap.pending_frames == 0
         assert icap.config_memory.frames_written == rp.frames
 
-    def test_guard_sees_full_frame_count_before_partial_check(self, icap):
-        """Protocol check precedes the guard: a truncated frame count
-        must flag protocol_error without consulting the guard."""
-        seen = []
-        icap.commit_guard = lambda far, frames: seen.append(frames) or True
+    def test_partial_frame_is_protocol_error(self, icap):
+        """An FDRI write of half a frame flags protocol_error and stages
+        nothing, so no later CRC match or DESYNC can apply it."""
         from repro.fpga.packets import (
             ConfigRegister, DUMMY_WORD, NOOP_WORD, SYNC_WORD,
             type1_write,
@@ -247,7 +230,8 @@ class TestStagedCommits:
         icap.accept(np.array(words, dtype=np.uint32).astype(">u4").tobytes(),
                     now=0)
         assert icap.protocol_error
-        assert seen == []  # the guard was never consulted
+        assert icap.pending_frames == 0
+        assert icap.config_memory.frames_written == 0
 
 
 class TestReadPackets:

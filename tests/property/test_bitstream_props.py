@@ -1,11 +1,11 @@
-"""Bitstream generate -> parse -> ICAP invariants over random RPs."""
+"""Bitstream generate -> ICAP / verifier invariants over random RPs."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fpga.bitgen import Bitgen
-from repro.fpga.bitstream import Bitstream, parse_bitstream
+from repro.fpga.bitstream import Bitstream
 from repro.fpga.compression import rle_compress, rle_decompress
 from repro.fpga.config_memory import ConfigMemory
 from repro.fpga.device import KINTEX7_325T
@@ -16,6 +16,7 @@ from repro.fpga.partition import (
     ResourceBudget,
     RpGeometry,
 )
+from repro.verify import verify_bitstream
 
 geometries = st.builds(
     RpGeometry,
@@ -42,11 +43,15 @@ def test_generate_parse_roundtrip(geometry, name):
     gen = Bitgen()
     module = ReconfigurableModule(name, ResourceBudget(1, 1, 0, 0))
     bs = gen.generate(rp, module)
-    parsed = parse_bitstream(bs)
-    assert parsed.crc_ok
-    assert parsed.desynced
-    assert parsed.frame_words.size == rp.frame_words
-    assert np.array_equal(parsed.frame_words, gen.frame_payload(rp, module))
+    icap = Icap(ConfigMemory(KINTEX7_325T))
+    icap.accept(bs.to_bytes(), 0)
+    assert icap.outcome == "configured" and not icap.crc_error
+    assert icap.config_memory.frames_written == rp.frames
+    assert np.array_equal(icap.config_memory.read_frames(rp.base_far, rp.frames),
+                          gen.frame_payload(rp, module))
+    report = verify_bitstream(bs, rp)
+    assert report.findings == []
+    assert (report.far_writes, report.frames_written) == (1, rp.frames)
     assert bs.nbytes == gen.expected_size_bytes(rp)
 
 

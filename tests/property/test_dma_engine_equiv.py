@@ -8,7 +8,8 @@ with, one simulation event per pacing step or poll; it lives here and
 is patched over ``DmaChannel._run_mm2s``/``_run_s2mm`` for the
 ``burst`` runs.  These properties pin the engine to it under
 everything that can interrupt a transfer mid-flight: random lengths and
-burst geometries, injected bus faults, soft resets, real partial
+burst geometries, injected bus faults, soft resets (one exactly at a
+burst's pacing target, where a bulk step must cut its run), real partial
 bitstreams (pristine, corrupted, back to back, followed by a readback
 request, behind junk words) with foreign events cutting the batch
 window, accelerator round trips whose S2MM spins before MM2S starts,
@@ -27,6 +28,7 @@ import asyncio
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -321,13 +323,15 @@ def _partial_bitstream(geometry, form, where, bit):
     return data
 
 
-def _icap_route_observe(engine, pbit, burst_beats, offset, period, phase):
+def _icap_route_observe(engine, pbit, burst_beats, offset, period, phase,
+                        reset_at=None):
     """Every observable of one MM2S transfer of ``pbit`` into the ICAP.
 
     The route is the reconfiguration path: crossbar -> DdrPort -> AXIS
     switch -> AXIS2ICAP -> ICAP, fully instrumented.  A competing
     process wakes every ``period`` cycles, so its events cut the DMA's
-    batch window (and any bulk run) at varying bursts.
+    batch window (and any bulk run) at varying bursts.  With
+    ``reset_at``, a process writes ``CR_RESET`` at that cycle.
     """
     def run():
         sim = Simulator()
@@ -350,6 +354,13 @@ def _icap_route_observe(engine, pbit, burst_beats, offset, period, phase):
 
         sim.add_process(competitor(), name="competitor")
         dma = rvcap.dma
+        if reset_at is not None:
+            def resetter():
+                yield Delay(reset_at)
+                dma.write(dr.MM2S_DMACR, dr.CR_RESET.to_bytes(4, "little"),
+                          sim.now)
+
+            sim.add_process(resetter(), name="resetter")
         dma.write(dr.MM2S_DMACR, dr.CR_RS.to_bytes(4, "little"), 0)
         dma.write(dr.MM2S_SA, offset.to_bytes(4, "little"), 0)
         dma.write(dr.MM2S_LENGTH, len(pbit).to_bytes(4, "little"), 0)
@@ -430,6 +441,37 @@ class TestIcapRouteEquivalence:
                                 period, phase)
             for engine in ("burst", "descriptor-per-burst", "descriptor"))
         assert per_burst == desc
+        burst.pop("events")
+        desc.pop("events")
+        assert burst == desc
+
+    @pytest.mark.parametrize("k", [12, 40, 100, 200])
+    @pytest.mark.parametrize("burst_beats", [8, 16])
+    def test_reset_at_a_pacing_target_is_cycle_identical(self, burst_beats,
+                                                          k):
+        # a foreign event exactly at burst k's pacing target is the
+        # window a bulk step must stop short of: the per-burst loop
+        # yields there, so the reset lands before burst k + 1
+        geometry = RpGeometry(clb_cols=2, bram_cols=0, dsp_cols=0)
+        pbit = _partial_bitstream(geometry, "pristine", 0.0, 0)
+        burst_bytes = 8 * burst_beats
+        targets = []
+        accept = AxiStreamSwitch.accept
+
+        def spy(switch, data, now):
+            done = accept(switch, data, now)
+            targets.append(done - burst_bytes)
+            return done
+
+        with mock.patch.object(AxiStreamSwitch, "accept", spy):
+            _icap_route_observe("burst", pbit, burst_beats, 0,
+                                period=10**6, phase=0)
+        assert len(targets) == -(-len(pbit) // burst_bytes)
+        burst, desc = (
+            _icap_route_observe(engine, pbit, burst_beats, 0, period=10**6,
+                                phase=0, reset_at=targets[k])
+            for engine in ENGINES)
+        assert burst["channel"][1] < len(pbit)  # the reset aborted it
         burst.pop("events")
         desc.pop("events")
         assert burst == desc

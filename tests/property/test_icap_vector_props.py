@@ -8,12 +8,15 @@ match: parser state, CRC machinery, error flags and the full
 configuration-memory contents.  The corruptions reuse the
 fault-injection primitives from :mod:`repro.faults.injectors` so the
 properties cover exactly the damage the fault campaign inflicts.
+Deterministic cases pin the small accepts of real traffic (keyhole
+words, a descriptor's 60-byte partial tail), session trace included.
 """
 
 import random
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,21 +24,24 @@ from repro.faults.injectors import flip_word_bit, truncate_at_word
 from repro.fpga.bitgen import Bitgen
 from repro.fpga.config_memory import ConfigMemory
 from repro.fpga.device import KINTEX7_325T
-from repro.fpga.icap import Icap
-from repro.fpga.packets import ConfigRegister
+from repro.fpga.icap import Icap, _ParseState
+from repro.fpga.packets import NOOP_WORD, SYNC_WORD, ConfigRegister, type1_write
 from repro.fpga.partition import (
     ReconfigurableModule,
     ReconfigurablePartition,
     ResourceBudget,
     RpGeometry,
 )
+from repro.obs import Observability
 from repro.utils.crc import crc32_config_word
 
 
 class WordIcap(Icap):
     """Oracle: every word walks the per-word state machine, and FDRI
     words fold into the CRC one by one as they arrive (no staging, no
-    numpy scan, no deferred CRC backlog)."""
+    numpy scan, no deferred CRC backlog).  Only the packet and register
+    semantics (``_header``, ``_write_registers``, the session
+    boundaries) are the parser's own; the word loop is this class's."""
 
     def accept(self, data: bytes, now: int) -> int:
         self._busy_until = (max(self._busy_until, now)
@@ -46,19 +52,43 @@ class WordIcap(Icap):
         words = [int.from_bytes(buffer[k:k + 4], "big")
                  for k in range(0, whole, 4)]
         del buffer[:whole]
-        self._consume_words_scalar(words, now)
+        self._consume_words(words, now)
         return self._busy_until
 
-    def _payload_scalar(self, chunk: list, pos: int) -> int:
-        if self._payload_reg != ConfigRegister.FDRI or not self.crc_check:
-            return super()._payload_scalar(chunk, pos)
-        crc = self._crc
-        for value in chunk:
-            crc = crc32_config_word(crc, value, ConfigRegister.FDRI)
-        self._crc = crc
-        self._fdri_words.append(np.array(chunk, dtype=np.uint32))
-        self._finish_payload_chunk(ConfigRegister.FDRI, len(chunk))
-        return len(chunk)
+    def _consume_words(self, words: list, now: int) -> None:
+        n = len(words)
+        base = self.words_consumed  # stream index of words[0]
+        self.words_consumed = base + n
+        i = 0
+        while i < n:
+            if self._state is _ParseState.PAYLOAD:
+                take = min(self._payload_remaining, n - i)
+                i += self._payload(words[i:i + take], base + i)
+                continue
+            word = words[i]
+            i += 1
+            if self._state is _ParseState.UNSYNCED:
+                if word == SYNC_WORD:
+                    self._state = _ParseState.IDLE
+                    self._begin_session(now, base + i - 1)
+                continue
+            if word == NOOP_WORD:
+                continue
+            self._header(word)
+
+    def _payload(self, chunk: list, pos: int) -> int:
+        reg = self._payload_reg
+        if reg == ConfigRegister.FDRI:
+            crc = self._crc
+            for value in chunk:
+                crc = crc32_config_word(crc, value, reg)
+            self._crc = crc
+            self._fdri_words.append(np.array(chunk, dtype=np.uint32))
+            taken = len(chunk)
+        else:
+            taken = self._write_registers(reg, chunk, pos)
+        self._finish_payload_chunk(reg, taken)
+        return taken
 
 
 geometries = st.builds(
@@ -101,6 +131,11 @@ def _chunking(seed: int, nbytes: int) -> list:
 def _observable(icap: Icap) -> dict:
     return {
         "state": icap._state,
+        "packet": (icap._payload_reg, icap._payload_remaining),
+        "far": icap.far,
+        "pending_frames": icap.pending_frames,
+        "readback_queue": list(icap.readback_queue),
+        "busy_until": icap.busy_until,
         "crc": icap._running_crc(),
         "words_consumed": icap.words_consumed,
         "crc_error": icap.crc_error,
@@ -168,6 +203,62 @@ def test_oneshot_equals_bursted_vectorized(geometry, seed):
     burst = Icap(ConfigMemory(KINTEX7_325T))
     _stream(burst, data, _chunking(seed, len(data)))
     assert _observable(one) == _observable(burst)
+
+
+def _small_case(form: str) -> bytes:
+    """A 15,804-byte bitstream, the serving RP's size, whose descriptor
+    tail is a 60-byte partial burst of post-DESYNC NOOP pad: pristine,
+    with a flipped CRC check word, or cut right after that word."""
+    data = _bitstream(RpGeometry(clb_cols=1, bram_cols=0, dsp_cols=0))
+    words = np.frombuffer(data, dtype=">u4")
+    check = int(np.flatnonzero(
+        words == type1_write(ConfigRegister.CRC, 1))[-1]) + 1
+    if form == "flip":
+        return flip_word_bit(data, check, 0)
+    if form == "truncate":
+        return truncate_at_word(data, check + 1)
+    return data
+
+
+def _paced_observable(cls: type, data: bytes, chunks: list) -> dict:
+    """Stream ``data`` in ``chunks``, each arriving when the port drains
+    the one before; every observable, the session trace included."""
+    icap = cls(ConfigMemory(KINTEX7_325T))
+    obs = Observability()
+    icap.attach_obs(obs)
+    now = pos = 0
+    for span in chunks:
+        now = icap.accept(data[pos:pos + span], now)
+        pos += span
+    assert pos == len(data)
+    tracer = obs.tracer
+    return {
+        **_observable(icap),
+        "spans": [(span.name, span.start_cycle, span.end_cycle,
+                   dict(span.args)) for span in tracer.spans],
+        "instants": [(event.cycle, event.name, dict(event.args))
+                     for event in tracer.instants],
+        "signals": tracer.signals,
+    }
+
+
+@pytest.mark.parametrize("feed", ["word", "burst"])
+@pytest.mark.parametrize("form, outcome", [
+    ("pristine", "configured"), ("flip", "error"), ("truncate", None)])
+def test_small_accepts_agree(form, outcome, feed):
+    """The accepts a DMA descriptor's partial tail or a keyhole write
+    makes go through the one word scan: one word per accept, or
+    128-byte bursts with the last 60 bytes as their own accept."""
+    data = _small_case(form)
+    if feed == "word":
+        chunks = [4] * (len(data) // 4)
+    else:
+        head = len(data) - 60
+        chunks = [min(128, head - pos) for pos in range(0, head, 128)] + [60]
+    ours = _paced_observable(Icap, data, chunks)
+    assert ours == _paced_observable(WordIcap, data, chunks)
+    assert ours["outcome"] == outcome
+    assert ours["configured_frames"] == (0 if form == "flip" else 36)
 
 
 def test_word_oracle_never_stages_fdri_raw():

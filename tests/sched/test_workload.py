@@ -138,6 +138,18 @@ class TestCli:
         assert main(["serve", str(path), "--modules", "2"]) == 2
         capsys.readouterr()
 
+    def test_power_sweep_rows_count_failed_requests(self, capsys):
+        # one reconfiguration does not fit under a 200 mW cap, so every
+        # request fails in-band: no deferral, no energy, 20 failed
+        from repro.cli import main
+        assert main(["power", "sweep", "--caps", "200", "--requests", "20",
+                     "--cache-kb", "64"]) == 0
+        header, uncapped, capped = capsys.readouterr().out.splitlines()
+        column = header.split().index("failed")
+        assert uncapped.split()[column] == "0"
+        row = capped.split()
+        assert row[0] == "200.0" and row[column] == "20"
+
     @pytest.mark.parametrize("argv", [
         ["sched-bench", "--cache-kb", "0"],
         ["serve", "trace.json", "--cache-kb", "0"],

@@ -1,7 +1,6 @@
 """Topology checks on the assembled reference SoC."""
 
-from repro.soc.builder import build_soc
-from repro.soc.config import MemoryLayout, SocConfig
+from repro.soc.config import MemoryLayout
 
 
 class TestMemoryLayout:
@@ -66,10 +65,6 @@ class TestBuiltSoc:
 
     def test_reset_mode_is_acceleration(self, soc):
         assert not soc.rvcap.in_reconfiguration_mode
-
-    def test_icap_crc_configurable(self):
-        soc = build_soc(SocConfig(icap_crc_check=False))
-        assert soc.icap.crc_check is False
 
     def test_ddr_backdoor_helpers(self, soc):
         base = soc.config.layout.ddr_base

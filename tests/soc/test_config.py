@@ -57,7 +57,6 @@ class TestCalibrationAnchors:
         assert config.dma_max_burst == 16        # Sec. IV-A
         assert config.hwicap_fifo_words == 1024  # Sec. III-C resize
         assert config.num_rps == 1
-        assert config.icap_crc_check is True
 
     def test_ddr_defaults(self):
         ddr = DdrTiming()
