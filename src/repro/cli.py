@@ -19,7 +19,7 @@ Commands:
   reference artifacts (or ``--firmware``/``--bitstream`` files); same
   format flags and exit-code contract as ``lint``
 * ``sched-bench`` — replay a synthetic multi-tenant swap-request stream
-  through the asyncio DPR scheduler; throughput/latency/miss report
+  through the EDF DPR scheduler; throughput/latency/miss report
 * ``serve``    — replay a recorded JSON request trace through the
   scheduler (the interchange format ``sched-bench --emit-trace`` writes)
 * ``power``    — cycle-integrated energy accounting: ``report`` renders
@@ -408,9 +408,14 @@ def _collect_verify_reports(args: argparse.Namespace) -> list:
 
 
 def _render_sched_report(report) -> str:
+    from repro.sched.request import STATUSES
+    statuses = ", ".join(f"{status} {report.statuses[status]}"
+                         for status in STATUSES
+                         if report.statuses.get(status))
     lines = [
         f"requests            {report.requests}",
         f"completed           {report.completed}",
+        f"statuses            {statuses}",
         f"deadline misses     {report.deadline_misses} "
         f"({100 * report.deadline_miss_rate:.2f}%)",
         f"span                {report.span_us / 1e3:.1f} ms simulated",
@@ -862,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sched-bench",
                        help="replay a synthetic request stream through "
-                            "the asyncio DPR scheduler")
+                            "the EDF DPR scheduler")
     p.add_argument("--requests", type=int, default=10_000)
     p.add_argument("--rate", type=float, default=2000.0,
                    help="mean arrival rate (requests per simulated "

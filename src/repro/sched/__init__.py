@@ -5,8 +5,8 @@ The package layers a serving model over the driver stack:
 * :mod:`repro.sched.request` — the swap-request/outcome data model;
 * :mod:`repro.sched.cache` — LRU demand-paging of partial bitstreams
   into a DDR arena (repeat swaps skip the SD card);
-* :mod:`repro.sched.scheduler` — the asyncio EDF + same-module-batching
-  arbiter of the single ICAP port;
+* :mod:`repro.sched.scheduler` — the EDF + same-module-batching
+  arbiter of the single ICAP port, driven one ``step()`` at a time;
 * :mod:`repro.sched.workload` — synthetic Poisson/Zipf request streams
   and the small-RP serving platform;
 * :mod:`repro.sched.replay` — trace replay and report generation for

@@ -1,10 +1,10 @@
 """Trace replay: drive thousands of requests through the scheduler.
 
 :func:`replay` is the measurement harness behind ``repro sched-bench``
-and ``repro serve``: it submits an entire trace as concurrent asyncio
-requests (open loop — arrival *eligibility* is enforced by the
-scheduler against simulated time, so submission order does not model
-anything), lets the arbiter drain it, and distils the outcomes plus the
+and ``repro serve``: it submits an entire trace up front (open loop —
+arrival *eligibility* is enforced by the scheduler against simulated
+time, so submission order only breaks deadline ties), steps the
+scheduler until it drains, and distils the outcomes plus the
 scheduler's and the cache's own counts into a :class:`ReplayReport`.
 
 All latencies are simulated microseconds; ``wall_seconds`` is the only
@@ -13,7 +13,6 @@ wall-clock number and exists purely to size benchmark runs.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -22,12 +21,7 @@ from repro.drivers.manager import ReconfigurationManager
 from repro.obs import Observability
 from repro.power.profile import DEFAULT_PROFILE
 from repro.sched.cache import BitstreamCache
-from repro.sched.request import (
-    CANCELLED,
-    COMPLETED,
-    RequestOutcome,
-    SwapRequest,
-)
+from repro.sched.request import COMPLETED, RequestOutcome, SwapRequest
 from repro.sched.scheduler import DprScheduler
 from repro.sched.workload import (
     WorkloadSpec,
@@ -152,33 +146,6 @@ def summarize(outcomes: List[RequestOutcome], *,
     )
 
 
-async def _serve(scheduler: DprScheduler,
-                 requests: List[SwapRequest]) -> List[RequestOutcome]:
-    async with scheduler:
-        futures = [scheduler.submit(request) for request in requests]
-        results = await asyncio.gather(*futures, return_exceptions=True)
-    outcomes: List[RequestOutcome] = []
-    for request, result in zip(requests, results):
-        if isinstance(result, RequestOutcome):
-            outcomes.append(result)
-        elif isinstance(result, asyncio.CancelledError):
-            # scheduler shutdown (or a caller) cancelled the future
-            # before service; dropping it silently would understate
-            # `requests` and hide the loss — report it in the
-            # `cancelled` status bucket instead
-            outcomes.append(RequestOutcome(
-                request_id=request.request_id,
-                module=request.module,
-                status=CANCELLED,
-                arrival_us=request.arrival_us,
-                deadline_us=request.deadline_us,
-                error="cancelled before completion",
-            ))
-        elif isinstance(result, BaseException):
-            raise result
-    return outcomes
-
-
 def replay(manager: ReconfigurationManager,
            requests: List[SwapRequest], *,
            cache: BitstreamCache,
@@ -198,7 +165,7 @@ def replay(manager: ReconfigurationManager,
     if prefetch:
         cache.prefetch(prefetch)
     started = time.perf_counter()
-    outcomes = asyncio.run(_serve(scheduler, requests))
+    outcomes = scheduler.run(requests)
     wall = time.perf_counter() - started
     return summarize(outcomes, scheduler=scheduler, wall_seconds=wall)
 

@@ -6,10 +6,10 @@ absolute **simulated** timestamps (microseconds of SoC time) — the
 scheduler serves a simulated request stream, so wall-clock never enters
 the model and two replays of the same trace are byte-identical.
 
-A :class:`RequestOutcome` is the terminal record the scheduler resolves
-each request's future with; failures are reported in-band through
-``status`` rather than as raised exceptions so a replay of thousands of
-requests aggregates cleanly.
+A :class:`RequestOutcome` is the terminal record the scheduler stores
+under each request's ticket when it resolves; failures are reported
+in-band through ``status`` rather than as raised exceptions so a replay
+of thousands of requests aggregates cleanly.
 """
 
 from __future__ import annotations

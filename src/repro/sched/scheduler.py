@@ -1,10 +1,11 @@
-"""Asyncio DPR scheduler: EDF arbitration of the single ICAP port.
+"""DPR scheduler: EDF arbitration of the single ICAP port.
 
 The scheduler is the request-serving layer the ROADMAP's multi-tenant
 item calls for: tenants :meth:`~DprScheduler.submit` streams of
-:class:`~repro.sched.request.SwapRequest` and get back futures that
-resolve to :class:`~repro.sched.request.RequestOutcome`.  One arbiter
-task owns the fabric:
+:class:`~repro.sched.request.SwapRequest` and get back tickets, each an
+index into :attr:`~DprScheduler.outcomes`, where the request's
+:class:`~repro.sched.request.RequestOutcome` lands once it resolves.
+Each :meth:`~DprScheduler.step` gives the fabric to one batch:
 
 * **EDF** — among requests whose arrival time has passed, the earliest
   absolute deadline wins the ICAP port;
@@ -17,25 +18,24 @@ task owns the fabric:
   the SD fault; requests for the already-resident module skip the DPR
   entirely.
 
-Time is *simulated* time throughout: the arbiter advances the SoC's
-clock to the next arrival when idle and otherwise lets the driver stack
-advance it, so a replay is deterministic and wall-clock independent.
-The asyncio layer models request concurrency (many tenants in flight),
-not hardware parallelism — while a batch holds the ICAP lock the event
-loop is busy exactly like the one physical configuration port is.
+Time is *simulated* time throughout: a step with nothing eligible
+advances the SoC's clock to the next arrival, and otherwise the driver
+stack advances it, so a replay is deterministic and wall-clock
+independent.  Like the one physical configuration port, the scheduler
+programs one batch at a time; :meth:`~DprScheduler.run` submits a
+trace and steps until nothing is queued.
 
 A failed reconfiguration (``ControllerError``; each driver's failure
 path resets the ICAP) is retried ``MAX_RETRIES`` times after a backoff.
 A batch whose swap still fails, or raises any other ``ReproError``,
 fails its requests in-band (``status="failed"``) and the scheduler
-keeps serving.
+keeps serving.  Any other exception escapes :meth:`~DprScheduler.step`.
 """
 
 from __future__ import annotations
 
-import asyncio
 import heapq
-from typing import Any, Dict, List, Optional, TYPE_CHECKING, Tuple
+from typing import Any, Dict, List, Optional, TYPE_CHECKING, Tuple, cast
 
 import numpy as np
 
@@ -91,20 +91,21 @@ class BitstreamRejected(SchedulerError):
 class _Entry:
     """Queue bookkeeping for one submitted request."""
 
-    __slots__ = ("request", "future", "seq", "arrival_cycle",
-                 "deadline_cycle")
+    __slots__ = ("request", "seq", "arrival_cycle", "deadline_cycle",
+                 "cancelled")
 
-    def __init__(self, request: SwapRequest, future: "asyncio.Future[RequestOutcome]",
-                 seq: int, freq_hz: float) -> None:
+    def __init__(self, request: SwapRequest, seq: int,
+                 freq_hz: float) -> None:
         self.request = request
-        self.future = future
+        #: the ticket: submission order, the EDF tie-break
         self.seq = seq
         self.arrival_cycle = int(request.arrival_us * freq_hz / 1e6)
         self.deadline_cycle = int(request.deadline_us * freq_hz / 1e6)
+        self.cancelled = False
 
 
 class DprScheduler:
-    """Multi-tenant asyncio front end over one ReconfigurationManager."""
+    """Multi-tenant front end over one ReconfigurationManager."""
 
     def __init__(self, manager: ReconfigurationManager, *,
                  cache: BitstreamCache,
@@ -153,11 +154,10 @@ class DprScheduler:
         #: the EDF queue: eligible entries per module, each heap keyed
         #: by (deadline, seq); a module leaves when its heap empties
         self._by_module: Dict[str, List[Tuple[int, int, _Entry]]] = {}
-        self._pending_count = 0
-        self._seq = 0
-        self._wake = asyncio.Event()
-        self._task: Optional["asyncio.Task[None]"] = None
-        self._stopping = False
+        #: every ticket's outcome, None until the request resolves
+        self.outcomes: List[Optional[RequestOutcome]] = []
+        #: unresolved entries by ticket; its length is the queue depth
+        self._queued: Dict[int, _Entry] = {}
         #: cycles the ICAP spent programming (utilization numerator)
         self.icap_busy_cycles = 0
         #: batches serviced and the requests they carried
@@ -189,6 +189,10 @@ class DprScheduler:
     def obs(self) -> "Optional[Observability]":
         return self.manager.soc.obs
 
+    @property
+    def submitted(self) -> int:  # the next ticket
+        return len(self.outcomes)
+
     def _cycles_to_us(self, cycles: int) -> float:
         return cycles * 1e6 / self._freq_hz
 
@@ -206,7 +210,7 @@ class DprScheduler:
             # them, from their values now on
             m.observed_counter("sched_requests_total",
                                "requests submitted to the scheduler",
-                               self, "_seq")
+                               self, "submitted")
             m.observed_counter("sched_icap_busy_cycles",
                                "cycles the ICAP spent programming",
                                self, "icap_busy_cycles")
@@ -238,9 +242,6 @@ class DprScheduler:
                 "retries": m.counter(
                     "sched_reconfig_retries_total",
                     "reconfigurations retried after a failure"),
-                "cancelled": m.counter(
-                    "sched_cancelled_total",
-                    "requests cancelled before service"),
                 "status": status_counters,
                 "deadline_misses": m.counter(
                     "sched_deadline_misses_total",
@@ -278,84 +279,57 @@ class DprScheduler:
     def _sample_depth(self) -> None:
         obs = self.obs
         if obs is not None:
-            self._metrics(obs)["depth"].set(float(self._pending_count))
-            obs.tracer.count("sched.queue_depth", self.sim.now,
-                             float(self._pending_count))
+            depth = float(len(self._queued))
+            self._metrics(obs)["depth"].set(depth)
+            obs.tracer.count("sched.queue_depth", self.sim.now, depth)
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # the synchronous surface
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Launch the arbiter task (idempotent)."""
-        if self._task is None or self._task.done():
-            self._stopping = False
-            self._task = asyncio.get_running_loop().create_task(
-                self._arbiter(), name="dpr-arbiter")
-
-    async def aclose(self) -> None:
-        """Stop after draining the queue."""
-        if self._task is None:
-            return
-        self._stopping = True
-        self._wake.set()
-        await self._task
-        self._task = None
-
-    async def __aenter__(self) -> "DprScheduler":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *_exc: object) -> None:
-        await self.aclose()
-
-    # ------------------------------------------------------------------
-    # submission
-    # ------------------------------------------------------------------
-    def submit(self, request: SwapRequest) -> "asyncio.Future[RequestOutcome]":
-        """Queue a request; the future resolves to its outcome."""
-        if self._stopping:
-            raise SchedulerError("scheduler is closing")
+    def submit(self, request: SwapRequest) -> int:
+        """Queue a request; returns its ticket, its index in outcomes."""
         if request.module not in self.soc.registered_modules:
             raise SchedulerError(
                 f"unknown module {request.module!r}: registered modules "
                 f"are {self.soc.registered_modules}")
-        try:
-            loop = asyncio.get_running_loop()
-        except RuntimeError as exc:  # pragma: no cover - usage error
-            raise SchedulerError(
-                "submit() requires a running event loop") from exc
         obs = self.obs
         if obs is not None:
             self._metrics(obs)  # a new registry counts this request
-        future: "asyncio.Future[RequestOutcome]" = loop.create_future()
-        entry = _Entry(request, future, self._seq, self._freq_hz)
-        self._seq += 1
+        entry = _Entry(request, len(self.outcomes), self._freq_hz)
+        self.outcomes.append(None)
+        self._queued[entry.seq] = entry
         heapq.heappush(self._arrivals,
                        (entry.arrival_cycle, entry.seq, entry))
-        self._pending_count += 1
         self._sample_depth()
-        self._wake.set()
-        return future
+        return entry.seq
 
-    # ------------------------------------------------------------------
-    # the arbiter
-    # ------------------------------------------------------------------
-    async def _arbiter(self) -> None:
-        while True:
-            self._promote_arrivals()
-            if self._by_module:
-                self._service_batch(self._collect_batch())
-                # yield so freshly submitted requests (and cancellations)
-                # land between batches
-                await asyncio.sleep(0)
-            elif self._arrivals:
-                # idle until the earliest pending arrival
-                self.sim.advance_to(self._arrivals[0][0])
-            elif self._stopping:
-                break
-            else:
-                self._wake.clear()
-                await self._wake.wait()
+    def cancel(self, ticket: int) -> bool:
+        """Mark a queued request, still counted in its batch, to resolve
+        CANCELLED at admission; False once it has resolved."""
+        entry = self._queued.get(ticket)
+        if entry is None:
+            return False
+        entry.cancelled = True
+        return True
+
+    def step(self) -> bool:
+        """Serve one batch; with nothing arrived, advance the clock to
+        the earliest arrival instead.  False when nothing is queued."""
+        self._promote_arrivals()
+        if self._by_module:
+            self._service_batch(self._collect_batch())
+        elif self._arrivals:
+            self.sim.advance_to(self._arrivals[0][0])
+        else:
+            return False
+        return True
+
+    def run(self, requests: List[SwapRequest]) -> List[RequestOutcome]:
+        """Submit ``requests``, step until idle; their outcomes in order."""
+        tickets = [self.submit(request) for request in requests]
+        while self.step():
+            pass
+        return [cast(RequestOutcome, self.outcomes[t]) for t in tickets]
 
     def _promote_arrivals(self) -> None:
         now = self.sim.now
@@ -407,8 +381,10 @@ class DprScheduler:
         """Pre-service gate: cancellation, queue timeout, late drop."""
         request = entry.request
         now_us = self._cycles_to_us(self.sim.now)
-        if entry.future.cancelled():
-            self._finish(entry, None)
+        if entry.cancelled:
+            self._finish(entry, self._outcome(
+                entry, CANCELLED, start=None,
+                error="cancelled before service"))
             return False
         if (request.timeout_us is not None
                 and now_us > request.arrival_us + request.timeout_us):
@@ -457,7 +433,7 @@ class DprScheduler:
             # a swap that failed its retries, a pbit missing from the
             # card, a refused switch, a power cap infeasible for one
             # atomic reconfiguration: served in-band as FAILED, so every
-            # submitted future resolves and the arbiter keeps serving
+            # submitted request resolves and the scheduler keeps serving
             for entry in entries:
                 self._finish(entry, self._outcome(
                     entry, FAILED, start=start_us, error=str(exc),
@@ -671,15 +647,11 @@ class DprScheduler:
             error=error,
         )
 
-    def _finish(self, entry: _Entry,
-                outcome: Optional[RequestOutcome]) -> None:
-        """Resolve the entry's future and record terminal metrics."""
-        self._pending_count -= 1
+    def _finish(self, entry: _Entry, outcome: RequestOutcome) -> None:
+        """Resolve the entry's ticket and record terminal metrics."""
+        del self._queued[entry.seq]
+        self.outcomes[entry.seq] = outcome
         obs = self.obs
-        if outcome is None:  # cancelled upstream; future already dead
-            if obs is not None:
-                self._metrics(obs)["cancelled"].inc()
-            return
         if obs is not None:
             instruments = self._metrics(obs)
             instruments["status"][outcome.status].inc()
@@ -698,8 +670,6 @@ class DprScheduler:
             if outcome.tc_us:
                 instruments["tc"].record(
                     int(outcome.tc_us * self._freq_hz / 1e6))
-        if not entry.future.cancelled():
-            entry.future.set_result(outcome)
 
     # ------------------------------------------------------------------
     # payload frames (content is irrelevant; geometry must match the RM)

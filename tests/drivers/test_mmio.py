@@ -1,4 +1,3 @@
-import asyncio
 from unittest import mock
 
 import pytest
@@ -96,7 +95,6 @@ class TestResolvedPorts:
             DprScheduler, WorkloadSpec, build_sched_soc, make_cache,
             synthesize,
         )
-        from repro.sched.replay import _serve
 
         spec = WorkloadSpec(requests=40, arrival_rate_rps=2000, modules=4,
                             frame=16, deadline_slack_us=20_000.0, seed=1)
@@ -117,8 +115,8 @@ class TestResolvedPorts:
 
         with mock.patch.multiple(HostPort, _issue_read=spy_read,
                                  _issue_write=spy_write):
-            outcomes = asyncio.run(_serve(DprScheduler(manager, cache=cache),
-                                          synthesize(spec)))
+            outcomes = DprScheduler(manager, cache=cache).run(
+                synthesize(spec))
         assert len(outcomes) == spec.requests
         assert plain == []
         assert soc.xbar.transactions == 1027

@@ -7,8 +7,6 @@ disjoint, each inside the DMA transfer that streamed it, with the
 charges ``icap_active_mw`` over exactly these spans.
 """
 
-import asyncio
-
 import pytest
 
 from repro.errors import ControllerError
@@ -70,7 +68,6 @@ def test_replay_charges_the_icap_only_while_it_configures():
     from repro.sched import (
         DprScheduler, WorkloadSpec, build_sched_soc, make_cache, synthesize,
     )
-    from repro.sched.replay import _serve
 
     spec = WorkloadSpec(requests=40, arrival_rate_rps=2000, modules=4,
                         frame=16, deadline_slack_us=20_000.0, seed=1)
@@ -78,7 +75,7 @@ def test_replay_charges_the_icap_only_while_it_configures():
     soc = manager.soc
     obs = soc.attach_observability()
     cache = make_cache(manager, arena_bytes=1 << 18)
-    asyncio.run(_serve(DprScheduler(manager, cache=cache), synthesize(spec)))
+    DprScheduler(manager, cache=cache).run(synthesize(spec))
     sessions = _assert_session_invariants(obs.tracer)
     assert len(sessions) == soc.icap.reconfigurations_completed
     # the port drains one word per cycle, so a session lasts at least

@@ -24,7 +24,6 @@ the engine with its bulk steps and closed-form polls refused
 points the closed forms must reproduce.
 """
 
-import asyncio
 from unittest import mock
 
 import numpy as np
@@ -660,7 +659,7 @@ def _replay_observe(engine, seed, rate):
             DprScheduler, WorkloadSpec, build_sched_soc, make_cache,
             synthesize,
         )
-        from repro.sched.replay import _serve, summarize
+        from repro.sched.replay import summarize
 
         spec = WorkloadSpec(requests=40, arrival_rate_rps=rate, modules=4,
                             frame=16, deadline_slack_us=20_000.0, seed=seed)
@@ -668,7 +667,7 @@ def _replay_observe(engine, seed, rate):
         obs = manager.soc.attach_observability()
         cache = make_cache(manager, arena_bytes=1 << 18)
         scheduler = DprScheduler(manager, cache=cache)
-        outcomes = asyncio.run(_serve(scheduler, synthesize(spec)))
+        outcomes = scheduler.run(synthesize(spec))
         report = summarize(outcomes, scheduler=scheduler, wall_seconds=0.0)
         document = report.to_dict(include_outcomes=True)
         document.pop("wall_seconds")

@@ -1,7 +1,5 @@
 """Power-aware scheduling: energy accounting, caps, budgets, sweeps."""
 
-import asyncio
-
 import pytest
 
 from repro.power import DEFAULT_PROFILE
@@ -14,16 +12,6 @@ from repro.sched import (
     bench,
     power_sweep,
 )
-
-
-def run(coro):
-    return asyncio.run(coro)
-
-
-async def _serve_all(scheduler, requests):
-    async with scheduler:
-        futures = [scheduler.submit(r) for r in requests]
-        return await asyncio.gather(*futures)
 
 
 SPEC = WorkloadSpec(requests=60, arrival_rate_rps=2000.0, modules=4,
@@ -63,7 +51,7 @@ class TestEnergyAccounting:
             SwapRequest("rm1", 10.0, 90_000.0, request_id=1, tenant="b"),
             SwapRequest("rm2", 10.0, 90_000.0, request_id=2),  # shared pool
         ]
-        outcomes = run(_serve_all(scheduler, requests))
+        outcomes = scheduler.run(requests)
         assert all(o.status == COMPLETED for o in outcomes)
         summary = scheduler.power_summary()
         per_tenant = summary["energy_by_tenant"]
@@ -102,8 +90,8 @@ class TestPeakPowerCap:
         scheduler = DprScheduler(manager, cache=cache,
                                  peak_power_mw=DEFAULT_PROFILE.floor_mw + 0.5,
                                  power_window_us=200.0)
-        outcomes = run(_serve_all(scheduler, [
-            SwapRequest("rm0", 10.0, 90_000.0, request_id=0)]))
+        outcomes = scheduler.run([
+            SwapRequest("rm0", 10.0, 90_000.0, request_id=0)])
         assert outcomes[0].status == "failed"
         assert "infeasible" in outcomes[0].error
 
@@ -123,7 +111,7 @@ class TestEnergyBudgets:
             SwapRequest("rm2", 200.0, 90_000.0, request_id=2,
                         tenant="free"),
         ]
-        outcomes = run(_serve_all(scheduler, requests))
+        outcomes = scheduler.run(requests)
         by_id = {o.request_id: o for o in outcomes}
         # first request is admitted (budget untouched), burns the budget
         assert by_id[0].status == COMPLETED

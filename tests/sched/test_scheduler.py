@@ -1,33 +1,26 @@
 """DprScheduler: EDF order, batching, failure modes, accounting.
 
-Tests drive the scheduler directly through asyncio.run — the arbiter
-advances *simulated* time, so every scenario is deterministic.
+Tests drive the scheduler directly through ``run`` or ``submit`` and
+``step`` — each step advances *simulated* time, so every scenario is
+deterministic.
 """
 
-import asyncio
+from unittest import mock
 
 import pytest
 
 from repro.errors import SchedulerError
 from repro.faults import install_mem_fault, remove_mem_fault
 from repro.sched import (
+    CANCELLED,
     COMPLETED,
     DROPPED,
     FAILED,
     TIMED_OUT,
     DprScheduler,
     SwapRequest,
+    summarize,
 )
-
-
-def run(coro):
-    return asyncio.run(coro)
-
-
-async def _serve_all(scheduler, requests):
-    async with scheduler:
-        futures = [scheduler.submit(r) for r in requests]
-        return await asyncio.gather(*futures)
 
 
 class TestArbitration:
@@ -40,7 +33,7 @@ class TestArbitration:
             SwapRequest("rm1", 10.0, 30_000.0, request_id=1),
             SwapRequest("rm2", 10.0, 60_000.0, request_id=2),
         ]
-        outcomes = run(_serve_all(scheduler, requests))
+        outcomes = scheduler.run(requests)
         by_start = sorted(outcomes, key=lambda o: o.start_us)
         assert [o.module for o in by_start] == ["rm1", "rm2", "rm0"]
         assert all(o.status == COMPLETED for o in outcomes)
@@ -54,7 +47,7 @@ class TestArbitration:
             SwapRequest("rm1", 10.0, 50_000.0, request_id=1),
             SwapRequest("rm0", 10.0, 90_000.0, request_id=2),
         ]
-        outcomes = run(_serve_all(scheduler, requests))
+        outcomes = scheduler.run(requests)
         lead, other, rider = outcomes
         # the far-deadline rm0 rides the first batch, ahead of rm1
         assert rider.batched and not rider.reconfigured
@@ -71,7 +64,7 @@ class TestArbitration:
         scheduler = DprScheduler(manager, cache=cache, batch_limit=2)
         requests = [SwapRequest("rm0", 10.0, 90_000.0, request_id=i)
                     for i in range(4)]
-        run(_serve_all(scheduler, requests))
+        scheduler.run(requests)
         hist = manager.soc.obs.metrics.get("sched_batch_size")
         assert hist.max == 2 and hist.count == 2
 
@@ -79,10 +72,10 @@ class TestArbitration:
             self, sched_platform_factory):
         manager, cache = sched_platform_factory()
         scheduler = DprScheduler(manager, cache=cache, batch_limit=1)
-        outcomes = run(_serve_all(scheduler, [
+        outcomes = scheduler.run([
             SwapRequest("rm0", 10.0, 50_000.0, request_id=0),
             SwapRequest("rm0", 10.0, 90_000.0, request_id=1),
-        ]))
+        ])
         # batch_limit=1 forces two batches; the second finds rm0 loaded
         second = max(outcomes, key=lambda o: o.start_us)
         assert not second.reconfigured and second.tr_us == 0.0
@@ -93,13 +86,8 @@ class TestArbitration:
             self, sched_platform_factory):
         manager, cache = sched_platform_factory()
         scheduler = DprScheduler(manager, cache=cache)
-
-        async def go():
-            async with scheduler:
-                with pytest.raises(SchedulerError):
-                    scheduler.submit(SwapRequest("nope", 0.0, 1.0))
-
-        run(go())
+        with pytest.raises(SchedulerError):
+            scheduler.submit(SwapRequest("nope", 0.0, 1.0))
 
 
 class TestDeadlinesAndLateness:
@@ -107,9 +95,9 @@ class TestDeadlinesAndLateness:
             self, sched_platform_factory):
         manager, cache = sched_platform_factory()
         scheduler = DprScheduler(manager, cache=cache)
-        outcome, = run(_serve_all(scheduler, [
+        outcome, = scheduler.run([
             SwapRequest("rm0", 10.0, 11.0, payload_shape=(32, 32)),
-        ]))
+        ])
         assert outcome.status == COMPLETED
         assert outcome.deadline_missed
         misses = manager.soc.obs.metrics.get(
@@ -121,11 +109,11 @@ class TestDeadlinesAndLateness:
         manager, cache = sched_platform_factory()
         scheduler = DprScheduler(manager, cache=cache, batch_limit=1,
                                  drop_late=True)
-        outcomes = run(_serve_all(scheduler, [
+        outcomes = scheduler.run([
             # rm0 wins EDF; its ~80 us swap outlives rm1's deadline
             SwapRequest("rm0", 10.0, 40.0, request_id=0),
             SwapRequest("rm1", 10.0, 60.0, request_id=1),
-        ]))
+        ])
         statuses = {o.request_id: o.status for o in outcomes}
         assert statuses[1] == DROPPED
         dropped = next(o for o in outcomes if o.request_id == 1)
@@ -135,11 +123,11 @@ class TestDeadlinesAndLateness:
             self, sched_platform_factory):
         manager, cache = sched_platform_factory()
         scheduler = DprScheduler(manager, cache=cache, batch_limit=1)
-        outcomes = run(_serve_all(scheduler, [
+        outcomes = scheduler.run([
             SwapRequest("rm0", 10.0, 50_000.0, request_id=0),
             SwapRequest("rm1", 10.0, 90_000.0, timeout_us=5.0,
                         request_id=1),
-        ]))
+        ])
         statuses = {o.request_id: o.status for o in outcomes}
         assert statuses == {0: COMPLETED, 1: TIMED_OUT}
         timed_out = next(o for o in outcomes if o.request_id == 1)
@@ -151,25 +139,29 @@ class TestCancellation:
             self, sched_platform_factory):
         manager, cache = sched_platform_factory()
         scheduler = DprScheduler(manager, cache=cache)
-
-        async def go():
-            async with scheduler:
-                keep = scheduler.submit(
-                    SwapRequest("rm0", 10.0, 50_000.0, request_id=0))
-                drop = scheduler.submit(
-                    SwapRequest("rm1", 10.0, 90_000.0, request_id=1))
-                drop.cancel()
-                kept = await keep
-                with pytest.raises(asyncio.CancelledError):
-                    await drop
-                return kept
-
-        kept = run(go())
+        keep = scheduler.submit(
+            SwapRequest("rm0", 10.0, 50_000.0, request_id=0))
+        drop = scheduler.submit(
+            SwapRequest("rm1", 10.0, 90_000.0, request_id=1))
+        assert scheduler.cancel(drop)
+        while scheduler.step():
+            pass
+        kept, dropped = scheduler.outcomes[keep], scheduler.outcomes[drop]
         assert kept.status == COMPLETED
-        cancelled = manager.soc.obs.metrics.get("sched_cancelled_total")
-        assert cancelled.value == 1
+        # a cancelled request finishes like every other: in-band, late
+        assert dropped.status == CANCELLED
+        assert dropped.error == "cancelled before service"
+        assert dropped.start_us is None and dropped.finish_us is None
+        metrics = manager.soc.obs.metrics
+        assert metrics.get("sched_cancelled_total").value == 1
+        report = summarize(scheduler.outcomes, scheduler=scheduler,
+                           wall_seconds=0.0)
+        assert (metrics.get("sched_deadline_misses_total").value
+                == report.deadline_misses == 1)
         # the cancelled module was never swapped in
         assert manager.soc.active_module(0) == "rm0"
+        assert manager.soc.icap.reconfigurations_completed == 1
+        assert not scheduler.cancel(drop)
 
 
 class TestFaultHandling:
@@ -181,9 +173,9 @@ class TestFaultHandling:
         cache.invalidate("rm0")
         install_mem_fault(channel, fail_read_at=pbit // 2)  # once=True
         scheduler = DprScheduler(manager, cache=cache)
-        outcome, = run(_serve_all(scheduler, [
+        outcome, = scheduler.run([
             SwapRequest("rm0", 10.0, 90_000.0, request_id=0),
-        ]))
+        ])
         assert outcome.status == COMPLETED
         assert manager.soc.active_module(0) == "rm0"
         retries = manager.soc.obs.metrics.get(
@@ -196,17 +188,11 @@ class TestFaultHandling:
         channel = manager.soc.rvcap.dma.mm2s
         proxy = install_mem_fault(channel, fail_read_at=0, once=False)
         scheduler = DprScheduler(manager, cache=cache)
-
-        async def go():
-            async with scheduler:
-                failed = await scheduler.submit(
-                    SwapRequest("rm0", 10.0, 90_000.0, request_id=0))
-                remove_mem_fault(channel, proxy)
-                recovered = await scheduler.submit(
-                    SwapRequest("rm1", 10.0, 500_000.0, request_id=1))
-                return failed, recovered
-
-        failed, recovered = run(go())
+        failed, = scheduler.run([
+            SwapRequest("rm0", 10.0, 90_000.0, request_id=0)])
+        remove_mem_fault(channel, proxy)
+        recovered, = scheduler.run([
+            SwapRequest("rm1", 10.0, 500_000.0, request_id=1)])
         assert failed.status == FAILED and failed.error
         assert recovered.status == COMPLETED
         assert manager.soc.active_module(0) == "rm1"
@@ -229,8 +215,7 @@ class TestFaultHandling:
         requests = [SwapRequest(name, 10.0 + 5_000.0 * i,
                                 1_000_000.0, request_id=i)
                     for i, name in enumerate(modules)]
-        outcomes = run(_serve_all(DprScheduler(manager, cache=cache),
-                                  requests))
+        outcomes = DprScheduler(manager, cache=cache).run(requests)
         assert [o.status for o in outcomes] == [
             COMPLETED, FAILED, COMPLETED, COMPLETED, COMPLETED]
         assert "CRC check failed" in outcomes[1].error
@@ -256,22 +241,30 @@ class TestFaultHandling:
         cache = make_cache(manager, charge_sd_time=False)
         requests = [SwapRequest("rm0", 10.0, 1_000_000.0, request_id=0),
                     SwapRequest("rm1", 5_000.0, 1_000_000.0, request_id=1)]
-        outcomes = run(_serve_all(DprScheduler(manager, cache=cache),
-                                  requests))
+        outcomes = DprScheduler(manager, cache=cache).run(requests)
         assert [o.status for o in outcomes] == [FAILED, COMPLETED]
         assert "ended empty" in outcomes[0].error
         assert soc.icap.reconfigurations_completed == 1
 
 
-async def _serve_within(scheduler, requests, seconds=30.0):
-    """Serve ``requests``, failing (not hanging) if a future never
-    resolves."""
-    async with scheduler:
-        futures = [scheduler.submit(r) for r in requests]
-        return await asyncio.wait_for(asyncio.gather(*futures), seconds)
+def _serve_stepwise(scheduler, requests):
+    """Serve ``requests`` one ``step()`` at a time, checking after every
+    step that no RP is left decoupled and no ICAP span is left open."""
+    soc = scheduler.soc
+    tickets = [scheduler.submit(r) for r in requests]
+    steps = 0
+    while scheduler.step():
+        steps += 1
+        # each step serves a batch or lands on an arrival
+        assert steps <= 2 * len(requests)
+        assert soc.rvcap.rp_control.decouple_mask == 0
+        assert all(span.end_cycle is not None for span in soc.obs.tracer.spans
+                   if span.track == "icap")
+    assert all(outcome is not None for outcome in scheduler.outcomes)
+    return [scheduler.outcomes[t] for t in tickets]
 
 
-class TestEveryFutureResolves:
+class TestEveryRequestResolves:
     @pytest.mark.parametrize("controller", ["rvcap", "hwicap"])
     def test_missing_pbit_fails_its_request_alone(self, controller):
         from repro.fat32 import make_disk_image
@@ -284,10 +277,10 @@ class TestEveryFutureResolves:
         soc.sdcard.load_blocks(
             make_disk_image({"RM1.PBI": rm1}).populated_blocks())
         cache = make_cache(manager, charge_sd_time=False)
-        outcomes = run(_serve_within(DprScheduler(manager, cache=cache), [
+        outcomes = _serve_stepwise(DprScheduler(manager, cache=cache), [
             SwapRequest("rm0", 10.0, 1_000_000.0, request_id=0),
             SwapRequest("rm1", 5_000.0, 1_000_000.0, request_id=1),
-        ]))
+        ])
         assert [o.status for o in outcomes] == [FAILED, COMPLETED]
         assert "RM0.PBI" in outcomes[0].error
         assert soc.active_module(0) == "rm1"
@@ -304,11 +297,11 @@ class TestEveryFutureResolves:
 
         manager, cache = sched_platform_factory()
         _stall_s2mm(manager.soc, manager)
-        outcomes = run(_serve_within(DprScheduler(manager, cache=cache), [
+        outcomes = _serve_stepwise(DprScheduler(manager, cache=cache), [
             SwapRequest("rm0", 200.0, 1_000_000.0, request_id=0),
             SwapRequest("rm1", 5_000.0, 1_000_000.0,
                         payload_shape=(32, 32), request_id=1),
-        ]))
+        ])
         assert [o.status for o in outcomes] == [FAILED, COMPLETED]
         assert "mid-transfer" in outcomes[0].error
         assert manager.soc.active_module(0) == "rm1"
@@ -320,10 +313,20 @@ class TestEveryFutureResolves:
         manager, cache = sched_platform_factory()
         install_mem_fault(manager.soc.rvcap.dma.mm2s, fail_read_at=0,
                           once=False)
-        outcome, = run(_serve_within(DprScheduler(manager, cache=cache), [
+        outcome, = _serve_stepwise(DprScheduler(manager, cache=cache), [
             SwapRequest("rm0", 10.0, 90_000.0, request_id=0),
-        ]))
+        ])
         assert outcome.status == FAILED
         retries = manager.soc.obs.metrics.get(
             "sched_reconfig_retries_total")
         assert retries.value == 1
+
+    def test_unexpected_error_escapes_run(self, sched_platform_factory):
+        # only a ReproError is served in-band; anything else is a bug,
+        # and it surfaces instead of leaving the replay waiting
+        manager, cache = sched_platform_factory()
+        scheduler = DprScheduler(manager, cache=cache)
+        with mock.patch.object(manager, "load_module",
+                               side_effect=RuntimeError("boom")):
+            with pytest.raises(RuntimeError, match="boom"):
+                scheduler.run([SwapRequest("rm0", 10.0, 90_000.0)])

@@ -1,25 +1,13 @@
-"""Scheduler internals: the EDF queue empties and replay cancel accounting.
+"""Scheduler internals: the EDF queue empties and cancel accounting.
 
 The EDF queue is one deadline heap per module; a module leaves it when
 its heap empties.  These tests pin that nothing stays queued after
-service, plus the replay harness's accounting for futures cancelled
-before service.
+service, plus the report's accounting for requests cancelled before
+service.
 """
 
-import asyncio
-
 from repro.sched import CANCELLED, COMPLETED, DprScheduler, SwapRequest
-from repro.sched.replay import _serve, summarize
-
-
-def run(coro):
-    return asyncio.run(coro)
-
-
-async def _serve_all(scheduler, requests):
-    async with scheduler:
-        futures = [scheduler.submit(r) for r in requests]
-        return await asyncio.gather(*futures)
+from repro.sched.replay import summarize
 
 
 class TestEdfQueueEmpties:
@@ -32,7 +20,7 @@ class TestEdfQueueEmpties:
             SwapRequest("rm0", 10.0, 30_000.0 + 1_000.0 * i, request_id=i)
             for i in range(60)
         ]
-        outcomes = run(_serve_all(scheduler, requests))
+        outcomes = scheduler.run(requests)
         assert all(o.status == COMPLETED for o in outcomes)
         assert scheduler._by_module == {}
 
@@ -47,7 +35,7 @@ class TestEdfQueueEmpties:
                         request_id=i)
             for i in range(50)
         ]
-        outcomes = run(_serve_all(scheduler, requests))
+        outcomes = scheduler.run(requests)
         assert len(outcomes) == 50
         assert all(o.status == COMPLETED for o in outcomes)
 
@@ -57,20 +45,15 @@ class TestReplayCancelledAccounting:
             self, sched_platform_factory):
         manager, cache = sched_platform_factory()
         scheduler = DprScheduler(manager, cache=cache)
-        original_submit = scheduler.submit
-
-        def submit(request):
-            future = original_submit(request)
-            if request.request_id == 1:
-                future.cancel()
-            return future
-
-        scheduler.submit = submit  # type: ignore[method-assign]
         requests = [
             SwapRequest("rm0", 10.0, 50_000.0, request_id=0),
             SwapRequest("rm1", 10.0, 90_000.0, request_id=1),
         ]
-        outcomes = run(_serve(scheduler, requests))
+        tickets = [scheduler.submit(request) for request in requests]
+        scheduler.cancel(tickets[1])
+        while scheduler.step():
+            pass
+        outcomes = scheduler.outcomes
         # the cancelled request is reported, not silently dropped
         assert len(outcomes) == 2
         cancelled = [o for o in outcomes if o.status == CANCELLED]

@@ -138,6 +138,17 @@ class TestCli:
         assert main(["serve", str(path), "--modules", "2"]) == 2
         capsys.readouterr()
 
+    def test_text_report_counts_failed_requests(self, capsys):
+        # no reconfiguration fits under a 200 mW cap: the text report
+        # says why none of the 20 requests completed
+        from repro.cli import main
+        assert main(["sched-bench", "--requests", "20", "--modules", "4",
+                     "--frame", "32", "--cache-kb", "64",
+                     "--power-cap-mw", "200"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "completed           0" in lines
+        assert "statuses            failed 20" in lines
+
     def test_power_sweep_rows_count_failed_requests(self, capsys):
         # one reconfiguration does not fit under a 200 mW cap, so every
         # request fails in-band: no deferral, no energy, 20 failed

@@ -5,8 +5,6 @@ The gate must refuse a corrupted DDR-resident bitstream as status
 memoize the verdict so clean traces pay one verification per placement.
 """
 
-import asyncio
-
 import numpy as np
 import pytest
 
@@ -22,16 +20,6 @@ from repro.sched import (
     make_cache,
     replay,
 )
-
-
-def run(coro):
-    return asyncio.run(coro)
-
-
-async def _serve_all(scheduler, requests):
-    async with scheduler:
-        futures = [scheduler.submit(r) for r in requests]
-        return await asyncio.gather(*futures)
 
 
 @pytest.fixture()
@@ -63,7 +51,7 @@ class TestRejection:
         scheduler = DprScheduler(manager, cache=cache, verify=True)
         requests = [SwapRequest("rm0", 10.0, 100_000.0, request_id=i)
                     for i in range(3)]
-        outcomes = run(_serve_all(scheduler, requests))
+        outcomes = scheduler.run(requests)
         assert [o.status for o in outcomes] == [REJECTED] * 3
         assert all("failed verification" in (o.error or "")
                    for o in outcomes)
@@ -81,7 +69,7 @@ class TestRejection:
             SwapRequest("rm1", 10.0, 200_000.0, request_id=1),
             SwapRequest("rm2", 10.0, 300_000.0, request_id=2),
         ]
-        outcomes = run(_serve_all(scheduler, requests))
+        outcomes = scheduler.run(requests)
         by_id = {o.request_id: o.status for o in outcomes}
         assert by_id[0] == REJECTED
         assert by_id[1] == COMPLETED
@@ -94,8 +82,7 @@ class TestRejection:
         manager, cache = platform
         corrupt_resident_bitstream(manager, cache, "rm0")
         scheduler = DprScheduler(manager, cache=cache, verify=False)
-        outcomes = run(_serve_all(
-            scheduler, [SwapRequest("rm0", 10.0, 100_000.0)]))
+        outcomes = scheduler.run([SwapRequest("rm0", 10.0, 100_000.0)])
         assert outcomes[0].status != REJECTED
         assert manager.soc.icap.words_consumed > 0
 
@@ -117,7 +104,7 @@ class TestMemoization:
         requests = [SwapRequest(f"rm{i % 2}", 10.0 * (i + 1), 500_000.0,
                                 request_id=i)
                     for i in range(8)]
-        outcomes = run(_serve_all(scheduler, requests))
+        outcomes = scheduler.run(requests)
         assert all(o.status == COMPLETED for o in outcomes)
         # 8 requests over 2 modules, each resident at one address: the
         # memo limits the static analysis to one pass per placement
