@@ -656,6 +656,10 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.fleet import run_fleet
+    if args.stable and not args.json:
+        print("fleet: --stable needs --json (the text report shows wall "
+              "time)", file=sys.stderr)
+        return 2
     params: dict = {}
     if args.task == "faults":
         params = {"points": args.points, "mode": args.mode}
@@ -992,8 +996,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="print the report as JSON")
     p.add_argument("--stable", action="store_true",
-                   help="with --json: deterministic fields only "
-                        "(drops wall time and worker count)")
+                   help="with --json (required): deterministic fields "
+                        "only (drops wall time and worker count)")
     p.add_argument("-o", "--output", default=None,
                    help="also write the stable JSON report to a file")
     p.set_defaults(func=_cmd_fleet)

@@ -67,7 +67,9 @@ where, and as long as, the poll loop would.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Generator, List, Optional, Tuple
+from collections import defaultdict
+from typing import (TYPE_CHECKING, Callable, DefaultDict, Generator, Optional,
+                    Tuple)
 
 import numpy as np
 
@@ -80,6 +82,7 @@ from repro.sim.kernel import Delay, Simulator
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import Observability
     from repro.obs.metrics import Counter, Histogram
+    from repro.obs.tracer import Span
 
 # register offsets (PG021 subset)
 MM2S_DMACR = 0x00
@@ -162,18 +165,24 @@ class DmaChannel:
         self.last_start_cycle = 0
         self.last_complete_cycle = 0
         self._active_gen = None  # in-flight _run generator (for reset abort)
+        #: the channel's trace track and simulator process name
+        self._track = f"dma.{name}"
         # observability (attach_obs): tracer spans + metric instruments;
         # every emit below is guarded so the detached cost is one check
         self.obs: Optional["Observability"] = None
-        self._span = None
+        self._span: Optional["Span"] = None
         self._h_burst: Optional["Histogram"] = None
         self._h_transfer: Optional["Histogram"] = None
         self._c_bytes: Optional["Counter"] = None
         self._c_stall: Optional["Counter"] = None
 
     def attach_obs(self, obs: "Observability") -> None:
-        """Wire the channel into an :class:`~repro.obs.Observability`."""
+        """Wire the channel into an :class:`~repro.obs.Observability`.
+
+        The busy signal mirrors the channel's transfer spans.
+        """
         self.obs = obs
+        obs.tracer.mirror(f"dma_{self.name}_busy", self._track, "transfer")
         metrics = obs.metrics
         self._h_burst = metrics.histogram(
             f"dma_{self.name}_burst_latency_cycles",
@@ -201,14 +210,14 @@ class DmaChannel:
                 self._active_gen = None
                 self.transfers_aborted += 1
                 if self.obs is not None:
+                    now = self.sim.now
                     tracer = self.obs.tracer
                     if self._span is not None:
-                        tracer.end(self._span, self.sim.now,
+                        tracer.end(self._span, now,
                                    status="aborted", bytes=self.bytes_done)
                         self._span = None
-                    tracer.instant(f"dma.{self.name}", "reset", self.sim.now,
+                    tracer.instant(self._track, "reset", now,
                                    bytes_done=self.bytes_done)
-                    tracer.signal(f"dma_{self.name}_busy", self.sim.now, 0)
             self.control = 0
             self.status = SR_HALTED
             self.busy = False
@@ -242,14 +251,13 @@ class DmaChannel:
         self.busy = True
         self.status &= ~SR_IDLE
         self.bytes_done = 0
-        self.last_start_cycle = self.sim.now
+        self.last_start_cycle = now = self.sim.now
         if self.obs is not None:
             self._span = self.obs.tracer.begin(
-                f"dma.{self.name}", "transfer", self.sim.now,
+                self._track, "transfer", now,
                 address=self.address, length=self.length)
-            self.obs.tracer.signal(f"dma_{self.name}_busy", self.sim.now, 1)
         self._active_gen = self._run()
-        self.sim.add_process(self._active_gen, name=f"dma.{self.name}")
+        self.sim.add_process(self._active_gen, name=self._track)
 
     # ------------------------------------------------------------------
     # the transfer engine
@@ -260,7 +268,7 @@ class DmaChannel:
                          else self._run_s2mm())
         self.busy = False
         self._active_gen = None
-        self.last_complete_cycle = self.sim.now
+        self.last_complete_cycle = now = self.sim.now
         if not ok:
             # PG021 error semantics: the channel halts, DMASR.Err_Irq
             # latches, and the run/stop bit drops.  The transfer is NOT
@@ -271,26 +279,24 @@ class DmaChannel:
             if self.obs is not None:
                 tracer = self.obs.tracer
                 if self._span is not None:
-                    tracer.end(self._span, self.sim.now, status="error",
+                    tracer.end(self._span, now, status="error",
                                bytes=self.bytes_done)
                     self._span = None
-                tracer.instant(f"dma.{self.name}", "error", self.sim.now,
+                tracer.instant(self._track, "error", now,
                                bytes_done=self.bytes_done)
-                tracer.signal(f"dma_{self.name}_busy", self.sim.now, 0)
             if self.control & CR_ERR_IRQ_EN and self.irq_callback is not None:
                 self.irq_callback()
             return
         self.status |= SR_IDLE | SR_IOC_IRQ
         self.transfers_completed += 1
         if self.obs is not None:
-            cycles = self.sim.now - self.last_start_cycle
             if self._span is not None:
-                self.obs.tracer.end(self._span, self.sim.now, status="ok",
+                self.obs.tracer.end(self._span, now, status="ok",
                                     bytes=self.bytes_done)
                 self._span = None
-            self.obs.tracer.signal(f"dma_{self.name}_busy", self.sim.now, 0)
-            self._h_transfer.record(cycles)  # type: ignore[union-attr]
-            self._c_bytes.inc(self.bytes_done)  # type: ignore[union-attr]
+            self._h_transfer.record(  # type: ignore[union-attr]
+                now - self.last_start_cycle)
+            self._c_bytes.value += self.bytes_done  # type: ignore[union-attr]
         if self.control & CR_IOC_IRQ_EN and self.irq_callback is not None:
             self.irq_callback()
 
@@ -302,20 +308,21 @@ class DmaChannel:
     # so error returns, CR_RESET aborts and side-effect callbacks (ICAP
     # completion, IRQs) all observe exactly the generator-model time.
     # ------------------------------------------------------------------
-    def _flush_obs(self, latencies: List[int], stall: int) -> int:
-        """Fold locally accumulated samples into the instruments.
+    def _flush_obs(self, latencies: DefaultDict[int, int]) -> None:
+        """Fold the burst latencies counted since the last flush (a
+        transfer's bursts take a handful of distinct values) into the
+        histogram.
 
-        Called before every real yield (the only points where the
-        generator can be unwound by ``CR_RESET``) and at every return,
-        so the instruments never trail the burst schedule at any point
-        foreign code can observe them.  Returns the reset stall count.
+        Called, when any were counted, before every real yield (the
+        only points where the generator can be unwound by
+        ``CR_RESET``) and at every return, so the histogram never
+        trails the burst schedule at any point foreign code can observe
+        it.  The stall counter advances at every pacing step.
         """
-        if self._h_burst is not None and latencies:
-            self._h_burst.record_many(latencies)
-            latencies.clear()
-        if stall and self._c_stall is not None:
-            self._c_stall.inc(stall)
-        return 0
+        record_count = self._h_burst.record_count  # type: ignore[union-attr]
+        for value, count in latencies.items():
+            record_count(value, count)
+        latencies.clear()
 
     def _resolve_bulk(self, addr: int, length: int
                       ) -> Optional[Tuple[BulkRead, BulkAccept]]:
@@ -399,8 +406,8 @@ class DmaChannel:
         read_time = sim.now
         accept_done = sim.now
         observed = self.obs is not None
-        latencies: List[int] = []
-        stall = 0
+        latencies: DefaultDict[int, int] = defaultdict(int)
+        stall_counter = self._c_stall
         okay = AxiResp.OKAY
         # the route's resolved ports, called once per burst (module
         # docstring); a failed burst comes back as the read's resp
@@ -416,20 +423,21 @@ class DmaChannel:
                 step = self._bulk_step(bulk, addr, count, read_time)
             if step is not None:
                 nbytes, read_time, accept_done, advanced = step
-                if observed:
-                    stall += advanced
+                if stall_counter is not None:
+                    stall_counter.value += advanced
             else:
                 nbytes = burst if burst < remaining else remaining
                 issue_time = read_time
                 data, read_time, resp = read(addr, nbytes, issue_time)
                 if resp is not okay:
-                    self._flush_obs(latencies, stall)
+                    if latencies:
+                        self._flush_obs(latencies)
                     return False
                 accept_done = accept(data, read_time)
                 self.bytes_done += nbytes
                 self.bursts_completed += 1
                 if observed:
-                    latencies.append(read_time - issue_time)
+                    latencies[read_time - issue_time] += 1
             addr += nbytes
             remaining -= nbytes
             # pace the engine: at most one burst ahead of the consumer
@@ -438,15 +446,17 @@ class DmaChannel:
                 target = read_time
             now = sim._now
             if target > now:
-                if observed:
-                    stall += target - now
+                if stall_counter is not None:
+                    stall_counter.value += target - now
                 if target < batch_window():
                     batch_advance(target)
                 else:
-                    stall = self._flush_obs(latencies, stall)
+                    if latencies:
+                        self._flush_obs(latencies)
                     yield Delay(target - now)
         final = read_time if read_time > accept_done else accept_done
-        self._flush_obs(latencies, stall)
+        if latencies:
+            self._flush_obs(latencies)
         if final > sim.now:
             yield Delay(final - sim.now)
         return True
@@ -463,8 +473,8 @@ class DmaChannel:
         pull_time = sim.now
         write_time = sim.now
         observed = self.obs is not None
-        latencies: List[int] = []
-        stall = 0
+        latencies: DefaultDict[int, int] = defaultdict(int)
+        stall_counter = self._c_stall
         spins = 0
         okay = AxiResp.OKAY
         write = self.mem_port.resolve_write(addr, addr + remaining)
@@ -499,7 +509,8 @@ class DmaChannel:
                         batch_advance(now)
                         ready = now + k
                     spins = 0
-                    stall = self._flush_obs(latencies, stall)
+                    if latencies:
+                        self._flush_obs(latencies)
                     yield Delay(ready - now)
                     continue
                 break
@@ -508,7 +519,8 @@ class DmaChannel:
             issue_time = pull_time if pull_time > write_time else write_time
             _, write_time, resp = write(addr, data, issue_time)
             if resp is not okay:
-                self._flush_obs(latencies, stall)
+                if latencies:
+                    self._flush_obs(latencies)
                 return False
             ndata = len(data)
             addr += ndata
@@ -516,21 +528,23 @@ class DmaChannel:
             self.bytes_done += ndata
             self.bursts_completed += 1
             if observed:
-                latencies.append(write_time - issue_time)
+                latencies[write_time - issue_time] += 1
             target = write_time - burst
             if pull_time > target:
                 target = pull_time
             now = sim._now
             if target > now:
-                if observed:
-                    stall += target - now
+                if stall_counter is not None:
+                    stall_counter.value += target - now
                 if target < batch_window():
                     batch_advance(target)
                 else:
-                    stall = self._flush_obs(latencies, stall)
+                    if latencies:
+                        self._flush_obs(latencies)
                     yield Delay(target - now)
         final = pull_time if pull_time > write_time else write_time
-        self._flush_obs(latencies, stall)
+        if latencies:
+            self._flush_obs(latencies)
         if final > sim.now:
             yield Delay(final - sim.now)
         return True

@@ -8,7 +8,7 @@ coupling/decoupling".  The driver APIs ``decouple_accel()`` and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.axi.interface import RegisterBank
 from repro.axi.isolator import AxiIsolator, StreamIsolator
@@ -62,6 +62,9 @@ class RpControlInterface(RegisterBank):
         self.obs: Optional["Observability"] = None
         self._clock: Callable[[], int] = lambda: 0
         self._decouple_spans: Dict[int, "Span"] = {}
+        #: RPs with an isolator (and RP 0), ascending, with their
+        #: decoupled-span names: the RPs a DECOUPLE write traces
+        self._traced_rps: List[Tuple[int, str]] = [(0, "rp0_decoupled")]
 
         self.define_register(DECOUPLE_OFFSET, on_write=self._write_decouple,
                              on_read=lambda _o: self.decouple_mask)
@@ -94,6 +97,9 @@ class RpControlInterface(RegisterBank):
             self._axi_isolators.setdefault(rp_index, []).append(isolator)
         else:
             self._stream_isolators.setdefault(rp_index, []).append(isolator)
+        known = set(self._axi_isolators) | set(self._stream_isolators) | {0}
+        self._traced_rps = [(index, f"rp{index}_decoupled")
+                            for index in sorted(known)]
 
     def attach_rm_start(self, hook: Callable[[], None]) -> None:
         self._rm_start_hooks.append(hook)
@@ -117,19 +123,20 @@ class RpControlInterface(RegisterBank):
     def _write_decouple(self, value: int) -> None:
         if self.obs is not None and value != self.decouple_mask:
             now = self._clock()
-            self.obs.tracer.signal("rp_decouple", now, value)
-            known = (set(self._axi_isolators) | set(self._stream_isolators)
-                     | {0})
-            for rp_index in sorted(known):
-                was = bool(self.decouple_mask & (1 << rp_index))
-                is_now = bool(value & (1 << rp_index))
-                if is_now and not was:
-                    self._decouple_spans[rp_index] = self.obs.tracer.begin(
-                        "rp", f"rp{rp_index}_decoupled", now)
-                elif was and not is_now:
+            tracer = self.obs.tracer
+            tracer.signal("rp_decouple", now, value)
+            changed = value ^ self.decouple_mask
+            for rp_index, span_name in self._traced_rps:
+                bit = 1 << rp_index
+                if not changed & bit:
+                    continue
+                if value & bit:
+                    self._decouple_spans[rp_index] = tracer.begin(
+                        "rp", span_name, now)
+                else:
                     span = self._decouple_spans.pop(rp_index, None)
                     if span is not None:
-                        self.obs.tracer.end(span, now)
+                        tracer.end(span, now)
         self.decouple_mask = value & 0xFFFF_FFFF
         for rp_index, isolators in self._axi_isolators.items():
             state = bool(value & (1 << rp_index))

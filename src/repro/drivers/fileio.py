@@ -158,6 +158,7 @@ class PbitStore:
         layout = self.port.soc.config.layout
         soc = self.port.soc
         obs = getattr(soc, "obs", None)
+        loaded = None  # the SD byte counter, once a load registers it
         address = base_address if base_address is not None \
             else layout.ddr_base + (16 << 20)
         for name in names:
@@ -174,10 +175,11 @@ class PbitStore:
             self.port.soc.ddr_write(address, data)
             if obs is not None:
                 obs.tracer.end(span, soc.sim.now, bytes=len(data))
-                obs.metrics.counter(
-                    "sd_pbit_bytes_total",
-                    "partial-bitstream bytes loaded from the SD card"
-                ).inc(len(data))
+                if loaded is None:
+                    loaded = obs.metrics.counter(
+                        "sd_pbit_bytes_total",
+                        "partial-bitstream bytes loaded from the SD card")
+                loaded.value += len(data)
             self.descriptors[name] = RmDescriptor(
                 name=name,
                 file_name=file_name,

@@ -28,7 +28,7 @@ runs the full recovery (abort, parser reset, re-couple, backoff, retry).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import cast
+from typing import TYPE_CHECKING, Any, Dict, Optional, cast
 
 from repro.accel.base import StreamAccelerator
 from repro.core import dma as dma_regs
@@ -44,6 +44,10 @@ from repro.errors import (
 )
 from repro.soc.config import IRQ_DMA_MM2S, IRQ_DMA_S2MM
 from repro.soc.plic import CLAIM_OFFSET, ENABLE_OFFSET, PRIORITY_BASE
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs import Observability
+    from repro.obs.tracer import Span, SpanTracer
 
 
 @dataclass(frozen=True)
@@ -72,17 +76,26 @@ class RvCapDriver:
         self.timer = ClintTimer(port)
         self._plic_ready = False
         self._rm_selected = 0  # mirrors the RM_SELECT reset value
+        #: instruments resolved per Observability, each group on the
+        #: path that first updates it (so a run that never completes a
+        #: reconfiguration exports no reconfiguration metrics)
+        self._instruments_of: Optional["Observability"] = None
+        self._instruments: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # observability plumbing
     # ------------------------------------------------------------------
     @property
-    def obs(self):
+    def obs(self) -> Optional["Observability"]:
         """The SoC's attached observability (None when detached)."""
         return getattr(self.port.soc, "obs", None)
 
-    def _now(self) -> int:
-        return self.port.soc.sim.now
+    def _resolved(self, obs: "Observability") -> Dict[str, Any]:
+        """This driver's instruments in ``obs``, by group."""
+        if self._instruments_of is not obs:
+            self._instruments_of = obs
+            self._instruments = {}
+        return self._instruments
 
     # ------------------------------------------------------------------
     # Listing-1 primitives
@@ -157,9 +170,13 @@ class RvCapDriver:
 
     def _handle_completion_irq(self, expected_source: int,
                                status_offset: int, *,
-                               timeout_us: float | None = None) -> None:
+                               timeout_us: float | None = None,
+                               tracer: "Optional[SpanTracer]" = None,
+                               transfer: "Optional[Span]" = None) -> None:
         """The ISR: claim, read DMASR, clear the cause bit, complete.
 
+        With a ``tracer`` the ISR is an ``isr`` span, and the open
+        ``transfer`` span (a reconfiguration's) ends where it starts.
         Raises :class:`ReconfigTimeoutError` when no interrupt arrives
         within the deadline and :class:`ControllerError` when the DMA
         reports a transfer error instead of a completion.
@@ -173,18 +190,16 @@ class RvCapDriver:
                 "no DMA interrupt within the completion deadline "
                 "(transfer stalled or externally aborted)"
             ) from exc
-        obs = self.obs
         isr_span = None
-        if obs is not None:
-            now = self._now()
-            open_span = obs.tracer.open_span("driver")
-            if open_span is not None and open_span.name == "transfer":
+        if tracer is not None:
+            now = self.port.soc.sim.now
+            if transfer is not None:
                 channel = (self.port.soc.rvcap.dma.mm2s
                            if expected_source == IRQ_DMA_MM2S
                            else self.port.soc.rvcap.dma.s2mm)
-                obs.tracer.end(open_span, now,
-                               dma_done_cycle=channel.last_complete_cycle)
-            isr_span = obs.tracer.begin("driver", "isr", now)
+                tracer.end(transfer, now,
+                           dma_done_cycle=channel.last_complete_cycle)
+            isr_span = tracer.begin("driver", "isr", now)
         # trap entry, context save and handler dispatch before the body
         self.port.elapse(self.port.soc.config.timing.isr_latency_cycles)
         source = self.port.read32(self.plic_base + CLAIM_OFFSET)
@@ -203,12 +218,18 @@ class RvCapDriver:
             )
         self.port.write32(self.dma_base + status_offset, dma_regs.SR_IOC_IRQ)
         self.port.write32(self.plic_base + CLAIM_OFFSET, source)
-        if obs is not None and isr_span is not None:
-            obs.tracer.end(isr_span, self._now(), source=source)
+        if tracer is not None and isr_span is not None:
+            tracer.end(isr_span, self.port.soc.sim.now, source=source)
 
     def _poll_completion(self, status_offset: int, *,
-                         timeout_us: float | None = None) -> None:
-        """Blocking mode: spin on DMASR until idle, errored or halted."""
+                         timeout_us: float | None = None,
+                         tracer: "Optional[SpanTracer]" = None,
+                         transfer: "Optional[Span]" = None) -> None:
+        """Blocking mode: spin on DMASR until idle, errored or halted.
+
+        ``tracer`` and ``transfer`` as for the ISR; the completion is a
+        ``complete`` span.
+        """
         def read_sr() -> int:
             return self.port.read32(self.dma_base + status_offset)
 
@@ -222,18 +243,16 @@ class RvCapDriver:
             raise ReconfigTimeoutError(
                 "DMASR never settled within the completion deadline"
             ) from exc
-        obs = self.obs
         complete_span = None
-        if obs is not None:
-            now = self._now()
-            open_span = obs.tracer.open_span("driver")
-            if open_span is not None and open_span.name == "transfer":
+        if tracer is not None:
+            now = self.port.soc.sim.now
+            if transfer is not None:
                 channel = (self.port.soc.rvcap.dma.mm2s
                            if status_offset == dma_regs.MM2S_DMASR
                            else self.port.soc.rvcap.dma.s2mm)
-                obs.tracer.end(open_span, now,
-                               dma_done_cycle=channel.last_complete_cycle)
-            complete_span = obs.tracer.begin("driver", "complete", now)
+                tracer.end(transfer, now,
+                           dma_done_cycle=channel.last_complete_cycle)
+            complete_span = tracer.begin("driver", "complete", now)
         status = read_sr()
         if status & dma_regs.SR_ERR_IRQ:
             self.port.write32(self.dma_base + status_offset,
@@ -248,8 +267,8 @@ class RvCapDriver:
                 "DMA halted mid-transfer (channel reset before completion)"
             )
         self.port.write32(self.dma_base + status_offset, dma_regs.SR_IOC_IRQ)
-        if obs is not None and complete_span is not None:
-            obs.tracer.end(complete_span, self._now())
+        if tracer is not None and complete_span is not None:
+            tracer.end(complete_span, self.port.soc.sim.now)
 
     # ------------------------------------------------------------------
     # the reconfiguration process (Listing 1)
@@ -269,27 +288,31 @@ class RvCapDriver:
         if mode == "interrupt":
             self.setup_interrupts()
         soc = self.port.soc
+        sim = soc.sim
         icap = soc.icap
         session = icap.sessions_opened + 1  # the session this load opens
         obs = self.obs
-        if obs is not None:
-            obs.tracer.begin("driver", "reconfig", self._now(),
-                             module=descriptor.name,
-                             pbit_size=descriptor.pbit_size, mode=mode)
+        tracer = obs.tracer if obs is not None else None
+        if tracer is not None:
+            tracer.begin("driver", "reconfig", sim.now,
+                         module=descriptor.name,
+                         pbit_size=descriptor.pbit_size, mode=mode)
         t_entry = self.timer.read_ticks()
-        if obs is not None:
-            decision = obs.tracer.begin("driver", "decision", self._now())
+        if tracer is not None:
+            decision = tracer.begin("driver", "decision", sim.now)
         # software decision time: select the requested RM, prepare the
         # descriptor, and decide between ICAP and accelerator paths
         self.port.elapse(soc.config.timing.decision_cycles)
-        if obs is not None:
-            obs.tracer.end(decision, self._now())
-            decouple = obs.tracer.begin("driver", "decouple", self._now())
+        if tracer is not None:
+            now = sim.now
+            tracer.end(decision, now)
+            decouple = tracer.begin("driver", "decouple", now)
+        transfer = None
         try:
             self.decouple_accel(1 << soc.module_rp_index(descriptor.name))
             self.select_icap(1)
-            if obs is not None:
-                obs.tracer.end(decouple, self._now())
+            if tracer is not None:
+                tracer.end(decouple, sim.now)
             self.dma_start(irq_enabled=(mode == "interrupt"))
             t_start = self.timer.read_ticks()
             # the Tr window opens exactly where the CLINT measurement
@@ -297,31 +320,34 @@ class RvCapDriver:
             # (kick, transfer, isr/complete) are contiguous, so their
             # cycle sum equals the window duration by construction —
             # the breakdown report asserts that identity.
-            if obs is not None:
-                c0 = self._now()
-                tr_window = obs.tracer.begin("driver", "tr_window", c0)
-                kick = obs.tracer.begin("driver", "kick", c0)
+            if tracer is not None:
+                c0 = sim.now
+                tr_window = tracer.begin("driver", "tr_window", c0)
+                kick = tracer.begin("driver", "kick", c0)
             self.dma_write_stream(descriptor.start_address,
                                   descriptor.pbit_size)
-            if obs is not None:
-                c1 = self._now()
-                obs.tracer.end(kick, c1)
-                obs.tracer.begin("driver", "transfer", c1)
+            if tracer is not None:
+                now = sim.now
+                tracer.end(kick, now)
+                transfer = tracer.begin("driver", "transfer", now)
             if mode == "interrupt":
                 self._handle_completion_irq(IRQ_DMA_MM2S, dma_regs.MM2S_DMASR,
-                                            timeout_us=timeout_us)
+                                            timeout_us=timeout_us,
+                                            tracer=tracer, transfer=transfer)
             else:
                 self._poll_completion(dma_regs.MM2S_DMASR,
-                                      timeout_us=timeout_us)
-            if obs is not None:
-                obs.tracer.end(tr_window, self._now())
+                                      timeout_us=timeout_us,
+                                      tracer=tracer, transfer=transfer)
+            if tracer is not None:
+                tr_end = sim.now
+                tracer.end(tr_window, tr_end)
             fault = icap.session_fault(session)
             if fault is not None:
                 raise ControllerError(
                     f"reconfiguration of {descriptor.name!r} failed: {fault}")
         except Exception:
             if obs is not None:
-                obs.tracer.end_open("driver", self._now(), status="error")
+                obs.tracer.end_open("driver", sim.now, status="error")
                 obs.metrics.counter(
                     "driver_reconfig_failures_total",
                     "init_reconfig_process calls that raised").inc()
@@ -333,8 +359,8 @@ class RvCapDriver:
             self.decouple_accel(0)
             raise
         t_done = self.timer.read_ticks()
-        if obs is not None:
-            recouple = obs.tracer.begin("driver", "recouple", self._now())
+        if tracer is not None:
+            recouple = tracer.begin("driver", "recouple", sim.now)
         self.select_icap(0)
         self.decouple_accel(0)
         result = ReconfigResult(
@@ -344,23 +370,31 @@ class RvCapDriver:
             tr_us=self.timer.ticks_to_us(t_done - t_start),
         )
         if obs is not None:
-            now = self._now()
+            now = sim.now
             obs.tracer.end(recouple, now)
             obs.tracer.end_open("driver", now)  # close the reconfig root
-            metrics = obs.metrics
-            metrics.counter(
-                "driver_reconfigurations_total",
-                "completed init_reconfig_process calls").inc()
-            metrics.histogram(
-                "driver_tr_cycles",
-                "Tr window duration per reconfiguration").record(
-                    tr_window.duration)
-            metrics.gauge(
-                "driver_last_tr_us",
-                "CLINT-measured Tr of the most recent DPR").set(result.tr_us)
-            metrics.gauge(
-                "driver_last_td_us",
-                "CLINT-measured Td of the most recent DPR").set(result.td_us)
+            instruments = self._resolved(obs)
+            reconfig = instruments.get("reconfig")
+            if reconfig is None:
+                metrics = obs.metrics
+                reconfig = instruments["reconfig"] = (
+                    metrics.counter(
+                        "driver_reconfigurations_total",
+                        "completed init_reconfig_process calls"),
+                    metrics.histogram(
+                        "driver_tr_cycles",
+                        "Tr window duration per reconfiguration"),
+                    metrics.gauge(
+                        "driver_last_tr_us",
+                        "CLINT-measured Tr of the most recent DPR"),
+                    metrics.gauge(
+                        "driver_last_td_us",
+                        "CLINT-measured Td of the most recent DPR"))
+            completed, tr_histogram, last_tr, last_td = reconfig
+            completed.value += 1
+            tr_histogram.record(tr_end - c0)
+            last_tr.value = result.tr_us
+            last_td.value = result.td_us
         return result
 
     # ------------------------------------------------------------------
@@ -376,7 +410,7 @@ class RvCapDriver:
         """
         obs = self.obs
         if obs is not None:
-            now = self._now()
+            now = self.port.soc.sim.now
             obs.tracer.end_open("driver", now, status="aborted")
             obs.tracer.instant("driver", "abort", now)
             obs.metrics.counter(
@@ -446,11 +480,13 @@ class RvCapDriver:
                 f"no accelerator is loaded in RP {rp_index}")
         cast(StreamAccelerator, rm).reset()
         t0 = self.timer.read_ticks()
+        sim = self.port.soc.sim
         obs = self.obs
+        tracer = obs.tracer if obs is not None else None
         accel_span = None
-        if obs is not None:
-            accel_span = obs.tracer.begin(
-                "driver", "accel_run", self._now(), rp_index=rp_index,
+        if tracer is not None:
+            accel_span = tracer.begin(
+                "driver", "accel_run", sim.now, rp_index=rp_index,
                 bytes_in=nbytes_in, bytes_out=nbytes_out)
         irq = mode == "interrupt"
         try:
@@ -465,23 +501,29 @@ class RvCapDriver:
             self.dma_start(irq_enabled=irq)
             self.dma_write_stream(src_address, nbytes_in)
             if irq:
-                self._handle_completion_irq(IRQ_DMA_MM2S, dma_regs.MM2S_DMASR)
-                self._handle_completion_irq(IRQ_DMA_S2MM, dma_regs.S2MM_DMASR)
+                self._handle_completion_irq(IRQ_DMA_MM2S, dma_regs.MM2S_DMASR,
+                                            tracer=tracer)
+                self._handle_completion_irq(IRQ_DMA_S2MM, dma_regs.S2MM_DMASR,
+                                            tracer=tracer)
             else:
-                self._poll_completion(dma_regs.MM2S_DMASR)
-                self._poll_completion(dma_regs.S2MM_DMASR)
+                self._poll_completion(dma_regs.MM2S_DMASR, tracer=tracer)
+                self._poll_completion(dma_regs.S2MM_DMASR, tracer=tracer)
         except Exception:
-            if obs is not None:
-                obs.tracer.end_open("driver", self._now(), status="error")
+            if tracer is not None:
+                tracer.end_open("driver", sim.now, status="error")
             # a channel starved by the failure would hold the switch
             self.dma_reset()
             raise
         t1 = self.timer.read_ticks()
         tc_us = self.timer.ticks_to_us(t1 - t0)
         if obs is not None and accel_span is not None:
-            obs.tracer.end(accel_span, self._now())
-            obs.metrics.histogram(
-                "driver_tc_cycles",
-                "accelerator run duration (Tc window)").record(
-                    accel_span.duration)
+            now = sim.now
+            obs.tracer.end(accel_span, now)
+            instruments = self._resolved(obs)
+            tc_histogram = instruments.get("tc")
+            if tc_histogram is None:
+                tc_histogram = instruments["tc"] = obs.metrics.histogram(
+                    "driver_tc_cycles",
+                    "accelerator run duration (Tc window)")
+            tc_histogram.record(now - accel_span.start_cycle)
         return tc_us

@@ -141,8 +141,10 @@ class Icap(StreamSink):
         self._bulk_run: Optional[Tuple[int, int, np.ndarray, np.ndarray]] = None
 
     def attach_obs(self, obs: "Observability") -> None:
-        """Wire the port into an :class:`~repro.obs.Observability`."""
+        """Wire the port into an :class:`~repro.obs.Observability`; the
+        ``icap_session`` signal mirrors the session spans."""
         self.obs = obs
+        obs.tracer.mirror("icap_session", "icap", "session")
         metrics = obs.metrics
         metrics.observed_counter(
             "icap_words_total", "32-bit words consumed by the ICAP port",
@@ -568,9 +570,7 @@ class Icap(StreamSink):
             if run is not None:
                 first, words, arrivals, _done = run
                 now = int(arrivals[(pos - first) // words])
-            tracer = self.obs.tracer
-            self._session_span = tracer.begin("icap", "session", now)
-            tracer.signal("icap_session", now, 1)
+            self._session_span = self.obs.tracer.begin("icap", "session", now)
             self._session_first = pos
 
     def _end_session(self, outcome: str, done: int, last: int) -> None:
@@ -584,10 +584,8 @@ class Icap(StreamSink):
         span = self._session_span
         if span is not None and self.obs is not None:
             self._session_span = None
-            tracer = self.obs.tracer
-            tracer.end(span, done, status=outcome,
-                       words=last + 1 - self._session_first)
-            tracer.signal("icap_session", done, 0)
+            self.obs.tracer.end(span, done, status=outcome,
+                                words=last + 1 - self._session_first)
         if (self.on_complete is not None
                 and self.config_memory.frames_written > self._frames_at_sync):
             self.on_complete()

@@ -17,6 +17,13 @@ default via :func:`set_default_observability` so every
 internally — comes up instrumented).  When nothing is attached, every
 emit path reduces to one ``is not None`` check, and a detached flow
 calls no function of this package (``tests/obs/test_detached.py``).
+
+Every serving replay attaches, so the attached path is kept cheap too:
+an emit site resolves its instruments and names when it attaches,
+reads the clock once per emit block and makes one call per fact — a
+tracer record, a histogram ``record``, or a plain ``value`` update of
+a counter or gauge.  ``tests/obs/test_attached_cost.py`` bounds what
+that adds to a hot replay, in calls.
 """
 
 from __future__ import annotations

@@ -6,8 +6,10 @@ crossbar's transactions, ``Soc.stats()``) is registered *observed*:
 the registry reads the component's own counter when a snapshot, export
 or merge asks, so each fact is counted once.  A fact only the exports
 need (histograms, DMA bytes and stalls, crossbar contention) is
-*pushed*: the component updates the instrument on its hot path with
-plain attribute operations — no dict lookups, no string formatting.
+*pushed*: the component resolves the instrument once and updates it on
+its hot path with plain attribute operations (a counter's or gauge's
+``value``) or one :meth:`Histogram.record` call — no registry lookups,
+no string formatting.
 Besides counters the registry holds distribution-valued measurements
 (per-burst DMA latency, interrupt service latency) a scalar snapshot
 cannot hold.
@@ -30,10 +32,18 @@ _LINEAR_LIMIT = 1 << _SUB_BITS
 
 
 def _bucket_index(value: int) -> int:
+    """Bucket of ``value`` (tabulated below ``_SMALL_LIMIT``, inlined
+    above it by :meth:`Histogram.record`)."""
     if value < _LINEAR_LIMIT:
         return max(0, value)
     shift = value.bit_length() - 1 - _SUB_BITS
     return (shift << _SUB_BITS) + (value >> shift)
+
+
+#: bucket index of every value below 4096 (most recorded latencies),
+#: so :meth:`Histogram.record` needs no arithmetic for them
+_SMALL_LIMIT = 1 << 12
+_SMALL_INDEX = tuple(_bucket_index(value) for value in range(_SMALL_LIMIT))
 
 
 def _bucket_upper_bound(index: int) -> int:
@@ -232,66 +242,34 @@ class Histogram(_Instrument):
         self.min: Optional[int] = None
         self.max: Optional[int] = None
 
-    def record(self, value: int) -> None:
-        self.record_count(value, 1)
-
-    def record_many(self, values: List[int]) -> None:
-        """Record a batch of values in one call.
-
-        Exactly equivalent to calling :meth:`record` per value — hot
-        paths (the DMA descriptor engine) accumulate samples locally
-        and flush them in bulk instead of paying one method call per
-        burst.
-        """
-        buckets = self.buckets
-        get = buckets.get
-        total = 0
-        lo = hi = None
-        for value in values:
-            value = int(value)
-            if value < 0:
-                value = 0
-            # _bucket_index, inlined (negatives already clamped)
-            if value < _LINEAR_LIMIT:
-                index = value
-            else:
-                shift = value.bit_length() - 1 - _SUB_BITS
-                index = (shift << _SUB_BITS) + (value >> shift)
-            buckets[index] = get(index, 0) + 1
-            total += value
-            if lo is None or value < lo:
-                lo = value
-            if hi is None or value > hi:
-                hi = value
-        if lo is None:
-            return
-        self.count += len(values)
-        self.total += total
-        if self.min is None or lo < self.min:
-            self.min = lo
-        if self.max is None or hi > self.max:
-            self.max = hi
-
-    def record_count(self, value: int, count: int) -> None:
-        """Record ``value`` ``count`` times in one call.
-
-        Exactly equivalent to ``count`` calls of :meth:`record`; the DMA
-        bulk step uses it because a run of bursts has at most three
-        distinct latencies.
-        """
+    def record(self, value: int, count: int = 1) -> None:
+        """Record ``value`` ``count`` times in one call (negative values
+        clamp to 0; a count below 1 records nothing)."""
         if count <= 0:
             return
         value = int(value)
-        if value < 0:
-            value = 0
-        index = _bucket_index(value)
-        self.buckets[index] = self.buckets.get(index, 0) + count
+        if value < _SMALL_LIMIT:
+            if value < 0:
+                value = 0
+            index = _SMALL_INDEX[value]
+        else:
+            shift = value.bit_length() - 1 - _SUB_BITS
+            index = (shift << _SUB_BITS) + (value >> shift)
+        buckets = self.buckets
+        if index in buckets:
+            buckets[index] += count
+        else:
+            buckets[index] = count
         self.count += count
         self.total += value * count
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
+
+    #: ``record_count(value, count)``: the name the DMA engine's flush
+    #: uses for its folded per-burst latency counts
+    record_count = record
 
     @property
     def mean(self) -> float:

@@ -13,29 +13,41 @@ Everything is recorded in cycles, never wall-clock, so two identical
 simulations produce byte-identical exports.  Recording is opt-in: a
 component's emit path is guarded by an ``obs is not None`` check and
 costs nothing when no tracer is attached.
+
+Recording is the hot path of an attached serving run, so each fact is
+one call that stores one record: :meth:`SpanTracer.begin` fills a
+slotted :class:`Span` (no ``__init__`` frame) and pushes it on its
+track's stack, :meth:`SpanTracer.end` stamps it and pops it.  A signal
+that only says whether a span is open (a DMA channel busy, an ICAP
+session, a pending interrupt) is declared once with
+:meth:`SpanTracer.mirror` and derived from those spans when
+:attr:`SpanTracer.signals` is read, instead of being recorded beside
+them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from collections import defaultdict
+from typing import Any, DefaultDict, Dict, List, Optional, Tuple
 
 
 class Span:
-    """One traced interval on a track; ``end_cycle`` None while open."""
+    """One traced interval on a track; ``end_cycle`` None while open.
+
+    Only :meth:`SpanTracer.begin` makes spans: it fills the slots
+    directly, so recording one costs no constructor frame.
+    """
 
     __slots__ = ("span_id", "track", "name", "start_cycle", "end_cycle",
                  "parent_id", "_args")
 
-    def __init__(self, span_id: int, track: str, name: str,
-                 start_cycle: int, parent_id: Optional[int],
-                 args: Optional[Dict[str, Any]]) -> None:
-        self.span_id = span_id
-        self.track = track
-        self.name = name
-        self.start_cycle = start_cycle
-        self.end_cycle: Optional[int] = None
-        self.parent_id = parent_id
-        self._args: Optional[Dict[str, Any]] = args
+    span_id: int
+    track: str
+    name: str
+    start_cycle: int
+    end_cycle: Optional[int]
+    parent_id: Optional[int]
+    _args: Optional[Dict[str, Any]]
 
     @property
     def args(self) -> Dict[str, Any]:
@@ -61,16 +73,15 @@ class Span:
 
 
 class InstantEvent:
-    """A point-in-time marker on a track."""
+    """A point-in-time marker on a track (made by
+    :meth:`SpanTracer.instant`, like :class:`Span`)."""
 
     __slots__ = ("cycle", "track", "name", "_args")
 
-    def __init__(self, cycle: int, track: str, name: str,
-                 args: Optional[Dict[str, Any]]) -> None:
-        self.cycle = cycle
-        self.track = track
-        self.name = name
-        self._args: Optional[Dict[str, Any]] = args
+    cycle: int
+    track: str
+    name: str
+    _args: Optional[Dict[str, Any]]
 
     @property
     def args(self) -> Dict[str, Any]:
@@ -82,16 +93,27 @@ class InstantEvent:
 
 
 class SpanTracer:
-    """Collects spans, instants, counter samples and signal changes."""
+    """Collects spans, instants, counter samples and signal changes.
+
+    Each recording method is the one call its fact costs an emit site:
+    it stores one record and calls no other Python function (``begin``
+    pushes the span on its track's stack, ``end`` pops it).  Whatever
+    is derived from the records (mirrored signals, ``find``,
+    ``children``, an empty ``args`` dict) is paid for by its reader.
+    """
 
     def __init__(self) -> None:
         self.spans: List[Span] = []
         self.instants: List[InstantEvent] = []
         #: (cycle, series name, value) samples for counter tracks
         self.counter_samples: List[Tuple[int, str, float]] = []
-        #: signal name -> [(cycle, value)] change lists (VCD source data)
-        self.signals: Dict[str, List[Tuple[int, int]]] = {}
-        self._open: Dict[str, List[Span]] = {}  # per-track span stack
+        #: recorded signal name -> [(cycle, value)] change lists
+        self._signals: DefaultDict[str, List[Tuple[int, int]]] = \
+            defaultdict(list)
+        #: (track, span name) -> the signal mirroring those spans
+        self._mirrors: Dict[Tuple[str, str], str] = {}
+        #: per-track stack of open spans, innermost last
+        self._open: DefaultDict[str, List[Span]] = defaultdict(list)
         self._next_id = 1
 
     # ------------------------------------------------------------------
@@ -99,12 +121,18 @@ class SpanTracer:
     # ------------------------------------------------------------------
     def begin(self, track: str, name: str, cycle: int, **args: Any) -> Span:
         """Open a span on ``track``; nests under the open span, if any."""
-        stack = self._open.setdefault(track, [])
-        parent_id = stack[-1].span_id if stack else None
-        span = Span(self._next_id, track, name, cycle, parent_id, args or None)
-        self._next_id += 1
-        self.spans.append(span)
+        span = Span()
+        span.span_id = span_id = self._next_id
+        self._next_id = span_id + 1
+        span.track = track
+        span.name = name
+        span.start_cycle = cycle
+        span.end_cycle = None
+        stack = self._open[track]
+        span.parent_id = stack[-1].span_id if stack else None
+        span._args = args or None
         stack.append(span)
+        self.spans.append(span)
         return span
 
     def end(self, span: Span, cycle: int, **args: Any) -> Span:
@@ -117,10 +145,18 @@ class SpanTracer:
                 f"start {span.start_cycle}")
         span.end_cycle = cycle
         if args:
-            span.args.update(args)
-        stack = self._open.get(span.track)
-        if stack and span in stack:
-            stack.remove(span)
+            prior = span._args
+            span._args = args if prior is None else {**prior, **args}
+        stack = self._open[span.track]
+        if stack and stack[-1] is span:
+            del stack[-1]
+        else:
+            # closed out of nesting order (two pending interrupts on
+            # the PLIC track): the spans opened after it stay open
+            for index, open_span in enumerate(stack):
+                if open_span is span:
+                    del stack[index]
+                    break
         return span
 
     def open_span(self, track: str) -> Optional[Span]:
@@ -152,7 +188,12 @@ class SpanTracer:
     # instants / counters / signals
     # ------------------------------------------------------------------
     def instant(self, track: str, name: str, cycle: int, **args: Any) -> None:
-        self.instants.append(InstantEvent(cycle, track, name, args or None))
+        event = InstantEvent()
+        event.cycle = cycle
+        event.track = track
+        event.name = name
+        event._args = args or None
+        self.instants.append(event)
 
     def count(self, name: str, cycle: int, value: float) -> None:
         """Record one sample of a counter time series."""
@@ -160,10 +201,42 @@ class SpanTracer:
 
     def signal(self, name: str, cycle: int, value: int) -> None:
         """Record a signal change (deduplicated against the last value)."""
-        changes = self.signals.setdefault(name, [])
-        if changes and changes[-1][1] == value:
-            return
-        changes.append((cycle, value))
+        changes = self._signals[name]
+        if not changes or changes[-1][1] != value:
+            changes.append((cycle, value))
+
+    def mirror(self, signal: str, track: str, name: str) -> None:
+        """Derive ``signal`` from the ``track``/``name`` spans.
+
+        The signal rises to 1 where each such span begins and falls to
+        0 where it ends, as if both edges were recorded with
+        :meth:`signal` by a component that never has two of these
+        spans open at once (a DMA channel, the ICAP port, one PLIC
+        source).  The edges are computed when :attr:`signals` is read;
+        a mirrored name is never recorded directly.
+        """
+        self._mirrors[(track, name)] = signal
+
+    @property
+    def signals(self) -> Dict[str, List[Tuple[int, int]]]:
+        """Signal name -> [(cycle, value)] change lists (VCD source
+        data): the recorded signals plus the mirrored ones."""
+        out = dict(self._signals)
+        mirrors = self._mirrors
+        if not mirrors:
+            return out
+        derived: Dict[str, List[Tuple[int, int]]] = {}
+        for span in self.spans:
+            signal = mirrors.get((span.track, span.name))
+            if signal is None:
+                continue
+            changes = derived.setdefault(signal, [])
+            if not changes or changes[-1][1] != 1:
+                changes.append((span.start_cycle, 1))
+            if span.end_cycle is not None and changes[-1][1] != 0:
+                changes.append((span.end_cycle, 0))
+        out.update(derived)
+        return out
 
     # ------------------------------------------------------------------
     # queries (used by the latency-breakdown report and tests)
@@ -203,9 +276,10 @@ class SpanTracer:
         return seen
 
     def clear(self) -> None:
+        """Drop every record; mirror declarations stay."""
         self.spans.clear()
         self.instants.clear()
         self.counter_samples.clear()
-        self.signals.clear()
+        self._signals.clear()
         self._open.clear()
         self._next_id = 1

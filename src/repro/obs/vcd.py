@@ -1,11 +1,11 @@
 """VCD export: value-change dump of the key handshake signals.
 
-The tracer's ``signal()`` channel records (cycle, value) transitions of
-the control/handshake signals along the reconfiguration path — RP
-decouple, AXIS switch select, DMA run/busy, ICAP session and interrupt
-pending lines.  This module serializes them as a Value Change Dump any
-waveform viewer (GTKWave, Surfer) opens, one timescale tick per SoC
-clock cycle.
+The tracer's ``signals`` are (cycle, value) transitions of the
+control/handshake signals along the reconfiguration path — RP decouple
+and AXIS switch select (recorded with ``signal()``), DMA busy, ICAP
+session and interrupt pending lines (mirrored from their spans).  This
+module serializes them as a Value Change Dump any waveform viewer
+(GTKWave, Surfer) opens, one timescale tick per SoC clock cycle.
 
 The header contains no timestamps or host information: identical runs
 produce byte-identical files.
@@ -42,11 +42,12 @@ def vcd_dump(tracer: SpanTracer, freq_hz: float = 100e6) -> str:
     period_ns = 1e9 / freq_hz
     timescale = (f"{period_ns:.0f} ns" if period_ns >= 1
                  else f"{period_ns * 1000:.0f} ps")
-    names = sorted(tracer.signals)
+    signals = tracer.signals
+    names = sorted(signals)
     widths: Dict[str, int] = {}
     idents: Dict[str, str] = {}
     for index, name in enumerate(names):
-        peak = max((value for _c, value in tracer.signals[name]), default=0)
+        peak = max((value for _c, value in signals[name]), default=0)
         widths[name] = max(1, int(peak).bit_length())
         idents[name] = _identifier(index)
 
@@ -65,7 +66,7 @@ def vcd_dump(tracer: SpanTracer, freq_hz: float = 100e6) -> str:
     changes: List[Tuple[int, int, str]] = []  # (cycle, order, formatted)
     initial: Dict[str, int] = {}
     for order, name in enumerate(names):
-        series = tracer.signals[name]
+        series = signals[name]
         if series and series[0][0] == 0:
             initial[name] = series[0][1]
             series = series[1:]

@@ -36,6 +36,7 @@ from repro.fat32.filesystem import Fat32FileSystem
 
 if TYPE_CHECKING:
     from repro.obs import Observability
+    from repro.obs.metrics import Histogram
 
 #: SPI-mode SD link cost model (matches SpiSdBlockDevice at divider 4)
 SPI_DIVIDER = 4
@@ -118,8 +119,10 @@ class BitstreamCache:
         self._resident: "OrderedDict[str, _Extent]" = OrderedDict()
         #: sorted, coalesced (address, size) free extents
         self._free: List[Tuple[int, int]] = [(arena_base, arena_bytes)]
-        #: the observability the stats are registered with
+        #: the observability the stats are registered with, and its
+        #: fault-cost histogram once a fault has registered it
         self._observed_by: "Optional[Observability]" = None
+        self._h_fault: "Optional[Histogram]" = None
 
     # ------------------------------------------------------------------
     # observability plumbing
@@ -137,6 +140,7 @@ class BitstreamCache:
                 "sched_cache_resident_bytes",
                 "bytes of pbit data resident in the arena",
                 lambda: float(self.resident_bytes))
+            self._h_fault = None
         return obs
 
     # ------------------------------------------------------------------
@@ -228,10 +232,13 @@ class BitstreamCache:
         self.stats.sd_bytes_loaded += len(data)
         if obs is not None:
             obs.tracer.end(span, soc.sim.now, bytes=len(data))
-            obs.metrics.histogram(
-                "sched_cache_fault_cycles",
-                "simulated cycles per cache fault").record(
-                    sd_load_cycles(len(data)) if self.charge_sd_time else 0)
+            histogram = self._h_fault
+            if histogram is None:
+                histogram = self._h_fault = obs.metrics.histogram(
+                    "sched_cache_fault_cycles",
+                    "simulated cycles per cache fault")
+            histogram.record(
+                sd_load_cycles(len(data)) if self.charge_sd_time else 0)
         return descriptor
 
     # ------------------------------------------------------------------

@@ -29,7 +29,10 @@ A failed reconfiguration (``ControllerError``; each driver's failure
 path resets the ICAP) is retried ``MAX_RETRIES`` times after a backoff.
 A batch whose swap still fails, or raises any other ``ReproError``,
 fails its requests in-band (``status="failed"``) and the scheduler
-keeps serving.  Any other exception escapes :meth:`~DprScheduler.step`.
+keeps serving.  Any other exception escapes :meth:`~DprScheduler.step`
+after the batch is wound up: its unresolved requests resolve FAILED
+with the exception as their error and its span closes, so later steps
+serve the rest of the queue.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from repro.sched.request import (
 
 if TYPE_CHECKING:
     from repro.obs import Observability
-    from repro.sim.kernel import Simulator
+    from repro.obs.tracer import SpanTracer
     from repro.soc.soc import Soc
 
 #: span/metric track name
@@ -120,6 +123,8 @@ class DprScheduler:
         if batch_limit < 1:
             raise SchedulerError("batch_limit must be >= 1")
         self.manager = manager
+        #: the SoC's simulator, whose clock is the scheduler's
+        self.sim = manager.soc.sim
         self.cache = cache
         self.batch_limit = batch_limit
         self.drop_late = drop_late
@@ -168,10 +173,12 @@ class DprScheduler:
         self.reconfig_skips = 0
         self._started_cycle: Optional[int] = None
         self._payload_frames: Dict[Tuple[int, int], np.ndarray] = {}
-        #: instruments resolved once per attached Observability — the
-        #: serving path must not pay a registry lookup (name formatting
-        #: plus label-tuple sort) per event
-        self._instrument_obs: Optional[Any] = None
+        #: the Observability the instruments below belong to, and its
+        #: tracer (None while detached): resolved once per attach, by
+        #: :meth:`_bind_obs`, so an emit site pays no registry lookup
+        #: (name formatting plus label-tuple sort) per event
+        self._instrument_obs: "Optional[Observability]" = None
+        self._tracer: "Optional[SpanTracer]" = None
         self._instruments: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
@@ -180,10 +187,6 @@ class DprScheduler:
     @property
     def soc(self) -> "Soc":
         return self.manager.soc
-
-    @property
-    def sim(self) -> "Simulator":
-        return self.manager.soc.sim
 
     @property
     def obs(self) -> "Optional[Observability]":
@@ -196,15 +199,14 @@ class DprScheduler:
     def _cycles_to_us(self, cycles: int) -> float:
         return cycles * 1e6 / self._freq_hz
 
-    def _metrics(self, obs: Any) -> Dict[str, Any]:
-        """The scheduler's instruments, cached per Observability.
-
-        Registry lookups format the metric name and sort the label
-        tuple on every call; the serving path emits several metrics per
-        request, so instruments are resolved once and reused until the
-        SoC's observability object is swapped.
-        """
-        if self._instrument_obs is not obs:
+    def _bind_obs(self) -> None:
+        """Resolve the scheduler's instruments in the SoC's current
+        observability; :meth:`submit` and :meth:`step` call it whenever
+        that differs from the one they were resolved in."""
+        obs = self.manager.soc.obs
+        self._tracer = None
+        self._instruments = {}
+        if obs is not None:
             m = obs.metrics
             # facts the scheduler counts for itself: the registry reads
             # them, from their values now on
@@ -273,15 +275,15 @@ class DprScheduler:
                         "max windowed average power attained (mW)",
                         merge_mode="max"),
                 })
-            self._instrument_obs = obs
-        return self._instruments
+            self._tracer = obs.tracer
+        self._instrument_obs = obs
 
     def _sample_depth(self) -> None:
-        obs = self.obs
-        if obs is not None:
+        tracer = self._tracer
+        if tracer is not None:
             depth = float(len(self._queued))
-            self._metrics(obs)["depth"].set(depth)
-            obs.tracer.count("sched.queue_depth", self.sim.now, depth)
+            self._instruments["depth"].value = depth
+            tracer.count("sched.queue_depth", self.sim.now, depth)
 
     # ------------------------------------------------------------------
     # the synchronous surface
@@ -292,9 +294,8 @@ class DprScheduler:
             raise SchedulerError(
                 f"unknown module {request.module!r}: registered modules "
                 f"are {self.soc.registered_modules}")
-        obs = self.obs
-        if obs is not None:
-            self._metrics(obs)  # a new registry counts this request
+        if self.manager.soc.obs is not self._instrument_obs:
+            self._bind_obs()  # a new registry counts this request
         entry = _Entry(request, len(self.outcomes), self._freq_hz)
         self.outcomes.append(None)
         self._queued[entry.seq] = entry
@@ -315,6 +316,8 @@ class DprScheduler:
     def step(self) -> bool:
         """Serve one batch; with nothing arrived, advance the clock to
         the earliest arrival instead.  False when nothing is queued."""
+        if self.manager.soc.obs is not self._instrument_obs:
+            self._bind_obs()
         self._promote_arrivals()
         if self._by_module:
             self._service_batch(self._collect_batch())
@@ -359,22 +362,39 @@ class DprScheduler:
     # ------------------------------------------------------------------
     def _service_batch(self, batch: List[_Entry]) -> None:
         sim = self.sim
-        obs = self.obs
+        tracer = self._tracer
+        started = sim.now
         if self._started_cycle is None:
-            self._started_cycle = sim.now
+            self._started_cycle = started
         module = batch[0].request.module
+        size = len(batch)
         span = None
-        if obs is not None:
-            span = obs.tracer.begin(TRACK, "batch", sim.now, module=module,
-                                    size=len(batch))
-        runnable = [e for e in batch if self._admit(e)]
-        if runnable:
-            self._run_batch(module, runnable)
+        if tracer is not None:
+            span = tracer.begin(TRACK, "batch", started, module=module,
+                                size=size)
+        try:
+            runnable = [e for e in batch if self._admit(e)]
+            if runnable:
+                self._run_batch(module, runnable)
+        except BaseException as exc:
+            # not served in-band: wind the batch up before the error
+            # escapes, so every popped request resolves and the next
+            # batch's span does not nest under this one
+            if tracer is not None:
+                tracer.end_open(TRACK, sim.now, status="error")
+            error = f"{type(exc).__name__}: {exc}"
+            start_us = self._cycles_to_us(started)
+            for entry in batch:
+                if self.outcomes[entry.seq] is None:
+                    self._finish(entry, self._outcome(
+                        entry, FAILED, start=start_us, error=error))
+            self._sample_depth()
+            raise
         self.batches += 1
-        self.batched_requests += len(batch)
-        if obs is not None:
-            obs.tracer.end(span, sim.now)
-            self._metrics(obs)["batch_size"].record(len(batch))
+        self.batched_requests += size
+        if tracer is not None:
+            tracer.end(span, sim.now)
+            self._instruments["batch_size"].record(size)
         self._sample_depth()
 
     def _admit(self, entry: _Entry) -> bool:
@@ -411,7 +431,7 @@ class DprScheduler:
 
     def _run_batch(self, module: str, entries: List[_Entry]) -> None:
         sim = self.sim
-        obs = self.obs
+        tracer = self._tracer
         start_us = self._cycles_to_us(sim.now)
         cache_hit: Optional[bool] = None
         td_us = tr_us = 0.0
@@ -421,9 +441,9 @@ class DprScheduler:
             # static verifier refused the artifact before any ICAP
             # traffic; distinct from FAILED so replays can tell "bad
             # artifact" from "hardware fault"
-            if obs is not None:
-                obs.tracer.instant(TRACK, "bitstream_rejected", sim.now,
-                                   module=module)
+            if tracer is not None:
+                tracer.instant(TRACK, "bitstream_rejected", sim.now,
+                               module=module)
             for entry in entries:
                 self._finish(entry, self._outcome(
                     entry, REJECTED, start=start_us, error=str(exc),
@@ -457,16 +477,16 @@ class DprScheduler:
                 batch_nj = self.power_profile.reconfig_energy_nj(
                     busy, self._freq_hz)
                 reconfig_share_nj = batch_nj / len(entries)
-            if obs is not None:
-                instruments = self._metrics(obs)
+            if tracer is not None:
+                instruments = self._instruments
                 instruments["td"].record(int(td_us * self._freq_hz / 1e6))
                 instruments["tr"].record(busy)
                 if self.power_profile is not None:
                     instruments["reconfig_energy"].record(
                         int(batch_nj))
                     if self._governor is not None:
-                        instruments["peak_power"].set(
-                            self._governor.max_window_power_mw())
+                        instruments["peak_power"].value = \
+                            self._governor.max_window_power_mw()
         for index, entry in enumerate(entries):
             self._run_payload(entry, start_us,
                               td_us=td_us if index == 0 else 0.0,
@@ -504,9 +524,8 @@ class DprScheduler:
                 attempts += 1
                 if attempts > MAX_RETRIES:
                     raise
-                obs = self.obs
-                if obs is not None:
-                    self._metrics(obs)["retries"].inc()
+                if self._tracer is not None:
+                    self._instruments["retries"].value += 1
                 timing = soc.config.timing
                 manager.port.elapse(max(1, int(
                     timing.recovery_backoff_us * timing.soc_freq_hz / 1e6)))
@@ -561,10 +580,9 @@ class DprScheduler:
         if not delay:
             return
         governor.note_deferral(delay)
-        obs = self.obs
-        if obs is not None:
-            obs.tracer.instant(TRACK, "power_deferral", self.sim.now,
-                               module=module, cycles=delay)
+        if self._tracer is not None:
+            self._tracer.instant(TRACK, "power_deferral", self.sim.now,
+                                 module=module, cycles=delay)
         self.manager.port.elapse(delay)
 
     def _run_payload(self, entry: _Entry, start_us: float, *,
@@ -573,12 +591,12 @@ class DprScheduler:
                      batched: bool,
                      reconfig_share_nj: float = 0.0) -> None:
         request = entry.request
-        obs = self.obs
+        tracer = self._tracer
         span = None
-        if obs is not None:
-            span = obs.tracer.begin(TRACK, "request", self.sim.now,
-                                    id=request.request_id,
-                                    module=request.module)
+        if tracer is not None:
+            span = tracer.begin(TRACK, "request", self.sim.now,
+                                id=request.request_id,
+                                module=request.module)
         tc_us = 0.0
         error: Optional[str] = None
         try:
@@ -590,8 +608,8 @@ class DprScheduler:
         except ReproError as exc:
             error = str(exc)
         finally:
-            if obs is not None:
-                obs.tracer.end(span, self.sim.now)
+            if tracer is not None:
+                tracer.end(span, self.sim.now)
         status = FAILED if error is not None else COMPLETED
         if self.power_profile is not None:
             nj = reconfig_share_nj
@@ -611,10 +629,10 @@ class DprScheduler:
         if tenant is not None:
             self.tenant_energy_nj[tenant] = (
                 self.tenant_energy_nj.get(tenant, 0.0) + nj)
-        obs = self.obs
+        obs = self._instrument_obs
         if obs is not None:
-            instruments = self._metrics(obs)
-            instruments["energy"].inc(int(nj))
+            instruments = self._instruments
+            instruments["energy"].value += int(nj)
             if tenant is not None:
                 per_tenant = instruments["energy_tenant"]
                 counter = per_tenant.get(tenant)
@@ -624,7 +642,7 @@ class DprScheduler:
                         "modeled energy charged per tenant (nJ)",
                         labels={"tenant": tenant})
                     per_tenant[tenant] = counter
-                counter.inc(int(nj))
+                counter.value += int(nj)
 
     # ------------------------------------------------------------------
     # outcome bookkeeping
@@ -651,22 +669,23 @@ class DprScheduler:
         """Resolve the entry's ticket and record terminal metrics."""
         del self._queued[entry.seq]
         self.outcomes[entry.seq] = outcome
-        obs = self.obs
-        if obs is not None:
-            instruments = self._metrics(obs)
-            instruments["status"][outcome.status].inc()
+        tracer = self._tracer
+        if tracer is not None:
+            instruments = self._instruments
+            instruments["status"][outcome.status].value += 1
             if outcome.deadline_missed:
-                instruments["deadline_misses"].inc()
-                obs.tracer.instant(TRACK, "deadline_miss", self.sim.now,
-                                   id=outcome.request_id,
-                                   module=outcome.module)
-            if outcome.latency_us is not None:
+                instruments["deadline_misses"].value += 1
+                tracer.instant(TRACK, "deadline_miss", self.sim.now,
+                               id=outcome.request_id,
+                               module=outcome.module)
+            latency_us = outcome.latency_us
+            if latency_us is not None:
                 instruments["latency"].record(
-                    int(outcome.latency_us * self._freq_hz / 1e6))
+                    int(latency_us * self._freq_hz / 1e6))
             if outcome.start_us is not None:
-                wait = max(0.0, outcome.start_us - outcome.arrival_us)
+                wait = outcome.start_us - outcome.arrival_us
                 instruments["queue_wait"].record(
-                    int(wait * self._freq_hz / 1e6))
+                    int(wait * self._freq_hz / 1e6) if wait > 0 else 0)
             if outcome.tc_us:
                 instruments["tc"].record(
                     int(outcome.tc_us * self._freq_hz / 1e6))

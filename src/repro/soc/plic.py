@@ -9,7 +9,7 @@ single hart context.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.axi.interface import RegisterBank
 from repro.riscv import isa
@@ -17,6 +17,7 @@ from repro.sim.kernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import Observability
+    from repro.obs.metrics import Histogram
     from repro.obs.tracer import Span
 
 PRIORITY_BASE = 0x0000
@@ -43,8 +44,13 @@ class Plic(RegisterBank):
         self.claims = 0
         self._set_mip: Optional[Callable[[int, bool], None]] = None
         self.obs: Optional["Observability"] = None
-        self._pending_spans: Dict[int, "Span"] = {}
-        self._h_service = None
+        #: per source: the open pending-to-claim span (attached only)
+        self._pending_spans: List[Optional["Span"]] = \
+            [None] * (MAX_SOURCES + 1)
+        #: per source: its span name, built once
+        self._span_names = [f"irq{source}" for source in
+                            range(MAX_SOURCES + 1)]
+        self._h_service: Optional["Histogram"] = None
 
         for source in range(1, MAX_SOURCES + 1):
             self.define_register(
@@ -67,7 +73,12 @@ class Plic(RegisterBank):
         self._set_mip = set_mip
 
     def attach_obs(self, obs: "Observability") -> None:
+        """Wire the PLIC in; each source's pending line mirrors its
+        pending-to-claim spans."""
         self.obs = obs
+        for source in range(1, MAX_SOURCES + 1):
+            obs.tracer.mirror(f"plic_pending_{source}", "plic",
+                              self._span_names[source])
         self._h_service = obs.metrics.histogram(
             "plic_irq_service_cycles",
             "cycles from PLIC gateway latch to the hart's claim read")
@@ -80,11 +91,10 @@ class Plic(RegisterBank):
 
     def _latch(self, source: int) -> None:
         self.pending |= 1 << source
-        if self.obs is not None and source not in self._pending_spans:
-            now = self.sim.now
+        if self.obs is not None and self._pending_spans[source] is None:
             self._pending_spans[source] = self.obs.tracer.begin(
-                "plic", f"irq{source}", now, source=source)
-            self.obs.tracer.signal(f"plic_pending_{source}", now, 1)
+                "plic", self._span_names[source], self.sim.now,
+                source=source)
         self._update_meip()
 
     # ------------------------------------------------------------------
@@ -117,13 +127,13 @@ class Plic(RegisterBank):
             self.pending &= ~(1 << source)
             self.in_service = source
             self.claims += 1
-            if self.obs is not None:
+            span = self._pending_spans[source]
+            if span is not None and self.obs is not None:
+                self._pending_spans[source] = None
                 now = self.sim.now
-                span = self._pending_spans.pop(source, None)
-                if span is not None:
-                    self.obs.tracer.end(span, now, claimed=True)
-                    self._h_service.record(now - span.start_cycle)
-                self.obs.tracer.signal(f"plic_pending_{source}", now, 0)
+                self.obs.tracer.end(span, now, claimed=True)
+                self._h_service.record(  # type: ignore[union-attr]
+                    now - span.start_cycle)
             self._update_meip()
         return source
 

@@ -128,3 +128,22 @@ class TestRunFleet:
                            params={"points": 1, "kinds": ("truncate",)})
         assert report.workers == 4
         assert len(report.units) == 1
+
+
+class TestCli:
+    def test_stable_without_json_is_a_usage_error(self, capsys):
+        from repro.cli import main
+
+        assert main(["fleet", "sched", "--workers", "1", "--requests", "40",
+                     "--stable"]) == 2
+        captured = capsys.readouterr()
+        assert "--json" in captured.err
+        assert captured.out == ""
+
+    def test_stable_json_has_no_wall_time(self, capsys):
+        from repro.cli import main
+
+        assert main(["fleet", "unroll", "--factors", "8", "--json",
+                     "--stable"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "wall_seconds" not in report

@@ -4,9 +4,11 @@ On a SoC built with nothing attached every emit site reduces to one
 ``obs is not None`` check, so a flow runs no function of ``repro.obs``
 at all.  The test watches every Python call with ``sys.setprofile``
 from the moment the SoC is built, through a Table IV row on the RV-CAP
-driver in interrupt and in polling mode, an HWICAP host-driver load and
-the unroll-16 HWICAP firmware on the ISS.  It counts calls, not wall
-time, so the rule holds exactly on any host.
+driver in interrupt and in polling mode, an HWICAP host-driver load,
+the unroll-16 HWICAP firmware on the ISS, and a churn-shaped scheduler
+replay (cache evictions, admission verification, late drops and a
+peak-power cap).  It counts calls, not wall time, so the rule holds
+exactly on any host.
 """
 
 import os
@@ -22,6 +24,8 @@ from repro.drivers.mmio import HostPort
 from repro.eval.scenarios import make_test_bitstream
 from repro.firmware.hwicap_fw import build_hwicap_firmware
 from repro.firmware.runner import run_firmware
+from repro.sched import WorkloadSpec, build_sched_soc, make_cache, synthesize
+from repro.sched.scheduler import DprScheduler
 from repro.soc.builder import build_soc
 
 OBS_DIR = os.path.dirname(repro.obs.__file__) + os.sep
@@ -86,6 +90,28 @@ def hwicap_load(firmware):
     return soc, flow
 
 
+def churn_replay():
+    """32 modules through a 128 KiB cache arena, each placement
+    verified, late requests dropped, reconfigurations held under a
+    178 mW cap."""
+    spec = WorkloadSpec(requests=60, arrival_rate_rps=300.0, modules=32,
+                        zipf_s=0.8, frame=32, deadline_slack_us=20_000.0,
+                        seed=2026)
+    manager = build_sched_soc(spec.modules, frame=spec.frame)
+    cache = make_cache(manager, arena_bytes=128 << 10)
+    scheduler = DprScheduler(manager, cache=cache, verify=True,
+                             drop_late=True, peak_power_mw=178.0,
+                             power_window_us=2000.0)
+    requests = synthesize(spec)
+
+    def flow():
+        scheduler.run(requests)
+        assert cache.stats.evictions > 0
+        assert scheduler.power_deferrals > 0
+
+    return manager.soc, flow
+
+
 def test_detached_flows_call_nothing_in_repro_obs():
     # the watch sees obs calls at all: an attached SoC makes plenty
     soc, flow = hwicap_load(firmware=False)
@@ -97,6 +123,7 @@ def test_detached_flows_call_nothing_in_repro_obs():
         "table4 row, polling": lambda: table4_row("polling"),
         "hwicap host driver": lambda: hwicap_load(firmware=False),
         "hwicap firmware, unroll 16": lambda: hwicap_load(firmware=True),
+        "churn-shaped scheduler replay": churn_replay,
     }
     found = {}
     for name, build in flows.items():

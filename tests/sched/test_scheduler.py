@@ -323,10 +323,29 @@ class TestEveryRequestResolves:
 
     def test_unexpected_error_escapes_run(self, sched_platform_factory):
         # only a ReproError is served in-band; anything else is a bug,
-        # and it surfaces instead of leaving the replay waiting
+        # and it surfaces instead of leaving the replay waiting, after
+        # the batch it escaped from is wound up
         manager, cache = sched_platform_factory()
+        tracer = manager.soc.obs.tracer
         scheduler = DprScheduler(manager, cache=cache)
         with mock.patch.object(manager, "load_module",
                                side_effect=RuntimeError("boom")):
             with pytest.raises(RuntimeError, match="boom"):
-                scheduler.run([SwapRequest("rm0", 10.0, 90_000.0)])
+                scheduler.run([
+                    SwapRequest("rm0", 10.0, 90_000.0, request_id=0),
+                    SwapRequest("rm1", 5_000.0, 90_000.0, request_id=1),
+                ])
+        popped, waiting = scheduler.outcomes
+        assert popped.status == FAILED
+        assert popped.error == "RuntimeError: boom"
+        assert waiting is None
+        assert tracer.open_span("sched") is None
+        depth = manager.soc.obs.metrics.get("sched_queue_depth")
+        assert depth.value == 1.0
+        # the queue still serves what the escaped batch left behind
+        while scheduler.step():
+            pass
+        assert scheduler.outcomes[1].status == COMPLETED
+        failed_batch, next_batch = tracer.find("sched", "batch")
+        assert failed_batch.args["status"] == "error"
+        assert next_batch.parent_id is None
