@@ -69,6 +69,14 @@ class TestInstruments:
         # p50 within HDR quantization error of the true median
         assert 50 <= h.percentile(0.5) <= 57
 
+    @pytest.mark.parametrize("value", [0, 7, 8, 4095, 4096, 4097, 65_537,
+                                       123_456_789])
+    def test_record_lands_in_its_bucket(self, value):
+        # through the small-value table and the octave formula above it
+        h = Histogram("n")
+        h.record(value)
+        assert h.buckets == {_bucket_index(value): 1}
+
     def test_histogram_negative_clamped(self):
         h = Histogram("n")
         h.record(-5)

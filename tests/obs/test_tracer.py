@@ -26,6 +26,19 @@ class TestSpans:
         tracer.end(outer, 20)
         assert tracer.children(outer) == [inner, sibling]
 
+    def test_out_of_order_end_keeps_later_spans_open(self):
+        # two interrupts pending on one track, claimed oldest first
+        tracer = SpanTracer()
+        older = tracer.begin("plic", "irq5", 0)
+        newer = tracer.begin("plic", "irq6", 2)
+        tracer.end(older, 4)
+        assert tracer.open_span("plic") is newer
+        again = tracer.begin("plic", "irq5", 6)
+        assert again.parent_id == newer.span_id
+        tracer.end(newer, 7)
+        tracer.end(again, 8)
+        assert tracer.open_span("plic") is None
+
     def test_tracks_are_independent(self):
         tracer = SpanTracer()
         a = tracer.begin("dma", "transfer", 0)
@@ -100,6 +113,20 @@ class TestInstantsCountersSignals:
         tracer.signal("busy", 7, 1)  # same value: dropped
         tracer.signal("busy", 9, 0)
         assert tracer.signals["busy"] == [(0, 0), (5, 1), (9, 0)]
+
+    def test_mirrored_signal_follows_its_spans(self):
+        tracer = SpanTracer()
+        tracer.mirror("busy", "dma", "transfer")
+        first = tracer.begin("dma", "transfer", 5)
+        tracer.end(first, 9)
+        tracer.begin("dma", "transfer", 9)  # still open
+        tracer.begin("dma", "other", 10)  # not mirrored
+        assert tracer.signals == {"busy": [(5, 1), (9, 0), (9, 1)]}
+        # the declaration outlives the records it derives from
+        tracer.clear()
+        assert tracer.signals == {}
+        tracer.begin("dma", "transfer", 3)
+        assert tracer.signals == {"busy": [(3, 1)]}
 
     def test_tracks_lists_first_appearance_order(self):
         tracer = SpanTracer()
