@@ -25,6 +25,7 @@ from repro.errors import BusError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import Observability
     from repro.obs.metrics import Counter
+    from repro.sim.kernel import Simulator
 
 
 class AxiStreamSwitch(StreamSink):
@@ -45,19 +46,18 @@ class AxiStreamSwitch(StreamSink):
         self._selected: str | None = None
         self._busy: Callable[[], bool] = lambda: False
         self.obs: Optional["Observability"] = None
-        self._clock: Callable[[], int] = lambda: 0
+        self._sim: Optional["Simulator"] = None
         self._port_counters: Dict[str, "Counter"] = {}
 
-    def attach_obs(self, obs: "Observability",
-                   clock: Callable[[], int]) -> None:
-        """Attach observability; ``clock`` supplies the current cycle.
+    def attach_obs(self, obs: "Observability", sim: "Simulator") -> None:
+        """Attach observability; events stamp at ``sim.now``.
 
         Register-write paths (``select``) carry no timestamp of their
-        own, so the switch reads the simulator clock through the
-        callable when stamping events.
+        own, so the switch reads the simulator's clock attribute when
+        stamping events.
         """
         self.obs = obs
-        self._clock = clock
+        self._sim = sim
         self._port_counters = {}
 
     def _port_counter(self, port: str) -> "Counter":
@@ -100,7 +100,7 @@ class AxiStreamSwitch(StreamSink):
                 f"switch {self.name!r}: cannot switch ports mid-transfer"
             )
         if self.obs is not None and port != self._selected:
-            now = self._clock()
+            now = self._sim.now  # type: ignore[union-attr]
             self.obs.tracer.instant("axis.switch", "select", now, port=port)
             self.obs.tracer.signal(
                 f"{self.name}_sel_icap", now, 1 if port == "icap" else 0)

@@ -354,7 +354,7 @@ class DmaChannel:
         read, plan_accept = bulk
         burst = self.burst_bytes
         sim = self.sim
-        now = sim._now
+        now = sim.now
         window = sim.batch_window()
         if window <= now:
             return None
@@ -444,7 +444,7 @@ class DmaChannel:
             target = accept_done - burst
             if read_time > target:
                 target = read_time
-            now = sim._now
+            now = sim.now
             if target > now:
                 if stall_counter is not None:
                     stall_counter.value += target - now
@@ -482,7 +482,7 @@ class DmaChannel:
         poll_law = self.source.poll_law
         while remaining:
             nbytes = burst if burst < remaining else remaining
-            now = sim._now
+            now = sim.now
             data, ready = produce(nbytes, pull_time if pull_time > now else now)
             if not data:
                 if ready > now:
@@ -532,7 +532,7 @@ class DmaChannel:
             target = write_time - burst
             if pull_time > target:
                 target = pull_time
-            now = sim._now
+            now = sim.now
             if target > now:
                 if stall_counter is not None:
                     stall_counter.value += target - now

@@ -17,6 +17,7 @@ from repro.axi.stream_switch import AxiStreamSwitch
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import Observability
     from repro.obs.tracer import Span
+    from repro.sim.kernel import Simulator
 
 DECOUPLE_OFFSET = 0x00
 SELECT_ICAP_OFFSET = 0x04
@@ -60,7 +61,7 @@ class RpControlInterface(RegisterBank):
         self.icap_selected = False
         self.rm_selected = 0
         self.obs: Optional["Observability"] = None
-        self._clock: Callable[[], int] = lambda: 0
+        self._sim: Optional["Simulator"] = None
         self._decouple_spans: Dict[int, "Span"] = {}
         #: RPs with an isolator (and RP 0), ascending, with their
         #: decoupled-span names: the RPs a DECOUPLE write traces
@@ -111,18 +112,17 @@ class RpControlInterface(RegisterBank):
     def set_rm_busy_source(self, source: Callable[[], bool]) -> None:
         self._rm_busy = source
 
-    def attach_obs(self, obs: "Observability",
-                   clock: Callable[[], int]) -> None:
-        """Attach observability; register writes stamp via ``clock``."""
+    def attach_obs(self, obs: "Observability", sim: "Simulator") -> None:
+        """Attach observability; register writes stamp at ``sim.now``."""
         self.obs = obs
-        self._clock = clock
+        self._sim = sim
 
     # ------------------------------------------------------------------
     # register behaviour
     # ------------------------------------------------------------------
     def _write_decouple(self, value: int) -> None:
         if self.obs is not None and value != self.decouple_mask:
-            now = self._clock()
+            now = self._sim.now  # type: ignore[union-attr]
             tracer = self.obs.tracer
             tracer.signal("rp_decouple", now, value)
             changed = value ^ self.decouple_mask
@@ -155,8 +155,8 @@ class RpControlInterface(RegisterBank):
                            else rm_port_name(self.rm_selected))
         self.icap_selected = icap_selected
         if self.obs is not None:
-            self.obs.tracer.signal(
-                "axis_icap_sel", self._clock(), int(icap_selected))
+            now = self._sim.now  # type: ignore[union-attr]
+            self.obs.tracer.signal("axis_icap_sel", now, int(icap_selected))
 
     def _write_rm_select(self, value: int) -> None:
         rm_selected = value & 0xF
@@ -167,7 +167,8 @@ class RpControlInterface(RegisterBank):
     def _write_icap_reset(self, value: int) -> None:
         if value & 1:
             if self.obs is not None:
-                self.obs.tracer.instant("rp", "icap_reset", self._clock())
+                now = self._sim.now  # type: ignore[union-attr]
+                self.obs.tracer.instant("rp", "icap_reset", now)
             for hook in self._icap_reset_hooks:
                 hook()
 

@@ -3,6 +3,11 @@
 7-series FAR fields: block type [25:23], top/bottom [22], row [21:17],
 column [16:7], minor [6:0].  The models only need linear ordering and
 round-trip encode/decode, both provided here.
+
+The low 22 bits of a FAR word (row, column, minor) are the frame's
+linear index, so the configuration port keeps its frame address as
+the register word and steps it with :func:`advance_far`; a
+:class:`FrameAddress` is built only where one is returned.
 """
 
 from __future__ import annotations
@@ -10,6 +15,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import BitstreamError
+
+
+#: FAR word bits holding the linear frame index: row, column, minor
+LINEAR_MASK = (1 << 22) - 1
+#: FAR word bits a decode keeps: block type, top/bottom and the index
+FAR_MASK = (1 << 26) - 1
+
+
+def advance_far(word: int, count: int) -> int:
+    """The FAR word ``count`` frames after FAR word ``word``.
+
+    :meth:`FrameAddress.advance` on register words: the block type and
+    top bit stay, the linear index steps, and leaving the 32-row grid
+    raises the same :class:`BitstreamError`.
+    """
+    linear = (word & LINEAR_MASK) + count
+    if not 0 <= linear <= LINEAR_MASK:
+        raise BitstreamError(f"row {linear >> 17} out of range")
+    return (word & (FAR_MASK ^ LINEAR_MASK)) | linear
 
 
 @dataclass(frozen=True, order=True)

@@ -15,25 +15,32 @@ CFGERR behaviour.  Frame writes stage until the bitstream proves itself
 bitstream never half-applies (the safe-DPR ablation exercises this
 path); a stream without a CRC word configures at its DESYNC.
 
-Performance: every whole-word accept goes through one numpy word scan.
-It skips sync/NOOP runs in one step, stages FDRI payload bursts as
-whole arrays and defers the running CRC into a backlog that is folded
+Performance: an accept costs O(packets) Python work, not O(words).
+One pass walks it packet by packet: the sync search is one
+``bytes.find``; header and register words are read as Python ints a
+short window at a time (one ``struct`` unpack) and decoded with integer
+ops, long NOOP runs are skipped with one numpy scan; FDRI payload is
+staged as raw byte slices and materialized as one uint32 array per
+packet.  Its CRC contribution is deferred into a backlog that is folded
 with the block-parallel :func:`~repro.utils.crc.crc32_config_words` the
-moment a non-FDRI word needs hashing or a CRC word is checked —
-O(chunks) Python work per bitstream instead of O(words).  The original
-word-at-a-time parser, which folds every FDRI word into the CRC as it
-arrives, is kept as the oracle in
+moment a non-FDRI word needs hashing or a CRC word is checked.  The
+frame address is kept as the FAR register word (its low 22 bits are
+the linear frame index, :mod:`repro.fpga.frames`), and staged frames
+land in :class:`ConfigMemory` as one block per FDRI packet.  The
+original word-at-a-time parser, which decodes every header through
+:meth:`ConfigPacket.decode` and folds every FDRI word into the CRC as
+it arrives, is kept as the oracle in
 ``tests/property/test_icap_vector_props.py``, which cross-checks the
 two word-for-word.
 
 The port also takes whole runs of DMA bursts in one step
 (:meth:`Icap.resolve_bulk_accept`): the run is timed by one max-plus
 scan over the port's busy chain, whatever its words are, and parsed in
-one pass over the concatenated words — staged as one chunk when it lies
-inside an FDRI payload.  Every side effect that depends on where the
-bursts split is taken from the burst that carried the word: a session
-span opens at the arrival of the burst carrying the sync word and
-closes where the DESYNC burst drains (see :mod:`repro.core.dma`).
+one pass over the concatenated words.  Every side effect that depends
+on where the bursts split is taken from the burst that carried the
+word: a session span opens at the arrival of the burst carrying the
+sync word and closes where the DESYNC burst drains (see
+:mod:`repro.core.dma`).
 
 Sessions: a configuration session runs from the sync word to DESYNC
 or a port reset and ends with one outcome (:attr:`Icap.outcome`):
@@ -49,19 +56,18 @@ each session is an ``icap/session`` span, status its outcome, whose
 from __future__ import annotations
 
 import enum
+import struct
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.axi.stream import BulkAccept, StreamSink
 from repro.fpga.config_memory import ConfigMemory
-from repro.fpga.frames import FrameAddress
+from repro.fpga.frames import FAR_MASK, LINEAR_MASK, FrameAddress, advance_far
 from repro.fpga.packets import (
     Command,
-    ConfigPacket,
     ConfigRegister,
     NOOP_WORD,
-    Opcode,
     SYNC_WORD,
 )
 from repro.utils.crc import crc32_config_word, crc32_config_words
@@ -77,6 +83,28 @@ class _ParseState(enum.Enum):
     PAYLOAD = enum.auto()
 
 
+_UNSYNCED = _ParseState.UNSYNCED
+_IDLE = _ParseState.IDLE
+_PAYLOAD = _ParseState.PAYLOAD
+
+_CRC = int(ConfigRegister.CRC)
+_FAR = int(ConfigRegister.FAR)
+_FDRI = int(ConfigRegister.FDRI)
+_FDRO = int(ConfigRegister.FDRO)
+_CMD = int(ConfigRegister.CMD)
+_STAT = int(ConfigRegister.STAT)
+_IDCODE = int(ConfigRegister.IDCODE)
+_RCRC = int(Command.RCRC)
+_DESYNC = int(Command.DESYNC)
+
+_SYNC_BYTES = SYNC_WORD.to_bytes(4, "big")
+#: header and register words are read as Python ints this many at a
+#: time; a NOOP run that fills a window is skipped with one numpy scan
+_WINDOW = 16
+_UNPACK = tuple(struct.Struct(f">{k}I").unpack_from
+                for k in range(_WINDOW + 1))
+
+
 class Icap(StreamSink):
     """ICAPE2 model: 32-bit write port into the configuration logic."""
 
@@ -84,31 +112,34 @@ class Icap(StreamSink):
 
     def __init__(self, config_memory: ConfigMemory) -> None:
         self.config_memory = config_memory
+        self._wpf = config_memory.device.words_per_frame
+        self._idcode = config_memory.device.idcode
         self._busy_until = 0
         self._byte_buffer = bytearray()
-        self._state = _ParseState.UNSYNCED
+        self._state = _UNSYNCED
         self._payload_reg: Optional[int] = None
         self._payload_remaining = 0
         self._fdri_words: List[np.ndarray] = []
-        #: raw FDRI payload bytes staged by the streaming fast path;
-        #: materialized into one ndarray (appended to ``_fdri_words``
-        #: and the CRC backlog) the moment any other consumer of those
-        #: lists runs — one numpy conversion per transfer instead of
-        #: one per burst
+        #: raw FDRI payload bytes staged by the word scan; materialized
+        #: into one ndarray (appended to ``_fdri_words`` and the CRC
+        #: backlog) the moment any other consumer of those lists runs —
+        #: one numpy conversion per packet instead of one per accept
         self._fdri_raw: List[bytes] = []
         #: FDRI payload chunks whose CRC contribution has not been folded
         #: into ``_crc`` yet; flushed in one block-parallel pass before
         #: any other word is hashed
         self._crc_backlog: List[np.ndarray] = []
-        #: frame writes staged while their bitstream is still unproven;
-        #: applied on CRC match / clean DESYNC, dropped on error (the
-        #: safe-DPR guarantee: a corrupted bitstream never half-applies)
-        self._pending_commits: List[Tuple[FrameAddress, np.ndarray]] = []
+        #: frame writes staged while their bitstream is still unproven,
+        #: as (linear frame index, words); applied on CRC match / clean
+        #: DESYNC, dropped on error (the safe-DPR guarantee: a corrupted
+        #: bitstream never half-applies)
+        self._pending_commits: List[Tuple[int, np.ndarray]] = []
         self._crc = 0
         #: words produced by FDRO read requests, awaiting pickup by the
         #: configuration-port master (readback, UG470 ch. 6)
         self.readback_queue: List[int] = []
-        self.far: Optional[FrameAddress] = None
+        #: the FAR register word (None until written); see :attr:`far`
+        self._far: Optional[int] = None
         self.words_consumed = 0
         #: cycles arriving bursts waited behind the 4 B/cycle port
         self.stall_cycles = 0
@@ -184,6 +215,12 @@ class Icap(StreamSink):
     def busy_until(self) -> int:
         return self._busy_until
 
+    @property
+    def far(self) -> Optional[FrameAddress]:
+        """The frame address register (None until a FAR write)."""
+        far = self._far
+        return None if far is None else FrameAddress.decode(far)
+
     def reset(self) -> None:
         """Port-level reset: abort any partial packet, clear errors.
 
@@ -196,7 +233,7 @@ class Icap(StreamSink):
             self._end_session("aborted", self._busy_until,
                               self.words_consumed - 1)
         self._byte_buffer.clear()
-        self._state = _ParseState.UNSYNCED
+        self._state = _UNSYNCED
         self._payload_reg = None
         self._payload_remaining = 0
         self._fdri_words.clear()
@@ -205,7 +242,7 @@ class Icap(StreamSink):
         self._pending_commits.clear()
         self._crc = 0
         self.readback_queue.clear()
-        self.far = None
+        self._far = None
         self.crc_error = False
         self.protocol_error = False
         self.idcode_mismatch = False
@@ -243,30 +280,97 @@ class Icap(StreamSink):
         return self._busy_until
 
     def _consume(self, raw: bytes, now: int) -> None:
-        """Parse ``raw``, whole words that arrived at ``now``."""
-        whole = len(raw)
-        n = whole >> 2
-        if (self._state is _ParseState.PAYLOAD
-                and self._payload_reg == ConfigRegister.FDRI
-                and self._payload_remaining > n):
-            # streaming fast path: the words sit wholly inside an FDRI
-            # payload, so the word scan reduces to staging the raw
-            # bytes — exactly its PAYLOAD arm with take == n and no
-            # packet boundary reached (words_consumed and the remaining
-            # count advance the same way; the staged bytes join
-            # _fdri_words and the CRC backlog at the next flush, where
-            # list order keeps concatenation and folding identical).
-            # Applies to any size, so DMA bursts, bulk runs and keyhole
-            # words skip the scan alike; the ndarray materialization is
-            # deferred to the flush.
-            self._fdri_raw.append(raw)
-            self.words_consumed += n
-            self._payload_remaining -= n
-            return
-        if self._fdri_raw:
-            self._flush_fdri_raw()
-        words = np.frombuffer(raw, dtype=">u4").astype(np.uint32)
-        self._consume_words(words, now)
+        """Parse ``raw``, whole words that arrived at ``now``, in one pass
+        over its packets (see the module docstring)."""
+        n = len(raw) >> 2
+        base = self.words_consumed  # stream index of raw's first word
+        self.words_consumed = base + n
+        i = 0
+        while i < n:
+            state = self._state
+            if state is _UNSYNCED:
+                # a desynced device ignores everything except the sync
+                # pattern (dummies, bus-width words, post-DESYNC padding)
+                hit = raw.find(_SYNC_BYTES, i << 2)
+                while hit >= 0 and hit & 3:
+                    hit = raw.find(_SYNC_BYTES, hit + 1)
+                if hit < 0:
+                    return
+                i = (hit >> 2) + 1
+                self._state = _IDLE
+                self._begin_session(now, base + i - 1)
+                continue
+            if state is _PAYLOAD and self._payload_reg == _FDRI:
+                # frame data: stage the bytes, whatever the packet's size
+                remaining = self._payload_remaining
+                take = n - i if n - i < remaining else remaining
+                self._fdri_raw.append(
+                    raw if take == n else raw[i << 2:(i + take) << 2])
+                i += take
+                remaining -= take
+                self._payload_remaining = remaining
+                if not remaining:
+                    self._state = _IDLE
+                    self._commit_frames()
+                continue
+            # IDLE, or inside a register packet: walk a window of words
+            k = n - i
+            for value in _UNPACK[k if k < _WINDOW else _WINDOW](raw, i << 2):
+                i += 1
+                if self._state is _PAYLOAD:
+                    reg = self._payload_reg
+                    assert reg is not None  # set by the packet's header
+                    self._write_register(reg, value, base + i - 1)
+                    remaining = self._payload_remaining - 1
+                    self._payload_remaining = remaining
+                    if self._state is not _PAYLOAD:
+                        # a DESYNC ends the packet with the session: the
+                        # words after it go back to the sync search, so
+                        # the outcome does not depend on the burst split
+                        break
+                    if not remaining:
+                        self._state = _IDLE
+                    continue
+                if value == NOOP_WORD:
+                    continue
+                # a packet header (UG470 table 5-20): a reserved opcode
+                # or packet type drops the parser to the sync search
+                opcode = (value >> 27) & 0x3
+                packet_type = value >> 29
+                if opcode == 3 or (packet_type != 1 and packet_type != 2):
+                    self.protocol_error = True
+                    self._state = _UNSYNCED
+                    break
+                if packet_type == 1:
+                    reg = self._payload_reg = (value >> 13) & 0x1F
+                    count = value & 0x7FF
+                else:
+                    # type 2 continues the last type-1 packet's register
+                    reg = self._payload_reg
+                    if reg is None:
+                        self.protocol_error = True
+                        continue
+                    count = value & 0x7FF_FFFF
+                self._payload_remaining = count
+                if not count or not opcode:
+                    continue  # an empty packet, or a NOP header
+                if opcode == 1:
+                    self._serve_read(reg, count)
+                    self._payload_remaining = 0
+                    continue
+                self._state = _PAYLOAD
+                if reg == _FDRI:
+                    break
+            else:
+                if value == NOOP_WORD and i < n and self._state is _IDLE:
+                    # the window ended inside a NOOP run that may be
+                    # long: skip the rest of the run in one scan
+                    other = np.frombuffer(raw, dtype=">u4",
+                                          offset=i << 2) != NOOP_WORD
+                    run = int(other.argmax())
+                    if not other[run]:
+                        return
+                    i += run
 
     def resolve_bulk_accept(self, lead: int = 0) -> Optional[BulkAccept]:
         """Bulk form of :meth:`accept` for runs of whole-word bursts.
@@ -319,11 +423,11 @@ class Icap(StreamSink):
         return plan
 
     def _flush_fdri_raw(self) -> None:
-        """Materialize fast-path staged FDRI bytes into the word lists.
+        """Materialize the staged FDRI bytes into the word lists.
 
         Invoked before any consumer of ``_fdri_words`` / the CRC
         backlog runs, so list order (and hence concatenation and CRC
-        folding order) is exactly the per-burst reference behaviour.
+        folding order) is exactly the per-word reference behaviour.
         """
         chunks = self._fdri_raw
         blob = chunks[0] if len(chunks) == 1 else b"".join(chunks)
@@ -333,135 +437,40 @@ class Icap(StreamSink):
         self._crc_backlog.append(staged)
 
     # ------------------------------------------------------------------
-    # configuration state machine: the word scan
+    # register semantics
     # ------------------------------------------------------------------
-    def _consume_words(self, words: np.ndarray, now: int) -> None:
-        n = int(words.size)
-        base = self.words_consumed  # stream index of words[0]
-        self.words_consumed = base + n
-        i = 0
-        while i < n:
-            state = self._state
-            if state is _ParseState.PAYLOAD:
-                take = min(self._payload_remaining, n - i)
-                i += self._payload(words[i : i + take], base + i)
-                continue
-            if state is _ParseState.UNSYNCED:
-                # a desynced device ignores everything except the sync
-                # pattern (dummies, bus-width words, post-DESYNC padding)
-                hits = np.nonzero(words[i:] == SYNC_WORD)[0]
-                if hits.size == 0:
-                    return
-                i += int(hits[0]) + 1
-                self._state = _ParseState.IDLE
-                self._begin_session(now, base + i - 1)
-                continue
-            # IDLE: expect NOP or a packet header
-            word = int(words[i])
-            if word == NOOP_WORD:
-                # skip the whole NOP run in one scan: argmax finds the
-                # first other word without listing every later one (a
-                # bulk run's FDRI payload follows), and returns 0 only
-                # when there is none, since words[i] is a NOP
-                run = int(np.argmax(words[i:] != NOOP_WORD))
-                if run == 0:
-                    return
-                i += run
-                continue
-            i += 1
-            self._header(word)
-
-    def _payload(self, chunk: np.ndarray, pos: int) -> int:
-        reg = self._payload_reg
-        assert reg is not None
-        if reg == ConfigRegister.FDRI:
-            taken = len(chunk)
-            self._fdri_words.append(chunk)
-            self._crc_backlog.append(chunk)
-        else:
-            taken = self._write_registers(reg, chunk.tolist(), pos)
-        self._finish_payload_chunk(reg, taken)
-        return taken
-
-    # ------------------------------------------------------------------
-    # packet/register semantics
-    # ------------------------------------------------------------------
-    def _header(self, word: int) -> None:
-        try:
-            header = ConfigPacket.decode(word)
-        except Exception:
-            self.protocol_error = True
-            self._state = _ParseState.UNSYNCED
-            return
-        if header.packet_type == 1:
-            self._payload_reg = header.register
-            self._payload_remaining = header.word_count
-        else:
-            if self._payload_reg is None:
-                self.protocol_error = True
-                return
-            self._payload_remaining = header.word_count
-        if header.opcode == Opcode.WRITE and self._payload_remaining:
-            self._state = _ParseState.PAYLOAD
-        elif header.opcode == Opcode.READ and self._payload_remaining:
-            self._serve_read(self._payload_reg, self._payload_remaining)
-            self._payload_remaining = 0
-
-    def _finish_payload_chunk(self, reg: int, taken: int) -> None:
-        self._payload_remaining -= taken
-        if self._payload_remaining == 0:
-            # a DESYNC command inside the payload has already moved the
-            # state to UNSYNCED; do not resurrect the packet parser
-            if self._state is _ParseState.PAYLOAD:
-                self._state = _ParseState.IDLE
-            if reg == ConfigRegister.FDRI:
-                self._commit_frames()
-
-    def _write_registers(self, reg: int, values: List[int], pos: int) -> int:
-        """Write ``values``, from stream word ``pos`` on, to ``reg``;
-        the number of words taken.  A DESYNC ends the packet with the
-        session: the words after it go back to the sync search, so the
-        outcome does not depend on where the bursts split the packet."""
-        for k, value in enumerate(values):
-            self._write_register(reg, value, pos + k)
-            if self._state is not _ParseState.PAYLOAD:
-                return k + 1
-        return len(values)
-
     def _write_register(self, reg: int, value: int, pos: int) -> None:
-        """Write ``value``, stream word ``pos``, to register ``reg``."""
-        if reg == ConfigRegister.CRC:
-            if value != self._running_crc():
+        """Write ``value``, stream word ``pos``, to register ``reg``: every
+        configuration-register write goes through here."""
+        if reg == _CMD:
+            # a reserved code (a corrupted word, or a header whose count
+            # a bit flip grew) acts as NULL; the CRC check catches it
+            command = value & 0x1F
+            if command == _RCRC:
+                # RCRC resets the running CRC; deferred FDRI
+                # contributions would be zeroed anyway, so drop them
+                self._crc_backlog.clear()
+                self._crc = 0
+                return  # the RCRC word itself is not hashed
+            if command == _DESYNC:
+                self._finish_desync(pos)
+        elif reg == _CRC:
+            if value != (self._running_crc() if self._crc_backlog
+                         else self._crc):
                 self.crc_error = True
                 self._pending_commits.clear()
             else:
                 self._apply_pending()
             self._crc = 0
             return
-        if reg == ConfigRegister.CMD:
-            # a reserved code (a corrupted word, or a header whose count
-            # a bit flip grew) acts as NULL; the CRC check catches it
-            command = value & 0x1F
-            if command == Command.RCRC:
-                # RCRC resets the running CRC; deferred FDRI
-                # contributions would be zeroed anyway, so drop them
-                self._crc_backlog.clear()
-                self._crc = 0
-                return  # the RCRC word itself is not hashed
-            if command == Command.DESYNC:
-                self._finish_desync(pos)
-            self._hash(value, reg)
-            return
-        if reg == ConfigRegister.IDCODE:
-            if value != self.config_memory.device.idcode:
+        elif reg == _IDCODE:
+            if value != self._idcode:
                 self.idcode_mismatch = True
-            self._hash(value, reg)
-            return
-        if reg == ConfigRegister.FAR:
-            self.far = FrameAddress.decode(value)
-            self._hash(value, reg)
-            return
-        self._hash(value, reg)
+        elif reg == _FAR:
+            self._far = value & FAR_MASK
+        self._crc = crc32_config_word(
+            self._running_crc() if self._crc_backlog else self._crc,
+            value, reg)
 
     def _running_crc(self) -> int:
         """The CRC over every word hashed so far (folds the backlog)."""
@@ -472,45 +481,43 @@ class Icap(StreamSink):
             payload = (backlog[0] if len(backlog) == 1
                        else np.concatenate(backlog))
             backlog.clear()
-            self._crc = crc32_config_words(self._crc, payload,
-                                           ConfigRegister.FDRI)
+            self._crc = crc32_config_words(self._crc, payload, _FDRI)
         return self._crc
-
-    def _hash(self, value: int, reg: int) -> None:
-        self._crc = crc32_config_word(self._running_crc(), value, reg)
 
     def _commit_frames(self) -> None:
         if self._fdri_raw:
             self._flush_fdri_raw()
-        if not self._fdri_words:
+        chunks = self._fdri_words
+        if not chunks:
             return
-        payload = (self._fdri_words[0] if len(self._fdri_words) == 1
-                   else np.concatenate(self._fdri_words))
-        self._fdri_words.clear()
-        if self.far is None:
+        payload = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        chunks.clear()
+        far = self._far
+        if far is None:
             self.protocol_error = True
             return
-        if self.error:
+        if self.crc_error or self.protocol_error or self.idcode_mismatch:
             return  # never half-apply after an error
-        wpf = self.config_memory.device.words_per_frame
-        if len(payload) % wpf:
+        frames, partial = divmod(len(payload), self._wpf)
+        if partial:
             self.protocol_error = True
             return
         # safe-DPR: stage the write until the bitstream proves itself
         # (CRC match or clean DESYNC); FAR auto-increments exactly as if
         # the frames had been written
-        self._pending_commits.append((self.far, payload))
-        self.far = self.far.advance(len(payload) // wpf)
+        self._pending_commits.append((far & LINEAR_MASK, payload))
+        self._far = advance_far(far, frames)
 
     @property
     def pending_frames(self) -> int:
         """Frames staged but not yet applied to configuration memory."""
-        wpf = self.config_memory.device.words_per_frame
-        return sum(len(payload) // wpf for _f, payload in self._pending_commits)
+        return sum(len(payload) // self._wpf
+                   for _index, payload in self._pending_commits)
 
     def _apply_pending(self) -> None:
-        for far, payload in self._pending_commits:
-            self.config_memory.write_frames(far, payload)
+        write_at = self.config_memory.write_at
+        for index, payload in self._pending_commits:
+            write_at(index, payload)
         self._pending_commits.clear()
 
     def _serve_read(self, reg: int, count: int) -> None:
@@ -521,13 +528,14 @@ class Icap(StreamSink):
         and emits one pad frame before the data; we model the pad frame
         so driver code must skip it exactly as on hardware.
         """
-        if reg == ConfigRegister.FDRO:
-            if self.far is None:
+        if reg == _FDRO:
+            far = self._far
+            if far is None:
                 self.protocol_error = True
                 return
             # readback observes prior writes: synchronize staged frames
             self._apply_pending()
-            wpf = self.config_memory.device.words_per_frame
+            wpf = self._wpf
             # one pad frame of zeros precedes readback data (UG470)
             payload_words = count - wpf
             if payload_words < 0 or payload_words % wpf:
@@ -535,11 +543,11 @@ class Icap(StreamSink):
                 return
             frames = payload_words // wpf
             self._read_served = True
-            data = self.config_memory.read_frames(self.far, frames)
+            data = self.config_memory.read_at(far & LINEAR_MASK, frames)
             self.readback_queue.extend([0] * wpf)
-            self.readback_queue.extend(int(w) for w in data)
-            self.far = self.far.advance(frames)
-        elif reg == ConfigRegister.STAT:
+            self.readback_queue.extend(data.tolist())
+            self._far = advance_far(far, frames)
+        elif reg == _STAT:
             status = (1 << 12) if not self.error else 0  # DONE-ish bit
             self.readback_queue.extend([status] * count)
         else:
@@ -594,7 +602,7 @@ class Icap(StreamSink):
         """DESYNC at stream word ``pos`` ends the session: staged frames
         apply unless an error latched, then the outcome is decided."""
         self.desynced_count += 1
-        self._state = _ParseState.UNSYNCED
+        self._state = _UNSYNCED
         error = self.error
         if error:
             self._pending_commits.clear()

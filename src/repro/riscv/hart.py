@@ -304,8 +304,8 @@ class Hart:
         ``issue``: what :meth:`store` would have left, store by store."""
         self.mmio_accesses += len(values)
         sim = self.sim
-        if issue > sim._now:
-            sim._now = issue
+        if issue > sim.now:
+            sim.now = issue
         batch.commit(values, issue)
         values.clear()
 
@@ -317,12 +317,12 @@ class Hart:
         avoids the ``advance_to`` call on the dominant path.
         """
         sim = self.sim
-        if issue > sim._now:
+        if issue > sim.now:
             queue = sim._queue
             if queue and queue[0][0] <= issue:
                 sim.advance_to(issue)
             else:
-                sim._now = issue
+                sim.now = issue
 
     def _code_store(self, addr: int, nbytes: int) -> None:
         """Invalidate compiled blocks overlapping a store into

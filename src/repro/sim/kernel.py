@@ -133,7 +133,10 @@ class Simulator:
 
     def __init__(self, freq_hz: float = 100e6) -> None:
         self.freq_hz = float(freq_hz)
-        self._now = 0
+        #: current simulation time in cycles: a plain attribute, so a
+        #: clock read costs no call.  Only the kernel's own methods and
+        #: the hart's MMIO clock sync move it.
+        self.now = 0
         self._seq = 0
         self._queue: list[tuple[int, int, Callable[[], None]]] = []
         self._running = False
@@ -144,14 +147,9 @@ class Simulator:
     # time
     # ------------------------------------------------------------------
     @property
-    def now(self) -> int:
-        """Current simulation time in cycles."""
-        return self._now
-
-    @property
     def now_us(self) -> float:
         """Current simulation time in microseconds."""
-        return self._now / self.freq_hz * 1e6
+        return self.now / self.freq_hz * 1e6
 
     def cycles_to_us(self, cycles: int) -> float:
         """Convert a cycle count to microseconds at this clock."""
@@ -164,14 +162,14 @@ class Simulator:
         """Run ``callback`` after ``delay`` cycles (>= 0)."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(self._queue, (self._now + delay, self._seq, callback))
+        heapq.heappush(self._queue, (self.now + delay, self._seq, callback))
         self._seq += 1
 
     def schedule_at(self, cycle: int, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute time ``cycle``."""
-        if cycle < self._now:
+        if cycle < self.now:
             raise SimulationError(
-                f"cannot schedule at cycle {cycle}, now is {self._now}"
+                f"cannot schedule at cycle {cycle}, now is {self.now}"
             )
         heapq.heappush(self._queue, (cycle, self._seq, callback))
         self._seq += 1
@@ -217,7 +215,7 @@ class Simulator:
         keeps the heap invariant (no queued event precedes ``now``)
         because the window is bounded by the next queued event.
         """
-        self._now = cycle
+        self.now = cycle
 
     # ------------------------------------------------------------------
     # execution
@@ -232,7 +230,7 @@ class Simulator:
         if not queue:
             return False
         cycle, _seq, callback = heapq.heappop(queue)
-        self._now = cycle
+        self.now = cycle
         self._horizon = cycle
         self.events_processed += 1
         callback()
@@ -255,13 +253,13 @@ class Simulator:
             while queue:
                 cycle = queue[0][0]
                 if until is not None and cycle > until:
-                    self._now = until
+                    self.now = until
                     return
                 # Same-cycle run-batch: drain every event at this cycle
                 # before re-checking the stop condition.
                 while queue and queue[0][0] == cycle:
                     cycle_, _seq, callback = heappop(queue)
-                    self._now = cycle_
+                    self.now = cycle_
                     self.events_processed += 1
                     callback()
                     remaining -= 1
@@ -269,8 +267,8 @@ class Simulator:
                         raise SimulationError(
                             f"exceeded {max_events} events; runaway model?"
                         )
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._running = False
 
@@ -287,8 +285,8 @@ class Simulator:
         it to widen their window; it never affects where the clock
         lands.  Defaults to ``cycle`` (fully conservative).
         """
-        if cycle < self._now:
-            raise SimulationError(f"advance_to({cycle}) is in the past ({self._now})")
+        if cycle < self.now:
+            raise SimulationError(f"advance_to({cycle}) is in the past ({self.now})")
         self._horizon = cycle if horizon is None or horizon < cycle else horizon
         queue = self._queue
         heappop = heapq.heappop
@@ -297,13 +295,13 @@ class Simulator:
         # re-peeking through step()'s guards per event.
         while queue and queue[0][0] <= cycle:
             event_cycle, _seq, callback = heappop(queue)
-            self._now = event_cycle
+            self.now = event_cycle
             pops += 1
             callback()
         if pops:
             self.events_processed += pops
-        if cycle > self._now:
-            self._now = cycle
+        if cycle > self.now:
+            self.now = cycle
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Simulator t={self._now} pending={len(self._queue)}>"
+        return f"<Simulator t={self.now} pending={len(self._queue)}>"

@@ -8,8 +8,7 @@ RM's stream attachment, and hart construction for firmware runs.
 
 from __future__ import annotations
 
-import hashlib
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.accel import make_accelerator
 from repro.axi.crossbar import AxiCrossbar
@@ -67,8 +66,9 @@ class Soc:
         #: the DRC checks this map for duplicate and out-of-range sources
         self.irq_sources: Dict[str, int] = {}
 
-        #: (rp_index, content signature) -> module name
-        self._module_signatures: Dict[tuple[int, str], str] = {}
+        #: (rp_index, a registered module's frame bytes) -> its name:
+        #: identification compares a partition's contents exactly
+        self._module_contents: Dict[Tuple[int, bytes], str] = {}
         self._modules: Dict[str, ReconfigurableModule] = {}
         #: module name -> index of the partition it was registered for
         self._module_rp_index: Dict[str, int] = {}
@@ -94,15 +94,14 @@ class Soc:
         return self._active_modules.get(rp_index)
 
     # ------------------------------------------------------------------
-    # module registry: signatures map config-memory contents -> RM
+    # module registry: config-memory contents -> RM
     # ------------------------------------------------------------------
     def register_module(self, module: ReconfigurableModule,
                         rp_index: int = 0) -> None:
         """Register an RM so the SoC can recognize its configuration."""
         rp = self.partitions[rp_index]
         payload = self.bitgen.frame_payload(rp, module)
-        signature = hashlib.sha256(payload.tobytes()).hexdigest()
-        self._module_signatures[(rp_index, signature)] = module.name
+        self._module_contents[(rp_index, payload.tobytes())] = module.name
         self._modules[module.name] = module
         self._module_rp_index[module.name] = rp_index
 
@@ -117,18 +116,17 @@ class Soc:
     def registered_modules(self) -> list[str]:
         return sorted(self._modules)
 
-    def _rp_signature(self, rp_index: int) -> str:
-        rp = self.partitions[rp_index]
-        frames = self.config_memory.read_frames(rp.base_far, rp.frames)
-        return hashlib.sha256(frames.tobytes()).hexdigest()
-
     def on_reconfiguration_complete(self) -> None:
         """ICAP hook, run when a session changed configuration memory:
         re-derive each RP's module from its frames and attach that
-        module's accelerator (or none) to the RP's stream port."""
-        for rp_index in range(len(self.partitions)):
-            signature = self._rp_signature(rp_index)
-            name = self._module_signatures.get((rp_index, signature))
+        module's accelerator (or none) to the RP's stream port.  The
+        frames are compared with the registered payloads byte for byte,
+        as a dictionary lookup."""
+        read_at = self.config_memory.read_at
+        contents = self._module_contents
+        for rp_index, rp in enumerate(self.partitions):
+            frames = read_at(rp.base_far.linear_index(), rp.frames)
+            name = contents.get((rp_index, frames.tobytes()))
             if name == self._active_modules.get(rp_index):
                 continue  # unchanged
             rm = None
@@ -233,12 +231,11 @@ class Soc:
         if obs is None:
             obs = Observability()
         self.obs = obs
-        clock = lambda: self.sim.now
         self.rvcap.dma.attach_obs(obs)
         self.icap.attach_obs(obs)
         self.rvcap.axis2icap.attach_obs(obs)
-        self.rvcap.switch.attach_obs(obs, clock)
-        self.rvcap.rp_control.attach_obs(obs, clock)
+        self.rvcap.switch.attach_obs(obs, self.sim)
+        self.rvcap.rp_control.attach_obs(obs, self.sim)
         self.plic.attach_obs(obs)
         self.xbar.attach_obs(obs)
         self.dma_xbar.attach_obs(obs)

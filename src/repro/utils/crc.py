@@ -10,7 +10,8 @@ Two implementations coexist:
 
 * the **scalar reference** (`crc32_update` / `crc32_config_word` /
   `crc32_xilinx`): one table lookup per byte, exactly the textbook
-  MSB-first algorithm.  It stays the ground truth for the property
+  MSB-first algorithm (`crc32_config_word` unrolls `crc32_update`'s
+  five byte steps).  It stays the ground truth for the property
   tests.
 * the **vectorized path** (`crc32c_bytes` / `crc32_config_words`): a
   block-parallel numpy evaluation.  The CRC recurrence is GF(2)-linear
@@ -79,10 +80,18 @@ def crc32_config_word(crc: int, data_word: int, reg_addr: int) -> int:
     register address in as a final byte, which preserves the property the
     models rely on: any single-bit corruption of data or address changes
     the CRC.
+
+    The five byte steps of :func:`crc32_update` (the data word MSB
+    first, then the address byte) are unrolled: every register word of
+    a configuration session comes through here.
     """
-    crc = crc32_update(crc, data_word & _MASK32, 32)
-    crc = crc32_update(crc, reg_addr & 0x1F, 8)
-    return crc
+    table = _TABLE
+    crc = (((crc << 8) & _MASK32)
+           ^ table[((crc >> 24) & 0xFF) ^ ((data_word >> 24) & 0xFF)])
+    crc = ((crc << 8) & _MASK32) ^ table[(crc >> 24) ^ ((data_word >> 16) & 0xFF)]
+    crc = ((crc << 8) & _MASK32) ^ table[(crc >> 24) ^ ((data_word >> 8) & 0xFF)]
+    crc = ((crc << 8) & _MASK32) ^ table[(crc >> 24) ^ (data_word & 0xFF)]
+    return ((crc << 8) & _MASK32) ^ table[(crc >> 24) ^ (reg_addr & 0x1F)]
 
 
 def crc32_xilinx(words: Iterable[tuple[int, int]]) -> int:

@@ -1,7 +1,7 @@
 import pytest
 
 from repro.errors import BitstreamError
-from repro.fpga.frames import FrameAddress
+from repro.fpga.frames import LINEAR_MASK, FrameAddress, advance_far
 
 
 class TestFrameAddress:
@@ -43,3 +43,32 @@ class TestFrameAddress:
     def test_field_ranges_enforced(self, kwargs):
         with pytest.raises(BitstreamError):
             FrameAddress(**kwargs)
+
+
+class TestFarWords:
+    """``advance_far`` is ``FrameAddress.advance`` on register words."""
+
+    @pytest.mark.parametrize("far, count", [
+        (FrameAddress(), 0),
+        (FrameAddress(column=3, minor=126), 2),
+        (FrameAddress(block_type=1, top=1, row=5, column=300, minor=77), 1608),
+        (FrameAddress(block_type=7, top=1, row=31, column=1023, minor=0), 127),
+    ])
+    def test_matches_frame_address_advance(self, far, count):
+        word = advance_far(far.encode(), count)
+        assert FrameAddress.decode(word) == far.advance(count)
+        assert word & LINEAR_MASK == far.advance(count).linear_index()
+
+    def test_high_bits_drop_like_decode(self):
+        far = FrameAddress(block_type=2, row=1, column=10)
+        word = advance_far(far.encode() | 0xFC00_0000, 3)
+        assert word == far.advance(3).encode()
+
+    @pytest.mark.parametrize("count", [1, 200])
+    def test_leaving_the_grid_raises_like_advance(self, count):
+        far = FrameAddress(top=1, row=31, column=1023, minor=127)
+        with pytest.raises(BitstreamError) as ours:
+            advance_far(far.encode(), count)
+        with pytest.raises(BitstreamError) as theirs:
+            far.advance(count)
+        assert str(ours.value) == str(theirs.value)

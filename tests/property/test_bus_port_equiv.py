@@ -47,6 +47,7 @@ from repro.axi.types import AxiResp, AxiResult
 from repro.errors import BusError
 from repro.mem.ddr import DdrController, DdrTiming
 from repro.obs import Observability
+from repro.sim.kernel import Simulator
 
 from tests.property import bus_oracle
 
@@ -100,7 +101,7 @@ def _fabric(timing: DdrTiming, observed: bool) -> Fabric:
         obs = Observability()
         for xbar in (main, xa, xb):
             xbar.attach_obs(obs)
-        switch.attach_obs(obs, lambda: 0)
+        switch.attach_obs(obs, Simulator())
     return Fabric((main, xa, xb), ddr, regs, switch, capture, fifo, obs)
 
 

@@ -343,7 +343,7 @@ def _icap_route_observe(engine, pbit, burst_beats, offset, period, phase,
         obs = Observability()
         for part in (rvcap.dma, icap, rvcap.axis2icap, xbar):
             part.attach_obs(obs)
-        rvcap.switch.attach_obs(obs, lambda: sim.now)
+        rvcap.switch.attach_obs(obs, sim)
         ddr.load_image(offset, pbit)
 
         def competitor():
@@ -368,7 +368,7 @@ def _icap_route_observe(engine, pbit, burst_beats, offset, period, phase,
         port = ddr._ports["dma_mm2s"]
         return {
             "frames": {index: frame.tobytes() for index, frame
-                       in icap.config_memory._frames.items()},
+                       in icap.config_memory.frames()},
             "icap": (icap._state, icap._payload_reg,
                      icap._payload_remaining, icap.words_consumed,
                      icap.far, icap.error, icap.crc_error,
@@ -539,7 +539,7 @@ def _accel_round_trip_observe(engine, width, height, behavior, launch,
         obs = Observability()
         for part in (rvcap.dma, mm2s_xbar, s2mm_xbar):
             part.attach_obs(obs)
-        rvcap.switch.attach_obs(obs, lambda: sim.now)
+        rvcap.switch.attach_obs(obs, sim)
         nbytes = width * height
         image = np.random.default_rng(seed).integers(
             0, 256, size=nbytes, dtype=np.uint8).tobytes()

@@ -9,7 +9,9 @@ configuration-memory contents.  The corruptions reuse the
 fault-injection primitives from :mod:`repro.faults.injectors` so the
 properties cover exactly the damage the fault campaign inflicts.
 Deterministic cases pin the small accepts of real traffic (keyhole
-words, a descriptor's 60-byte partial tail), session trace included.
+words, a descriptor's 60-byte partial tail), session trace included,
+and every corner of the packet-header decode, each fed as one accept
+and split in two at every word.
 """
 
 import random
@@ -20,12 +22,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import BitstreamError
 from repro.faults.injectors import flip_word_bit, truncate_at_word
 from repro.fpga.bitgen import Bitgen
 from repro.fpga.config_memory import ConfigMemory
 from repro.fpga.device import KINTEX7_325T
 from repro.fpga.icap import Icap, _ParseState
-from repro.fpga.packets import NOOP_WORD, SYNC_WORD, ConfigRegister, type1_write
+from repro.fpga.packets import (
+    DUMMY_WORD,
+    NOOP_WORD,
+    SYNC_WORD,
+    Command,
+    ConfigPacket,
+    ConfigRegister,
+    Opcode,
+    type1_read,
+    type1_write,
+    type2_read,
+    type2_write,
+)
 from repro.fpga.partition import (
     ReconfigurableModule,
     ReconfigurablePartition,
@@ -37,11 +52,13 @@ from repro.utils.crc import crc32_config_word
 
 
 class WordIcap(Icap):
-    """Oracle: every word walks the per-word state machine, and FDRI
-    words fold into the CRC one by one as they arrive (no staging, no
-    numpy scan, no deferred CRC backlog).  Only the packet and register
-    semantics (``_header``, ``_write_registers``, the session
-    boundaries) are the parser's own; the word loop is this class's."""
+    """Oracle: every word walks the per-word state machine, every packet
+    header decodes through :meth:`ConfigPacket.decode` (the decode the
+    verifier's walker uses), and FDRI words fold into the CRC one by one
+    as they arrive (no staging, no window, no deferred CRC backlog).
+    Only the register semantics (``_write_register``, the frame commit
+    and the session boundaries) are the parser's own; the word loop,
+    the header decode and the packet bookkeeping are this class's."""
 
     def accept(self, data: bytes, now: int) -> int:
         self._busy_until = (max(self._busy_until, now)
@@ -76,6 +93,27 @@ class WordIcap(Icap):
                 continue
             self._header(word)
 
+    def _header(self, word: int) -> None:
+        try:
+            header = ConfigPacket.decode(word)
+        except BitstreamError:
+            self.protocol_error = True
+            self._state = _ParseState.UNSYNCED
+            return
+        if header.packet_type == 1:
+            self._payload_reg = header.register
+            self._payload_remaining = header.word_count
+        else:
+            if self._payload_reg is None:
+                self.protocol_error = True
+                return
+            self._payload_remaining = header.word_count
+        if header.opcode == Opcode.WRITE and self._payload_remaining:
+            self._state = _ParseState.PAYLOAD
+        elif header.opcode == Opcode.READ and self._payload_remaining:
+            self._serve_read(self._payload_reg, self._payload_remaining)
+            self._payload_remaining = 0
+
     def _payload(self, chunk: list, pos: int) -> int:
         reg = self._payload_reg
         if reg == ConfigRegister.FDRI:
@@ -87,8 +125,22 @@ class WordIcap(Icap):
             taken = len(chunk)
         else:
             taken = self._write_registers(reg, chunk, pos)
-        self._finish_payload_chunk(reg, taken)
+        self._payload_remaining -= taken
+        if self._payload_remaining == 0:
+            if self._state is _ParseState.PAYLOAD:
+                self._state = _ParseState.IDLE
+            if reg == ConfigRegister.FDRI:
+                self._commit_frames()
         return taken
+
+    def _write_registers(self, reg: int, values: list, pos: int) -> int:
+        """Write ``values``, from stream word ``pos`` on, to ``reg``;
+        the number of words taken (a DESYNC ends the packet)."""
+        for k, value in enumerate(values):
+            self._write_register(reg, value, pos + k)
+            if self._state is not _ParseState.PAYLOAD:
+                return k + 1
+        return len(values)
 
 
 geometries = st.builds(
@@ -148,7 +200,7 @@ def _observable(icap: Icap) -> dict:
         "configured_frames": icap.config_memory.configured_frames,
         "frames": {
             index: frame.tobytes()
-            for index, frame in icap.config_memory._frames.items()
+            for index, frame in icap.config_memory.frames()
         },
     }
 
@@ -276,3 +328,59 @@ def test_word_oracle_never_stages_fdri_raw():
     with mock.patch.object(Icap, "_flush_fdri_raw", spy):
         _assert_engines_agree(data, _chunking(0, len(data)))
     assert Icap in flushed and WordIcap not in flushed
+
+
+def _header(packet_type: int, opcode: int, register: int = 0,
+            count: int = 0) -> int:
+    """A raw packet-header word, reserved fields included."""
+    return (packet_type << 29) | (opcode << 27) | (register << 13) | count
+
+
+#: words after each case: a CMD write that desyncs (a type-1 packet),
+#: then post-DESYNC pad
+_DESYNC_TAIL = [type1_write(ConfigRegister.CMD, 1), Command.DESYNC,
+                NOOP_WORD, NOOP_WORD]
+
+#: header corners; each runs between a sync and ``_DESYNC_TAIL``
+_HEADER_CASES = {
+    "opcode 3, type 1": [_header(1, 3, ConfigRegister.CMD, 1), 0x7],
+    "opcode 3, type 2": [type1_write(ConfigRegister.CMD, 0),
+                         _header(2, 3, count=1), Command.DESYNC],
+    **{f"packet type {t}": [_header(t, Opcode.WRITE, ConfigRegister.CMD, 1),
+                            Command.DESYNC]
+       for t in (0, 3, 4, 5, 6, 7)},
+    # the parser stays IDLE, so the tail's CMD packet still desyncs
+    "type 2 before any type 1": [type2_write(1)],
+    "type-1 READ of STAT": [type1_read(ConfigRegister.STAT, 3)],
+    # 2,049 status words: a type-2 count uses all 27 bits
+    "type-2 READ of STAT": [type1_read(ConfigRegister.STAT, 0),
+                            type2_read(0x801)],
+    "type-1 READ of FDRO, no FAR": [type1_read(ConfigRegister.FDRO, 202)],
+    "zero-count WRITE, then type 2": [type1_write(ConfigRegister.CMD, 0),
+                                      type2_write(1), Command.DESYNC],
+    "zero-count type-2 WRITE": [type1_write(ConfigRegister.IDCODE, 1),
+                                KINTEX7_325T.idcode, type2_write(0)],
+    "NOP header with a register": [_header(1, Opcode.NOP,
+                                           ConfigRegister.CMD, 0),
+                                   type2_write(1), Command.DESYNC],
+    "NOP header with a count": [_header(1, Opcode.NOP, 0, 5),
+                                type1_write(ConfigRegister.CMD, 1),
+                                Command.RCRC],
+    "NOP header, register and count": [
+        _header(1, Opcode.NOP, ConfigRegister.FAR, 2),
+        _header(2, Opcode.WRITE, count=1), 0x0040_0000],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HEADER_CASES))
+def test_header_decode_agrees(case):
+    """The production decode and ConfigPacket.decode agree on every
+    header corner, in one accept and split in two at every word."""
+    words = [DUMMY_WORD, SYNC_WORD, NOOP_WORD, *_HEADER_CASES[case],
+             *_DESYNC_TAIL]
+    data = np.array(words, dtype=">u4").tobytes()
+    splits = [[len(data)], *([4 * k, len(data) - 4 * k]
+                             for k in range(1, len(words)))]
+    for chunks in splits:
+        ours = _paced_observable(Icap, data, chunks)
+        assert ours == _paced_observable(WordIcap, data, chunks), chunks

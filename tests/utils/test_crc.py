@@ -31,6 +31,19 @@ class TestConfigWordCrc:
         for bit in (0, 7, 31):
             assert crc32_config_word(0, 1 << bit, 2) != base
 
+    def test_unrolled_word_matches_the_byte_loop(self):
+        """The five unrolled byte steps are crc32_update's, data word
+        first (masked to 32 bits), then the 5-bit address byte."""
+        seeds = (0, 1, 0x8000_0000, 0xFFFF_FFFF, 0x1234_5678)
+        words = (0, 0xAA99_5566, 0xFFFF_FFFF, 0x1_0000_0001, 0x2000_0000)
+        for crc in seeds:
+            for word in words:
+                for reg in (0, 2, 0x1F, 0x25):
+                    reference = crc32_update(
+                        crc32_update(crc, word & 0xFFFF_FFFF, 32),
+                        reg & 0x1F, 8)
+                    assert crc32_config_word(crc, word, reg) == reference
+
     def test_sequence_helper_matches_manual(self):
         pairs = [(0x11, 1), (0x22, 2), (0x33, 4)]
         manual = 0
