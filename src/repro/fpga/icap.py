@@ -17,16 +17,16 @@ path); a stream without a CRC word configures at its DESYNC.
 
 Performance: an accept costs O(packets) Python work, not O(words).
 One pass walks it packet by packet: the sync search is one
-``bytes.find``; header and register words are read as Python ints a
-short window at a time (one ``struct`` unpack) and decoded with integer
-ops, long NOOP runs are skipped with one numpy scan; FDRI payload is
-staged as raw byte slices and materialized as one uint32 array per
-packet.  Its CRC contribution is deferred into a backlog that is folded
-with the block-parallel :func:`~repro.utils.crc.crc32_config_words` the
-moment a non-FDRI word needs hashing or a CRC word is checked.  The
-frame address is kept as the FAR register word (its low 22 bits are
-the linear frame index, :mod:`repro.fpga.frames`), and staged frames
-land in :class:`ConfigMemory` as one block per FDRI packet.  The
+``bytes.find``; header, NOOP and register words are read as Python
+ints a short window at a time (one ``struct`` unpack) and headers are
+decoded with integer ops; FDRI payload is staged as raw byte slices
+and materialized as one uint32 array per packet.  Its CRC contribution
+is deferred into a backlog that is folded with the block-parallel
+:func:`~repro.utils.crc.crc32_config_words` the moment a non-FDRI word
+needs hashing or a CRC word is checked.  The frame address is kept as
+the FAR register word (its low 22 bits are the linear frame index,
+:mod:`repro.fpga.frames`), and staged frames land in
+:class:`ConfigMemory` as one block per FDRI packet.  The
 original word-at-a-time parser, which decodes every header through
 :meth:`ConfigPacket.decode` and folds every FDRI word into the CRC as
 it arrives, is kept as the oracle in
@@ -98,8 +98,8 @@ _RCRC = int(Command.RCRC)
 _DESYNC = int(Command.DESYNC)
 
 _SYNC_BYTES = SYNC_WORD.to_bytes(4, "big")
-#: header and register words are read as Python ints this many at a
-#: time; a NOOP run that fills a window is skipped with one numpy scan
+#: header, NOOP and register words are read as Python ints this many
+#: at a time
 _WINDOW = 16
 _UNPACK = tuple(struct.Struct(f">{k}I").unpack_from
                 for k in range(_WINDOW + 1))
@@ -361,16 +361,6 @@ class Icap(StreamSink):
                 self._state = _PAYLOAD
                 if reg == _FDRI:
                     break
-            else:
-                if value == NOOP_WORD and i < n and self._state is _IDLE:
-                    # the window ended inside a NOOP run that may be
-                    # long: skip the rest of the run in one scan
-                    other = np.frombuffer(raw, dtype=">u4",
-                                          offset=i << 2) != NOOP_WORD
-                    run = int(other.argmax())
-                    if not other[run]:
-                        return
-                    i += run
 
     def resolve_bulk_accept(self, lead: int = 0) -> Optional[BulkAccept]:
         """Bulk form of :meth:`accept` for runs of whole-word bursts.

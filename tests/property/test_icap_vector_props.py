@@ -369,6 +369,10 @@ _HEADER_CASES = {
     "NOP header, register and count": [
         _header(1, Opcode.NOP, ConfigRegister.FAR, 2),
         _header(2, Opcode.WRITE, count=1), 0x0040_0000],
+    # an IDLE NOOP run longer than two of the scan's 16-word windows
+    "NOOP run, then a header": [
+        *[NOOP_WORD] * 40, type1_write(ConfigRegister.IDCODE, 1),
+        KINTEX7_325T.idcode],
 }
 
 
