@@ -8,10 +8,10 @@ implemented.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterator, List, Optional, Sequence
 
 from repro.errors import FilesystemError
-from repro.fat32.blockdev import BLOCK_SIZE, BlockDevice
+from repro.fat32.blockdev import BlockDevice
 from repro.fat32.directory import (
     ATTR_ARCHIVE,
     DirEntry,
@@ -26,9 +26,15 @@ from repro.fat32.mbr import PARTITION_TYPE_FAT32_LBA, parse_mbr
 
 
 class _PartitionView(BlockDevice):
-    """A block device window over one partition."""
+    """A block device window over one partition.
 
-    def __init__(self, device: BlockDevice, first_lba: int, num_sectors: int):
+    A run passes to the device as one run, so the device decides how
+    it moves: a fault proxy or the SPI path still sees one block at a
+    time, in order.
+    """
+
+    def __init__(self, device: BlockDevice, first_lba: int,
+                 num_sectors: int) -> None:
         self.device = device
         self.first_lba = first_lba
         self._num = num_sectors
@@ -44,6 +50,14 @@ class _PartitionView(BlockDevice):
     def write_block(self, lba: int, data: bytes) -> None:
         self._check(lba)
         self.device.write_block(self.first_lba + lba, data)
+
+    def read_blocks(self, lba: int, count: int) -> bytes:
+        self._check_run(lba, count)
+        return self.device.read_blocks(self.first_lba + lba, count)
+
+    def write_blocks(self, lba: int, data: bytes) -> None:
+        self._whole_blocks(lba, data)
+        self.device.write_blocks(self.first_lba + lba, data)
 
 
 class Fat32FileSystem:
@@ -84,26 +98,33 @@ class Fat32FileSystem:
     # cluster I/O
     # ------------------------------------------------------------------
     def _read_cluster(self, cluster: int) -> bytes:
-        first = self.bpb.cluster_to_sector(cluster)
-        return b"".join(
-            self.partition.read_block(first + i)
-            for i in range(self.bpb.sectors_per_cluster)
-        )
+        return self.partition.read_blocks(self.bpb.cluster_to_sector(cluster),
+                                          self.bpb.sectors_per_cluster)
 
     def _write_cluster(self, cluster: int, data: bytes) -> None:
-        if len(data) > self.bpb.cluster_bytes:
+        self._write_clusters([cluster], data)
+
+    def _write_clusters(self, clusters: List[int], data: bytes) -> None:
+        """Write ``data`` over ``clusters`` in order, zero-padding the
+        last one, one run per stretch of consecutive clusters."""
+        size = self.bpb.cluster_bytes
+        if len(data) > len(clusters) * size:
             raise FilesystemError("cluster write overflow")
-        data = data.ljust(self.bpb.cluster_bytes, b"\x00")
-        first = self.bpb.cluster_to_sector(cluster)
-        for i in range(self.bpb.sectors_per_cluster):
-            self.partition.write_block(
-                first + i, data[i * BLOCK_SIZE : (i + 1) * BLOCK_SIZE]
-            )
+        data = data.ljust(len(clusters) * size, b"\x00")
+        start = 0
+        for index in range(1, len(clusters) + 1):
+            if (index == len(clusters)
+                    or clusters[index] != clusters[index - 1] + 1):
+                self.partition.write_blocks(
+                    self.bpb.cluster_to_sector(clusters[start]),
+                    data[start * size : index * size])
+                start = index
 
     # ------------------------------------------------------------------
     # directories (root + subdirectories, "/"-separated paths)
     # ------------------------------------------------------------------
-    def _iter_dir_slots(self, dir_cluster: int):
+    def _iter_dir_slots(self, dir_cluster: int
+                        ) -> Iterator[tuple[int, int, bytes]]:
         """Yield (cluster, offset, raw 32-byte record) for every slot."""
         for cluster in self.fat.chain(dir_cluster):
             data = self._read_cluster(cluster)
@@ -160,15 +181,23 @@ class Fat32FileSystem:
 
     def _find_slot_in(self, dir_cluster: int,
                       name: str) -> Optional[tuple[int, int, DirEntry]]:
+        """The live slot named ``name``: the first whose record starts
+        with its 8.3 field, before the end marker.  Reads the
+        directory's clusters in chain order and stops at the cluster
+        that holds the slot or the end marker."""
         target = encode_83(name)
-        for cluster, offset, raw in self._iter_dir_slots(dir_cluster):
-            first = raw[0]
-            if first == ENTRY_END:
+        for cluster in self.fat.chain(dir_cluster):
+            data = self._read_cluster(cluster)
+            end = _first_slot(data, (ENTRY_END,))
+            # an 8.3 field never starts with ENTRY_FREE, so a match is live
+            offset = data.find(target, 0, end)
+            while offset >= 0 and offset % ENTRY_SIZE:
+                offset = data.find(target, offset + 1, end)
+            if offset >= 0:
+                return cluster, offset, DirEntry.unpack(
+                    data[offset : offset + ENTRY_SIZE])
+            if end < len(data):
                 return None
-            if first == ENTRY_FREE:
-                continue
-            if raw[:11] == target:
-                return cluster, offset, DirEntry.unpack(raw)
         return None
 
     def _find_slot(self, path: str) -> Optional[tuple[int, int, DirEntry]]:
@@ -177,12 +206,14 @@ class Fat32FileSystem:
 
     def _find_free_slot(self, dir_cluster: int) -> tuple[int, int]:
         last_cluster = dir_cluster
-        for cluster, offset, raw in self._iter_dir_slots(dir_cluster):
+        for cluster in self.fat.chain(dir_cluster):
             last_cluster = cluster
-            if raw[0] in (ENTRY_END, ENTRY_FREE):
+            data = self._read_cluster(cluster)
+            offset = _first_slot(data, (ENTRY_END, ENTRY_FREE))
+            if offset < len(data):
                 return cluster, offset
         # directory full: extend it by one cluster
-        new_cluster = self.fat.allocate(1, link_after=last_cluster)
+        new_cluster = self.fat.allocate(1, link_after=last_cluster)[0]
         self._write_cluster(new_cluster, b"")
         return new_cluster, 0
 
@@ -191,7 +222,7 @@ class Fat32FileSystem:
         dir_cluster, leaf = self._split_path(path)
         if self._find_slot_in(dir_cluster, leaf) is not None:
             raise FilesystemError(f"{path!r} already exists")
-        new_cluster = self.fat.allocate(1)
+        new_cluster = self.fat.allocate(1)[0]
         # seed '.' and '..' entries, then terminate
         from repro.fat32.directory import ATTR_DIRECTORY
         dot = DirEntry(".", attributes=ATTR_DIRECTORY,
@@ -261,11 +292,9 @@ class Fat32FileSystem:
             cluster, offset = self._find_free_slot(dir_cluster)
         first_cluster = 0
         if data:
-            count = -(-len(data) // self.bpb.cluster_bytes)
-            first_cluster = self.fat.allocate(count)
-            for i, data_cluster in enumerate(self.fat.chain(first_cluster)):
-                chunk = data[i * self.bpb.cluster_bytes : (i + 1) * self.bpb.cluster_bytes]
-                self._write_cluster(data_cluster, chunk)
+            clusters = self.fat.allocate(-(-len(data) // self.bpb.cluster_bytes))
+            self._write_clusters(clusters, data)
+            first_cluster = clusters[0]
         leaf = name.strip("/").rpartition("/")[2]
         entry = DirEntry(name=leaf, attributes=ATTR_ARCHIVE,
                          first_cluster=first_cluster, size=len(data))
@@ -288,3 +317,11 @@ class Fat32FileSystem:
     # ------------------------------------------------------------------
     def free_bytes(self) -> int:
         return self.fat.count_free() * self.bpb.cluster_bytes
+
+
+def _first_slot(data: bytes, markers: Sequence[int]) -> int:
+    """Offset of the first 32-byte slot of ``data`` whose first byte is
+    one of ``markers``, or ``len(data)`` when there is none."""
+    firsts = data[::ENTRY_SIZE]
+    found = [index for index in map(firsts.find, markers) if index >= 0]
+    return min(found) * ENTRY_SIZE if found else len(data)

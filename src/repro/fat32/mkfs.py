@@ -48,15 +48,16 @@ def format_volume(device: BlockDevice, *, first_lba: int = 2048,
     view.write_block(0, bpb.pack())
 
     # zero both FATs, then seed the three reserved entries
-    zero = bytes(BLOCK_SIZE)
+    zero = bytes(sectors_per_fat * BLOCK_SIZE)
     for fat_index in range(bpb.num_fats):
-        base = bpb.fat_start_sector + fat_index * sectors_per_fat
-        for s in range(sectors_per_fat):
-            view.write_block(base + s, zero)
+        view.write_blocks(bpb.fat_start_sector + fat_index * sectors_per_fat,
+                          zero)
     fs = Fat32FileSystem(view, bpb)
-    fs.fat.write_entry(0, 0x0FFF_FFF8)        # media descriptor entry
-    fs.fat.write_entry(1, END_OF_CHAIN)
-    fs.fat.write_entry(bpb.root_cluster, END_OF_CHAIN)
+    fs.fat.write_entries({
+        0: 0x0FFF_FFF8,                       # media descriptor entry
+        1: END_OF_CHAIN,
+        bpb.root_cluster: END_OF_CHAIN,
+    })
     fs._write_cluster(bpb.root_cluster, b"")  # empty root directory
     return fs
 

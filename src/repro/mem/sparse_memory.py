@@ -3,9 +3,9 @@
 Backing storage for DDR (256 MiB address window) without allocating the
 full window.  Pages are ``bytearray`` blocks allocated on first touch;
 bulk reads/writes are sliced per page so multi-kilobyte DMA bursts cost
-O(pages), not O(bytes) of Python-level work.  Accesses that stay inside
-one allocated page — every cache-line fill and almost every DMA burst —
-take a fast path that slices the page directly, and the word helpers
+O(pages), not O(bytes) of Python-level work.  Loads and stores that
+stay inside one page — every cache-line fill and almost every DMA burst
+— take a fast path that slices the page directly, and the word helpers
 use pre-compiled :mod:`struct` codecs so aligned 2/4/8-byte accesses
 never materialize an intermediate ``bytes`` object.
 """
@@ -71,7 +71,17 @@ class SparseMemory:
     def store(self, addr: int, data: bytes) -> None:
         """Write ``data`` starting at ``addr``."""
         nbytes = len(data)
-        self._check_range(addr, nbytes)
+        if addr < 0 or addr + nbytes > self.size:
+            self._check_range(addr, nbytes)
+        offset = addr & (self.page_size - 1)
+        if nbytes and offset + nbytes <= self.page_size:
+            # whole range inside one page: no per-page slicing
+            page_idx = addr >> self.page_bits
+            page = self._pages.get(page_idx)
+            if page is None:
+                page = self._pages[page_idx] = bytearray(self.page_size)
+            page[offset : offset + nbytes] = data
+            return
         pos = 0
         while pos < nbytes:
             page_idx = (addr + pos) >> self.page_bits
@@ -95,7 +105,8 @@ class SparseMemory:
             page = self._pages.get(addr >> self.page_bits)
             if page is None:
                 return 0
-            return codec.unpack_from(page, offset)[0]
+            value: int = codec.unpack_from(page, offset)[0]
+            return value
         return int.from_bytes(self.load(addr, nbytes), "little")
 
     def store_word(self, addr: int, value: int, nbytes: int) -> None:

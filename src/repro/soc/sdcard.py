@@ -16,6 +16,7 @@ from collections import deque
 from collections.abc import Mapping
 
 BLOCK_SIZE = 512
+_ZERO_BLOCK = bytes(BLOCK_SIZE)
 
 R1_IDLE = 0x01
 R1_READY = 0x00
@@ -83,7 +84,13 @@ class SdCard:
             {lba: bytearray(data) for lba, data in blocks.items()})
 
     def read_block_backdoor(self, lba: int) -> bytes:
-        return bytes(self.storage.get(lba, bytearray(BLOCK_SIZE)))
+        return bytes(self.storage.get(lba, _ZERO_BLOCK))
+
+    def read_blocks_backdoor(self, lba: int, count: int) -> bytes:
+        """``count`` consecutive blocks from ``lba``, joined."""
+        get = self.storage.get
+        return b"".join([get(block, _ZERO_BLOCK)
+                         for block in range(lba, lba + count)])
 
     # ------------------------------------------------------------------
     # SPI wire interface

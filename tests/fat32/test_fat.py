@@ -36,22 +36,22 @@ class TestEntries:
 
 class TestChains:
     def test_allocate_links_chain(self, fs):
-        first = fs.fat.allocate(4)
-        chain = fs.fat.chain_list(first)
+        chain = fs.fat.allocate(4)
+        assert fs.fat.chain_list(chain[0]) == chain
         assert len(chain) == 4
         assert fs.fat.read_entry(chain[-1]) >= END_OF_CHAIN
         for a, b in zip(chain, chain[1:]):
             assert fs.fat.read_entry(a) == b
 
     def test_allocate_appends_to_existing(self, fs):
-        first = fs.fat.allocate(2)
+        first = fs.fat.allocate(2)[0]
         tail = fs.fat.chain_list(first)[-1]
         fs.fat.allocate(2, link_after=tail)
         assert len(fs.fat.chain_list(first)) == 4
 
     def test_free_chain_releases(self, fs):
         free_before = fs.fat.count_free()
-        first = fs.fat.allocate(8)
+        first = fs.fat.allocate(8)[0]
         assert fs.fat.count_free() == free_before - 8
         assert fs.fat.free_chain(first) == 8
         assert fs.fat.count_free() == free_before
@@ -93,7 +93,8 @@ class TestNearlyFullVolume:
 
     def test_exactly_free_takes_distinct_clusters(self, small):
         free = small.fat.count_free()
-        chain = small.fat.chain_list(small.fat.allocate(free))
+        chain = small.fat.allocate(free)
+        assert small.fat.chain_list(chain[0]) == chain
         assert len(chain) == len(set(chain)) == free
         assert small.fat.count_free() == 0
 

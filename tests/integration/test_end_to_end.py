@@ -42,6 +42,8 @@ class TestSdToFabricFlow:
         elapsed_ms = (soc.sim.now - t0) / 100e3
         assert store.descriptor("tiny").pbit_size == 2048
         assert elapsed_ms > 1.0  # SPI at ~2 MB/s: >1 ms for 2 KB + dirs
+        # the directory cluster and the file cluster, block by block
+        assert (t0, soc.sim.now) == (104_044, 875_372)
 
 
 class TestModuleIdentityTracking:
