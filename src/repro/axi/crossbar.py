@@ -69,6 +69,7 @@ class AxiCrossbar(AxiSlave):
         self.memory_map = MemoryMap()
         self._busy_until: Dict[int, int] = {}
         self._region_ports: Dict[int, _RegionPorts] = {}
+        self._bulk_reads: Dict[int, Optional[BulkRead]] = {}
         self._last_region: Region | None = None  # MRU decode fast path
         self._decoders = _RegionPorts(self._decoding(lambda ports: ports.read),
                                       self._decoding(lambda ports: ports.write),
@@ -185,7 +186,10 @@ class AxiCrossbar(AxiSlave):
         return self._window(lo, hi).fill
 
     def resolve_bulk_read(self, lo: int, hi: int) -> Optional[BulkRead]:
-        """Bulk sibling of :meth:`resolve_read` (see ``BulkRead``).
+        """Bulk sibling of :meth:`resolve_read` (see ``BulkRead``): the
+        region's bulk read when [lo, hi) lies in one region, built on
+        the region's first bulk access from its slave's bulk read over
+        the whole region.
 
         Only the run's first burst can wait for the region: each later
         one arrives ``response + gap + request`` cycles after the
@@ -195,10 +199,16 @@ class AxiCrossbar(AxiSlave):
         region = self.memory_map.decode(lo)
         if region is None or hi > region.end or lo >= hi:
             return None
+        key = id(region)
+        if key not in self._bulk_reads:
+            self._bulk_reads[key] = self._bulk_read(region)
+        return self._bulk_reads[key]
+
+    def _bulk_read(self, region: Region) -> Optional[BulkRead]:
         resolve = getattr(region.slave, "resolve_bulk_read", None)
         if resolve is None:
             return None
-        inner: Optional[BulkRead] = resolve(lo - region.base, hi - region.base)
+        inner: Optional[BulkRead] = resolve(0, region.size)
         if inner is None:
             return None
         busy = self._busy_until

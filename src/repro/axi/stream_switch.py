@@ -36,6 +36,10 @@ class AxiStreamSwitch(StreamSink):
     a protocol violation in real hardware and raises here.  The owner
     wires in what "in flight" means (:meth:`set_busy_source`): RV-CAP
     reports whether either DMA channel on the switch is busy.
+
+    Each port's resolved accept and produce ports are built on first
+    use and kept until the port's sink or source, or the attached
+    observability, changes.
     """
 
     def __init__(self, name: str = "axis_switch", stage_latency: int = 1) -> None:
@@ -48,6 +52,8 @@ class AxiStreamSwitch(StreamSink):
         self.obs: Optional["Observability"] = None
         self._sim: Optional["Simulator"] = None
         self._port_counters: Dict[str, "Counter"] = {}
+        self._accepts: Dict[str, AcceptPort] = {}
+        self._produces: Dict[str, ProducePort] = {}
 
     def attach_obs(self, obs: "Observability", sim: "Simulator") -> None:
         """Attach observability; events stamp at ``sim.now``.
@@ -59,6 +65,8 @@ class AxiStreamSwitch(StreamSink):
         self.obs = obs
         self._sim = sim
         self._port_counters = {}
+        self._accepts.clear()
+        self._produces.clear()
 
     def _port_counter(self, port: str) -> "Counter":
         counter = self._port_counters.get(port)
@@ -75,9 +83,11 @@ class AxiStreamSwitch(StreamSink):
     # ------------------------------------------------------------------
     def attach_sink(self, port: str, sink: StreamSink) -> None:
         self._sinks[port] = sink
+        self._accepts.pop(port, None)
 
     def attach_source(self, port: str, source: StreamSource) -> None:
         self._sources[port] = source
+        self._produces.pop(port, None)
 
     def set_busy_source(self, source: Callable[[], bool]) -> None:
         """``source()`` is True while a transfer through the switch is in
@@ -136,6 +146,12 @@ class AxiStreamSwitch(StreamSink):
         sink is selected.
         """
         port = self._selected_port()
+        accept = self._accepts.get(port)
+        if accept is None:
+            accept = self._accepts[port] = self._accept_port(port)
+        return accept
+
+    def _accept_port(self, port: str) -> AcceptPort:
         sink = self._sinks.get(port)
         if sink is None:
             raise BusError(f"switch {self.name!r}: port {port!r} has no sink")
@@ -173,6 +189,12 @@ class AxiStreamSwitch(StreamSink):
         """The produce port of the selected route, mirroring
         :meth:`resolve_accept` (only bytes produced are counted)."""
         port = self._selected_port()
+        produce = self._produces.get(port)
+        if produce is None:
+            produce = self._produces[port] = self._produce_port(port)
+        return produce
+
+    def _produce_port(self, port: str) -> ProducePort:
         source = self._sources.get(port)
         if source is None:
             raise BusError(

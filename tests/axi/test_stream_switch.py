@@ -3,6 +3,8 @@ import pytest
 from repro.axi.stream import BufferSource, CaptureSink
 from repro.axi.stream_switch import AxiStreamSwitch
 from repro.errors import BusError
+from repro.obs import Observability
+from repro.sim.kernel import Simulator
 
 
 @pytest.fixture()
@@ -55,3 +57,49 @@ class TestSwitchRouting:
         done = switch.accept(b"\x00" * 8, now=0)
         # 1 stage + 1 cycle at 8 B/cycle
         assert done == 2
+
+
+class TestResolvedPorts:
+    """A port's resolved accept and produce are built once per route and
+    rebuilt when the port's sink or source or the observability changes."""
+
+    def test_each_port_keeps_its_route(self, switch):
+        switch.select("icap")
+        icap = switch.resolve_accept()
+        switch.select("rm")
+        rm = switch.resolve_accept()
+        assert rm is not icap
+        assert switch.resolve_produce() is switch.resolve_produce()
+        switch.select("icap")
+        assert switch.resolve_accept() is icap
+
+    def test_attached_sink_takes_later_bursts(self, switch):
+        switch.select("icap")
+        switch.accept(b"old", now=0)
+        fresh = CaptureSink()
+        switch.attach_sink("icap", fresh)
+        switch.accept(b"new", now=10)
+        assert bytes(switch._sinks["rm"].data) == b""
+        assert bytes(fresh.data) == b"new"
+
+    def test_attached_source_feeds_later_bursts(self, switch):
+        switch.select("rm")
+        assert switch.produce(3, now=0)[0] == b"rm-"
+        switch.attach_source("rm", BufferSource(b"fresh"))
+        assert switch.produce(3, now=10)[0] == b"fre"
+
+    def test_attached_obs_counts_later_bursts(self, switch):
+        switch.select("rm")
+        switch.accept(b"uncounted", now=0)
+        switch.produce(2, now=0)
+        obs = Observability()
+        switch.attach_obs(obs, Simulator())
+        switch.accept(b"12345", now=10)
+        switch.produce(4, now=20)
+        switch.select("icap")
+        switch.accept(b"123", now=30)
+        counts = {port: obs.metrics.get(
+                      "axis_switch_bytes_total",
+                      {"switch": "axis_switch", "port": port}).value
+                  for port in ("rm", "icap")}
+        assert counts == {"rm": 9, "icap": 3}
