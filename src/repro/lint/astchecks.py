@@ -40,7 +40,7 @@ from repro.lint.findings import Finding, Severity, render_findings, sort_finding
 
 #: packages held to full annotation coverage (mypy --strict in CI)
 STRICT_PACKAGES = ("axi", "core", "soc", "fpga", "obs", "sched", "power",
-                   "verify")
+                   "verify", "fat32", "mem")
 
 #: methods that advance or mutate simulated time
 TIME_MUTATORS = frozenset({
