@@ -17,6 +17,10 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from repro.errors import FilesystemError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.soc.sdcard import SdCard
+
 BLOCK_SIZE = 512
 _ZERO_BLOCK = bytes(BLOCK_SIZE)
 

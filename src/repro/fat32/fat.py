@@ -25,9 +25,9 @@ class FatTable:
 
     All sector addresses are relative to the partition start; the
     filesystem facade supplies a partition-relative device view.
-    Reads go one entry at a time, in chain order, so a device sees each
-    FAT sector when a reader moves on to the next cluster; writes and
-    the free-cluster scan go one whole sector at a time.
+    A chain is read one entry at a time, in chain order, so a device
+    sees each FAT sector when a reader moves on to the next cluster;
+    writes, the free-cluster scan and the census go by whole sectors.
     """
 
     def __init__(self, device: BlockDevice, bpb: BiosParameterBlock) -> None:

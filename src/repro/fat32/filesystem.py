@@ -324,4 +324,4 @@ def _first_slot(data: bytes, markers: Sequence[int]) -> int:
     one of ``markers``, or ``len(data)`` when there is none."""
     firsts = data[::ENTRY_SIZE]
     found = [index for index in map(firsts.find, markers) if index >= 0]
-    return min(found) * ENTRY_SIZE if found else len(data)
+    return min(found, default=len(firsts)) * ENTRY_SIZE
