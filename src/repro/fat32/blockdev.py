@@ -145,10 +145,6 @@ class SdBackdoorBlockDevice(BlockDevice):
         self._check_run(lba, count)
         return self.sdcard.read_blocks_backdoor(lba, count)
 
-    def write_blocks(self, lba: int, data: bytes) -> None:
-        count = self._whole_blocks(lba, data)
-        self.sdcard.load_blocks(_split(lba, data, count))
-
 
 def _split(lba: int, data: bytes, count: int) -> dict[int, bytes]:
     """The blocks of a run of ``count`` whole blocks, by LBA."""

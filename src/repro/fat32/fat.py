@@ -27,7 +27,7 @@ class FatTable:
     filesystem facade supplies a partition-relative device view.
     A chain is read one entry at a time, in chain order, so a device
     sees each FAT sector when a reader moves on to the next cluster;
-    writes, the free-cluster scan and the census go by whole sectors.
+    writes and the free-cluster scan go by whole sectors.
     """
 
     def __init__(self, device: BlockDevice, bpb: BiosParameterBlock) -> None:
@@ -139,9 +139,8 @@ class FatTable:
 
     def count_free(self) -> int:
         """Free-cluster census (linear scan; used by tests and df)."""
-        limit = self._limit
-        raw = self.device.read_blocks(self.bpb.fat_start_sector,
-                                      -(-limit // _ENTRIES_PER_SECTOR))
-        entries = struct.unpack_from(f"<{limit}I", raw)
-        return sum(1 for entry in entries[2:]
-                   if entry & CLUSTER_MASK == FREE_CLUSTER)
+        free = 0
+        for cluster in range(2, self.bpb.num_clusters + 2):
+            if self.read_entry(cluster) == FREE_CLUSTER:
+                free += 1
+        return free

@@ -8,7 +8,7 @@ implemented.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 from repro.errors import FilesystemError
 from repro.fat32.blockdev import BlockDevice
@@ -181,23 +181,15 @@ class Fat32FileSystem:
 
     def _find_slot_in(self, dir_cluster: int,
                       name: str) -> Optional[tuple[int, int, DirEntry]]:
-        """The live slot named ``name``: the first whose record starts
-        with its 8.3 field, before the end marker.  Reads the
-        directory's clusters in chain order and stops at the cluster
-        that holds the slot or the end marker."""
         target = encode_83(name)
-        for cluster in self.fat.chain(dir_cluster):
-            data = self._read_cluster(cluster)
-            end = _first_slot(data, (ENTRY_END,))
-            # an 8.3 field never starts with ENTRY_FREE, so a match is live
-            offset = data.find(target, 0, end)
-            while offset >= 0 and offset % ENTRY_SIZE:
-                offset = data.find(target, offset + 1, end)
-            if offset >= 0:
-                return cluster, offset, DirEntry.unpack(
-                    data[offset : offset + ENTRY_SIZE])
-            if end < len(data):
+        for cluster, offset, raw in self._iter_dir_slots(dir_cluster):
+            first = raw[0]
+            if first == ENTRY_END:
                 return None
+            if first == ENTRY_FREE:
+                continue
+            if raw[:11] == target:
+                return cluster, offset, DirEntry.unpack(raw)
         return None
 
     def _find_slot(self, path: str) -> Optional[tuple[int, int, DirEntry]]:
@@ -206,11 +198,9 @@ class Fat32FileSystem:
 
     def _find_free_slot(self, dir_cluster: int) -> tuple[int, int]:
         last_cluster = dir_cluster
-        for cluster in self.fat.chain(dir_cluster):
+        for cluster, offset, raw in self._iter_dir_slots(dir_cluster):
             last_cluster = cluster
-            data = self._read_cluster(cluster)
-            offset = _first_slot(data, (ENTRY_END, ENTRY_FREE))
-            if offset < len(data):
+            if raw[0] in (ENTRY_END, ENTRY_FREE):
                 return cluster, offset
         # directory full: extend it by one cluster
         new_cluster = self.fat.allocate(1, link_after=last_cluster)[0]
@@ -317,11 +307,3 @@ class Fat32FileSystem:
     # ------------------------------------------------------------------
     def free_bytes(self) -> int:
         return self.fat.count_free() * self.bpb.cluster_bytes
-
-
-def _first_slot(data: bytes, markers: Sequence[int]) -> int:
-    """Offset of the first 32-byte slot of ``data`` whose first byte is
-    one of ``markers``, or ``len(data)`` when there is none."""
-    firsts = data[::ENTRY_SIZE]
-    found = [index for index in map(firsts.find, markers) if index >= 0]
-    return min(found, default=len(firsts)) * ENTRY_SIZE

@@ -1,11 +1,11 @@
 """Block runs on the zero-time devices against the per-block loop.
 
 ``BlockDevice.read_blocks``/``write_blocks`` default to one
-``read_block``/``write_block`` per block, in order; the RAM image, the
-SD backdoor and the partition view override them to move a run as one
-slice.  On random runs each override must return the same bytes, leave
-the same blocks and counters, and refuse a run that leaves the device
-with the same error as the loop.
+``read_block``/``write_block`` per block, in order; the RAM image and
+the partition view override both to move a run as one slice, the SD
+backdoor overrides the read.  On random runs each override must return
+the same bytes, leave the same blocks and counters, and refuse a run
+that leaves the device with the same error as the loop.
 """
 
 from hypothesis import given, settings
@@ -19,6 +19,7 @@ from repro.soc.sdcard import SdCard
 NUM_BLOCKS = 48
 
 kinds = st.sampled_from(["ram", "sd", "partition"])
+write_kinds = st.sampled_from(["ram", "partition"])
 runs = st.tuples(st.integers(min_value=-2, max_value=NUM_BLOCKS + 2),
                  st.integers(min_value=0, max_value=12))
 
@@ -69,7 +70,7 @@ def test_read_run_joins_read_block(kind, run):
 
 
 @settings(max_examples=120, deadline=None)
-@given(kinds, runs, st.sampled_from([0, 0, 0, 1, 511]), st.randoms())
+@given(write_kinds, runs, st.sampled_from([0, 0, 0, 1, 511]), st.randoms())
 def test_write_run_matches_write_block(kind, run, partial, rng):
     lba, count = run
     data = rng.randbytes(count * BLOCK_SIZE + partial)
