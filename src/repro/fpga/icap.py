@@ -10,10 +10,15 @@ Function: an incremental packet parser mirrors the device's config
 state machine — sync search, type-1/type-2 packets, FAR/FDRI/CMD/CRC
 registers — and writes frame data into :class:`ConfigMemory`.  CRC
 errors and protocol violations latch error flags exactly like the real
-CFGERR behaviour.  Frame writes stage until the bitstream proves itself
-(a CRC match, or a DESYNC with no error latched), so a corrupted partial
-bitstream never half-applies (the safe-DPR ablation exercises this
-path); a stream without a CRC word configures at its DESYNC.
+CFGERR behaviour: the port never raises on its input.  Frame data
+commits only while the CMD register holds WCFG, and an FDRI write or
+FDRO read that would step the frame address off the 32-row frame grid
+latches ``protocol_error`` and is dropped.  Frame writes stage until the
+bitstream proves itself (a CRC match, or a DESYNC with no error
+latched), so a corrupted partial bitstream never half-applies (the
+safe-DPR ablation exercises this path); a stream without a CRC word
+configures at its DESYNC.  The static verifier
+(:mod:`repro.verify.bitstream`) is a dry run of this parser.
 
 Performance: an accept costs O(packets) Python work, not O(words).
 One pass walks it packet by packet: the sync search is one
@@ -62,6 +67,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.axi.stream import BulkAccept, StreamSink
+from repro.errors import BitstreamError
 from repro.fpga.config_memory import ConfigMemory
 from repro.fpga.frames import FAR_MASK, LINEAR_MASK, FrameAddress, advance_far
 from repro.fpga.packets import (
@@ -94,6 +100,7 @@ _FDRO = int(ConfigRegister.FDRO)
 _CMD = int(ConfigRegister.CMD)
 _STAT = int(ConfigRegister.STAT)
 _IDCODE = int(ConfigRegister.IDCODE)
+_WCFG = int(Command.WCFG)
 _RCRC = int(Command.RCRC)
 _DESYNC = int(Command.DESYNC)
 
@@ -140,6 +147,8 @@ class Icap(StreamSink):
         self.readback_queue: List[int] = []
         #: the FAR register word (None until written); see :attr:`far`
         self._far: Optional[int] = None
+        #: the CMD register: the code of the last command written
+        self._command = 0
         self.words_consumed = 0
         #: cycles arriving bursts waited behind the 4 B/cycle port
         self.stall_cycles = 0
@@ -243,6 +252,7 @@ class Icap(StreamSink):
         self._crc = 0
         self.readback_queue.clear()
         self._far = None
+        self._command = 0
         self.crc_error = False
         self.protocol_error = False
         self.idcode_mismatch = False
@@ -435,7 +445,7 @@ class Icap(StreamSink):
         if reg == _CMD:
             # a reserved code (a corrupted word, or a header whose count
             # a bit flip grew) acts as NULL; the CRC check catches it
-            command = value & 0x1F
+            command = self._command = value & 0x1F
             if command == _RCRC:
                 # RCRC resets the running CRC; deferred FDRI
                 # contributions would be zeroed anyway, so drop them
@@ -489,14 +499,20 @@ class Icap(StreamSink):
         if self.crc_error or self.protocol_error or self.idcode_mismatch:
             return  # never half-apply after an error
         frames, partial = divmod(len(payload), self._wpf)
-        if partial:
+        # the device commits frame data only under CMD=WCFG, and only
+        # inside the frame grid
+        if partial or self._command != _WCFG:
+            self.protocol_error = True
+            return
+        try:
+            self._far = advance_far(far, frames)
+        except BitstreamError:
             self.protocol_error = True
             return
         # safe-DPR: stage the write until the bitstream proves itself
         # (CRC match or clean DESYNC); FAR auto-increments exactly as if
         # the frames had been written
         self._pending_commits.append((far & LINEAR_MASK, payload))
-        self._far = advance_far(far, frames)
 
     @property
     def pending_frames(self) -> int:
@@ -532,11 +548,16 @@ class Icap(StreamSink):
                 self.protocol_error = True
                 return
             frames = payload_words // wpf
+            try:
+                next_far = advance_far(far, frames)
+            except BitstreamError:
+                self.protocol_error = True
+                return
             self._read_served = True
             data = self.config_memory.read_at(far & LINEAR_MASK, frames)
             self.readback_queue.extend([0] * wpf)
             self.readback_queue.extend(data.tolist())
-            self._far = advance_far(far, frames)
+            self._far = next_far
         elif reg == _STAT:
             status = (1 << 12) if not self.error else 0  # DONE-ish bit
             self.readback_queue.extend([status] * count)

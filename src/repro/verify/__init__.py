@@ -7,10 +7,11 @@ path consumes, *before* they ever touch the modelled hardware:
   assembled firmware image, abstract-interprets register values, and
   checks every statically-resolvable MMIO access against the live SoC
   address map and per-register write masks (rules ``VFY-FW-*``).
-* :func:`verify_bitstream` — statically walks the type-1/type-2
-  configuration packet stream, proves the FAR coverage is exactly the
-  declared partition's frame set, checks CRC/desync protocol and
-  emits a relocatability verdict (rules ``VFY-BIT-*``).
+* :func:`verify_bitstream` — a dry run of the production ICAP over a
+  scratch configuration memory: its rules (``VFY-BIT-*``) check what
+  the port parsed, so a stream has an ERROR finding exactly when the
+  ICAP would not configure it or would write a frame outside the
+  declared partition; it also emits a relocatability verdict.
 
 Both emit :class:`repro.lint.findings.Finding` records, surface
 through ``repro verify`` (human / JSON / SARIF output) and gate

@@ -93,35 +93,40 @@ _register(
 # ---------------------------------------------------------------------------
 _register(
     "VFY-BIT-001", "Malformed bitstream framing", Severity.ERROR,
-    "The preamble contains non-dummy/non-bus-width words, the sync word "
-    "is missing, or non-padding words follow DESYNC.")
+    "The stream has no sync word, so the configuration logic never leaves "
+    "the preamble, or (warning) words other than dummies, bus-width words "
+    "and NOOPs come before the sync word; the device ignores them.")
 _register(
     "VFY-BIT-002", "Malformed configuration packet", Severity.ERROR,
-    "A packet header fails to decode, a type-2 packet has no preceding "
-    "type-1, a payload's word count runs past the end of the stream, or "
-    "a CMD write carries an unknown command code.")
+    "A payload's word count runs past the end of the stream, or a packet "
+    "header fails to decode, a type-2 packet has no preceding type-1 or a "
+    "read packet is malformed (the ICAP latches a protocol error); or "
+    "(warning) a CMD write carries no command code, of which the device "
+    "acts on the low 5 bits.")
 _register(
     "VFY-BIT-003", "FAR coverage does not match the declared partition",
     Severity.ERROR,
     "Frame writes configure frames outside the declared partition "
     "(error), leave declared frames unconfigured (warning), write a "
-    "non-whole number of frames, or the stream writes FDRI without an "
-    "established frame address.")
+    "non-whole number of frames, write FDRI without an established frame "
+    "address or step it off the device's frame grid, or the stream's "
+    "last session writes no frames.")
 _register(
     "VFY-BIT-004", "IDCODE missing or does not match the device",
     Severity.ERROR,
-    "The stream writes configuration frames with a wrong IDCODE (error) "
-    "or without any IDCODE check at all (warning); a mismatched stream "
+    "The stream writes a wrong IDCODE (error) or configuration frames "
+    "without any IDCODE check at all (warning); a mismatched stream "
     "would be rejected or, worse, loaded onto the wrong die.")
 _register(
     "VFY-BIT-005", "CRC / desync protocol violation", Severity.ERROR,
-    "The CRC check word does not match the running CRC, configuration "
-    "writes continue after DESYNC, the stream never desyncs, or "
-    "(warnings) it lacks an RCRC before frame data or any CRC check.")
+    "The CRC check word does not match the running CRC or the stream "
+    "never desyncs; or (warnings) non-padding words follow a DESYNC, "
+    "which the desynchronized device ignores, or the stream lacks an "
+    "RCRC before frame data or any CRC check.")
 _register(
     "VFY-BIT-006", "Frame data written without WCFG", Severity.ERROR,
-    "An FDRI write occurs while the last CMD is not WCFG; the "
-    "configuration logic would not commit the frames.")
+    "An FDRI write occurs while the CMD register does not hold WCFG; the "
+    "ICAP latches a protocol error and commits none of the frames.")
 
 
 def all_verifier_rules() -> List[VerifierRule]:

@@ -5,9 +5,14 @@ from repro.eval.scenarios import make_test_bitstream, small_rp
 from repro.fpga.bitgen import Bitgen, BitgenOptions
 from repro.fpga.config_memory import ConfigMemory
 from repro.fpga.device import KINTEX7_325T
+from repro.fpga.frames import LINEAR_MASK, FrameAddress
 from repro.fpga.icap import Icap
 from repro.fpga.packets import SYNC_WORD, Command, ConfigRegister, type1_write
-from repro.fpga.partition import ReconfigurableModule, ResourceBudget
+from repro.fpga.partition import (
+    ReconfigurableModule,
+    ResourceBudget,
+    make_reference_rp,
+)
 
 
 @pytest.fixture()
@@ -232,6 +237,35 @@ class TestStagedCommits:
         assert icap.protocol_error
         assert icap.pending_frames == 0
         assert icap.config_memory.frames_written == 0
+
+
+class TestFrameGrid:
+    """A frame write or read that would step the FAR off the 32-row frame
+    grid latches a protocol error: the port never raises on its input."""
+
+    def test_frame_write_past_the_grid_latches_a_protocol_error(self, icap):
+        rp = make_reference_rp()
+        module = ReconfigurableModule("m", ResourceBudget(1, 1, 0, 0))
+        words = Bitgen(rp.device).generate(rp, module).words.copy()
+        far = int(np.flatnonzero(
+            words == type1_write(ConfigRegister.FAR, 1))[0]) + 1
+        words[far] = (int(words[far]) & ~LINEAR_MASK) | (LINEAR_MASK - 4)
+        icap.accept(words.astype(">u4").tobytes(), now=0)
+        assert icap.protocol_error and icap.outcome == "error"
+        assert icap.pending_frames == 0
+        assert icap.config_memory.frames_written == 0
+        assert icap.far.linear_index() == LINEAR_MASK - 4
+
+    def test_frame_read_past_the_grid_latches_a_protocol_error(self, icap):
+        from repro.drivers.hwicap_driver import readback_request
+        wpf = icap.config_memory.device.words_per_frame
+        far = FrameAddress.from_linear(LINEAR_MASK - 1)
+        # the pad frame and two frames: the second leaves the grid
+        words = readback_request(far, 3 * wpf)
+        icap.accept(np.array(words, dtype=">u4").tobytes(), now=0)
+        assert icap.protocol_error
+        assert icap.readback_queue == []
+        assert icap.far == far
 
 
 class TestReadPackets:

@@ -53,8 +53,8 @@ from repro.utils.crc import crc32_config_word
 
 class WordIcap(Icap):
     """Oracle: every word walks the per-word state machine, every packet
-    header decodes through :meth:`ConfigPacket.decode` (the decode the
-    verifier's walker uses), and FDRI words fold into the CRC one by one
+    header decodes through :meth:`ConfigPacket.decode` (the protocol's
+    reference codec), and FDRI words fold into the CRC one by one
     as they arrive (no staging, no window, no deferred CRC backlog).
     Only the register semantics (``_write_register``, the frame commit
     and the session boundaries) are the parser's own; the word loop,

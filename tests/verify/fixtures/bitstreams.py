@@ -4,7 +4,9 @@ Every case starts from the reference partition's generated partial
 bitstream (which verifies clean) and applies one word-level corruption
 targeting a single rule.  Mutators locate the word to corrupt by
 structure, not by hard-coded index, so they survive bitgen layout
-changes.
+changes.  ``BITSTREAM_CASES`` holds one ERROR per rule: a stream the
+ICAP would not configure.  ``WARNING_CASES`` hold words the
+desynchronized ICAP ignores, so their streams still configure.
 """
 
 from __future__ import annotations
@@ -71,9 +73,18 @@ class BitstreamCase:
     mutate: Callable[[np.ndarray], None]
 
 
+def _corrupt_sync(words: np.ndarray) -> None:
+    words[_index_of(words, SYNC_WORD)] ^= 0x1
+
+
 def _garbage_preamble(words: np.ndarray) -> None:
     sync = _index_of(words, SYNC_WORD)
     words[sync // 2] = 0xDEAD_BEEF
+
+
+def _write_after_desync(words: np.ndarray) -> None:
+    # the trailing pad is NOOPs; make its last word a register header
+    words[-1] = type1_write(ConfigRegister.FAR, 0)
 
 
 def _undecodable_header(words: np.ndarray) -> None:
@@ -104,8 +115,7 @@ def _fdri_without_wcfg(words: np.ndarray) -> None:
 
 
 BITSTREAM_CASES = [
-    BitstreamCase("VFY-BIT-001", "garbage word in the preamble",
-                  _garbage_preamble),
+    BitstreamCase("VFY-BIT-001", "sync word corrupted", _corrupt_sync),
     BitstreamCase("VFY-BIT-002", "FDRI type-2 header undecodable",
                   _undecodable_header),
     BitstreamCase("VFY-BIT-003", "FAR points outside the partition",
@@ -116,4 +126,11 @@ BITSTREAM_CASES = [
                   _corrupt_crc),
     BitstreamCase("VFY-BIT-006", "WCFG replaced by DGHIGH before FDRI",
                   _fdri_without_wcfg),
+]
+
+WARNING_CASES = [
+    BitstreamCase("VFY-BIT-001", "garbage word in the preamble",
+                  _garbage_preamble),
+    BitstreamCase("VFY-BIT-005", "register header in the post-DESYNC pad",
+                  _write_after_desync),
 ]

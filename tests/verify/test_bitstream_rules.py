@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 
 from repro.fpga.bitstream import Bitstream
+from repro.fpga.config_memory import ConfigMemory
+from repro.fpga.icap import Icap
+from repro.lint.findings import Severity
 from repro.verify import all_verifier_rules, verify_bitstream
 from tests.verify.fixtures import BITSTREAM_CASES, reference_stream
+from tests.verify.fixtures.bitstreams import WARNING_CASES
 
 CASES = {case.rule_id: case for case in BITSTREAM_CASES}
 
@@ -45,6 +49,23 @@ class TestCorpus:
                       f"{[f.rule_id for f in report.findings]}")
         # every fixture rule defaults to ERROR, so the stream must fail
         assert not report.ok
+
+
+    @pytest.mark.parametrize("case", WARNING_CASES,
+                             ids=lambda case: case.describe)
+    def test_ignored_word_warns(self, reference, case):
+        # the desynchronized ICAP ignores the word and configures the
+        # stream, so the finding is a WARNING and the stream passes
+        stream, rp = reference
+        words = np.array(stream.words, copy=True)
+        case.mutate(words)
+        report = verify_bitstream(Bitstream(words), rp)
+        assert [(f.rule_id, f.severity) for f in report.findings] == [
+            (case.rule_id, Severity.WARNING)]
+        assert report.ok
+        icap = Icap(ConfigMemory(rp.device))
+        icap.accept(Bitstream(words).to_bytes(), 0)
+        assert icap.outcome == "configured"
 
 
 class TestRelocatability:

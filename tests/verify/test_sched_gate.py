@@ -3,15 +3,21 @@
 The gate must refuse a corrupted DDR-resident bitstream as status
 ``rejected`` *before* any ICAP traffic, keep serving other modules, and
 memoize the verdict so clean traces pay one verification per placement.
+Its verdict is the ICAP's: a stream the port configures is served, one
+it refuses is rejected with the gate on and fails without it.
 """
 
 import numpy as np
 import pytest
 
 from repro.fpga.bitstream import Bitstream
-from repro.fpga.packets import SYNC_WORD
+from repro.fpga.config_memory import ConfigMemory
+from repro.fpga.device import KINTEX7_325T
+from repro.fpga.icap import Icap
+from repro.fpga.packets import SYNC_WORD, Command, ConfigRegister, type1_write
 from repro.sched import (
     COMPLETED,
+    FAILED,
     REJECTED,
     BitstreamRejected,
     DprScheduler,
@@ -131,3 +137,63 @@ class TestReplayIntegration:
         report = replay(manager, requests, cache=cache, verify=True)
         assert report.statuses.get(REJECTED) == 2
         assert report.statuses.get(COMPLETED) == 6
+
+
+def rewrite_resident_bitstream(manager, cache, module, edit):
+    """Apply ``edit`` to the words of ``module``'s DDR-resident stream."""
+    descriptor, _hit = cache.get(module)
+    soc = manager.soc
+    raw = soc.ddr_read(descriptor.start_address, descriptor.pbit_size)
+    words = np.array(Bitstream.from_bytes(raw).words, copy=True)
+    edit(words)
+    soc.ddr_write(descriptor.start_address, Bitstream(words).to_bytes())
+
+
+def null_wcfg_with_a_good_crc(words):
+    """CMD=WCFG becomes CMD=NULL, and the CRC check word still matches."""
+    cmd = type1_write(ConfigRegister.CMD, 1)
+    wcfg = next(i for i in range(1, len(words))
+                if words[i - 1] == cmd and words[i] == Command.WCFG)
+    words[wcfg] = Command.NULL
+    check = int(np.flatnonzero(
+        words == type1_write(ConfigRegister.CRC, 1))[-1]) + 1
+    icap = Icap(ConfigMemory(KINTEX7_325T))
+    icap.accept(Bitstream(words[:check - 1]).to_bytes(), 0)
+    words[check] = icap._running_crc()
+
+
+class TestTheVerdictIsTheIcaps:
+    def test_a_pad_word_the_icap_ignores_is_served(self, platform):
+        manager, cache = platform
+
+        def flip_last_pad_word(words):
+            words[-1] ^= 1
+
+        rewrite_resident_bitstream(manager, cache, "rm1", flip_last_pad_word)
+        report = replay(manager, [SwapRequest("rm1", 10.0, 100_000.0)],
+                        cache=cache, verify=True)
+        assert report.statuses.get(COMPLETED) == 1
+        assert manager.soc.active_module(0) == "rm1"
+
+    def test_frame_data_without_wcfg_is_rejected(self, platform):
+        manager, cache = platform
+        rewrite_resident_bitstream(manager, cache, "rm1",
+                                   null_wcfg_with_a_good_crc)
+        scheduler = DprScheduler(manager, cache=cache, verify=True)
+        [outcome] = scheduler.run([SwapRequest("rm1", 10.0, 100_000.0)])
+        assert outcome.status == REJECTED
+        assert "VFY-BIT-006" in outcome.error
+        assert manager.soc.icap.words_consumed == 0
+
+    def test_frame_data_without_wcfg_fails_without_the_gate(self, platform):
+        # the ICAP commits frame data only under WCFG: the swap fails and
+        # the partition's frames stay unwritten
+        manager, cache = platform
+        rewrite_resident_bitstream(manager, cache, "rm1",
+                                   null_wcfg_with_a_good_crc)
+        scheduler = DprScheduler(manager, cache=cache, verify=False)
+        [outcome] = scheduler.run([SwapRequest("rm1", 10.0, 100_000.0)])
+        assert outcome.status == FAILED
+        assert "protocol check failed" in outcome.error
+        assert manager.soc.icap.config_memory.frames_written == 0
+        assert manager.soc.active_module(0) is None
