@@ -160,14 +160,17 @@ def git(*args: str) -> str:
                           capture_output=True).stdout.strip()
 
 
-def rvbench(out_dir: Path, forward: List[str]) -> Callable[[Path], Run]:
-    """A runner of one tree's own rvbench, reading its ``--json`` file."""
+def rvbench(out_dir: Path, forward: List[str],
+            change: Path) -> Callable[[Path], Run]:
+    """A runner of one tree's own rvbench, reading its ``--json`` file;
+    it labels a run of the ``change`` tree ``change`` and any other
+    ``base``, the sides :func:`collect` runs them for."""
     numbers = itertools.count(1)
 
     def run(tree: Path) -> Run:
         number = next(numbers)
         out = out_dir / f"run{number}.json"
-        side = "change" if tree == ROOT else "base"
+        side = "change" if tree == change else "base"
         t0 = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, str(tree / "benchmarks/rvbench/run.py"),
@@ -212,7 +215,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"ab: base {base_rev} vs change {git('rev-parse', 'HEAD')} "
               "(working tree)", flush=True)
         base, change = collect(worktree, ROOT, args.pairs,
-                               rvbench(tmp, forward))
+                               rvbench(tmp, forward, ROOT))
     finally:
         git("worktree", "remove", "--force", str(worktree))
         shutil.rmtree(tmp, ignore_errors=True)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ab import collect, render, verdict
+from ab import collect, render, rvbench, verdict
 
 CATALOG = json.loads(
     (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text()
@@ -109,3 +109,26 @@ def test_different_benchmark_files_run_the_change_once(tmp_path):
     base_runs, change_runs = collect(base, change, 3, fake_run)
     assert calls == [base, change, change, base, base, change]
     assert len(base_runs) == len(change_runs) == 3
+
+
+def test_runs_are_labelled_by_their_side(tmp_path, capsys):
+    """Two trees, neither of them this checkout: each run is labelled by
+    the side ``collect`` runs it for."""
+    trees = []
+    for name in ("base", "change"):
+        tree = make_tree(tmp_path / name, "same")
+        # the same script in both trees: it reports the tree it runs in
+        (tree / "benchmarks" / "rvbench" / "run.py").write_text(
+            "import json, os, sys\n"
+            "out = sys.argv[sys.argv.index('--json') + 1]\n"
+            "tree = os.path.basename(os.getcwd())\n"
+            "json.dump({'workloads': {'w': {'tree': tree}}}, open(out, 'w'))\n")
+        trees.append(tree)
+    out = tmp_path / "out"
+    out.mkdir()
+    base_runs, change_runs = collect(*trees, 2, rvbench(out, [], trees[1]))
+    assert [run["w"]["tree"] for run in base_runs] == ["base", "base"]
+    assert [run["w"]["tree"] for run in change_runs] == ["change", "change"]
+    labels = [line.split(", ")[1].split(":")[0]
+              for line in capsys.readouterr().out.splitlines()]
+    assert labels == ["base", "change", "change", "base"]

@@ -384,9 +384,7 @@ def _collect_verify_reports(args: argparse.Namespace) -> list:
 
     # default: verify every artifact the reference platform ships —
     # both firmware flavours and one generated PB per registered module
-    rp0 = soc.partitions[0]
-    module0 = soc.module(soc.registered_modules[0])
-    pbit_bytes = soc.bitgen.generate(rp0, module0).nbytes
+    pbit_bytes = soc.module_bitstream(soc.registered_modules[0]).nbytes
     src_address = soc.config.layout.ddr_base
 
     from repro.firmware.hwicap_fw import build_hwicap_firmware
@@ -401,9 +399,8 @@ def _collect_verify_reports(args: argparse.Namespace) -> list:
         soc, name="hwicap_fw"))
     for name in soc.registered_modules:
         rp = soc.partitions[soc.module_rp_index(name)]
-        stream = soc.bitgen.generate(rp, soc.module(name))
         reports.append(verify_bitstream(
-            stream, rp, name=f"{name}@{rp.name}"))
+            soc.module_bitstream(name), rp, name=f"{name}@{rp.name}"))
     return reports
 
 

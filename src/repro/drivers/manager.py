@@ -61,9 +61,7 @@ class ReconfigurationManager:
         names = modules or soc.registered_modules
         files: Dict[str, bytes] = {}
         for name in names:
-            rp = soc.partitions[soc.module_rp_index(name)]
-            bitstream = soc.bitgen.generate(rp, soc.module(name))
-            files[f"{name.upper()}.PBI"] = bitstream.to_bytes()
+            files[f"{name.upper()}.PBI"] = soc.module_bitstream(name).to_bytes()
         soc.sdcard.load_blocks(make_disk_image(files).populated_blocks())
 
     def init_rmodules(self, modules: Optional[list[str]] = None, *,

@@ -23,8 +23,8 @@ property suites keep as their oracle, ``tests/property/iss_oracle.py``):
   pending event time (``limit``) and returns to the dispatcher when
   reached, so device events fire and interrupts are taken at exactly
   the same instruction boundary as under single-stepping;
-* after every memory access other than a D-cache hit or a batched
-  push the block re-checks the interrupt-window (``mstatus.MIE`` is
+* after every memory access other than a D-cache hit the block
+  re-checks the interrupt-window (``mstatus.MIE`` is
   hoisted per block — only CSR writes and traps can change it, and
   neither occurs inside a block; ``mip`` is re-read because device
   events raise it), the code-cache epoch (the access may have
@@ -40,32 +40,10 @@ Hot and cold paths
 A load or store that hits the D-cache in the fast-memory window runs
 inline.  Every other access — a miss, ROM, MMIO — goes out of line to
 :meth:`Hart.load` / :meth:`Hart.store`, :meth:`Hart.step`'s own
-access path, and is followed by the re-checks above.  The one exception is a
-batched push (below).  Every exit — the quantum check, a re-check, the
-terminator, the fall-through — is one call of the exit helper
-``_exit``, which commits any open batch and then pc, cycles and the
+access path, and is followed by the re-checks above.  Every exit — the
+quantum check, a re-check, the terminator, the fall-through — is one
+call of the exit helper ``_exit``, which commits pc, cycles and the
 retired count.
-
-Batched pushes
---------------
-A store that misses the D-cache may go to a *pure push* register: one
-whose write only appends to a FIFO, schedules no event, raises no
-interrupt and reads no time (the HWICAP write FIFO; see
-:func:`repro.axi.fastpath.fuse_push_batch`).  The block appends such a
-store's masked value to a block-local batch and charges it its exact
-constant cost, ``base + ex + PushBatch.cost`` (the request, entry,
-register, converter-exit and response cycles of the fused chain),
-where ``ex`` is the MMIO issue cost including the branch-shadow
-stall.  That cost is exact because the hart waits for
-each non-posted store's response before it issues the next: stores
-of one batch never contend for the crossbar region or the AXI4-Lite
-converter.  The first store of a batch is checked for contention (and
-takes :meth:`Hart.store` if it meets any); so is a store with an event
-due by its issue cycle.  The batch is committed (``Hart._flush_batch``)
-before any access that is neither a D-cache hit nor a push to the same
-register, and at every exit, so device state, the kernel clock and the
-counters are exactly those the per-store path leaves wherever anything
-else can observe them.
 
 Back-edges
 ----------
@@ -75,9 +53,46 @@ instruction budget, and the block leaves only where the dispatcher
 would do something other than re-enter it — ``cycles >= limit`` (an
 event or the deadline is due), a budget that would not cover another
 pass, or ``idle_stop`` with an empty event queue.  Interrupts need no
-check there: only the re-checked accesses can raise one.  A batch
-spans iterations, so in the HWICAP copy loop only the D-cache misses
-(one per 16 words) cut it.
+check there: only the re-checked accesses can raise one.
+
+The copy loop
+-------------
+The HWICAP copy loop of the paper's Listing 2 — ``m`` pairs ``lw T,
+off+4j(S); sw T, D(B)``, ``addi S, S, 4m`` and ``addi C, C, -1`` in
+either order, ``bnez C`` back to the entry (``_copy_loop``) — calls a
+*step* at every pass head, which runs the loop in closed form, one
+D-cache line per iteration.  Its unit is the rest of the line from the
+next load, cut at the loop's exit and at the back-edge where the
+budget would not cover another pass; it may cross pass boundaries.
+The step reads the unit's words with one ``unpack_from`` (a DDR page
+never written reads 0), extends its batch of pushes with them, and
+advances cycles, the retired count, S, C, T, ``dcache.hits`` and the
+batch's last issue by arithmetic: each push costs ``base + ex +
+PushBatch.cost``, ``ex`` being the MMIO issue cost with the
+branch-shadow stall on the first push after a back-edge.
+
+The arithmetic is exact because the stores go to a *pure push*
+register, whose write only appends to a FIFO, schedules no event,
+raises no interrupt and reads no time (the HWICAP write FIFO; see
+:func:`repro.axi.fastpath.fuse_push_batch`), and the hart waits for
+each non-posted store's response before it issues the next, so no
+store of a batch contends for the crossbar region or the AXI4-Lite
+converter.  ``Hart._batch_port`` checks a batch's first store for
+contention and for an event due by its issue.  A unit runs in bulk
+only if its last check passes: the quantum check before its ``bnez``
+when it ends a pass, else its last push's ``issue < limit``; every
+check before it reads an earlier cycle.  A line fill commits the batch
+(``Hart._flush_batch``), takes :meth:`Hart.load` and the cold path's
+re-checks.  Where a unit meets the limit or a store the batch cannot
+take, the step leaves through the exit helper at the instruction
+where the unit starts, and the dispatcher does what the one-step loop
+does; at a pass head with nothing retired it returns -1 and the
+block's own code runs the pass.  It is entered only while every load
+of the remaining passes lies word-aligned in the fast-memory window,
+whose fills raise no ``Trap``, and it commits its batch before it
+leaves, so device state, the kernel clock and the counters are those
+the per-store path leaves wherever anything else can observe them.
+Any other store to a push register takes :meth:`Hart.store`.
 
 Block boundaries
 ----------------
@@ -86,7 +101,8 @@ compiled into it.  Anything with system-level side effects — csr ops,
 ``ecall``/``ebreak``/``mret``/``wfi``/``fence.i``, AMOs, ``lr``/``sc``
 — ends the block *before* itself and is single-stepped by
 :meth:`Hart.step`, which keeps the rare/complex semantics in exactly
-one place.
+one place.  A block holds at most ``MAX_BLOCK_INSTRUCTIONS`` (128), so
+the 32x copy loop (67) is one block and loops in place.
 
 Invalidation
 ------------
@@ -113,8 +129,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.riscv.hart import Hart
 
 #: longest block, in instructions (bounds compile time and the page
-#: span a single block can cover)
-MAX_BLOCK_INSTRUCTIONS = 64
+#: span a single block can cover; the 32x copy loop is 67)
+MAX_BLOCK_INSTRUCTIONS = 128
 
 #: invalidation-page granularity (bytes) for the block page index
 BLOCK_PAGE_SHIFT = 8
@@ -299,14 +315,9 @@ def _load_result(d: Decoded, indent: str) -> List[str]:
     return out
 
 
-def _exit(h: "Hart", pc: int, cycles: int, retired: int,
-          bv: Optional[List[int]] = None, bp: Optional[PushBatch] = None,
-          bi: int = 0) -> int:
-    """Leave a compiled block: commit its open push batch (values ``bv``
-    to port ``bp``, the last issued at ``bi``), then the architectural
-    state and the retired count, which it returns."""
-    if bv:
-        h._flush_batch(bv, bp, bi)  # type: ignore[arg-type]
+def _exit(h: "Hart", pc: int, cycles: int, retired: int) -> int:
+    """Leave a compiled block: commit the architectural state and the
+    retired count, which it returns."""
     h.pc = pc
     h.cycles = cycles
     h.instret += retired
@@ -339,6 +350,173 @@ def _discover(hart: "Hart", entry_pc: int) -> List[Tuple[int, Decoded]]:
     return instrs
 
 
+def _copy_loop(instrs: List[Tuple[int, Decoded]]
+               ) -> Optional[Tuple[int, int, int, int, int, int, int]]:
+    """``(m, T, S, C, B, off, D)`` of a copy loop's body, else None.
+
+    The idiom, whose branch the caller has checked targets the entry:
+    ``m`` pairs ``lw T, off+4j(S); sw T, D(B)`` (j = 0..m-1), then
+    ``addi S, S, 4m`` and ``addi C, C, -1`` in either order, then
+    ``bnez C``.  T, S and C are distinct nonzero registers and B is none
+    of them, so every pass loads the 4m bytes after the last pass's and
+    stores each word to one address.
+    """
+    m, odd = divmod(len(instrs) - 3, 2)
+    if m < 1 or odd:
+        return None
+    first, store = instrs[0][1], instrs[1][1]
+    t, s, off, b, d = first.rd, first.rs1, first.imm, store.rs1, store.imm
+    for j in range(m):
+        ld, st = instrs[2 * j][1], instrs[2 * j + 1][1]
+        if ((ld.name, ld.rd, ld.rs1, ld.imm) != ("lw", t, s, off + 4 * j)
+                or (st.name, st.rs2, st.rs1, st.imm) != ("sw", t, b, d)):
+            return None
+    branch = instrs[-1][1]
+    c = branch.rs1 | branch.rs2
+    steps = {(x.name, x.rd, x.rs1, x.imm) for _, x in instrs[-3:-1]}
+    if (branch.name != "bne" or 0 not in (branch.rs1, branch.rs2)
+            or steps != {("addi", s, s, 4 * m), ("addi", c, c, -1)}
+            or 0 in (t, s, c) or len({t, s, c, b}) < 4):
+        return None
+    return m, t, s, c, b, off, d
+
+
+def _copy_step(hart: "Hart", instrs: List[Tuple[int, Decoded]], m: int,
+               t: int, s: int, c: int, b: int, off: int, d: int
+               ) -> Callable[..., int]:
+    """The copy loop's step (see "The copy loop" in the module docstring).
+
+    ``step(h, cycles, limit, deadline, idle_stop, budget, n)`` takes the
+    block's locals at a pass head, ``n`` instructions into the call.  It
+    leaves the block through the exit helper and returns the retired
+    count, or returns -1 having changed nothing.
+    """
+    timing = hart.timing
+    base = timing.base_cpi
+    tail = 3 * base + timing.branch_taken_penalty  # addi, addi, bnez taken
+    mse = hart._mmio_store_extra
+    msh = hart._mmio_shadow_extra
+    ls = hart._dc_line_shift
+    line = 1 << ls
+    im = hart._dc_index_mask
+    tag_shift = ls + hart._dc_tag_shift
+    tags = hart._dc_tags
+    dc = hart.dcache
+    fm_lo, fm_hi = hart._fm_lo, hart._fm_hi
+    pages = hart._fm_pages
+    q = hart.sim._queue
+    cr = hart.csr._regs
+    pcs = [pc for pc, _ in instrs]
+    span = len(instrs)
+    last_pc, last_d = instrs[-1]
+    out_pc = (last_pc + last_d.size) & 0xFFFF_FFFF_FFFF_FFFF
+    stride = 4 * m
+    runs = [struct.Struct(f"<{w}I").unpack_from for w in range(line // 4 + 1)]
+    zeros = [(0,) * w for w in range(line // 4 + 1)]
+
+    def step(h: "Hart", cycles: int, limit: int, deadline: int,
+             idle_stop: bool, budget: int, n: int) -> int:
+        r = h.regs
+        count = r[c]
+        dst = (r[b] + d) & 0xFFFF_FFFF_FFFF_FFFF
+        a = lo = r[s] + off
+        # every load of the remaining passes lies word-aligned in the
+        # fast-memory window, whose fills raise no Trap (C = 0 would
+        # loop 2**64 times)
+        if (a & 3 or not count or a < fm_lo or a + stride * count > fm_hi
+                or idle_stop and not q):
+            return -1
+        mie_en = cr[0x300] & 8
+        mie_mask = cr[0x304]
+        ep = h._code_epoch
+        shadow = h._branch_shadow
+        # passes to complete: to the loop's exit, or to the back-edge
+        # where the budget would not cover another pass
+        stop = (budget - n - 1) // span
+        if stop > count:
+            stop = count
+        k = j = bi = bc = pair = word = 0
+        bv: List[int] = []
+        bp: Optional[PushBatch] = None
+        while True:
+            # at the lw of pair j: the instruction index ``at`` in the
+            # pass is where an exit leaves
+            at = 2 * j
+            if cycles >= limit:
+                break
+            filled = 0
+            if tags.get((a >> ls) & im) != a >> tag_shift:
+                # a line fill: commit the batch, then the hart's own
+                # load path and the cold path's re-checks
+                if bv:
+                    h._flush_batch(bv, bp, bi)  # type: ignore[arg-type]
+                    bp = None
+                h.cycles = cycles
+                word = h.load(a, 4)
+                cycles += base + h._extra_cycles
+                h._extra_cycles = 0
+                at += 1
+                filled = 1
+                if (mie_en and cr[0x344] & mie_mask
+                        or h._code_epoch != ep or idle_stop and not q):
+                    break
+                limit = q[0][0] if q and q[0][0] < deadline else deadline
+            # the unit: the line's remaining words, up to the stop
+            w = (line - (a & (line - 1))) >> 2
+            left = (stop - k) * m - j
+            if w > left:
+                w = left
+            issue = (cycles + mse + (msh if shadow else 0)
+                     + (0 if filled else base))
+            if bp is None:
+                bp = h._batch_port(dst, 4, issue)
+                if bp is None:
+                    break
+                bc = bp.cost + base
+                pair = base + mse + bc
+            jw = j + w
+            turns = (jw - 1) // m  # back-edges before the last pair
+            passes = jw // m
+            last = issue + (w - 1) * pair + turns * (tail + msh)
+            # the unit's last check: its bnez's quantum check when it
+            # ends a pass, else its last push's ``issue < limit``
+            if (last + bc + 2 * base if passes > turns else last) >= limit:
+                break
+            o = a - fm_lo
+            page = pages.get(o >> 12)  # type: ignore[union-attr]
+            words = runs[w](page, o & 4095) if page is not None else zeros[w]
+            bv += words
+            word = words[-1]
+            bi = last
+            dc.hits += w - filled
+            a += 4 * w
+            k += passes
+            j = jw - passes * m
+            cycles = last + bc
+            shadow = passes > turns
+            if shadow:
+                if k == count:  # the loop's exit: bnez falls through
+                    cycles += 3 * base
+                    at = -1
+                    break
+                cycles += tail
+                if k == stop:  # the budget rule at the back-edge
+                    at = 0
+                    break
+        if not k and not at:
+            return -1
+        if bv:
+            h._flush_batch(bv, bp, bi)  # type: ignore[arg-type]
+        r[s] = lo - off + stride * k
+        r[c] = count - k
+        r[t] = word | _HI32 if word & 0x8000_0000 else word
+        h._branch_shadow = shadow
+        return _exit(h, out_pc if at < 0 else pcs[at], cycles,
+                     n + k * span + (at if at > 0 else 0))
+
+    return step
+
+
 def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
     """Compile the basic block at ``entry_pc``; None when not compilable.
 
@@ -364,8 +542,7 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
     # cacheable) and the inline tag-check geometry applies
     fast = (has_mem and hart._dc_inline and hart._cw_exact
             and hart._fm_load is not None)
-    # stores batch their pushes to pure push registers (fast path only)
-    batch = fast and any(d.name in _STORES for _, d in instrs)
+    stores = fast and any(d.name in _STORES for _, d in instrs)
     # in-page word access compiled directly against the sparse-memory
     # page dict (missing page / page-crossing falls back to the word
     # helper, which returns 0 / splits exactly)
@@ -378,8 +555,10 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
     ls = hart._dc_line_shift
     im = hart._dc_index_mask
     ts = hart._dc_tag_shift
-    mse = hart._mmio_store_extra
-    msh = hart._mmio_shadow_extra
+    # the copy loop runs in closed form, one D-cache line per step: a
+    # line must lie in one page of the window's page dict
+    copy = (_copy_loop(instrs) if loop and inline_pages and 2 <= ls <= 12
+            and not fm_lo & ((1 << ls) - 1) else None)
 
     def retired(count: int) -> str:
         """Instructions retired by this call after ``count`` of the
@@ -389,9 +568,8 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
         return f"n + {count}" if count else "n"
 
     def leave(pc: int, cycles: str, count: int) -> str:
-        """The exit call: commits any open batch, returns the count."""
-        tail = ", bv, bp, bi" if batch else ""
-        return f"return X(h, {pc:#x}, {cycles}, {retired(count)}{tail})"
+        """The exit call, which returns the retired count."""
+        return f"return X(h, {pc:#x}, {cycles}, {retired(count)})"
 
     ns: Dict[str, object] = {
         "TrapExc": Trap,
@@ -438,39 +616,37 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
                 for nb in store_widths:
                     ns[f"P{nb}"] = _CODECS[nb].pack_into
                     lines.append(f"    p{nb} = P{nb}")
-            if batch:
+            if stores:
                 # code-range bounds for the self-modifying-code check;
                 # hoisting is safe: only compile_block grows them and it
-                # does not run while a block is executing.  The open
-                # push batch: values, port, key, last issue, cost.
+                # does not run while a block is executing
                 lines += [
                     "    dd = DD",
                     "    sw = SW",
                     "    blo = h._block_lo",
                     "    bhi = h._block_hi",
-                    "    bv = []",
-                    "    bp = None",
-                    "    bk = bi = bc = -1",
                 ]
         lines.append("    try:")
         ind = "        "
     if loop:
         lines.append(f"{ind}while True:")
         ind += "    "
+    if copy is not None:
+        # the pass head: the step runs whole lines from here and leaves
+        # the block, or hands the pass to the code below (-1)
+        ns["ST"] = _copy_step(hart, instrs, *copy)
+        lines += [f"{ind}x = ST(h, cycles, limit, deadline, idle_stop, "
+                  "budget, n)",
+                  f"{ind}if x >= 0:",
+                  f"{ind}    return x"]
 
     def cold(d: Decoded, idx: int, pc: int, next_pc: int, av: str,
-             si: str, flush: bool) -> List[str]:
-        """An access that is neither a D-cache hit nor a batched push:
-        commit the open batch (``flush``), then the hart's own load or
+             si: str) -> List[str]:
+        """An access that is not a D-cache hit: the hart's own load or
         store path, the loaded value, and the re-checks after it."""
-        out = []
-        if flush:
-            out += [f"{si}if bv:",
-                    f"{si}    h._flush_batch(bv, bp, bi)",
-                    f"{si}    bk = -1"]
-        out += [f"{si}i = {retired(idx)}",
-                f"{si}fpc = {pc:#x}",
-                f"{si}h.cycles = cycles"]
+        out = [f"{si}i = {retired(idx)}",
+               f"{si}fpc = {pc:#x}",
+               f"{si}h.cycles = cycles"]
         if d.name in _LOADS:
             out.append(f"{si}t = h.load({av}, {_LOADS[d.name][0]})")
         else:
@@ -522,7 +698,7 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
             is_load = name in _LOADS
             nbytes = _LOADS[name][0] if is_load else _STORES[name]
             if not fast:
-                lines += cold(d, idx, pc, next_pc, av, ind, False)
+                lines += cold(d, idx, pc, next_pc, av, ind)
             else:
                 # D-cache-hit fast path: a hit in the fast-memory
                 # window advances no time, runs no events, and raises
@@ -554,7 +730,7 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
                             f"{fi}t = lw({av} - {fm_lo:#x}, {nbytes})")
                     lines += _load_result(d, fi)
                     lines += [f"{fi}cycles += {base}", f"{ind}else:"]
-                    lines += cold(d, idx, pc, next_pc, av, fi, batch)
+                    lines += cold(d, idx, pc, next_pc, av, fi)
                 else:
                     val = _u(d.rs2)
                     if nbytes < 8:
@@ -575,22 +751,6 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
                         lines.append(
                             f"{fi}sw({av} - {fm_lo:#x}, "
                             f"{_u(d.rs2)}, {nbytes})")
-                    # a store to the open batch's register joins the
-                    # batch at its exact constant cost (issue-side
-                    # charges incl. the branch shadow, then the
-                    # uncontended round trip); any other store commits
-                    # the batch and may open a new one.  ``issue`` is
-                    # Hart.store's: ``_extra_cycles`` is 0 at every
-                    # instruction boundary (each consumer folds and
-                    # zeroes it), so the issue cost is a literal.
-                    key = f"{av} * 16 + {nbytes}"
-                    bi_ = fi + "    "
-                    push = [
-                        "h._branch_shadow = False",
-                        f"bv.append({val})",
-                        "bi = issue",
-                        "cycles = issue + bc",
-                    ]
                     lines += [
                         f"{fi}cycles += {base}",
                         # self-modifying code: invalidate overlapped
@@ -601,23 +761,8 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
                         f"{fi}    if h._code_epoch != ep:",
                         f"{fi}        {leave(next_pc, 'cycles', idx + 1)}",
                         f"{ind}else:",
-                        f"{fi}issue = cycles + ({mse + msh} "
-                        f"if h._branch_shadow else {mse})",
-                        f"{fi}if bk == {key} and issue < limit:",
-                        *[bi_ + line for line in push],
-                        f"{fi}else:",
-                        f"{bi_}if bv:",
-                        f"{bi_}    h._flush_batch(bv, bp, bi)",
-                        f"{bi_}bp = h._batch_port({av}, {nbytes}, issue)",
-                        f"{bi_}if bp is not None:",
-                        f"{bi_}    bk = {key}",
-                        f"{bi_}    bc = bp.cost + {base}",
-                        *[bi_ + "    " + line for line in push],
-                        f"{bi_}else:",
-                        f"{bi_}    bk = -1",
                     ]
-                    lines += cold(d, idx, pc, next_pc, av, bi_ + "    ",
-                                  False)
+                    lines += cold(d, idx, pc, next_pc, av, fi)
             if is_load and d.rd != 0:
                 _drop_aliases(addr_alias, d.rd)
             continue
@@ -665,8 +810,7 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
             if d.rd != 0:
                 lines.append(f"{ind}r[{d.rd}] = {next_pc:#x}")
             lines.append(f"{ind}return X(h, t, cycles + {base + penalty}, "
-                         f"{retired(idx + 1)}"
-                         f"{', bv, bp, bi' if batch else ''})")
+                         f"{retired(idx + 1)})")
             terminated = True
             break
 
@@ -696,9 +840,9 @@ def compile_block(hart: "Hart", entry_pc: int) -> Optional[CompiledBlock]:
         lines += [
             "    except TrapExc:",
             # h.cycles/_extra_cycles already hold the faulting access's
-            # partial charges (no batch is open: cold accesses commit
-            # it first); commit pc + retired count and re-raise for the
-            # dispatcher's step-exact trap accounting
+            # partial charges (the copy-loop step raises no trap); commit
+            # pc + retired count and re-raise for the dispatcher's
+            # step-exact trap accounting
             "        h.pc = fpc",
             "        h.instret += i",
             "        h._block_retired = i",

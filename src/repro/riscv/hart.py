@@ -277,11 +277,11 @@ class Hart:
 
     def _batch_port(self, addr: int, nbytes: int,
                     issue: int) -> Optional[PushBatch]:
-        """The push batch a compiled block may open with an MMIO store.
+        """The push batch the copy-loop step may open with a store.
 
         ``None`` unless the store (issued at ``issue``) goes to a pure
         push register, no event is due by ``issue`` and the store meets
-        no contention on its path; the caller then takes :meth:`store`.
+        no contention on its path.
         """
         if (self._cw0_lo <= addr < self._cw0_hi
                 or self._cw1_lo <= addr < self._cw1_hi):
@@ -300,8 +300,8 @@ class Hart:
 
     def _flush_batch(self, values: List[int], batch: PushBatch,
                      issue: int) -> None:
-        """Commit the stores a compiled block batched, the last issued at
-        ``issue``: what :meth:`store` would have left, store by store."""
+        """Commit the stores the copy-loop step batched, the last issued
+        at ``issue``: what :meth:`store` would have left, store by store."""
         self.mmio_accesses += len(values)
         sim = self.sim
         if issue > sim.now:

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.accel import make_accelerator
 from repro.axi.crossbar import AxiCrossbar
 from repro.core.hwicap import AxiHwIcap
 from repro.core.rvcap import RvCapController
 from repro.errors import ControllerError
 from repro.fpga.bitgen import Bitgen
+from repro.fpga.bitstream import Bitstream
 from repro.fpga.config_memory import ConfigMemory
 from repro.fpga.icap import Icap
 from repro.fpga.partition import ReconfigurableModule, ReconfigurablePartition
@@ -69,6 +72,9 @@ class Soc:
         #: (rp_index, a registered module's frame bytes) -> its name:
         #: identification compares a partition's contents exactly
         self._module_contents: Dict[Tuple[int, bytes], str] = {}
+        #: module name -> the same frame bytes, which its partial
+        #: bitstream is assembled around
+        self._module_payloads: Dict[str, bytes] = {}
         self._modules: Dict[str, ReconfigurableModule] = {}
         #: module name -> index of the partition it was registered for
         self._module_rp_index: Dict[str, int] = {}
@@ -100,10 +106,20 @@ class Soc:
                         rp_index: int = 0) -> None:
         """Register an RM so the SoC can recognize its configuration."""
         rp = self.partitions[rp_index]
-        payload = self.bitgen.frame_payload(rp, module)
-        self._module_contents[(rp_index, payload.tobytes())] = module.name
+        payload = self.bitgen.frame_payload(rp, module).tobytes()
+        self._module_contents[(rp_index, payload)] = module.name
+        self._module_payloads[module.name] = payload
         self._modules[module.name] = module
         self._module_rp_index[module.name] = rp_index
+
+    def module_bitstream(self, name: str) -> Bitstream:
+        """Registered module ``name``'s partial bitstream for its RP:
+        ``bitgen.generate``'s, assembled around the frame payload the
+        registration synthesized instead of a second synthesis."""
+        rp = self.partitions[self.module_rp_index(name)]
+        rp.check_fits(self._modules[name])
+        payload = np.frombuffer(self._module_payloads[name], dtype=np.uint32)
+        return self.bitgen._assemble(rp, payload)
 
     def module(self, name: str) -> ReconfigurableModule:
         return self._modules[name]

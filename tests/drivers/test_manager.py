@@ -32,6 +32,18 @@ class TestProvisioning:
         assert soc.sdcard.storage.keys() == reference.storage.keys()
         assert soc.sdcard.storage == reference.storage
 
+    def test_each_frame_payload_is_synthesized_once(self):
+        """Registration synthesizes each module's frame payload, and
+        provisioning assembles the module's bitstream around it."""
+        from unittest import mock
+
+        from repro.eval.scenarios import reference_setup
+        from repro.fpga.bitgen import Bitgen
+        with mock.patch.object(Bitgen, "frame_payload", autospec=True,
+                               side_effect=Bitgen.frame_payload) as spy:
+            soc, _manager = reference_setup()
+        assert spy.call_count == len(soc.registered_modules) == 3
+
     def test_descriptors_populated(self, shared_manager):
         _soc, manager = shared_manager
         d = manager.descriptor("gaussian")

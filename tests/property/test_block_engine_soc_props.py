@@ -2,8 +2,8 @@
 
 ``test_block_engine_props`` compares the engines on a mini system with
 no cacheable windows or fast memory, so it never runs the block
-engine's inline D-cache path or its batched MMIO pushes.  These
-properties run random HWICAP-style copy firmware (Sec. IV-B) on twin
+engine's inline D-cache path or its copy-loop step.  These properties
+run random HWICAP-style copy firmware (Sec. IV-B) on twin
 :class:`~repro.soc.soc.Soc` instances, the "interp" twin with the
 one-step-per-instruction oracle (:mod:`tests.property.iss_oracle`)
 bound over its hart's ``run_until``, and compare everything the
@@ -12,14 +12,20 @@ MMIO and trap counts, kernel time, the HWICAP write FIFO, the
 crossbar, the ICAP, the configuration memory and, with observability
 attached, every metric and span.
 
-The random firmware varies the unroll factor (1-16) and the encoding
-(plain or RVC), overflows the 1024-word FIFO, mixes WFV/SR loads and
-CR stores into the blocks that push to WF, takes CLINT timer
-interrupts re-armed every 3-400 ticks, and runs under
-``Hart.run_until`` with deadlines and ``until_halted=False``.  A
-liveness test pins that the block engine really batches pushes and
-takes back-edges inside its closures, so the properties cannot pass by
-comparing the per-store path with itself.
+The random firmware varies the unroll factor (1-32), the encoding
+(plain or RVC), the source's word offset into a D-cache line (0-60
+bytes, so line boundaries fall mid-pass) and the CPU timing, reads on
+past the bitstream into DDR pages never written, overflows the
+1024-word FIFO, mixes WFV/SR loads and CR stores into the loops that
+push to WF (which are then no copy-loop idiom), and takes CLINT timer
+interrupts re-armed every 3-400 ticks.  It runs under ``Hart.run_until`` with
+deadlines in every example, some of them at cycles where the oracle
+stands at the loop head, then until the event queue drains
+(``until_halted=False``), then under an instruction budget that may
+raise ``CpuError`` mid-loop, comparing both twins after each run.  A
+liveness test pins that the block engine really runs the copy-loop
+step and takes back-edges inside its closures, so the properties
+cannot pass by comparing the per-store path with itself.
 """
 
 from __future__ import annotations
@@ -29,18 +35,23 @@ import types
 from typing import Dict, List, Optional, Tuple
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import CpuError
 from repro.eval.scenarios import rp_for_geometry
 from repro.fpga.bitgen import Bitgen
 from repro.fpga.partition import ReconfigurableModule, ResourceBudget, RpGeometry
+from repro.firmware import build_hwicap_firmware
 from repro.firmware.runtime import FirmwareBuilder
 from repro.riscv import hart as hart_module
 from repro.riscv import isa
 from repro.riscv.assembler import assemble
 from repro.riscv.hart import Hart
+from repro.riscv.timing import CpuTiming
 from repro.soc.builder import build_soc
+from repro.soc.config import SocConfig, TimingParams
 from repro.soc.soc import Soc
 from tests.property import iss_oracle
 
@@ -69,9 +80,12 @@ _EXTRAS = (
 
 
 def _firmware(*, unroll: int, inner: int, chunks: int, extras: Dict[int, int],
-              cr_value: int, period: Optional[int], compress: bool):
+              cr_value: int, period: Optional[int], compress: bool,
+              offset: int = 0):
     """Copy ``chunks * inner * unroll`` words into WF, flushing (CR
-    Write) after every ``inner`` iterations of the unrolled loop.
+    Write) after every ``inner`` iterations of the unrolled loop (its
+    head is the label ``inner``), from ``offset`` words past
+    ``_SRC_OFFSET``.
 
     ``extras`` maps a pair index of the body to an ``_EXTRAS`` entry
     placed after that pair.  With ``period``, a CLINT timer interrupt
@@ -88,7 +102,7 @@ def _firmware(*, unroll: int, inner: int, chunks: int, extras: Dict[int, int],
         if i in extras:
             body += list(_EXTRAS[extras[i]])
     body_src = "\n".join(body)
-    src = builder.layout.ddr_base + _SRC_OFFSET
+    src = builder.layout.ddr_base + _SRC_OFFSET + 4 * offset
     timer = ""
     if period is not None:
         timer = f"""
@@ -160,9 +174,14 @@ def _load(soc: Soc, program, engine: str) -> Hart:
     return hart
 
 
-def _twin(program, engine: str) -> Soc:
-    soc = build_soc(with_case_study_modules=False)
-    soc.ddr_write(soc.config.layout.ddr_base + _SRC_OFFSET, _PBIT)
+def _twin(program, engine: str, offset: int = 0,
+          cpu: Optional[CpuTiming] = None) -> Soc:
+    """A SoC (with ``cpu`` timing) holding the bitstream ``offset``
+    words past ``_SRC_OFFSET`` and running ``program`` on ``engine``."""
+    config = SocConfig(timing=TimingParams(cpu=cpu)) if cpu else None
+    soc = build_soc(config, with_case_study_modules=False)
+    soc.ddr_write(soc.config.layout.ddr_base + _SRC_OFFSET + 4 * offset,
+                  _PBIT)
     _load(soc, program, engine)
     return soc
 
@@ -176,6 +195,8 @@ def _state(soc: Soc) -> dict:
         "instret": hart.instret,
         "halted": hart.halted,
         "mmio_accesses": hart.mmio_accesses,
+        "dcache": (hart.dcache.hits, hart.dcache.misses,
+                   hart.dcache.writebacks),
         "trap_count": hart.trap_count,
         "csrs": tuple(hart.csr.read(addr) for addr in _CSRS),
         "now": soc.sim.now,
@@ -191,60 +212,161 @@ def _state(soc: Soc) -> dict:
     }
 
 
-def _run_twins(program, deadlines: List[int]) -> Tuple[Soc, Soc]:
-    """Run both engines in lockstep: one ``run_until(d,
-    until_halted=False)`` per deadline, then to the halt."""
-    interp, block = _twin(program, "interp"), _twin(program, "block")
-    for deadline in deadlines:
+def _run_twins(program, deadlines: List[int], *, offset: int = 0,
+               cpu: Optional[CpuTiming] = None, until_halted: bool = False,
+               idle_runs: int = 0, budget: Optional[int] = None
+               ) -> Tuple[Soc, Soc]:
+    """Run both engines in lockstep: one ``run_until(d, until_halted)``
+    per deadline, ``idle_runs`` runs that stop where the event queue
+    drains, one run of at most ``budget`` instructions, then to the
+    halt.  After each run both twins raised the same ``CpuError`` or
+    none, and their states are equal."""
+    interp = _twin(program, "interp", offset, cpu)
+    block = _twin(program, "block", offset, cpu)
+
+    def lockstep(run: str, *args, **kwargs) -> None:
+        raised = []
         for soc in (interp, block):
-            soc.hart.run_until(deadline, until_halted=False)
+            try:
+                getattr(soc.hart, run)(*args, **kwargs)
+                raised.append(None)
+            except CpuError as err:
+                raised.append(str(err))
+        assert raised[0] == raised[1]
         assert _state(interp) == _state(block)
-    for soc in (interp, block):
-        soc.hart.run(max_instructions=2_000_000)
-    assert _state(interp) == _state(block)
+
+    for deadline in deadlines:
+        lockstep("run_until", deadline, until_halted=until_halted)
+    for _ in range(idle_runs):
+        lockstep("run_until", None, until_halted=False)
+    if budget is not None:
+        lockstep("run", max_instructions=budget)
+    lockstep("run", max_instructions=2_000_000)
     assert block.hart.halted
     return interp, block
 
 
+def _loop_cycles(program, offset: int = 0, cpu: Optional[CpuTiming] = None,
+                 pcs: Optional[Tuple[int, int]] = None) -> List[int]:
+    """The cycles at which the oracle's hart stands at a pc in ``pcs``
+    (``[lo, hi)``; default the copy loop's head alone): deadlines
+    there cut a run at that instruction."""
+    hart = _twin(program, "interp", offset, cpu).hart
+    head = program.symbols["inner"]
+    lo, hi = pcs or (head, head + 1)
+    step = hart.step
+    seen: List[int] = []
+
+    def spy() -> None:
+        if lo <= hart.pc < hi:
+            seen.append(hart.cycles)
+        step()
+
+    hart.step = spy
+    hart.run(max_instructions=2_000_000)
+    return seen
+
+
 @st.composite
 def _params(draw):
-    unroll = draw(st.integers(1, 16))
+    unroll = draw(st.integers(1, 32))
     # words per chunk up to ~1.4x the FIFO: the larger ones overflow it
     inner = draw(st.integers(1, max(1, 1400 // unroll)))
-    chunks = draw(st.integers(1, min(4, _WORDS // (inner * unroll))))
-    extras = draw(st.dictionaries(st.integers(0, unroll - 1),
-                                  st.integers(0, len(_EXTRAS) - 1),
-                                  max_size=3))
+    # up to 2,048 words past the bitstream: DDR pages never written
+    chunks = draw(st.integers(1, min(4, (_WORDS + 2048) // (inner * unroll))))
+    extras = draw(st.one_of(
+        st.just({}),
+        st.dictionaries(st.integers(0, unroll - 1),
+                        st.integers(0, len(_EXTRAS) - 1), max_size=3)))
     return dict(
         unroll=unroll, inner=inner, chunks=chunks, extras=extras,
         cr_value=draw(st.sampled_from((0, 1))),
         period=draw(st.one_of(st.none(), st.integers(3, 400))),
         compress=draw(st.booleans()),
+        offset=draw(st.integers(0, 15)),
     )
 
 
-@settings(max_examples=20, deadline=None)
-@given(_params(), st.integers(0, 2**32 - 1))
-def test_random_hwicap_firmware_engines_agree(params, seed):
+#: CPU timings beside the calibrated one: issue costs, shadow stall and
+#: branch penalty down to 0 (a push's round trip then outlasts the
+#: next store's issue) and other D-cache line sizes
+_CPUS = st.one_of(st.none(), st.builds(
+    CpuTiming,
+    base_cpi=st.integers(1, 2),
+    branch_taken_penalty=st.integers(0, 6),
+    mmio_after_branch_block=st.integers(0, 50),
+    mmio_issue_overhead=st.integers(0, 12),
+    noncacheable_store_cost=st.integers(0, 24),
+    dcache_line_bytes=st.sampled_from((16, 32, 64, 128)),
+))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_params(), _CPUS, st.integers(0, 2**32 - 1))
+def test_random_hwicap_firmware_engines_agree(params, cpu, seed):
     rng = random.Random(seed)
-    deadlines: List[int] = []
-    if rng.random() < 0.5:
-        at = 0
-        for _ in range(rng.randrange(1, 30)):
-            at += rng.randrange(20, 20_000)
-            deadlines.append(at)
-    _run_twins(_firmware(**params), deadlines)
+    program = _firmware(**params)
+    setup = dict(offset=params["offset"], cpu=cpu)
+    heads = _loop_cycles(program, **setup)
+    deadlines = rng.sample(heads, min(len(heads), rng.randrange(1, 8)))
+    at = 0
+    for _ in range(rng.randrange(1, 20)):
+        at += rng.randrange(20, 20_000)
+        deadlines.append(at)
+    _run_twins(program, sorted(deadlines), until_halted=rng.random() < 0.7,
+               idle_runs=rng.randrange(0, 4), budget=rng.randrange(1, 4_000),
+               **setup)
+
+
+def test_deadlines_at_every_instruction_of_two_lines():
+    """A deadline at each instruction of the copy loop's first two
+    D-cache lines, and one cycle later.  From 5 words into a line at
+    unroll 3, the first line ends mid-pass and the second ends a pass,
+    so each kind of step meets a deadline at its last check."""
+    program = _firmware(unroll=3, inner=12, chunks=1, extras={},
+                        cr_value=0, period=None, compress=False, offset=5)
+    head = program.symbols["inner"]
+    # 27 words: 9 passes of 9 instructions, 4 bytes each
+    cycles = _loop_cycles(program, offset=5, pcs=(head, head + 36))[:81]
+    for deadline in sorted({c + d for c in cycles for d in (0, 1)}):
+        _run_twins(program, [deadline], offset=5, until_halted=True)
 
 
 @settings(max_examples=6, deadline=None)
-@given(st.integers(1, 16), st.booleans(), st.integers(3, 400))
-def test_timer_interrupts_mid_loop(unroll, compress, period):
+@given(st.integers(1, 32), st.booleans(), st.integers(3, 400),
+       st.integers(0, 15))
+def test_timer_interrupts_mid_loop(unroll, compress, period, offset):
     """A timer handler that runs between the WF pushes of the loop."""
     _interp, block = _run_twins(
         _firmware(unroll=unroll, inner=max(1, 640 // unroll), chunks=2,
-                  extras={}, cr_value=0, period=period, compress=compress),
-        [])
+                  extras={}, cr_value=0, period=period, compress=compress,
+                  offset=offset),
+        [], offset=offset)
     assert block.hart.trap_count > 0
+
+
+def test_copy_off_the_end_of_ddr_traps_alike():
+    """A copy loop that reads on past the end of DDR, where the load
+    faults: the step refuses a loop whose loads leave the fast-memory
+    window, so the trap is taken at the faulting ``lw`` with the pushes
+    before it committed, as the oracle takes it."""
+    layout = SocConfig().layout
+    # the last 40 words of DDR, then 40 past its end
+    offset = (layout.ddr_size - _SRC_OFFSET) // 4 - 40
+    program = _firmware(unroll=4, inner=20, chunks=1, extras={},
+                        cr_value=0, period=None, compress=False,
+                        offset=offset)
+    twins = []
+    for engine in ("interp", "block"):
+        soc = build_soc(with_case_study_modules=False)
+        hart = _load(soc, program, engine)
+        with pytest.raises(CpuError):
+            hart.run(max_instructions=5_000)
+        twins.append(soc)
+    assert _state(twins[0]) == _state(twins[1])
+    assert twins[1].hart.trap_count > 0
+    assert twins[1].hwicap.words_transferred == 0
+    assert len(twins[1].hwicap._fifo) == 40
 
 
 def test_fifo_overflow_drops_the_same_words():
@@ -305,17 +427,50 @@ def test_observed_counters_match_the_interpreter():
     assert counter.value == block.xbar.transactions > 2400
 
 
-def test_batches_and_back_edges_are_live():
-    """The block twin commits multi-store batches and re-enters its
-    copy loop inside the closure — the paths the properties compare."""
-    commits: List[int] = []
-    looped: List[int] = []
-    flush = Hart._flush_batch
-    compile_block = hart_module.compile_block
+def test_observed_counters_match_on_the_copy_loop():
+    """The copy-loop step's batch commits leave every metric and span
+    the interpreter's per-store path leaves, under timer interrupts."""
+    program = _firmware(unroll=16, inner=40, chunks=3, extras={},
+                        cr_value=0, period=120, compress=False, offset=5)
+    twins = []
+    for engine in ("interp", "block"):
+        soc = _twin(program, engine, offset=5)
+        soc.attach_observability()
+        soc.hart.run(max_instructions=2_000_000)
+        twins.append(soc)
+    interp, block = twins
+    assert _state(interp) == _state(block)
+    assert interp.obs.metrics.snapshot() == block.obs.metrics.snapshot()
+    spans = [[(s.track, s.name, s.start_cycle, s.end_cycle, s.args)
+              for s in soc.obs.tracer.spans] for soc in twins]
+    assert spans[0] == spans[1]
+    assert block.hart.trap_count > 0
 
-    def spy_flush(hart, values, batch, issue):
-        commits.append(len(values))
-        return flush(hart, values, batch, issue)
+
+def test_budget_ends_inside_the_copy_loop():
+    """A budget that runs out at each instruction of one pass of the
+    copy loop raises ``CpuError`` at the same instruction on both
+    engines, and the run resumes alike."""
+    for unroll in (1, 3, 16, 32):
+        span = 2 * unroll + 3
+        # 320 words: the loop runs from instruction 16 to past 680
+        program = _firmware(unroll=unroll, inner=320 // unroll, chunks=1,
+                            extras={}, cr_value=0, period=None,
+                            compress=False)
+        for budget in range(400, 401 + span):
+            _run_twins(program, [], budget=budget)
+
+
+def test_batches_and_back_edges_are_live():
+    """The block twin re-enters its loops inside the closure, and on the
+    copy-loop idiom its step commits whole D-cache lines of words to WF,
+    with no ``Hart.store`` to WF: the paths the properties compare."""
+    looped: List[int] = []
+    commits: List[int] = []
+    wf_stores: List[int] = []
+    compile_block = hart_module.compile_block
+    flush = Hart._flush_batch
+    store = Hart.store
 
     def spy_compile(hart, pc):
         block = compile_block(hart, pc)
@@ -331,16 +486,42 @@ def test_batches_and_back_edges_are_live():
             block.fn = run
         return block
 
-    with mock.patch.object(Hart, "_flush_batch", spy_flush), \
-            mock.patch.object(hart_module, "compile_block", spy_compile):
+    def spy_flush(hart, values, batch, issue):
+        commits.append(len(values))
+        return flush(hart, values, batch, issue)
+
+    with mock.patch.object(hart_module, "compile_block", spy_compile):
+        # WFV and SR loads in the body: no idiom, the generated code
+        # takes the back-edge
         _interp, block = _run_twins(
             _firmware(unroll=4, inner=_WORDS // 4, chunks=1,
                       extras={1: 0, 3: 1}, cr_value=0, period=150,
                       compress=True),
             [5_000, 60_000])
     assert block.icap.words_consumed > 0
-    assert max(commits) >= 2
     assert looped
+
+    # the Listing 2 firmware: 3 chunks of 1,024 words, then 64 words
+    # and a 7-word tail loop (an idiom of one pair)
+    twins = [build_soc(with_case_study_modules=False) for _ in range(2)]
+    src = twins[0].config.layout.ddr_base + _SRC_OFFSET
+    program = build_hwicap_firmware(src, len(_PBIT), unroll=8)
+    wf = twins[0].config.layout.hwicap_base + 0x100
+
+    def spy_store(hart, addr, value, nbytes):
+        if addr == wf and hart is twins[1].hart:
+            wf_stores.append(value)
+        return store(hart, addr, value, nbytes)
+
+    with mock.patch.object(Hart, "_flush_batch", spy_flush), \
+            mock.patch.object(Hart, "store", spy_store):
+        for soc, engine in zip(twins, ("interp", "block"), strict=True):
+            soc.ddr_write(src, _PBIT)
+            _load(soc, program, engine).run(max_instructions=2_000_000)
+    assert _state(twins[0]) == _state(twins[1])
+    assert twins[1].hart.halted and not twins[1].icap.error
+    assert commits == [16] * (_WORDS // 16) + [_WORDS % 16]
+    assert not wf_stores
 
 
 def test_oracle_twin_steps_every_instruction():
